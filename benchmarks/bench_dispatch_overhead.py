@@ -10,7 +10,7 @@ enumeration, across chain lengths.
 import numpy as np
 import pytest
 
-from repro.compiler.dispatch import Dispatcher
+from repro.runtime.dispatcher import Dispatcher
 from repro.compiler.selection import all_variants, essential_set
 from repro.experiments.sampling import sample_instances, sample_shapes
 

@@ -10,7 +10,7 @@ enumeration, and vs a single dispatch.
 import numpy as np
 import pytest
 
-from repro.compiler.dispatch import Dispatcher
+from repro.runtime.dispatcher import Dispatcher
 from repro.compiler.dp import dp_optimal_cost
 from repro.compiler.selection import all_variants, essential_set, optimal_cost
 from repro.experiments.sampling import sample_instances, sample_shapes

@@ -1,16 +1,15 @@
-"""Runtime hot path: memoized dispatch+execute vs the pre-refactor path.
+"""Runtime hot path: memoized dispatch+execute vs a memo-less baseline.
 
-PR 5 turned the per-request path into a real runtime (`repro.runtime`):
-an `ExecutionPlan` compiled once per `(variant, sizes)` — kernel impls
-resolved, call configs baked in, buffer refs flattened to slots — behind
-a size-keyed dispatch memo, with sizes inferred (and shapes validated)
-exactly once per call.
+The runtime (`repro.runtime`) answers a repeated instance from a
+size-keyed dispatch memo: one size inference, one memo lookup, and a
+replay of the `ExecutionPlan` compiled for those sizes.
 
-The **pre-refactor path**, reconstructed faithfully here, paid per call:
-a full cost-matrix sweep with per-row instance validation, a second
-``infer_sizes`` inside ``execute_variant(check_shapes=True)``, per-step
-kernel dict lookups and ``KernelCallConfig`` construction, and
-``("step", i)`` dict buffer addressing.
+The **memo-less baseline** pays per call what the memo amortizes away:
+a full cost-matrix sweep with per-row instance validation (a dispatcher
+with ``memo_capacity=0``), a second ``infer_sizes`` inside
+``execute_variant(check_shapes=True)``, and a plan compiled for the
+sizes before its single replay (kernel lowering, ``KernelCallConfig``
+construction, slot resolution).
 
 The acceptance test asserts the memoized runtime answers repeated
 same-size dispatch+execute requests >= 5x faster (bit-identical results);
@@ -58,13 +57,13 @@ def _setup(chain, rng, low=4, high=16):
     return variants, sizes, arrays
 
 
-def _pre_refactor_call(chain, dispatcher, arrays):
-    """One request exactly as the pre-runtime Dispatcher.__call__ paid it.
+def _memo_less_call(chain, dispatcher, arrays):
+    """One request without the memo's amortization.
 
-    ``dispatcher`` must have ``memo_capacity=0`` so ``select`` performs the
-    historical full sweep (with per-row validation); ``execute_variant``
-    with ``check_shapes=True`` then re-infers and re-validates, which is
-    the double size inference PR 5 removed.
+    ``dispatcher`` must have ``memo_capacity=0`` so ``select`` performs a
+    full sweep (with per-row validation); ``execute_variant`` with
+    ``check_shapes=True`` then re-infers the sizes and compiles a plan
+    for its single replay.
     """
     sizes = infer_sizes(chain, [np.asarray(a) for a in arrays])
     variant, _ = dispatcher.select(sizes)
@@ -80,7 +79,7 @@ def _measure(fn, reps: int) -> float:
 
 
 def test_repeated_dispatch_acceptance(benchmark):
-    """CI bound: the warm runtime is >= 5x the pre-refactor per-call path."""
+    """CI bound: the warm runtime is >= 5x the memo-less per-call path."""
     rng = np.random.default_rng(2026)
     rows = []
     worst = float("inf")
@@ -91,25 +90,25 @@ def test_repeated_dispatch_acceptance(benchmark):
         legacy = Dispatcher(chain, variants, memo_capacity=0)
         # Identical answers before timing anything.
         np.testing.assert_array_equal(
-            runtime(*arrays), _pre_refactor_call(chain, legacy, arrays)
+            runtime(*arrays), _memo_less_call(chain, legacy, arrays)
         )
         reps = 300
         t_old = _measure(
-            lambda: _pre_refactor_call(chain, legacy, arrays), reps
+            lambda: _memo_less_call(chain, legacy, arrays), reps
         )
         t_new = _measure(lambda: runtime(*arrays), reps)
         speedup = t_old / t_new
         worst = min(worst, speedup)
         rows.append(
             f"n={n:2d}: {len(variants):2d} variants, "
-            f"pre-refactor {t_old * 1e6:8.1f} us/call, "
+            f"memo-less {t_old * 1e6:8.1f} us/call, "
             f"runtime {t_new * 1e6:8.1f} us/call, {speedup:5.1f}x"
         )
     emit("Runtime hot path: repeated same-size dispatch+execute", "\n".join(rows))
     benchmark.extra_info["worst_speedup"] = round(worst, 2)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert worst >= REQUIRED_SPEEDUP, (
-        f"memoized runtime is only {worst:.1f}x the pre-refactor path "
+        f"memoized runtime is only {worst:.1f}x the memo-less path "
         f"(required >= {REQUIRED_SPEEDUP}x):\n" + "\n".join(rows)
     )
 
@@ -128,13 +127,13 @@ def test_warm_dispatch_execute(benchmark, n):
 
 
 @pytest.mark.parametrize("n", [5, 8, 10])
-def test_pre_refactor_dispatch_execute(benchmark, n):
-    """Timed: the reconstructed per-call path the refactor replaced."""
+def test_memo_less_dispatch_execute(benchmark, n):
+    """Timed: the memo-less per-call baseline."""
     rng = np.random.default_rng(n)
     chain = _general_chain(n)
     variants, sizes, arrays = _setup(chain, rng)
     dispatcher = Dispatcher(chain, variants, memo_capacity=0)
-    benchmark(lambda: _pre_refactor_call(chain, dispatcher, arrays))
+    benchmark(lambda: _memo_less_call(chain, dispatcher, arrays))
     benchmark.extra_info["variants"] = len(variants)
 
 

@@ -18,7 +18,7 @@ Run:  python examples/jacobi_preconditioning.py
 import numpy as np
 
 from repro import Matrix, Property, Structure, compile_chain
-from repro.compiler.executor import naive_evaluate
+from repro.runtime.executor import naive_evaluate
 
 
 def main() -> None:

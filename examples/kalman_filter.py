@@ -17,7 +17,7 @@ Run:  python examples/kalman_filter.py
 import numpy as np
 
 from repro import Matrix, Property, Structure, compile_chain, left_to_right_variant
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.selection import optimal_cost
 
 

@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import Matrix, Property, Structure, compile_chain
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ Run:  python examples/tikhonov.py
 import numpy as np
 
 from repro import compile_chain, parse_program
-from repro.compiler.executor import naive_evaluate
+from repro.runtime.executor import naive_evaluate
 
 PROGRAM = """
 # Tikhonov estimator applied to a block of right-hand sides.

@@ -14,7 +14,7 @@ Run:  python examples/triangular_inversion.py
 import numpy as np
 
 from repro import Matrix, Property, Structure, compile_chain
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 
 
 def explicit_inversion_cost(sizes) -> float:

@@ -4,7 +4,7 @@ The paper's code generator outputs C++ functions (one per variant, each
 paired with a cost function) plus a dispatch function.  This subpackage
 emits exactly that as C++ source text (:mod:`repro.codegen.cpp_emitter`),
 while the executable in-process equivalent is provided by
-:class:`repro.compiler.dispatch.Dispatcher`.
+:class:`repro.runtime.Dispatcher`.
 """
 
 from repro.codegen.cpp_emitter import emit_cpp, emit_kernels_header

@@ -18,16 +18,15 @@ Modules:
 * :mod:`repro.compiler.variant_space` — pluggable candidate generation:
   exhaustive Catalan enumeration for small chains, lazy DP-seeded pools
   that scale compilation to long chains (§III-B beyond n ≈ 12).
-* :mod:`repro.compiler.dispatch` / :mod:`repro.compiler.executor` —
-  import shims for the run-time half, which lives in :mod:`repro.runtime`
-  (the memoizing dispatcher, compiled execution plans, and the variant
-  executor).
 * :mod:`repro.compiler.pipeline` — the staged pass pipeline (parse,
   simplify, sample, enumerate, cost-matrix, select, expand, dispatch).
 * :mod:`repro.compiler.cache` — the content-addressed compilation cache
   (in-memory LRU + optional disk layer).
 * :mod:`repro.compiler.session` — the :class:`CompilerSession` facade with
   cached single and batch (``compile_many``) compilation.
+
+The run-time half (the memoizing dispatcher, compiled execution plans,
+and the variant executor) lives in :mod:`repro.runtime`.
 """
 
 from repro.compiler.parenthesization import (

@@ -31,7 +31,7 @@ from repro.errors import CompilationError
 from repro.ir.chain import Chain
 from repro.obs import get_registry
 from repro.obs import trace as obs_trace
-from repro.compiler.dispatch import CostEstimator, Dispatcher, flop_estimator
+from repro.runtime.dispatcher import CostEstimator, Dispatcher, flop_estimator
 from repro.compiler.expansion import AveragePenalty, MaxPenalty, expand_set
 from repro.compiler.program import CompiledProgram
 from repro.compiler.selection import CostMatrix, essential_set

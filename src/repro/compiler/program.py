@@ -17,7 +17,7 @@ makes that product a first-class value:
   :mod:`repro.serve`, and ``repro compile --output`` / ``repro run`` all
   speak it;
 * :meth:`CompiledProgram.to_dispatcher` reconstructs a working
-  :class:`~repro.compiler.dispatch.Dispatcher` anywhere the artifact lands.
+  :class:`~repro.runtime.dispatcher.Dispatcher` anywhere the artifact lands.
 
 The artifact doubles as the compilation-cache entry type
 (:data:`repro.compiler.cache.CacheEntry` is an alias), which is what makes
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.codegen.serialize import FORMAT_VERSION, SerializationError
 from repro.ir.chain import Chain
-from repro.compiler.dispatch import CostEstimator, Dispatcher, flop_estimator
+from repro.runtime.dispatcher import CostEstimator, Dispatcher, flop_estimator
 from repro.compiler.variant import Variant
 
 #: Bump when the artifact wire layout changes incompatibly.

@@ -29,7 +29,7 @@ import numpy as np
 from repro.ir.chain import Chain
 from repro.obs import trace as obs_trace
 from repro.compiler.cache import CacheEntry, CacheStats, CompilationCache, rebind_variants
-from repro.compiler.dispatch import CostEstimator, flop_estimator
+from repro.runtime.dispatcher import CostEstimator, flop_estimator
 from repro.compiler.pipeline import (
     CompileOptions,
     PassContext,

@@ -95,7 +95,7 @@ class ChainSum:
         features and chain adjacency, and all terms produce results of the
         same dimensions.
         """
-        from repro.compiler.executor import infer_sizes
+        from repro.runtime.executor import infer_sizes
 
         missing = [name for name in self.matrices if name not in arrays]
         if missing:

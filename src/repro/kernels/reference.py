@@ -35,7 +35,7 @@ __all__ = [
     "dimm", "didimm", "digesv", "disysv", "ditrsv", "didisv",
     "geinv", "syinv", "poinv", "trinv", "diinv",
     "explicit_transpose", "copy",
-    "KERNEL_IMPLS", "PRODUCT_KERNELS", "SOLVER_BY_KERNEL", "specialize_kernel",
+    "PRODUCT_KERNELS", "SOLVER_BY_KERNEL", "specialize_kernel",
 ]
 
 
@@ -312,34 +312,11 @@ def copy(a):
 
 
 # ---------------------------------------------------------------------------
-# Uniform dispatch for the variant executor.  Each entry takes the stored
-# left/right arrays plus the resolved call configuration and returns the
-# computed (base) result.
+# Plan-time specialization.  Every execution plan lowers its binary kernel
+# calls through these tables: product kernels all reduce to a (possibly
+# transposed) matmul on the full dense storage; solve kernels pick the
+# structured solver of their coefficient family.
 # ---------------------------------------------------------------------------
-
-def _impl_product(a, b, cfg):
-    return gemm(a, b, trans_a=cfg.left_trans, trans_b=cfg.right_trans)
-
-
-def _impl_solve(solver):
-    def run(a, b, cfg):
-        if cfg.side == "left":
-            coeff, rhs = a, b
-            trans = cfg.left_trans
-            lower = cfg.left_lower
-        else:
-            coeff, rhs = b, a
-            trans = cfg.right_trans
-            lower = cfg.right_lower
-        logical = _op(np.asarray(coeff), trans)
-        rhs = _op(np.asarray(rhs), cfg.right_trans if cfg.side == "left" else cfg.left_trans)
-        if solver is _solve_triangular:
-            logical_lower = lower != trans
-            return _solve_triangular(logical, rhs, cfg.side, logical_lower)
-        return solver(logical, rhs, cfg.side)
-
-    return run
-
 
 #: Kernels whose execution is a dense matmul over the full storage.
 PRODUCT_KERNELS = frozenset(
@@ -372,16 +349,13 @@ def specialize_kernel(name, cfg):
 
     Execution plans (:mod:`repro.runtime.plan`) call each kernel with the
     same :class:`call config <repro.runtime.executor.KernelCallConfig>`
-    every time, so the per-call branching of the generic entry points —
-    transpose resolution, side selection, operand re-coercion, dimension
-    checks — can be resolved once here.  The returned callable trusts its
-    inputs: 2-D float64 arrays whose shapes were validated when the plan
-    was compiled (dimension mismatches surface as numpy errors, not
-    :class:`ExecutionError`).
-
-    Bit-compatible with :data:`KERNEL_IMPLS`: products lower to the same
-    ``op(L) @ op(R)`` matmul, solves to the same family solver with the
-    transpose/triangularity algebra pre-applied.
+    every time, so transpose resolution and side selection are resolved
+    once here.  The returned callable trusts its inputs: 2-D float64
+    arrays whose shapes were validated when the plan was compiled
+    (dimension mismatches surface as numpy errors, not
+    :class:`ExecutionError`).  Products lower to the ``op(L) @ op(R)``
+    matmul, solves to the family solver of :data:`SOLVER_BY_KERNEL` with
+    the transpose/triangularity algebra pre-applied.
     """
     if name in PRODUCT_KERNELS:
         if cfg.left_trans and cfg.right_trans:
@@ -405,8 +379,7 @@ def specialize_kernel(name, cfg):
         )
     side = cfg.side
     if solver is _solve_triangular:
-        # Stored-to-logical triangularity flips under transposition,
-        # exactly as in the generic path (_impl_solve).
+        # Stored-to-logical triangularity flips under transposition.
         logical_lower = bool(lower) != coeff_trans
 
         def run(left, right):
@@ -450,14 +423,3 @@ def specialize_kernel_out(name, cfg):
     if cfg.right_trans:
         return lambda left, right, out: np.matmul(left, right.T, out=out)
     return lambda left, right, out: np.matmul(left, right, out=out)
-
-
-#: name -> callable(stored_left, stored_right, call_config) -> result array.
-#: Derived from PRODUCT_KERNELS / SOLVER_BY_KERNEL so the generic path and
-#: plan-time specialization (specialize_kernel) share one family table:
-#: product kernels all reduce to a (possibly transposed) matmul on the full
-#: dense storage; solve kernels pick the structured solver of their family.
-KERNEL_IMPLS = {name: _impl_product for name in sorted(PRODUCT_KERNELS)}
-KERNEL_IMPLS.update(
-    (name, _impl_solve(solver)) for name, solver in SOLVER_BY_KERNEL.items()
-)

@@ -5,12 +5,13 @@ The paper's product has two halves: compile-time variant generation
 observed instance, picks and runs the cheapest variant.  This package is
 that second half, structured for the per-request hot path:
 
-* :mod:`repro.runtime.executor` — the kernel-call interpreter
-  (:func:`execute_variant`), size inference, and the concrete-operand
-  helpers;
+* :mod:`repro.runtime.executor` — call configurations, size inference,
+  the fix-up table, the one-shot :func:`execute_variant`, and the
+  concrete-operand helpers;
 * :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, one ``(variant,
   sizes)`` pair compiled into a replayable loop of pre-resolved kernel
-  calls over flat buffer slots (no dict lookups, no re-validation);
+  calls over flat buffer slots (no dict lookups, no re-validation); its
+  :meth:`~ExecutionPlan.replay` is the one loop every execution runs;
 * :mod:`repro.runtime.dispatcher` — :class:`Dispatcher`, the generated
   dispatch function with a bounded size-keyed memo: repeated instances
   bypass the cost sweep and replay their compiled plan, making the
@@ -20,9 +21,6 @@ that second half, structured for the per-request hot path:
   (``reference``, ``blas``, and the code-generating ``c`` emitter) that
   lower each frozen kernel call to a direct callable at plan-compile
   time, plus the dispatcher's measured ``auto`` strategy.
-
-``repro.compiler.dispatch`` and ``repro.compiler.executor`` remain as
-import shims for pre-existing call sites.
 """
 
 from repro.runtime.backends import (

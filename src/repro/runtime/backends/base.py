@@ -9,12 +9,14 @@ asks its backend once per step and replays the returned callables; the
 backend never sees per-call state, so one lowered kernel may serve
 concurrent replays.
 
-Two backends ship: ``reference`` (the numpy/scipy reference
-implementations, structured operands executed densely) and ``blas``
+Three backends ship: ``reference`` (the numpy/scipy reference
+implementations, structured operands executed densely), ``blas``
 (:mod:`repro.runtime.backends.blas`, direct ``scipy.linalg.blas`` /
-``lapack`` calls with the structure flags pre-resolved).  The dispatcher
-adds a third *strategy*, ``auto``, which is not a backend of its own: it
-compiles a plan per concrete backend and serves the measured winner.
+``lapack`` calls with the structure flags pre-resolved), and ``c``
+(:mod:`repro.runtime.backends.cemit`, whole plans code-generated as
+native step loops).  The dispatcher adds a fourth *strategy*, ``auto``,
+which is not a backend of its own: it compiles a plan per concrete
+backend and serves the measured winner.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class Backend(ABC):
 
         Called once at plan-compile time, after the per-step lowering.
         Returning a callable replaces the plan's step loop on the
-        untraced :meth:`~repro.runtime.plan.ExecutionPlan.replay` path
+        untimed :meth:`~repro.runtime.plan.ExecutionPlan.replay` path
         (fix-ups still run in Python afterwards); returning ``None`` —
         the default — keeps the per-step loop, and the plan reports
         :attr:`fallback_name` as its backend when set.  Implementations

@@ -862,8 +862,8 @@ class CEmitBackend(Backend):
 
     ``specialize`` delegates to :class:`BlasBackend`, so every plan this
     backend compiles also carries the per-step blas lowering — that is
-    the traced-replay path (``replay_timed``) and the ready-made fallback
-    when native lowering declines.
+    the per-step loop a timed replay (``replay(..., record=...)``) runs
+    and the ready-made fallback when native lowering declines.
     """
 
     name = "c"

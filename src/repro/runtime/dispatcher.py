@@ -182,12 +182,17 @@ class _MemoEntry:
         "next_check",
     )
 
-    def __init__(
-        self, variant: "Variant", cost: float, plan: Optional[ExecutionPlan]
-    ):
+    def __init__(self, variant: "Variant", cost: float):
+        self.reset(variant, cost)
+
+    def reset(self, variant: "Variant", cost: float) -> None:
+        """Bind the entry to a decision and drop everything derived from
+        the previous one: the compiled plan and its measurements, pooled
+        arenas, traced-replay observers, and feedback bookkeeping."""
         self.variant = variant
         self.cost = cost
-        self.plan = plan
+        #: Compiled plan, lowered lazily on first use.
+        self.plan: Optional[ExecutionPlan] = None
         #: Concrete backend the compiled plan runs on (set with the plan).
         self.backend: Optional[str] = None
         #: ``auto`` only: measured seconds per backend for this entry.
@@ -370,15 +375,12 @@ class Dispatcher:
             return
         self._backend = value
         # Memoized *decisions* (variant + cost) are backend-independent;
-        # only the compiled plans and measurements are stale.  Keep the
-        # selections warm and recompile plans lazily under the new backend.
+        # only the compiled plans and what was measured on them are stale.
+        # Keep the selections warm and recompile plans lazily under the
+        # new backend.
         with self._memo_lock:
             for entry in self._memo.values():
-                entry.plan = None
-                entry.backend = None
-                entry.bench = None
-                entry.kernel_hists = None
-                entry.arenas = []
+                entry.reset(entry.variant, entry.cost)
 
     def _invalidate(self) -> None:
         with self._memo_lock:
@@ -457,16 +459,23 @@ class Dispatcher:
         return np.asarray(instances, dtype=np.float64)
 
     def _evaluate_costs(
-        self, snapshot: tuple["Variant", ...], validated: np.ndarray
+        self,
+        snapshot: tuple["Variant", ...],
+        validated: np.ndarray,
+        estimator: Optional[CostEstimator] = None,
     ) -> np.ndarray:
         """Costs of one coherent pool snapshot on pre-validated instances.
 
-        The term stack is cached *paired with its snapshot*, and the cache
+        ``estimator`` defaults to :attr:`cost_estimator`; feedback
+        re-selection sweeps under its calibration model instead.  The
+        term stack is cached *paired with its snapshot*, and the cache
         write is gated on the snapshot still being current — so this never
         evaluates a stack built from a different pool than the one the
         caller will index.
         """
-        if self._cost_estimator is flop_estimator:
+        if estimator is None:
+            estimator = self._cost_estimator
+        if estimator is flop_estimator:
             from repro.compiler.selection import (
                 evaluate_cost_terms,
                 flatten_cost_terms,
@@ -481,7 +490,7 @@ class Dispatcher:
                     if self._pool_snapshot is snapshot:
                         self._term_stack = (snapshot, stack)
             return evaluate_cost_terms(stack, len(snapshot), validated)
-        cost_many = getattr(self._cost_estimator, "cost_many", None)
+        cost_many = getattr(estimator, "cost_many", None)
         if cost_many is not None:
             # Batched estimators (CalibratedEstimator) vectorize over
             # instances — one numpy pass per (variant, step) instead of a
@@ -495,7 +504,7 @@ class Dispatcher:
         return np.array(
             [
                 [
-                    float(self._cost_estimator(v, tuple(int(x) for x in row)))
+                    float(estimator(v, tuple(int(x) for x in row)))
                     for row in validated
                 ]
                 for v in snapshot
@@ -533,13 +542,30 @@ class Dispatcher:
                     self.memo_hits += 1
             return entry
 
+    def _decide(
+        self,
+        snapshot: tuple["Variant", ...],
+        sizes: Sequence[tuple[int, ...]],
+        estimator: CostEstimator,
+    ) -> dict[tuple[int, ...], _MemoEntry]:
+        """A fresh decision per validated size vector, from one sweep."""
+        costs = self._evaluate_costs(
+            snapshot, np.asarray(sizes, dtype=np.float64), estimator
+        )
+        winners = costs.argmin(axis=0).tolist()
+        return {
+            q: _MemoEntry(snapshot[w], float(costs[w, j]))
+            for j, (q, w) in enumerate(zip(sizes, winners))
+        }
+
     def _store(
         self,
-        q: tuple[int, ...],
-        entry: _MemoEntry,
+        entries: dict[tuple[int, ...], _MemoEntry],
         snapshot: tuple["Variant", ...],
         estimator: CostEstimator,
     ) -> None:
+        """Memoize fresh decisions under the LRU bound; a size vector
+        memoized concurrently keeps its first decision."""
         if self.memo_capacity <= 0:
             return
         with self._memo_lock:
@@ -548,10 +574,11 @@ class Dispatcher:
                 or self._cost_estimator is not estimator
             ):
                 # The pool or the estimator changed while we swept: the
-                # decision is stale, drop it rather than poison the memo
-                # that the concurrent swap just cleared.
+                # decisions are stale, drop them rather than poison the
+                # memo that the concurrent swap just cleared.
                 return
-            self._memo[q] = entry
+            for q, entry in entries.items():
+                self._memo.setdefault(q, entry)
             while len(self._memo) > self.memo_capacity:
                 self._memo.popitem(last=False)
                 self.memo_evictions += 1
@@ -564,12 +591,9 @@ class Dispatcher:
             estimator = self._cost_estimator
             with self._memo_lock:
                 self.memo_misses += 1
-            costs = self._evaluate_costs(
-                snapshot, np.asarray(q, dtype=np.float64)[None, :]
-            )
-            index = int(costs[:, 0].argmin())
-            entry = _MemoEntry(snapshot[index], float(costs[index, 0]), None)
-            self._store(q, entry, snapshot, estimator)
+            fresh = self._decide(snapshot, [q], estimator)
+            self._store(fresh, snapshot, estimator)
+            entry = fresh[q]
         return entry
 
     def select(self, sizes: Sequence[int]) -> tuple[Variant, float]:
@@ -770,30 +794,22 @@ class Dispatcher:
         skips the per-step ``np.empty`` calls.  ``out`` receives the
         result in a caller-owned buffer (shape ``plan.result_shape``,
         must not alias an operand) — together they make a warm replay
-        allocation-free.  Both default off; the default call is
-        byte-for-byte the historical fast path.
+        allocation-free.  Both default off.
         """
         values = [np.asarray(a, dtype=np.float64) for a in arrays]
         sizes = self._infer.infer(values)
         entry = self._select_entry(sizes)
         plan = self._entry_plan(entry, sizes)
+        traced = obs_trace._enabled  # module flag, read once per call
+        # Traced replays run without an arena: each timed step allocates
+        # its own result.
         arena = None
-        if reuse_buffers and not obs_trace._enabled:
+        if reuse_buffers and not traced:
             arena = self._checkout_arena(entry, plan)
-        if not obs_trace._enabled:  # module flag: zero-allocation fast path
+        if not traced:
             start = time.perf_counter()
-            if arena is None and out is None:
-                result = plan.replay(values)
-            else:
-                result = plan.replay(values, arena, out)
+            result = plan.replay(values, arena, out)
             elapsed = time.perf_counter() - start
-            if reuse_buffers:
-                if arena is not None:
-                    self._release_arena(entry, plan, arena)
-                else:
-                    # Cold plan: remember the step shapes this replay
-                    # produced so the next one can build an arena.
-                    plan.record_buffer_shapes(values, result)
         else:
             # Traced path: the plan records raw per-step durations (one
             # C-level append between kernels), then the histogram feeds
@@ -804,7 +820,7 @@ class Dispatcher:
             started_at = time.time()
             start = time.perf_counter()
             try:
-                result = plan.replay_timed(values, durations.append)
+                result = plan.replay(values, None, out, record=durations.append)
             except BaseException as exc:
                 obs_trace.leaf_span(
                     "runtime.run",
@@ -817,12 +833,6 @@ class Dispatcher:
                 )
                 raise
             elapsed = time.perf_counter() - start
-            if out is not None and result is not out:
-                # The traced loop has no out-parameter form (per-step
-                # timing is its whole point); honour the caller's buffer
-                # with one copy outside the measured kernel sequence.
-                np.copyto(out, result)
-                result = out
             for (observe_s, observe_rate, flops), seconds in zip(
                 self._kernel_observers(entry, plan), durations
             ):
@@ -838,6 +848,12 @@ class Dispatcher:
                 variant=entry.variant.name,
                 elapsed=elapsed,
             )
+        if arena is not None:
+            self._release_arena(entry, plan, arena)
+        elif reuse_buffers:
+            # Cold plan: remember the step shapes this replay produced so
+            # the next one can build an arena.
+            plan.record_buffer_shapes(values, result)
         with self._memo_lock:
             self.backend_executions[plan.backend] = (
                 self.backend_executions.get(plan.backend, 0) + 1
@@ -904,13 +920,8 @@ class Dispatcher:
             if measured >= predicted
             else predicted / measured
         )
-        snapshot = self._sync_pool()
-        costs = self._evaluate_under(
-            calibration, snapshot, np.asarray(q, dtype=np.float64)[None, :]
-        )
-        index = int(costs[:, 0].argmin())
-        winner = snapshot[index]
-        best = float(costs[index, 0])
+        fresh = self._decide(self._sync_pool(), [q], calibration)[q]
+        winner, best = fresh.variant, fresh.cost
         advantage = predicted / best if best > 0.0 else float("inf")
         if (
             disagreement < self._reselect_ratio
@@ -922,46 +933,10 @@ class Dispatcher:
                 # The calibrated model disagrees with the measurement but
                 # still picks the same variant: refresh the entry's cost
                 # (now in calibrated seconds) and keep the plan warm.
-                entry.cost = float(costs[index, 0])
+                entry.cost = best
                 return
             self.reselections += 1
-            entry.variant = winner
-            entry.cost = float(costs[index, 0])
-            entry.plan = None
-            entry.backend = None
-            entry.bench = None
-            entry.kernel_hists = None
-            entry.arenas = []
-            entry.executions = 0
-            entry.measured_ema = None
-            entry.next_check = 0
-
-    @staticmethod
-    def _evaluate_under(
-        estimator: CostEstimator,
-        snapshot: tuple["Variant", ...],
-        validated: np.ndarray,
-    ) -> np.ndarray:
-        """One cost sweep under an *explicit* estimator (re-selection uses
-        the calibration model regardless of ``self.cost_estimator``)."""
-        cost_many = getattr(estimator, "cost_many", None)
-        if cost_many is not None:
-            return np.stack(
-                [
-                    np.asarray(cost_many(v, validated), dtype=np.float64)
-                    for v in snapshot
-                ]
-            )
-        return np.array(
-            [
-                [
-                    float(estimator(v, tuple(int(x) for x in row)))
-                    for row in validated
-                ]
-                for v in snapshot
-            ],
-            dtype=np.float64,
-        ).reshape(len(snapshot), validated.shape[0])
+            entry.reset(winner, best)
 
     def __call__(self, *arrays: np.ndarray) -> np.ndarray:
         """Evaluate the chain: infer sizes, pick the best variant, run it."""
@@ -998,28 +973,8 @@ class Dispatcher:
                 self.memo_misses += len(fresh)
                 self.memo_hits += len(sized) - len(fresh)
             if fresh:
-                costs = self._evaluate_costs(
-                    snapshot, np.asarray(fresh, dtype=np.float64)
-                )
-                winners = costs.argmin(axis=0)
-                for j, q in enumerate(fresh):
-                    local[q] = _MemoEntry(
-                        snapshot[int(winners[j])],
-                        float(costs[winners[j], j]),
-                        None,
-                    )
-                if self.memo_capacity > 0:
-                    with self._memo_lock:
-                        if (
-                            self._pool_snapshot is snapshot
-                            and self._cost_estimator is estimator
-                        ):
-                            for q, entry in local.items():
-                                if q not in self._memo:
-                                    self._memo[q] = entry
-                            while len(self._memo) > self.memo_capacity:
-                                self._memo.popitem(last=False)
-                                self.memo_evictions += 1
+                local = self._decide(snapshot, fresh, estimator)
+                self._store(local, snapshot, estimator)
         results = []
         executed: dict[str, int] = {}
         start = time.perf_counter()

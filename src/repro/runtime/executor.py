@@ -1,15 +1,14 @@
 """Execute variants on concrete NumPy matrices (paper Section IV, Fig. 1).
 
-The executor is the run-time half of the generated code: it walks a
-variant's kernel-call sequence, feeding stored arrays through the reference
-kernel implementations, resolving pending inversions/transpositions at the
-end, and managing intermediate buffers.
-
-:func:`execute_variant` is the interpretive, validate-every-call entry
-point; the per-request hot path goes through a compiled
-:class:`~repro.runtime.plan.ExecutionPlan` instead, which resolves kernel
-implementations and buffer slots once per ``(variant, sizes)`` pair and
-replays without re-validation.
+The run-time half of the generated code walks a variant's kernel-call
+sequence, feeding stored arrays through the kernel implementations,
+resolving pending inversions/transpositions at the end, and managing
+intermediate buffers.  That walk lives in one place, the compiled
+:class:`~repro.runtime.plan.ExecutionPlan`; :func:`execute_variant` is the
+one-shot form (infer the sizes, compile a reference plan, replay it once).
+This module holds what plans and the dispatcher share: call
+configurations, size inference, the fix-up table, and the
+concrete-operand helpers.
 
 Storage convention: the caller passes one array per chain matrix, holding
 the *base* matrix ``M_i`` (not ``op(M_i)``).  A transposed operand is
@@ -30,8 +29,8 @@ from repro.ir.features import Property, Structure
 from repro.kernels import reference
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily to keep repro.runtime import-independent of the
-    # compiler package (whose __init__ imports the shims back into here).
+    # Typing only: repro.runtime stays import-independent of the compiler
+    # package, whose __init__ imports repro.runtime.
     from repro.compiler.states import OperandState
     from repro.compiler.variant import Variant
 
@@ -175,10 +174,9 @@ class SizeInferencer:
 def resolve_fixup(kernel_name: str, state: "OperandState"):
     """The unary callable for one final fix-up kernel.
 
-    Single source of the fix-up name-to-implementation mapping, shared by
-    the interpretive executor and compiled execution plans (which must
-    stay bit-identical).  ``state`` is the variant's final operand state —
-    it determines the stored triangularity for ``TRINV``.
+    Single source of the fix-up name-to-implementation mapping, bound
+    once per compiled execution plan.  ``state`` is the variant's final
+    operand state — it determines the stored triangularity for ``TRINV``.
     """
     if kernel_name == "GEINV" or kernel_name == "SYINV":
         return reference.geinv
@@ -196,56 +194,22 @@ def resolve_fixup(kernel_name: str, state: "OperandState"):
     raise ExecutionError(f"unknown fix-up kernel {kernel_name}")
 
 
-def _apply_fixups(variant: Variant, value: np.ndarray) -> np.ndarray:
-    state = variant.final_state
-    for fix in variant.fixups:
-        value = resolve_fixup(fix.kernel.name, state)(value)
-    return value
-
-
 def execute_variant(
     variant: Variant, arrays: Sequence[np.ndarray], check_shapes: bool = True
 ) -> np.ndarray:
-    """Evaluate the chain on concrete matrices through this variant's kernels."""
+    """Evaluate the chain on concrete matrices through this variant's kernels.
+
+    A one-shot reference :class:`~repro.runtime.plan.ExecutionPlan`: the
+    sizes are inferred from the arrays (which validates them against the
+    chain), and the plan compiled for them replays once.  Callers running
+    one variant repeatedly should compile the plan once themselves.
+    """
+    # Deferred: the plan module imports this one.
+    from repro.runtime.plan import compile_plan
+
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    if check_shapes:
-        sizes = infer_sizes(variant.chain, arrays)
-        expected = expected_stored_shapes(variant.chain, sizes)
-        for i, (array, shape) in enumerate(zip(arrays, expected)):
-            if array.shape != shape:
-                raise ExecutionError(
-                    f"operand {i}: expected stored shape {shape}, got {array.shape}"
-                )
-
-    values: dict[tuple[str, int], np.ndarray] = {
-        ("matrix", i): array for i, array in enumerate(arrays)
-    }
-    result: Optional[np.ndarray] = None
-    for step in variant.steps:
-        impl = reference.KERNEL_IMPLS.get(step.kernel.name)
-        if impl is None:
-            raise ExecutionError(f"no implementation for kernel {step.kernel.name}")
-        cfg = KernelCallConfig(
-            side=step.side,
-            left_trans=step.left_state.transposed,
-            right_trans=step.right_state.transposed,
-            left_lower=_stored_lower(step.left_state),
-            right_lower=_stored_lower(step.right_state),
-            left_diag=_stored_diag(step.left_state),
-            right_diag=_stored_diag(step.right_state),
-        )
-        left = values[step.left_ref]
-        right = values[step.right_ref]
-        result = impl(left, right, cfg)
-        values[("step", step.index)] = result
-
-    if result is None:  # single-matrix chain: fix-ups do all the work
-        result = arrays[0]
-        if not variant.fixups:
-            # Never alias the caller's operand: without a fix-up to
-            # produce a fresh array, hand back a private copy.
-            return result.copy()
-    return _apply_fixups(variant, result)
+    plan = compile_plan(variant, infer_sizes(variant.chain, arrays), "reference")
+    return plan.execute(arrays, check_shapes=check_shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,18 @@
-"""Compiled execution plans: the per-request hot path of the generated code.
+"""Compiled execution plans: the run-time half's only kernel-call path.
 
-:func:`execute_variant` re-derives everything on every call — it looks up
-each step's kernel implementation in a dict, rebuilds its
-:class:`~repro.runtime.executor.KernelCallConfig`, addresses intermediate
-buffers through a ``("step", i)`` dict, and (by default) re-infers and
-re-validates the operand shapes.  None of that depends on the arrays;
-all of it depends only on ``(variant, sizes)``.
-
-:func:`compile_plan` therefore does that work **once**: it resolves every
-kernel implementation to a direct callable, freezes the call
-configurations, flattens the buffer references into integer slots of one
-flat list (inputs first, one slot per step after), pre-binds the fix-up
-kernels, and records the stored shapes the instance expects.  The
-resulting :class:`ExecutionPlan` replays with a single tight loop over
-pre-resolved ``(impl, left_slot, right_slot, config, out_slot)`` tuples —
-no dict lookups, no dataclass construction, no re-validation.
+Everything about running a variant that depends only on ``(variant,
+sizes)`` — not on the arrays — is resolved **once** by
+:func:`compile_plan`: every step's :class:`KernelCallConfig` is built from
+its operand states, its kernel is lowered by the backend to a direct
+callable (config baked in), buffer references flatten into integer slots
+of one flat list (inputs first, one slot per step after), the fix-up
+kernels are pre-bound, and the stored shapes the instance expects are
+recorded.  The resulting :class:`ExecutionPlan` replays through one loop,
+:meth:`ExecutionPlan.replay`, over pre-resolved ``(impl, impl_out,
+left_slot, right_slot, out_slot)`` tuples — no dict lookups, no dataclass
+construction, no re-validation.  The one-shot
+:func:`~repro.runtime.executor.execute_variant` is a plan compiled and
+replayed once.
 
 Plans are immutable and reusable: the memoizing
 :class:`~repro.runtime.dispatcher.Dispatcher` compiles one per observed
@@ -36,6 +34,7 @@ with per-replay checkout.
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -54,13 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.variant import Variant
 
 #: One pre-resolved kernel call: specialized implementation (call config
-#: already baked in), operand slots, output slot.
-PlanOp = tuple[Callable, int, int, int]
-
-#: The arena-aware op: adds the optional out-parameter implementation
-#: (``impl_out(left, right, out) -> out``), ``None`` where the backend
-#: cannot write in place for this kernel/config.
-PlanOutOp = tuple[Callable, Optional[Callable], int, int, int]
+#: already baked in), its optional out-parameter form
+#: (``impl_out(left, right, out) -> out``, ``None`` where the backend
+#: cannot write in place for this kernel/config), operand slots, output
+#: slot.
+PlanOp = tuple[Callable, Optional[Callable], int, int, int]
 
 
 class PlanArena:
@@ -86,7 +83,7 @@ class PlanArena:
         last = len(shapes) - 1
         self.buffers: list[Optional[np.ndarray]] = [
             np.empty(shape, dtype=np.float64)
-            if index != last and plan._out_ops[index][1] is not None
+            if index != last and plan._ops[index][1] is not None
             else None
             for index, shape in enumerate(shapes)
         ]
@@ -124,7 +121,6 @@ class ExecutionPlan:
         "backend",
         "step_routines",
         "_ops",
-        "_out_ops",
         "_fixups",
         "_num_inputs",
         "_native",
@@ -150,7 +146,7 @@ class ExecutionPlan:
 
         # Buffer slots: inputs occupy 0..n-1, step i's result lands in
         # slot n + i.  A ("matrix", j) ref resolves to j, ("step", j) to
-        # n + j — the executor's dict keys collapse into list indices.
+        # n + j.
         def slot(ref) -> int:
             kind, index = ref
             if kind == "matrix":
@@ -162,7 +158,6 @@ class ExecutionPlan:
         resolved = get_backend(backend)
         self.backend: str = resolved.name
         ops: list[PlanOp] = []
-        out_ops: list[PlanOutOp] = []
         configs: list[KernelCallConfig] = []
         routines: list[str] = []
         for step in variant.steps:
@@ -180,23 +175,18 @@ class ExecutionPlan:
             # and triangularity resolve at compile time.
             impl, routine = resolved.specialize(step.kernel.name, cfg)
             routines.append(routine)
-            left_slot = slot(step.left_ref)
-            right_slot = slot(step.right_ref)
-            out_slot = chain.n + step.index
-            ops.append((impl, left_slot, right_slot, out_slot))
-            out_ops.append(
+            ops.append(
                 (
                     impl,
                     resolved.specialize_out(step.kernel.name, cfg),
-                    left_slot,
-                    right_slot,
-                    out_slot,
+                    slot(step.left_ref),
+                    slot(step.right_ref),
+                    chain.n + step.index,
                 )
             )
         self.call_configs: tuple[KernelCallConfig, ...] = tuple(configs)
         self.step_routines: tuple[str, ...] = tuple(routines)
         self._ops: tuple[PlanOp, ...] = tuple(ops)
-        self._out_ops: tuple[PlanOutOp, ...] = tuple(out_ops)
         self._fixups = _resolve_fixups(variant)
         # Step-output shapes, recorded from the first completed replay
         # (record_buffer_shapes); None until then, which keeps new_arena
@@ -204,7 +194,7 @@ class ExecutionPlan:
         self._step_shapes: Optional[tuple[tuple[int, ...], ...]] = None
         self._result_shape: Optional[tuple[int, ...]] = None
         # Whole-plan lowering (the ``c`` backend): one fused native call
-        # replacing the step loop on the untraced replay path.  A backend
+        # replacing the step loop on the untimed replay path.  A backend
         # that declines (no toolchain, unsupported step, ...) returns
         # None, and the plan reports the backend it actually runs on.
         self._native = resolved.lower_plan(self)
@@ -244,6 +234,8 @@ class ExecutionPlan:
         values: list[np.ndarray],
         arena: Optional[PlanArena] = None,
         out: Optional[np.ndarray] = None,
+        *,
+        record: Optional[Callable[[float], None]] = None,
     ) -> np.ndarray:
         """The trusted inner loop: run the pre-resolved kernel sequence.
 
@@ -258,70 +250,52 @@ class ExecutionPlan:
         back another replay concurrently.  ``out`` receives the final
         result: on a fixup-free plan the last step writes straight into
         it (``out`` must not alias any operand and must match the result
-        shape), otherwise the computed result is copied in.  The default
-        ``arena=None, out=None`` call takes the original allocating loop
-        untouched — the hot path pays nothing for the feature.
-        """
-        if arena is not None or out is not None:
-            return self._replay_flex(values, arena, out)
-        if self._native is not None:
-            result = self._native(values)
-            for fixup in self._fixups:
-                result = fixup(result)
-            return result
-        values.extend([None] * len(self._ops))
-        result: Optional[np.ndarray] = None
-        for impl, left, right, out_slot in self._ops:
-            result = impl(values[left], values[right])
-            values[out_slot] = result
-        if result is None:  # single-matrix chain: fix-ups do all the work
-            result = values[0]
-            if not self._fixups:
-                # Never alias the caller's operand: without a fix-up to
-                # produce a fresh array, hand back a private copy.
-                return result.copy()
-        for fixup in self._fixups:
-            result = fixup(result)
-        return result
+        shape), otherwise the computed result is copied in.
 
-    def _replay_flex(
-        self,
-        values: list[np.ndarray],
-        arena: Optional[PlanArena],
-        out: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Replay with arena-backed intermediates and/or a caller ``out``."""
-        if self._native is not None:
-            # The fused native call manages its own intermediates; the
-            # arena is meaningless there (new_arena answers None), but a
-            # caller-provided result buffer still gets honoured.
+        ``record`` receives one elapsed-seconds value per step, in step
+        order — typically a plain ``list.append``, so timing adds two
+        clock reads and one C-level append per kernel call; the caller
+        feeds its histograms *after* the replay.  A natively-lowered plan
+        (the ``c`` backend) runs its fused call only when ``record`` is
+        ``None``: per-step timing needs steps, and every native plan also
+        carries the blas per-step lowering this loop runs instead.
+        """
+        if self._native is not None and record is None:
+            # The fused native call manages its own intermediates (arenas
+            # never exist for it: new_arena answers None).
             result = self._native(values)
-            for fixup in self._fixups:
-                result = fixup(result)
-            if out is not None and result is not out:
-                np.copyto(out, result)
-                result = out
-            return result
-        buffers = arena.buffers if arena is not None else None
-        values.extend([None] * len(self._ops))
-        result: Optional[np.ndarray] = None
-        last = len(self._out_ops) - 1
-        direct_out = out if not self._fixups else None
-        for index, (impl, impl_out, left, right, out_slot) in enumerate(
-            self._out_ops
-        ):
-            target = buffers[index] if buffers is not None else None
-            if index == last and direct_out is not None:
-                target = direct_out
-            if target is not None and impl_out is not None:
-                result = impl_out(values[left], values[right], target)
+        else:
+            ops = self._ops
+            if arena is None and out is None:
+                targets = repeat(None)
             else:
-                result = impl(values[left], values[right])
-            values[out_slot] = result
-        if result is None:  # single-matrix chain: fix-ups do all the work
-            result = values[0]
-            if not self._fixups and out is None:
-                result = result.copy()
+                # Per-step out-parameter buffers (None: the step allocates).
+                # Arena slots exist only where the step has an impl_out.
+                targets = (
+                    list(arena.buffers) if arena is not None else [None] * len(ops)
+                )
+                if out is not None and not self._fixups and ops[-1:] and (
+                    ops[-1][1] is not None
+                ):
+                    targets[-1] = out  # the last step writes the result
+            values.extend([None] * len(ops))
+            result = None
+            for (impl, impl_out, left, right, slot), target in zip(ops, targets):
+                if record is not None:
+                    start = time.perf_counter()
+                if target is None:
+                    result = impl(values[left], values[right])
+                else:
+                    result = impl_out(values[left], values[right], target)
+                if record is not None:
+                    record(time.perf_counter() - start)
+                values[slot] = result
+            if result is None:  # single-matrix chain: fix-ups do all the work
+                result = values[0]
+                if not self._fixups and out is None:
+                    # Never alias the caller's operand: without a fix-up
+                    # to produce a fresh array, hand back a private copy.
+                    result = result.copy()
         for fixup in self._fixups:
             result = fixup(result)
         if out is not None and result is not out:
@@ -368,43 +342,6 @@ class ExecutionPlan:
             return None
         return arena
 
-    def replay_timed(
-        self,
-        values: list[np.ndarray],
-        record: Callable[[float], None],
-    ) -> np.ndarray:
-        """:meth:`replay` with per-step kernel timing reported to ``record``.
-
-        ``record`` receives one elapsed-seconds value per step, in step
-        order — typically a plain ``list.append``, so the loop's only
-        addition over :meth:`replay` is two clock reads and one C-level
-        append per kernel call.  The caller feeds the recorded durations
-        to its per-kernel histograms *after* the replay: batched observes
-        run back-to-back cache-warm instead of paying a cache-cold
-        histogram update between kernel calls.  This is the *traced*
-        replay path — the dispatcher only takes it while tracing is
-        enabled, so the plain :meth:`replay` loop stays clock-free.
-
-        A natively-lowered plan (the ``c`` backend) deliberately does
-        *not* take its fused call here: per-step timing is the entire
-        point of tracing, and every native plan also carries the blas
-        per-step lowering, so the traced loop below stays meaningful.
-        """
-        values.extend([None] * len(self._ops))
-        result: Optional[np.ndarray] = None
-        for impl, left, right, out in self._ops:
-            t0 = time.perf_counter()
-            result = impl(values[left], values[right])
-            record(time.perf_counter() - t0)
-            values[out] = result
-        if result is None:  # single-matrix chain: fix-ups do all the work
-            result = values[0]
-            if not self._fixups:
-                return result.copy()
-        for fixup in self._fixups:
-            result = fixup(result)
-        return result
-
     __call__ = execute
 
     def describe(self) -> str:
@@ -416,7 +353,7 @@ class ExecutionPlan:
             lines.append(
                 "  native: fused code-generated step loop (replay path)"
             )
-        for step, (_, left, right, out), cfg, routine in zip(
+        for step, (_, _, left, right, out), cfg, routine in zip(
             self.variant.steps, self._ops, self.call_configs, self.step_routines
         ):
             lines.append(

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from repro.errors import ServiceClosedError, ServiceOverloadedError
-from repro.compiler.dispatch import CostEstimator
+from repro.runtime.dispatcher import CostEstimator
 from repro.compiler.pipeline import PassContext
 from repro.compiler.session import CompilerSession
 from repro.obs import get_registry
@@ -697,8 +697,20 @@ class CompileService:
             return list(record.followers)
 
     def _register(self, handle: str, generated: "GeneratedCode") -> None:
+        """Register ``generated`` under ``handle``.
+
+        A compile-cache hit rebuilds a cold dispatcher; the registered
+        entry is kept when its runtime is the same (backend and cost
+        estimator), so the handle's warm memo survives repeat compiles.
+        """
         with self._lock:
-            self._registry[handle] = generated
+            current = self._registry.get(handle)
+            if current is None or (
+                current.dispatcher.backend != generated.dispatcher.backend
+                or current.dispatcher.cost_estimator
+                is not generated.dispatcher.cost_estimator
+            ):
+                self._registry[handle] = generated
             self._registry.move_to_end(handle)
             while len(self._registry) > self._registry_capacity:
                 self._registry.popitem(last=False)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import CompilationError
 from repro.api import compile_chain
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.selection import LEMMA2_FACTOR, optimal_cost
 from repro.experiments.sampling import sample_instances
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import compile_chain
-from repro.compiler.dispatch import Dispatcher
+from repro.runtime.dispatcher import Dispatcher
 from repro.compiler.selection import CostMatrix, all_variants, essential_set
 from repro.experiments.sampling import sample_instances
 from repro.perfmodel.machine import SimulatedMachine

@@ -1,8 +1,9 @@
 """The execution-backend layer: lowering, parity, auto strategy, plumbing.
 
 The heart of this file is the bit-compatibility parity net: every kernel
-in ``KERNEL_IMPLS``, swept over side x trans x stored-triangularity
-configurations and both memory orders, must produce the same answer
+lowered by ``repro.kernels.reference.specialize_kernel``, swept over
+side x trans x stored-triangularity configurations and both memory
+orders, must produce the same answer
 through the blas backend as through the reference backend (tight
 tolerance — same arithmetic up to routine-level reassociation).
 """
@@ -16,7 +17,7 @@ import pytest
 
 from repro.errors import CompilationError, DispatchError, ExecutionError
 from repro.ir.chain import Chain
-from repro.kernels.reference import KERNEL_IMPLS
+from repro.kernels.reference import PRODUCT_KERNELS, SOLVER_BY_KERNEL
 from repro.runtime import (
     BACKEND_NAMES,
     BLAS_LOWERED_KERNELS,
@@ -145,7 +146,9 @@ class TestParityNet:
     """reference vs blas bit-compatibility over the whole kernel table."""
 
     @needs_blas
-    @pytest.mark.parametrize("kernel", sorted(KERNEL_IMPLS))
+    @pytest.mark.parametrize(
+        "kernel", sorted(PRODUCT_KERNELS | SOLVER_BY_KERNEL.keys())
+    )
     def test_blas_matches_reference(self, kernel):
         ref = ReferenceBackend()
         blas = BlasBackend()

@@ -66,7 +66,7 @@ class TestCli:
         import numpy as np
 
         from repro.api import load_program
-        from repro.compiler.executor import naive_evaluate
+        from repro.runtime.executor import naive_evaluate
 
         source = (
             "Matrix A <General, Singular>; Matrix B <General, Singular>;"

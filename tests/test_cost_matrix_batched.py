@@ -158,7 +158,7 @@ class TestTermStack:
         assert costs.shape == (0, 5)
 
     def test_dispatcher_caches_the_stack(self, rng):
-        from repro.compiler.dispatch import Dispatcher
+        from repro.runtime.dispatcher import Dispatcher
 
         chain = general_chain(4)
         dispatcher = Dispatcher(chain, all_variants(chain))

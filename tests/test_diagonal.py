@@ -16,7 +16,7 @@ from repro.ir.operand import UnaryOp
 from repro.ir.parser import parse_chain
 from repro.ir.rewrites import simplify_operand
 from repro.api import compile_chain
-from repro.compiler.executor import (
+from repro.runtime.executor import (
     execute_variant,
     naive_evaluate,
     random_instance_arrays,

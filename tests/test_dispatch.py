@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DispatchError
-from repro.compiler.dispatch import Dispatcher, flop_estimator
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.dispatcher import Dispatcher, flop_estimator
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.selection import all_variants, optimal_cost
 from repro.experiments.sampling import sample_instances
 

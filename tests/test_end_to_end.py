@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import GeneratedCode, compile_chain
 from repro.codegen import serialize
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.validation import verify_variant
 from repro.experiments.sampling import sample_instances
 from repro.ir.parser import parse_program
@@ -60,7 +60,7 @@ def _arrays_for(generated: GeneratedCode, rng) -> tuple[list, tuple]:
     # Shared matrices (e.g. Q and Q^-1) must be bound to the same array.
     by_name: dict[str, np.ndarray] = {}
     arrays = []
-    from repro.compiler.executor import random_matrix
+    from repro.runtime.executor import random_matrix
 
     q = generated.chain.validate_sizes(sizes)
     for i, operand in enumerate(generated.chain):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.ir.chain import Chain
-from repro.compiler.executor import (
+from repro.runtime.executor import (
     execute_variant,
     expected_stored_shapes,
     infer_sizes,

@@ -8,7 +8,7 @@ from repro.api import compile_expression
 from repro.ir.chain import Chain
 from repro.ir.expression import ChainSum, ChainTerm
 from repro.ir.parser import parse_expression, parse_program
-from repro.compiler.executor import naive_evaluate
+from repro.runtime.executor import naive_evaluate
 
 from conftest import make_general, make_lower, make_symmetric
 

@@ -1,18 +1,18 @@
-"""Configuration-level tests for the executor's kernel dispatch layer.
+"""Configuration-level tests for the reference kernel lowering.
 
-``repro.kernels.reference.KERNEL_IMPLS`` is the uniform interface the
-variant executor drives: every entry takes the *stored* left/right arrays
-plus a resolved call configuration (side, transposition flags, stored
-triangularity).  These tests sweep the configuration space per kernel
-family and check each call against dense NumPy evaluation of the logical
-operation.
+``repro.kernels.reference.specialize_kernel`` is what every reference
+execution plan replays: given a kernel name and a resolved call
+configuration (side, transposition flags, stored triangularity), it
+returns a callable over the *stored* left/right arrays.  These tests
+sweep the configuration space per kernel family and check each call
+against dense NumPy evaluation of the logical operation.
 """
 
 import numpy as np
 import pytest
 
-from repro.compiler.executor import KernelCallConfig
-from repro.kernels.reference import KERNEL_IMPLS
+from repro.runtime.executor import KernelCallConfig
+from repro.kernels.reference import specialize_kernel
 
 RNG = np.random.default_rng(42)
 
@@ -65,14 +65,13 @@ class TestProductImpls:
         # dense storage, whatever the declared structures.
         a = _gen(4, 4)
         b = _gen(4, 4)
-        impl = KERNEL_IMPLS[kernel]
-        got = impl(a, b, _cfg(lt=lt, rt=rt))
+        got = specialize_kernel(kernel, _cfg(lt=lt, rt=rt))(a, b)
         np.testing.assert_allclose(got, _op(a, lt) @ _op(b, rt))
 
     def test_rectangular_product(self):
         a, b = _gen(3, 5), _gen(5, 7)
         np.testing.assert_allclose(
-            KERNEL_IMPLS["GEMM"](a, b, _cfg()), a @ b
+            specialize_kernel("GEMM", _cfg())(a, b), a @ b
         )
 
 
@@ -80,23 +79,23 @@ class TestGeneralSolveImpls:
     @pytest.mark.parametrize("kernel", ["GEGESV", "GESYSV", "GETRSV"])
     def test_coefficient_left(self, kernel):
         coeff, rhs = _gen_inv(5), _gen(5, 3)
-        got = KERNEL_IMPLS[kernel](coeff, rhs, _cfg(side="left"))
+        got = specialize_kernel(kernel, _cfg(side="left"))(coeff, rhs)
         np.testing.assert_allclose(coeff @ got, rhs, atol=1e-9)
 
     @pytest.mark.parametrize("kernel", ["GEGESV"])
     def test_coefficient_right(self, kernel):
         rhs, coeff = _gen(3, 5), _gen_inv(5)
-        got = KERNEL_IMPLS[kernel](rhs, coeff, _cfg(side="right"))
+        got = specialize_kernel(kernel, _cfg(side="right"))(rhs, coeff)
         np.testing.assert_allclose(got @ coeff, rhs, atol=1e-9)
 
     def test_transposed_coefficient_left(self):
         coeff, rhs = _gen_inv(5), _gen(5, 3)
-        got = KERNEL_IMPLS["GEGESV"](coeff, rhs, _cfg(side="left", lt=True))
+        got = specialize_kernel("GEGESV", _cfg(side="left", lt=True))(coeff, rhs)
         np.testing.assert_allclose(coeff.T @ got, rhs, atol=1e-9)
 
     def test_transposed_coefficient_right(self):
         rhs, coeff = _gen(3, 5), _gen_inv(5)
-        got = KERNEL_IMPLS["GEGESV"](rhs, coeff, _cfg(side="right", rt=True))
+        got = specialize_kernel("GEGESV", _cfg(side="right", rt=True))(rhs, coeff)
         np.testing.assert_allclose(got @ coeff.T, rhs, atol=1e-9)
 
 
@@ -104,19 +103,19 @@ class TestStructuredSolveImpls:
     def test_symmetric_left_and_right(self):
         s = _sym(5)
         rhs = _gen(5, 4)
-        got = KERNEL_IMPLS["SYGESV"](s, rhs, _cfg(side="left"))
+        got = specialize_kernel("SYGESV", _cfg(side="left"))(s, rhs)
         np.testing.assert_allclose(s @ got, rhs, atol=1e-8)
         rhs_r = _gen(4, 5)
-        got = KERNEL_IMPLS["SYGESV"](rhs_r, s, _cfg(side="right"))
+        got = specialize_kernel("SYGESV", _cfg(side="right"))(rhs_r, s)
         np.testing.assert_allclose(got @ s, rhs_r, atol=1e-8)
 
     def test_spd_left_and_right(self):
         p = _spd(5)
         rhs = _gen(5, 4)
-        got = KERNEL_IMPLS["POGESV"](p, rhs, _cfg(side="left"))
+        got = specialize_kernel("POGESV", _cfg(side="left"))(p, rhs)
         np.testing.assert_allclose(p @ got, rhs, atol=1e-8)
         rhs_r = _gen(4, 5)
-        got = KERNEL_IMPLS["POGESV"](rhs_r, p, _cfg(side="right"))
+        got = specialize_kernel("POGESV", _cfg(side="right"))(rhs_r, p)
         np.testing.assert_allclose(got @ p, rhs_r, atol=1e-8)
 
     @pytest.mark.parametrize("stored_lower", [True, False])
@@ -124,32 +123,26 @@ class TestStructuredSolveImpls:
         low = _low(5)
         stored = low if stored_lower else low.T.copy()
         rhs = _gen(5, 4)
-        got = KERNEL_IMPLS["TRSM"](
-            stored, rhs, _cfg(side="left", ll=stored_lower)
-        )
+        got = specialize_kernel("TRSM", _cfg(side="left", ll=stored_lower))(stored, rhs)
         np.testing.assert_allclose(stored @ got, rhs, atol=1e-9)
         rhs_r = _gen(4, 5)
-        got = KERNEL_IMPLS["TRSM"](
-            rhs_r, stored, _cfg(side="right", rl=stored_lower)
-        )
+        got = specialize_kernel("TRSM", _cfg(side="right", rl=stored_lower))(rhs_r, stored)
         np.testing.assert_allclose(got @ stored, rhs_r, atol=1e-9)
 
     def test_triangular_transposed_coefficient(self):
         # Stored lower, consumed transposed: solve with the upper L^T.
         low = _low(5)
         rhs = _gen(5, 4)
-        got = KERNEL_IMPLS["TRSM"](
-            low, rhs, _cfg(side="left", lt=True, ll=True)
-        )
+        got = specialize_kernel("TRSM", _cfg(side="left", lt=True, ll=True))(low, rhs)
         np.testing.assert_allclose(low.T @ got, rhs, atol=1e-9)
 
     def test_diagonal_solves(self):
         d = _diag(5)
         rhs = _gen(5, 4)
-        got = KERNEL_IMPLS["DIGESV"](d, rhs, _cfg(side="left"))
+        got = specialize_kernel("DIGESV", _cfg(side="left"))(d, rhs)
         np.testing.assert_allclose(d @ got, rhs, atol=1e-12)
         rhs_r = _gen(4, 5)
-        got = KERNEL_IMPLS["DIGESV"](rhs_r, d, _cfg(side="right"))
+        got = specialize_kernel("DIGESV", _cfg(side="right"))(rhs_r, d)
         np.testing.assert_allclose(got @ d, rhs_r, atol=1e-12)
 
     def test_transposed_rhs_is_materialized(self):
@@ -157,9 +150,7 @@ class TestStructuredSolveImpls:
         # though compiled variants never produce this for solves).
         coeff = _gen_inv(5)
         rhs_stored = _gen(3, 5)  # logical RHS is its transpose: 5 x 3
-        got = KERNEL_IMPLS["GEGESV"](
-            coeff, rhs_stored, _cfg(side="left", rt=True)
-        )
+        got = specialize_kernel("GEGESV", _cfg(side="left", rt=True))(coeff, rhs_stored)
         np.testing.assert_allclose(coeff @ got, rhs_stored.T, atol=1e-9)
 
 
@@ -168,4 +159,4 @@ class TestCoverage:
         from repro.kernels.spec import DIAGONAL_KERNELS, PRODUCT_KERNELS, SOLVE_KERNELS
 
         for kernel in (*PRODUCT_KERNELS, *SOLVE_KERNELS, *DIAGONAL_KERNELS):
-            assert kernel.name in KERNEL_IMPLS
+            assert callable(specialize_kernel(kernel.name, _cfg()))

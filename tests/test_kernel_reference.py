@@ -160,4 +160,5 @@ class TestKernelImplRegistry:
         from repro.kernels.spec import PRODUCT_KERNELS, SOLVE_KERNELS
 
         for kernel in (*PRODUCT_KERNELS, *SOLVE_KERNELS):
-            assert kernel.name in ref.KERNEL_IMPLS
+            names = ref.PRODUCT_KERNELS | ref.SOLVER_BY_KERNEL.keys()
+            assert kernel.name in names

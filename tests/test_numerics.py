@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.ir.chain import Chain
-from repro.compiler.executor import execute_variant
+from repro.runtime.executor import execute_variant
 from repro.compiler.parenthesization import left_to_right_tree
 from repro.compiler.selection import all_variants
 from repro.compiler.variant import build_variant

@@ -6,7 +6,7 @@ import pytest
 from repro.ir.chain import Chain
 from repro.baselines.online import OnlineSearchEvaluator
 from repro.compiler.dp import dp_optimal_cost, dp_optimal_plan
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.selection import all_variants, optimal_cost
 from repro.experiments.sampling import sample_instances, sample_shapes
 
@@ -37,7 +37,7 @@ class TestPlanReconstruction:
         plan = dp_optimal_plan(chain, sizes)
         arrays = random_instance_arrays(chain, sizes, rng)
         expected = naive_evaluate(chain, arrays)
-        from repro.compiler.executor import execute_variant
+        from repro.runtime.executor import execute_variant
 
         got = execute_variant(plan, arrays)
         scale = max(1.0, float(np.abs(expected).max()))

@@ -137,7 +137,7 @@ class TestWallClockTiming:
         rng = np.random.default_rng(4)
         chain = general_chain(2)
         variant = build_variant(chain, left_to_right_tree(2))
-        from repro.compiler.executor import random_instance_arrays
+        from repro.runtime.executor import random_instance_arrays
 
         arrays = random_instance_arrays(chain, (20, 20, 20), rng)
         assert time_variant(variant, arrays, repeats=2) > 0.0

@@ -17,7 +17,7 @@ from repro.compiler.program import (
     CompiledProgram,
 )
 from repro.compiler.cache import CacheEntry
-from repro.compiler.executor import (
+from repro.runtime.executor import (
     execute_variant,
     naive_evaluate,
     random_instance_arrays,

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ir.chain import Chain
 from repro.ir.operand import Operand, UnaryOp
 from repro.ir.parser import parse_program
-from repro.compiler.executor import (
+from repro.runtime.executor import (
     execute_variant,
     naive_evaluate,
     random_instance_arrays,

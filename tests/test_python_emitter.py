@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import compile_chain
 from repro.codegen.python_emitter import emit_python
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.selection import all_variants
 from repro.experiments.sampling import sample_instances
 

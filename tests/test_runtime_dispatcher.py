@@ -311,30 +311,6 @@ class TestProgramRuntime:
         assert loaded.dispatcher.memo_stats()["hits"] >= 1
 
 
-class TestShims:
-    def test_compiler_dispatch_shim(self):
-        from repro.compiler.dispatch import Dispatcher as ShimDispatcher
-        from repro.compiler.dispatch import flop_estimator as shim_estimator
-
-        assert ShimDispatcher is Dispatcher
-        assert shim_estimator is flop_estimator
-
-    def test_compiler_executor_shim(self):
-        from repro.compiler import executor as shim
-        from repro.runtime import executor as real
-
-        for name in (
-            "KernelCallConfig",
-            "execute_variant",
-            "expected_stored_shapes",
-            "infer_sizes",
-            "naive_evaluate",
-            "random_instance_arrays",
-            "random_matrix",
-        ):
-            assert getattr(shim, name) is getattr(real, name)
-
-
 class TestServeWarmMemo:
     SOURCE = "Matrix A <General, Singular>; Matrix B <General, Singular>; R := A * B;"
 

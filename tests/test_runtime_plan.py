@@ -1,12 +1,17 @@
 """Tests for compiled execution plans (repro.runtime.plan)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import ExecutionError, ShapeError
 from repro.ir.chain import Chain
+from repro.compiler.parenthesization import leaf, left_to_right_tree
 from repro.compiler.selection import all_variants
+from repro.compiler.variant import build_variant
 from repro.runtime import (
+    blas_available,
     compile_plan,
     execute_variant,
     naive_evaluate,
@@ -16,10 +21,58 @@ from repro.runtime import (
 from conftest import (
     general_chain,
     make_general,
+    make_lower,
     random_option_chain,
     small_sizes_for,
 )
 
+needs_blas = pytest.mark.skipif(
+    not blas_available(), reason="scipy BLAS/LAPACK routines unavailable"
+)
+
+#: ``c`` runs wherever blas does: with a C toolchain its plans replay
+#: through the fused native call; without one (or with REPRO_DISABLE_CC
+#: set) they fall back to the blas step loop, which the sweep then covers.
+REPLAY_BACKENDS = [
+    "reference",
+    pytest.param("blas", marks=needs_blas),
+    pytest.param("c", marks=needs_blas),
+]
+
+REPLAY_MODES = ("plain", "arena", "out", "arena+out", "record")
+
+
+def _inv(name):
+    return make_general(name, invertible=True).inv
+
+
+#: name -> (chain, parenthesization, sizes, keep fix-ups).  The step
+#: chains have a non-final product step, so reference arenas get a buffer.
+#: The compiler gives a lone operand a COPY fix-up; "single" strips it to
+#: exercise the replay's own no-alias copy.
+REPLAY_CASES = {
+    "steps": (
+        Chain(
+            (
+                make_general("G1").as_operand(),
+                make_general("G2").as_operand(),
+                make_lower("L").inv,
+                make_general("G3").as_operand(),
+            )
+        ),
+        left_to_right_tree(4),
+        (4, 5, 6, 6, 7),
+        False,
+    ),
+    "steps+fixup": (
+        Chain((_inv("A"), _inv("B"), _inv("C"))),
+        left_to_right_tree(3),
+        (5, 5, 5, 5),
+        True,
+    ),
+    "single": (Chain((make_general("A").as_operand(),)), leaf(0), (4, 6), False),
+    "single+fixup": (Chain((_inv("A"),)), leaf(0), (5, 5), True),
+}
 
 class TestPlanExecution:
     @pytest.mark.parametrize("seed", range(8))
@@ -117,3 +170,38 @@ class TestPlanValidation:
         plan = compile_plan(all_variants(chain)[0], sizes)
         arrays = random_instance_arrays(chain, sizes, rng)
         np.testing.assert_array_equal(plan(arrays), plan.execute(arrays))
+
+
+class TestReplayModes:
+    """The one replay loop: backend x mode x chain shape."""
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    @pytest.mark.parametrize("mode", REPLAY_MODES)
+    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
+    def test_replay_mode(self, backend, mode, case):
+        chain, tree, sizes, keep_fixups = REPLAY_CASES[case]
+        variant = build_variant(chain, tree)
+        if not keep_fixups:
+            variant = dataclasses.replace(variant, fixups=())
+        assert bool(variant.fixups) == keep_fixups
+        arrays = random_instance_arrays(chain, sizes, np.random.default_rng(0))
+        expected = naive_evaluate(chain, arrays)
+        plan = compile_plan(variant, sizes, backend=backend)
+        arena = out = record = None
+        if "arena" in mode:
+            values = list(arrays)
+            plan.record_buffer_shapes(values, plan.replay(values))
+            arena = plan.new_arena()
+        if "out" in mode:
+            out = np.empty(expected.shape)
+        durations = []
+        if mode == "record":
+            record = durations.append
+        result = plan.replay(list(arrays), arena, out, record=record)
+        scale = max(1.0, float(np.abs(expected).max()))
+        np.testing.assert_allclose(result / scale, expected / scale, atol=1e-8)
+        assert not any(np.shares_memory(result, a) for a in arrays)
+        if out is not None:
+            assert result is out
+        if record is not None:
+            assert len(durations) == len(variant.steps)

@@ -6,7 +6,7 @@ import pytest
 from repro.api import GeneratedCode, compile_chain
 from repro.codegen import serialize
 from repro.codegen.serialize import SerializationError
-from repro.compiler.executor import naive_evaluate, random_instance_arrays
+from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.selection import all_variants
 from repro.experiments.sampling import sample_instances
 
@@ -54,7 +54,7 @@ class TestRoundTrip:
         arrays = random_instance_arrays(chain, sizes, rng)
         expected = naive_evaluate(chain, arrays)
         scale = max(1.0, float(np.abs(expected).max()))
-        from repro.compiler.executor import execute_variant
+        from repro.runtime.executor import execute_variant
 
         for restored in loaded:
             got = execute_variant(restored, arrays)
@@ -132,7 +132,7 @@ class TestFeatureCombinationRoundTrips:
         expected = naive_evaluate(chain, arrays)
         scale = max(1.0, float(np.abs(expected).max()))
         for restored in loaded:
-            from repro.compiler.executor import execute_variant
+            from repro.runtime.executor import execute_variant
 
             got = execute_variant(restored, arrays)
             np.testing.assert_allclose(

@@ -120,7 +120,7 @@ class TestHandleRequest:
     def test_execute_npy_arrays_match_in_process_execution(self, service):
         import numpy as np
 
-        from repro.compiler.executor import (
+        from repro.runtime.executor import (
             naive_evaluate,
             random_instance_arrays,
         )
@@ -158,7 +158,7 @@ class TestHandleRequest:
     def test_execute_list_arrays_and_json_round_trip(self, service):
         import numpy as np
 
-        from repro.compiler.executor import random_instance_arrays
+        from repro.runtime.executor import random_instance_arrays
 
         compiled = handle_request(
             service,
@@ -195,7 +195,7 @@ class TestHandleRequest:
     def test_execute_compile_if_needed_and_errors(self, service):
         import numpy as np
 
-        from repro.compiler.executor import random_instance_arrays
+        from repro.runtime.executor import random_instance_arrays
         from repro.ir.parser import parse_program
 
         chain = parse_program(SOURCE_AB).chain

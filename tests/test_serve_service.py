@@ -372,6 +372,31 @@ class TestDispatchRegistry:
             assert service.lookup(handles[1]) is not None
             assert service.lookup(handles[2]) is not None
 
+    def test_compile_hit_keeps_the_warm_runtime(self):
+        """A repeat compile keeps the handle's dispatcher (and its memo);
+        a compile asking for a different runtime replaces it."""
+        from repro.runtime import random_instance_arrays
+
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            future = service.submit(chain, num_training_instances=20)
+            generated = future.result(timeout=30)
+            handle = future.handle
+            arrays = random_instance_arrays(
+                generated.chain, (3, 4, 5, 6), np.random.default_rng(0)
+            )
+            service.execute(handle, arrays)  # cold: memo miss
+            service.compile(chain, num_training_instances=20, timeout=30)
+            dispatcher = service.lookup(handle).dispatcher
+            service.execute(handle, arrays)
+            assert dispatcher.memo_stats()["hits"] == 1
+            service.compile(
+                chain, num_training_instances=20, backend="blas", timeout=30
+            )
+            replaced = service.lookup(handle).dispatcher
+            assert replaced is not dispatcher
+            assert replaced.backend == "blas"
+
     def test_uncached_compilations_not_registered(self):
         with CompileService(workers=1, warm=False) as service:
             future = service.submit(
