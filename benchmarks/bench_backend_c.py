@@ -1,13 +1,16 @@
-"""C-emitter backend: native step loops vs per-step BLAS dispatch.
+"""C-emitter backend: native step interpreter vs per-step BLAS dispatch.
 
-PR 9 adds the ``c`` execution backend (``repro.runtime.backends.cemit``):
-each frozen execution plan is code-generated as a CPython extension whose
-single native function walks the step list through cython_blas/lapack
-function pointers, with every transpose/side/triangularity flag and
-leading dimension resolved to a constant at emit time.  The win is zero
-Python interpretation per step — exactly where long chains of *small*
-operands spend their time.  Shared objects live in a bounded on-disk
-codegen cache, so a warm deployment never re-invokes the compiler.
+The ``c`` execution backend (``repro.runtime.backends.cemit``) packs each
+frozen execution plan into an integer step record — every
+transpose/side/triangularity flag, dimension and leading dimension
+resolved at plan-compile time — and replays it with one call into a
+prebuilt native interpreter that walks the record through
+cython_blas/lapack function pointers.  The win is zero Python
+interpretation per step — exactly where long chains of *small* operands
+spend their time.  The interpreter is compiled once per codegen cache
+directory and kept in that bounded on-disk cache, so a warm deployment
+never re-invokes the compiler, and a new size vector costs microseconds
+of packing.
 
 CI gates (skipped when no C toolchain or capsules are available):
 
@@ -16,7 +19,8 @@ CI gates (skipped when no C toolchain or capsules are available):
 * no regression (>= 0.95x of ``blas``) at n=1024 where BLAS time
   dominates and the native loop can only win on call overhead;
 * a second invocation in a fresh process hits the codegen disk cache:
-  zero compiler invocations, asserted via the obs counters.
+  zero compiler invocations, also for size vectors the first process
+  never lowered, asserted via the obs counters.
 """
 
 import functools
@@ -147,8 +151,9 @@ def test_c_backend_large_operand_no_regression(benchmark):
     )
 
 
-#: Run in a fresh interpreter: build a native plan for a fixed chain and
-#: report the process's codegen counters as JSON.
+#: Run in a fresh interpreter: build native plans for a fixed chain at the
+#: size vectors given as JSON in argv[1] and report the process's codegen
+#: counters as JSON.
 _CHILD = r"""
 import json, sys
 from repro.api import compile_chain
@@ -164,10 +169,11 @@ source = (
     "Matrix C <General, Singular>; R := A * B * C;"
 )
 gen = compile_chain(source, num_training_instances=10, use_cache=False)
-_, _, plan = gen.program.runtime(backend="c").plan_for([24, 24, 24, 24])
+runtime = gen.program.runtime(backend="c")
+backends = [runtime.plan_for(sizes)[2].backend for sizes in json.loads(sys.argv[1])]
 stats = get_codegen_cache().stats()
 print(json.dumps({
-    "backend": plan.backend,
+    "backends": backends,
     "compiles_counter": get_registry().counter(
         "runtime.codegen_compiles").value,
     "cache_compiles": stats["compiles"],
@@ -176,10 +182,15 @@ print(json.dumps({
 }))
 """
 
+#: Size vectors per process: the second lowers two the first never saw.
+_FIRST_SIZES = [[24, 24, 24, 24]]
+_SECOND_SIZES = [[24, 24, 24, 24], [7, 9, 11, 13], [31, 1, 17, 3]]
+
 
 @needs_cemit
 def test_fresh_process_hits_codegen_disk_cache(tmp_path, benchmark):
-    """CI bound: the second process never invokes the compiler."""
+    """CI bound: the second process never invokes the compiler, even
+    for size vectors the first process never saw."""
     env = dict(os.environ)
     env["REPRO_CODEGEN_CACHE_DIR"] = str(tmp_path / "codegen")
     src_dir = str(Path(__file__).resolve().parent.parent / "src")
@@ -187,9 +198,9 @@ def test_fresh_process_hits_codegen_disk_cache(tmp_path, benchmark):
         p for p in (src_dir, env.get("PYTHONPATH")) if p
     )
 
-    def run_child():
+    def run_child(sizes):
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD],
+            [sys.executable, "-c", _CHILD, json.dumps(sizes)],
             env=env,
             capture_output=True,
             text=True,
@@ -198,21 +209,24 @@ def test_fresh_process_hits_codegen_disk_cache(tmp_path, benchmark):
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
-    first = run_child()
-    assert first["backend"] == "c"
+    first = run_child(_FIRST_SIZES)
+    assert first["backends"] == ["c"], first
     assert first["compiles_counter"] == 1, first
     assert first["cache_misses"] == 1, first
-    second = run_child()
-    assert second["backend"] == "c"
-    # The whole point of the disk tier: zero compiler invocations.
+    second = run_child(_SECOND_SIZES)
+    assert second["backends"] == ["c"] * len(_SECOND_SIZES), second
+    # The whole point of the disk tier and the prebuilt interpreter: zero
+    # compiler invocations, even for size vectors the first process
+    # never lowered.
     assert second["compiles_counter"] == 0, second
     assert second["cache_compiles"] == 0, second
-    assert second["cache_hits"] == 1, second
+    assert second["cache_hits"] == len(_SECOND_SIZES), second
     emit(
         "C backend: codegen disk cache across processes",
         f"first process compiles={first['compiles_counter']}, "
-        f"second process compiles={second['compiles_counter']} "
-        f"hits={second['cache_hits']}",
+        f"second process ({len(_SECOND_SIZES)} plans, "
+        f"{len(_SECOND_SIZES) - 1} new size vectors) "
+        f"compiles={second['compiles_counter']} hits={second['cache_hits']}",
     )
     benchmark.extra_info["second_process_compiles"] = second["compiles_counter"]
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

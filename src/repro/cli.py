@@ -739,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["reference", "blas", "c", "auto"],
         default=None,
         help="execution backend: reference (numpy substrate), blas (direct "
-        "scipy.linalg.blas/lapack lowering), c (code-generated native "
-        "step loops, falls back to blas without a C toolchain), or auto "
+        "scipy.linalg.blas/lapack lowering), c (plans replayed by a native "
+        "step interpreter, falls back to blas without a C toolchain), or auto "
         "(micro-benchmark the candidates per size vector, run the "
         "measured winner); default: the backend recorded in the artifact",
     )

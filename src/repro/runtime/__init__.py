@@ -18,7 +18,7 @@ that second half, structured for the per-request hot path:
   steady-state per-call path amortized O(1) in everything but the kernel
   work itself;
 * :mod:`repro.runtime.backends` — pluggable execution backends
-  (``reference``, ``blas``, and the code-generating ``c`` emitter) that
+  (``reference``, ``blas``, and the native-interpreter ``c`` backend) that
   lower each frozen kernel call to a direct callable at plan-compile
   time, plus the dispatcher's measured ``auto`` strategy.
 """

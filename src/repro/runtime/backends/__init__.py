@@ -9,10 +9,11 @@
     transpose/side/triangularity algebra pre-resolved into routine flags;
     per-kernel reference fallback for configurations BLAS cannot express.
 ``c``
-    Code-generates each frozen plan as one native C step loop (BLAS and
-    LAPACK reached through capsule-harvested function pointers), compiled
-    lazily and cached on disk; falls back to ``blas`` per plan when no
-    toolchain is present or a step is outside the emitter's table.
+    Packs each frozen plan into a step record replayed by one prebuilt
+    native interpreter (BLAS and LAPACK reached through capsule-harvested
+    function pointers), compiled once and cached on disk; falls back to
+    ``blas`` per plan when no toolchain is present or a step is outside
+    the packer's table.
 ``auto``
     Not a plan-level backend but a dispatcher strategy: compile a plan
     per concrete backend, micro-benchmark each once per ``(variant,

@@ -13,8 +13,8 @@ Three backends ship: ``reference`` (the numpy/scipy reference
 implementations, structured operands executed densely), ``blas``
 (:mod:`repro.runtime.backends.blas`, direct ``scipy.linalg.blas`` /
 ``lapack`` calls with the structure flags pre-resolved), and ``c``
-(:mod:`repro.runtime.backends.cemit`, whole plans code-generated as
-native step loops).  The dispatcher adds a fourth *strategy*, ``auto``,
+(:mod:`repro.runtime.backends.cemit`, whole plans packed into step
+records for one native interpreter).  The dispatcher adds a fourth *strategy*, ``auto``,
 which is not a backend of its own: it compiles a plan per concrete
 backend and serves the measured winner.
 """

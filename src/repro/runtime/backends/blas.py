@@ -329,18 +329,26 @@ def _lower_posv(cfg: "KernelCallConfig"):
     return run, "dposv"
 
 
+#: ``dsysv`` workspace (``lwork``) per coefficient row.  scipy's default
+#: (``lwork = n``) forces the unblocked Bunch-Kaufman factorization;
+#: ``64 n`` is the blocked optimum ``dsysv_lwork`` reports for reference
+#: LAPACK and OpenBLAS (block size 64).
+SYSV_LWORK_PER_ROW = 64
+
+
 def _lower_sysv(cfg: "KernelCallConfig"):
-    """Symmetric-indefinite solve -> ``dsysv`` (Bunch-Kaufman)."""
+    """Symmetric-indefinite solve -> ``dsysv`` (blocked Bunch-Kaufman)."""
     side_left = cfg.side == "left"
     r_trans = cfg.right_trans if side_left else cfg.left_trans
 
     def run(left, right):
         a, b = (left, right) if side_left else (right, left)
         rhs = b.T if r_trans else b
+        lwork = SYSV_LWORK_PER_ROW * max(a.shape[0], 1)
         if side_left:
-            _, _, x, info = _lapack.dsysv(a, rhs, lower=0)
+            _, _, x, info = _lapack.dsysv(a, rhs, lower=0, lwork=lwork)
         else:
-            _, _, x, info = _lapack.dsysv(a, rhs.T, lower=0)
+            _, _, x, info = _lapack.dsysv(a, rhs.T, lower=0, lwork=lwork)
         _check_info(info, "symmetric solve")
         return x if side_left else x.T
 

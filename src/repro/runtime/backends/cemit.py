@@ -1,17 +1,18 @@
-"""The ``c`` execution backend: frozen plans emitted as native C step loops.
+"""The ``c`` execution backend: frozen plans replayed by one native interpreter.
 
 PR 6's ``blas`` backend got the kernel *math* to BLAS speed, but every
 plan step still pays a Python round-trip — interpreter dispatch, scipy
 wrapper argument parsing, result allocation — which dominates on small
-and medium operands.  This backend removes the per-step tax entirely:
-each frozen :class:`~repro.runtime.plan.ExecutionPlan` is code-generated
-as one C function that walks the whole step list natively, calling
-BLAS/LAPACK through function pointers harvested from
+and medium operands.  This backend removes the per-step tax: each frozen
+:class:`~repro.runtime.plan.ExecutionPlan` is *packed* into a compact
+integer step record, and one fixed C translation unit
+(``step_interp.c``, a CPython extension) walks that record natively,
+calling BLAS/LAPACK through function pointers harvested from
 ``scipy.linalg.cython_blas`` / ``cython_lapack`` PyCapsules.  One Python
-call per *replay* (a METH_FASTCALL CPython extension entry), zero per
-step.
+call per *replay* (a METH_FASTCALL entry, GIL released for the walk),
+zero per step.
 
-Everything dynamic is resolved to constants at emit time:
+Everything dynamic is resolved into the record at plan-compile time:
 
 * transpose / side / triangularity flags, via the same algebra as
   :mod:`repro.runtime.backends.blas` (a C-contiguous stored array is
@@ -19,18 +20,20 @@ Everything dynamic is resolved to constants at emit time:
   flipped — no copies);
 * all dimensions and leading dimensions (the plan is already specialized
   to one size vector);
-* buffer addressing: inputs map to the call's buffer arguments,
+* buffer addressing: inputs map to the call's operand arguments,
   intermediates to offsets in one per-call ``malloc``'d workspace (so
   plans stay stateless and replay concurrently), the final step writes
   straight into the caller's output array whenever its natural layout
   allows.
 
-The emitted module is compiled lazily with the discovered toolchain
-(:mod:`~repro.runtime.backends.toolchain`) and cached content-addressed
-in the bounded on-disk codegen cache
-(:mod:`repro.runtime.codegen_cache`) — a warm deployment never invokes
-the compiler.  Function-pointer addresses are per-process, so every load
-re-harvests the capsules and passes them to the module's ``init``.
+Packing costs microseconds, so a new size vector never waits for a
+compiler.  The interpreter itself is compiled once with the discovered
+toolchain (:mod:`~repro.runtime.backends.toolchain`) and cached
+content-addressed by its source and the interpreter ABI tag in the
+bounded on-disk codegen cache (:mod:`repro.runtime.codegen_cache`) — a
+warm deployment never invokes the compiler.  Function-pointer addresses
+are per-process, so the first load in a process passes the harvested
+capsules to the module's ``init``.
 
 Degradation is total and silent: no toolchain, no harvestable capsules,
 an unsupported step (the diagonal solves, configurations the routines
@@ -44,6 +47,7 @@ info level.  A fallen-back plan reports ``backend == "blas"``.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -51,6 +55,8 @@ import logging
 import sys
 import threading
 import time
+from array import array
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -59,12 +65,12 @@ from repro.errors import ExecutionError
 from repro.obs import get_registry
 from repro.runtime.backends.base import Backend, LoweredKernel
 from repro.runtime.backends.blas import (
+    SYSV_LWORK_PER_ROW,
     BlasBackend,
     _structured_position,
     blas_available,
 )
 from repro.runtime.backends.toolchain import (
-    Toolchain,
     ToolchainError,
     discover_toolchain,
 )
@@ -74,11 +80,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.executor import KernelCallConfig
     from repro.runtime.plan import ExecutionPlan
 
-__all__ = ["CEmitBackend", "cemit_available"]
+__all__ = ["CEmitBackend", "cemit_available", "pack_plan"]
 
 logger = logging.getLogger("repro.runtime.cemit")
 
-#: Every routine an emitted module may call, in capsule-harvest order.
+#: Every routine the interpreter calls, in capsule-harvest order (the
+#: order ``init`` assigns its function pointers in).
 _ROUTINES = (
     "dgemm",
     "dsymm",
@@ -90,35 +97,9 @@ _ROUTINES = (
     "dgetrs",
 )
 
-#: C function-pointer typedef per routine (the Fortran calling convention
-#: scipy's cython capsules expose: everything by pointer, 32-bit ints).
-_SIGNATURES = {
-    "dgemm": (
-        "char*, char*, int*, int*, int*, double*, double*, int*, "
-        "double*, int*, double*, double*, int*"
-    ),
-    "dsymm": (
-        "char*, char*, int*, int*, double*, double*, int*, double*, "
-        "int*, double*, double*, int*"
-    ),
-    "dtrmm": (
-        "char*, char*, char*, char*, int*, int*, double*, double*, "
-        "int*, double*, int*"
-    ),
-    "dtrsm": (
-        "char*, char*, char*, char*, int*, int*, double*, double*, "
-        "int*, double*, int*"
-    ),
-    "dposv": "char*, int*, int*, double*, int*, double*, int*, int*",
-    "dsysv": (
-        "char*, int*, int*, double*, int*, int*, double*, int*, "
-        "double*, int*, int*"
-    ),
-    "dgetrf": "int*, int*, double*, int*, int*, int*",
-    "dgetrs": (
-        "char*, int*, int*, double*, int*, int*, double*, int*, int*"
-    ),
-}
+#: The interpreter's source and the module name its ``PyInit_`` exports.
+_SOURCE_PATH = Path(__file__).with_name("step_interp.c")
+_MODULE_NAME = "_step_interp"
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +122,7 @@ def _harvest_addresses() -> Optional[dict[str, int]]:
 
     The capsules live in ``__pyx_capi__`` of scipy's cython wrapper
     modules; their addresses are process-local, so the harvest runs once
-    per process and is re-fed to every loaded module's ``init``.
+    per process and is fed to the loaded interpreter's ``init``.
     """
     global _addresses
     with _addresses_lock:
@@ -169,7 +150,7 @@ def _harvest_addresses() -> Optional[dict[str, int]]:
 
 
 def cemit_available() -> bool:
-    """Whether this process can emit, compile, and run native plans."""
+    """Whether this process can pack, compile, and run native plans."""
     return (
         blas_available()
         and _harvest_addresses() is not None
@@ -178,20 +159,66 @@ def cemit_available() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Emission: one plan -> one C translation unit.
+# Packing: one plan -> one step record for the interpreter.
 # ---------------------------------------------------------------------------
+
+#: Opcodes, field layout and buffer-reference kinds; the C side
+#: (``step_interp.c``) documents each opcode's fields and must agree.
+(
+    OP_GEMM,
+    OP_SYMM,
+    OP_TRMM,
+    OP_TRSM,
+    OP_ROW_SCALE,
+    OP_COL_SCALE,
+    OP_DIAG_DIAG,
+    OP_POSV,
+    OP_SYSV,
+    OP_GESV,
+    OP_STORE_T,
+) = range(1, 12)
+_REF_INPUT, _REF_WS, _REF_OUT = range(3)
+
+
+def _ref(kind: int, index: int) -> int:
+    return index << 2 | kind
+
+
+#: The reference to the caller's output array.
+_OUT = _ref(_REF_OUT, 0)
 
 
 class _Unsupported(Exception):
-    """The emitter cannot express a step; the plan falls back whole."""
+    """The packer cannot express a step; the plan falls back whole."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
 
 
+class _Step(NamedTuple):
+    """One packed step: the C ``step_t`` record, field for field."""
+
+    op: int
+    f0: int = 0
+    f1: int = 0
+    f2: int = 0
+    m: int = 0
+    n: int = 0
+    k: int = 0
+    a: int = 0
+    lda: int = 0
+    b: int = 0
+    ldb: int = 0
+    c: int = 0
+    ldc: int = 0
+    w0: int = 0
+    w1: int = 0
+    w2: int = 0
+
+
 class _Buf(NamedTuple):
-    """One buffer slot's emit-time layout.
+    """One buffer slot's pack-time layout.
 
     The physical buffer is read Fortran-contiguously with dimensions
     ``(pr, pc)`` and leading dimension ``pr``; the *logical* stored value
@@ -202,7 +229,7 @@ class _Buf(NamedTuple):
     pr: int
     pc: int
     t: bool
-    expr: str
+    ref: int
 
     @property
     def logical(self) -> tuple[int, int]:
@@ -210,7 +237,8 @@ class _Buf(NamedTuple):
 
 
 class _StepSpec(NamedTuple):
-    """One step's decided emission: output layout + line generator."""
+    """One step's decided layout; ``step.c`` is filled in once the
+    output buffer is chosen."""
 
     pr: int
     pc: int
@@ -218,105 +246,64 @@ class _StepSpec(NamedTuple):
     #: The physical output equals its own transpose (diagonal results),
     #: so either layout may serve as the final answer directly.
     sym_out: bool
-    make: Callable[[str], list[str]]
+    step: _Step
 
 
-def _memcpy(dst: str, src: str, doubles: int) -> str:
-    return f"memcpy({dst}, {src}, (size_t){doubles} * sizeof(double));"
+def _tn(flag: bool) -> int:
+    return ord("T") if flag else ord("N")
 
 
-def _transpose_copy(
-    dst: str, src: str, rows: int, cols: int, src_ld: int
-) -> str:
-    """``dst`` (rows x cols, F-order) := transpose of ``src`` (ld src_ld)."""
-    return (
-        "{ int i, j; "
-        f"for (j = 0; j < {cols}; j++) "
-        f"for (i = 0; i < {rows}; i++) "
-        f"{dst}[i + (size_t)j * {rows}] = "
-        f"{src}[j + (size_t)i * {src_ld}]; }}"
-    )
+def _ul(lower: bool) -> int:
+    return ord("L") if lower else ord("U")
 
 
-def _tn(flag: bool) -> str:
-    return "'T'" if flag else "'N'"
+def _side(left: bool) -> int:
+    return ord("L") if left else ord("R")
 
 
-def _ul(lower: bool) -> str:
-    return "'L'" if lower else "'U'"
+_UPPER = ord("U")
 
 
-def _lapack_check(step: int, routine: str) -> str:
-    return (
-        f"if (info != 0) {{ err_step = {step}; err_info = info; "
-        f'err_routine = "{routine}"; goto native_done; }}'
-    )
+class _Packer:
+    """Walks a plan's steps, laying out the workspace."""
 
-
-class _Emitter:
-    """Walks a plan's steps, producing the body of ``cg_run``."""
-
-    def __init__(self, plan: "ExecutionPlan"):
-        self.plan = plan
-        self.lines: list[str] = []
-        self.routines: list[str] = []
+    def __init__(self):
         self.ws_doubles = 0
-        self.has_solve = False
 
-    def routine(self, name: str) -> str:
-        if name not in self.routines:
-            self.routines.append(name)
-        return f"p_{name}"
-
-    def alloc(self, doubles: int) -> str:
+    def alloc(self, doubles: int) -> int:
+        """Reserve ``doubles`` workspace doubles; returns the offset."""
         offset = self.ws_doubles
         self.ws_doubles += doubles
-        return f"(ws + {offset})"
+        return offset
 
-    def alloc_ints(self, count: int) -> str:
-        offset = self.ws_doubles
-        self.ws_doubles += (count + 1) // 2
-        return f"((int*)(ws + {offset}))"
+    def alloc_ints(self, count: int) -> int:
+        return self.alloc((count + 1) // 2)
 
-    # -- per-kernel emission -------------------------------------------------
+    # -- per-kernel packing --------------------------------------------------
 
     def _gemm(
-        self, i: int, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
+        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
     ) -> _StepSpec:
         el = cfg.left_trans != l.t
         er = cfg.right_trans != r.t
         m, k = (l.pc, l.pr) if el else (l.pr, l.pc)
         _, n = (r.pc, r.pr) if er else (r.pr, r.pc)
-        gemm = self.routine("dgemm")
         if last:
-            # Emit the transposed product so the final dgemm writes the
+            # Pack the transposed product so the final dgemm writes the
             # caller's C-ordered output buffer directly: C^T = op(B)^T op(A)^T.
-            def make(dst: str) -> list[str]:
-                return [
-                    f"char ta = {_tn(not er)}, tb = {_tn(not el)};",
-                    f"int m = {n}, n = {m}, k = {k};",
-                    f"int lda = {r.pr}, ldb = {l.pr}, ldc = {n};",
-                    "double one = 1.0, zero = 0.0;",
-                    f"{gemm}(&ta, &tb, &m, &n, &k, &one, {r.expr}, &lda, "
-                    f"{l.expr}, &ldb, &zero, {dst}, &ldc);",
-                ]
-
-            return _StepSpec(n, m, True, False, make)
-
-        def make(dst: str) -> list[str]:
-            return [
-                f"char ta = {_tn(el)}, tb = {_tn(er)};",
-                f"int m = {m}, n = {n}, k = {k};",
-                f"int lda = {l.pr}, ldb = {r.pr}, ldc = {m};",
-                "double one = 1.0, zero = 0.0;",
-                f"{gemm}(&ta, &tb, &m, &n, &k, &one, {l.expr}, &lda, "
-                f"{r.expr}, &ldb, &zero, {dst}, &ldc);",
-            ]
-
-        return _StepSpec(m, n, False, False, make)
+            step = _Step(
+                OP_GEMM, f0=_tn(not er), f1=_tn(not el), m=n, n=m, k=k,
+                a=r.ref, lda=r.pr, b=l.ref, ldb=l.pr, ldc=n,
+            )
+            return _StepSpec(n, m, True, False, step)
+        step = _Step(
+            OP_GEMM, f0=_tn(el), f1=_tn(er), m=m, n=n, k=k,
+            a=l.ref, lda=l.pr, b=r.ref, ldb=r.pr, ldc=m,
+        )
+        return _StepSpec(m, n, False, False, step)
 
     def _symm(
-        self, i: int, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
+        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
     ) -> _StepSpec:
         side_left = cfg.side == "left"
         s, g = (l, r) if side_left else (r, l)
@@ -326,26 +313,15 @@ class _Emitter:
         # immaterial and 'U' always names a valid stored triangle.  A
         # transposed general operand computes the transposed product with
         # the side flipped (t_out records it) — dsymm has no transb.
-        phys_side = ("'L'" if side_left else "'R'") if not eg else (
-            "'R'" if side_left else "'L'"
-        )
         m, n = g.pr, g.pc
-        symm = self.routine("dsymm")
-
-        def make(dst: str) -> list[str]:
-            return [
-                f"char side = {phys_side}, uplo = 'U';",
-                f"int m = {m}, n = {n};",
-                f"int lda = {s.pr}, ldb = {g.pr}, ldc = {m};",
-                "double one = 1.0, zero = 0.0;",
-                f"{symm}(&side, &uplo, &m, &n, &one, {s.expr}, &lda, "
-                f"{g.expr}, &ldb, &zero, {dst}, &ldc);",
-            ]
-
-        return _StepSpec(m, n, eg, False, make)
+        step = _Step(
+            OP_SYMM, f0=_side(side_left != eg), f1=_UPPER, m=m, n=n,
+            a=s.ref, lda=s.pr, b=g.ref, ldb=g.pr, ldc=m,
+        )
+        return _StepSpec(m, n, eg, False, step)
 
     def _trmm(
-        self, i: int, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
+        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
     ) -> _StepSpec:
         t_pos = _structured_position(cfg)
         if t_pos is None:
@@ -358,31 +334,17 @@ class _Emitter:
         et = t_trans != tb.t
         lower = bool(t_lower) != tb.t  # transposed view flips the triangle
         eg = g_trans != g.t
-        phys_side = ("'L'" if t_left else "'R'") if not eg else (
-            "'R'" if t_left else "'L'"
-        )
-        transa = et if not eg else not et
         m, n = g.pr, g.pc
-        trmm = self.routine("dtrmm")
-
-        def make(dst: str) -> list[str]:
-            return [
-                # dtrmm multiplies in place: the operand buffers must
-                # survive the call, so B is the output slot's private copy.
-                _memcpy(dst, g.expr, m * n),
-                f"char side = {phys_side}, uplo = {_ul(lower)}, "
-                f"ta = {_tn(transa)}, diag = 'N';",
-                f"int m = {m}, n = {n};",
-                f"int lda = {tb.pr}, ldb = {m};",
-                "double one = 1.0;",
-                f"{trmm}(&side, &uplo, &ta, &diag, &m, &n, &one, "
-                f"{tb.expr}, &lda, {dst}, &ldb);",
-            ]
-
-        return _StepSpec(m, n, eg, False, make)
+        # dtrmm multiplies in place: the interpreter copies B into the
+        # output slot first, so the operand buffers survive the call.
+        step = _Step(
+            OP_TRMM, f0=_side(t_left != eg), f1=_ul(lower), f2=_tn(et != eg),
+            m=m, n=n, a=tb.ref, lda=tb.pr, b=g.ref, ldc=m,
+        )
+        return _StepSpec(m, n, eg, False, step)
 
     def _trsm(
-        self, i: int, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
+        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
     ) -> _StepSpec:
         side_left = cfg.side == "left"
         c, rhs = (l, r) if side_left else (r, l)
@@ -394,29 +356,15 @@ class _Emitter:
         ec = c_trans != c.t
         lower = bool(c_lower) != c.t
         er = r_trans != rhs.t
-        phys_side = ("'L'" if side_left else "'R'") if not er else (
-            "'R'" if side_left else "'L'"
-        )
-        transa = ec if not er else not ec
         m, n = rhs.pr, rhs.pc
-        trsm = self.routine("dtrsm")
-
-        def make(dst: str) -> list[str]:
-            return [
-                _memcpy(dst, rhs.expr, m * n),
-                f"char side = {phys_side}, uplo = {_ul(lower)}, "
-                f"ta = {_tn(transa)}, diag = 'N';",
-                f"int m = {m}, n = {n};",
-                f"int lda = {c.pr}, ldb = {m};",
-                "double one = 1.0;",
-                f"{trsm}(&side, &uplo, &ta, &diag, &m, &n, &one, "
-                f"{c.expr}, &lda, {dst}, &ldb);",
-            ]
-
-        return _StepSpec(m, n, er, False, make)
+        step = _Step(
+            OP_TRSM, f0=_side(side_left != er), f1=_ul(lower), f2=_tn(ec != er),
+            m=m, n=n, a=c.ref, lda=c.pr, b=rhs.ref, ldc=m,
+        )
+        return _StepSpec(m, n, er, False, step)
 
     def _dimm(
-        self, i: int, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
+        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
     ) -> _StepSpec:
         # The diag flags locate the diagonal operand exactly (``side``
         # marks the structured operand, which is the *other* one for
@@ -428,61 +376,26 @@ class _Emitter:
         d, g = (l, r) if diag_left else (r, l)
         g_trans = cfg.right_trans if diag_left else cfg.left_trans
         eg = g_trans != g.t
-        # Emit in the general operand's own layout (t_out = eg): the scale
-        # then runs down physical rows or columns with unit stride.
-        row_scale = diag_left != eg
-        m, n = g.pr, g.pc
-        stride = d.pr + 1
-
-        def make(dst: str) -> list[str]:
-            if row_scale:
-                body = (
-                    f"for (j = 0; j < {n}; j++) "
-                    f"for (i = 0; i < {m}; i++) "
-                    f"{dst}[i + (size_t)j * {m}] = "
-                    f"{d.expr}[(size_t)i * {stride}] * "
-                    f"{g.expr}[i + (size_t)j * {m}];"
-                )
-            else:
-                body = (
-                    f"for (j = 0; j < {n}; j++) {{ "
-                    f"double s = {d.expr}[(size_t)j * {stride}]; "
-                    f"for (i = 0; i < {m}; i++) "
-                    f"{dst}[i + (size_t)j * {m}] = "
-                    f"s * {g.expr}[i + (size_t)j * {m}]; }}"
-                )
-            return ["int i, j;", body]
-
-        return _StepSpec(m, n, eg, False, make)
+        # Scale in the general operand's own layout (t_out = eg): the
+        # scale then runs down physical rows or columns with unit stride.
+        op = OP_ROW_SCALE if diag_left != eg else OP_COL_SCALE
+        step = _Step(op, m=g.pr, n=g.pc, a=d.ref, lda=d.pr + 1, b=g.ref)
+        return _StepSpec(g.pr, g.pc, eg, False, step)
 
     def _didimm(
-        self, i: int, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
+        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
     ) -> _StepSpec:
         n = l.pr
-        ls, rs = l.pr + 1, r.pr + 1
-
-        def make(dst: str) -> list[str]:
-            return [
-                "int k;",
-                f"memset({dst}, 0, (size_t){n * n} * sizeof(double));",
-                f"for (k = 0; k < {n}; k++) "
-                f"{dst}[(size_t)k * {n + 1}] = "
-                f"{l.expr}[(size_t)k * {ls}] * {r.expr}[(size_t)k * {rs}];",
-            ]
-
-        return _StepSpec(n, n, False, True, make)
+        step = _Step(
+            OP_DIAG_DIAG, m=n, a=l.ref, lda=l.pr + 1, b=r.ref, ldb=r.pr + 1
+        )
+        return _StepSpec(n, n, False, True, step)
 
     def _factor_solve(
-        self,
-        i: int,
-        cfg: "KernelCallConfig",
-        l: _Buf,
-        r: _Buf,
-        family: str,
+        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, op: int
     ) -> _StepSpec:
         """dposv / dsysv / dgetrf+dgetrs: copy-factor the coefficient,
         materialize the right-hand side in the layout the solve needs."""
-        self.has_solve = True
         side_left = cfg.side == "left"
         c, rhs = (l, r) if side_left else (r, l)
         c_trans = cfg.left_trans if side_left else cfg.right_trans
@@ -497,91 +410,55 @@ class _Emitter:
         # (the scipy path pays the same copy inside the wrapper).
         direct = er == (not side_left)
         brow, bcol = (rhs.pr, rhs.pc) if direct else (rhs.pc, rhs.pr)
+        # The factorization overwrites its matrix: factor a workspace
+        # copy, never an operand buffer.
         acopy = self.alloc(na * na)
-        if family == "dposv":
-            solve = self.routine("dposv")
-            extra_decl: list[str] = []
-            calls = [
-                f"{solve}(&uplo, &nn, &nrhs, {acopy}, &lda, DST, &ldb, "
-                "&info);",
-                _lapack_check(i, "dposv"),
-            ]
-        elif family == "dsysv":
-            solve = self.routine("dsysv")
+        ipiv = work = lwork = 0
+        if op != OP_POSV:
             ipiv = self.alloc_ints(na)
-            work = self.alloc(64 * na)
-            extra_decl = [f"int lwork = {64 * na};"]
-            calls = [
-                f"{solve}(&uplo, &nn, &nrhs, {acopy}, &lda, {ipiv}, DST, "
-                f"&ldb, {work}, &lwork, &info);",
-                _lapack_check(i, "dsysv"),
-            ]
-        else:  # dgetrf + dgetrs
-            getrf = self.routine("dgetrf")
-            getrs = self.routine("dgetrs")
-            ipiv = self.alloc_ints(na)
-            trans = (ec if side_left else not ec)
-            extra_decl = [f"char tr = {_tn(trans)};"]
-            calls = [
-                f"{getrf}(&nn, &nn, {acopy}, &lda, {ipiv}, &info);",
-                _lapack_check(i, "dgetrf"),
-                f"{getrs}(&tr, &nn, &nrhs, {acopy}, &lda, {ipiv}, DST, "
-                "&ldb, &info);",
-                _lapack_check(i, "dgetrs"),
-            ]
-
-        def make(dst: str) -> list[str]:
-            lines = [
-                f"char uplo = 'U';",
-                f"int nn = {na}, nrhs = {bcol}, lda = {na}, ldb = {brow}, "
-                "info = 0;",
-                *extra_decl,
-                # The factorization overwrites its matrix: factor a
-                # workspace copy, never an operand buffer.
-                _memcpy(acopy, c.expr, na * na),
-                _memcpy(dst, rhs.expr, rhs.pr * rhs.pc)
-                if direct
-                else _transpose_copy(dst, rhs.expr, brow, bcol, rhs.pr),
-            ]
-            lines += [line.replace("DST", dst) for line in calls]
-            return lines
-
-        return _StepSpec(brow, bcol, not side_left, False, make)
+        if op == OP_SYSV:
+            lwork = SYSV_LWORK_PER_ROW * na
+            work = self.alloc(lwork)
+        trans = ec if side_left else not ec  # getrs only
+        step = _Step(
+            op, f0=_tn(trans), f1=_UPPER, f2=_tn(not direct), m=na, n=bcol,
+            k=lwork, a=c.ref, b=rhs.ref, ldb=rhs.pr, ldc=brow,
+            w0=acopy, w1=ipiv, w2=work,
+        )
+        return _StepSpec(brow, bcol, not side_left, False, step)
 
 
-_PRODUCT_EMITTERS = {
-    "GEMM": "_gemm",
-    "SYMM": "_symm",
-    "SYSYMM": "_symm",
-    "TRMM": "_trmm",
-    "TRTRMM": "_trmm",
-    "TRSYMM": "_trmm",
-    "DIMM": "_dimm",
-    "DIDIMM": "_didimm",
-    "TRSM": "_trsm",
-    "TRSYSV": "_trsm",
-    "TRTRSV": "_trsm",
+_PRODUCT_PACKERS = {
+    "GEMM": _Packer._gemm,
+    "SYMM": _Packer._symm,
+    "SYSYMM": _Packer._symm,
+    "TRMM": _Packer._trmm,
+    "TRTRMM": _Packer._trmm,
+    "TRSYMM": _Packer._trmm,
+    "DIMM": _Packer._dimm,
+    "DIDIMM": _Packer._didimm,
+    "TRSM": _Packer._trsm,
+    "TRSYSV": _Packer._trsm,
+    "TRTRSV": _Packer._trsm,
 }
 
-_SOLVE_FAMILIES = {
-    "POGESV": "dposv",
-    "POSYSV": "dposv",
-    "POTRSV": "dposv",
-    "SYGESV": "dsysv",
-    "SYSYSV": "dsysv",
-    "SYTRSV": "dsysv",
-    "GEGESV": "dgetrs",
-    "GESYSV": "dgetrs",
-    "GETRSV": "dgetrs",
+_SOLVE_OPS = {
+    "POGESV": OP_POSV,
+    "POSYSV": OP_POSV,
+    "POTRSV": OP_POSV,
+    "SYGESV": OP_SYSV,
+    "SYSYSV": OP_SYSV,
+    "SYTRSV": OP_SYSV,
+    "GEGESV": OP_GESV,
+    "GESYSV": OP_GESV,
+    "GETRSV": OP_GESV,
 }
 
 
-def emit_plan_source(
-    plan: "ExecutionPlan",
-) -> tuple[str, str, list[str], tuple[int, int]]:
-    """Emit one plan as C: ``(source, module_name, routines, out_shape)``.
+def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
+    """Pack one plan as an interpreter step record: ``(record, out_shape)``.
 
-    Raises :class:`_Unsupported` for steps outside the emitter's kernel
+    Raises :class:`_Unsupported` for steps outside the packer's kernel
     table (the diagonal solves, configurations without the flags the
     routines need) — callers fall the whole plan back to ``blas``.
     """
@@ -589,12 +466,12 @@ def emit_plan_source(
     if not steps:
         raise _Unsupported("no-steps")
     n_inputs = plan.chain.n
-    em = _Emitter(plan)
+    packer = _Packer()
 
     bufs: list[_Buf] = [
         # A C-contiguous stored (r, c) array is the F-contiguous (c, r)
         # transpose of the logical value: t=True, ld = c.
-        _Buf(c, r, True, f"in{i}")
+        _Buf(c, r, True, _ref(_REF_INPUT, i))
         for i, (r, c) in enumerate(plan.expected_shapes)
     ]
 
@@ -603,252 +480,119 @@ def emit_plan_source(
         return index if kind == "matrix" else n_inputs + index
 
     last = len(steps) - 1
-    step_blocks: list[str] = []
+    packed: list[_Step] = []
     for i, (step, cfg) in enumerate(zip(steps, plan.call_configs)):
         l, r = bufs[slot(step.left_ref)], bufs[slot(step.right_ref)]
         kernel = step.kernel.name
-        family = _SOLVE_FAMILIES.get(kernel)
-        if family is not None:
-            spec = em._factor_solve(i, cfg, l, r, family)
+        op = _SOLVE_OPS.get(kernel)
+        if op is not None:
+            spec = packer._factor_solve(cfg, l, r, op)
         else:
-            method = _PRODUCT_EMITTERS.get(kernel)
-            if method is None:
+            pack = _PRODUCT_PACKERS.get(kernel)
+            if pack is None:
                 raise _Unsupported("unsupported-step")
-            spec = getattr(em, method)(i, cfg, l, r, i == last)
+            spec = pack(packer, cfg, l, r, i == last)
         if i == last and (spec.t_out or spec.sym_out):
             # The caller's output array is C-ordered (r, c): as an F
             # buffer it wants the transposed (or symmetric) result — the
             # final step can produce it in place, no store pass.
-            dst = "outbuf"
+            dst = _OUT
         else:
-            dst = em.alloc(spec.pr * spec.pc)
-        body = "\n".join(f"      {line}" for line in spec.make(dst))
-        step_blocks.append(
-            f"    {{ /* step {i}: {kernel} -> "
-            f"{family or _PRODUCT_EMITTERS[kernel].lstrip('_')} */\n"
-            f"{body}\n    }}"
-        )
+            dst = _ref(_REF_WS, packer.alloc(spec.pr * spec.pc))
+        packed.append(spec.step._replace(c=dst))
         bufs.append(_Buf(spec.pr, spec.pc, spec.t_out, dst))
 
     final = bufs[-1]
     out_r, out_c = final.logical
-    if not (final.t or final.expr == "outbuf"):
+    if not (final.t or final.ref == _OUT):
         # Natural layout disagreed with the output array: one transposed
-        # store pass (outbuf is the F-contiguous (c, r) view of the
+        # store pass (the output is the F-contiguous (c, r) view of the
         # C-ordered result).
-        step_blocks.append(
-            "    { /* store: transpose into the output array */\n"
-            "      "
-            + _transpose_copy("outbuf", final.expr, out_c, out_r, final.pr)
-            + "\n    }"
+        packed.append(
+            _Step(OP_STORE_T, m=out_c, n=out_r, a=final.ref, lda=final.pr, c=_OUT)
         )
 
-    source = _render_module(
-        em, plan, n_inputs, (out_r, out_c), step_blocks
-    )
+    fields = [n_inputs, out_r, out_c, packer.ws_doubles, len(packed)]
+    for shape in plan.expected_shapes:
+        fields.extend(shape)
+    for step in packed:
+        fields.extend(step)
+    return array("q", fields).tobytes(), (out_r, out_c)
+
+
+# ---------------------------------------------------------------------------
+# The interpreter module and the per-plan native callable.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _interpreter_source() -> tuple[str, str]:
+    """``(cache key, source)`` of the interpreter: the key digests the
+    source and the ABI tag, so a changed source or interpreter never
+    loads a stale object."""
+    source = _SOURCE_PATH.read_text()
     digest = hashlib.sha256(
         f"{sys.implementation.cache_tag}\0{source}".encode()
     ).hexdigest()[:16]
-    modname = f"_repro_cg_{digest}"
-    return source.replace("@MOD@", modname), modname, em.routines, (
-        out_r,
-        out_c,
-    )
+    return f"step-interp-{digest}", source
 
 
-def _render_module(
-    em: _Emitter,
-    plan: "ExecutionPlan",
-    n_inputs: int,
-    out_shape: tuple[int, int],
-    step_blocks: list[str],
-) -> str:
-    nbuf = n_inputs + 1
-    out_doubles = out_shape[0] * out_shape[1]
-    typedefs = "\n".join(
-        f"typedef void (*{name}_fn)({_SIGNATURES[name]});\n"
-        f"static {name}_fn p_{name};"
-        for name in em.routines
-    )
-    assigns = "\n".join(
-        f"    p_{name} = ({name}_fn)PyLong_AsVoidPtr("
-        f"PyTuple_GET_ITEM(addrs, {k}));"
-        for k, name in enumerate(em.routines)
-    )
-    len_checks = []
-    for i, (r, c) in enumerate(plan.expected_shapes):
-        len_checks.append(
-            f"    if (buf[{i}].len != (Py_ssize_t){r * c} * 8) "
-            f"{{ PyErr_Format(PyExc_ValueError, "
-            f'"operand {i}: expected {r}x{c} float64"); goto fail; }}'
-        )
-    len_checks.append(
-        f"    if (buf[{n_inputs}].len != (Py_ssize_t){out_doubles} * 8) "
-        f"{{ PyErr_SetString(PyExc_ValueError, "
-        f'"output: expected {out_shape[0]}x{out_shape[1]} float64"); '
-        "goto fail; }"
-    )
-    input_decls = "\n".join(
-        f"    double* in{i} = (double*)buf[{i}].buf;"
-        for i in range(n_inputs)
-    )
-    ws_alloc = (
-        f"    ws = (double*)malloc((size_t){em.ws_doubles} * "
-        "sizeof(double));\n"
-        "    if (ws == NULL) { PyErr_NoMemory(); goto fail; }"
-        if em.ws_doubles
-        else "    (void)ws;"
-    )
-    plan_name = (plan.variant.name or "<anonymous>").replace('"', "'")
-    sizes = ",".join(str(s) for s in plan.sizes)
-    steps = "\n".join(step_blocks)
-    return f"""/* Generated by repro.runtime.backends.cemit
- * plan: {plan_name} at q=[{sizes}]
- * One native call replays the whole step list; BLAS/LAPACK is reached
- * through function pointers injected per process via init().
- */
-#include <Python.h>
-#include <stdlib.h>
-#include <string.h>
-
-{typedefs}
-
-static PyObject* cg_init(PyObject* self, PyObject* addrs) {{
-    if (!PyTuple_Check(addrs) || PyTuple_GET_SIZE(addrs) != {len(em.routines)}) {{
-        PyErr_SetString(PyExc_TypeError,
-                        "init expects a tuple of {len(em.routines)} addresses");
-        return NULL;
-    }}
-{assigns}
-    if (PyErr_Occurred()) return NULL;
-    Py_RETURN_NONE;
-}}
-
-static PyObject* cg_run(PyObject* self, PyObject* const* args,
-                        Py_ssize_t nargs) {{
-    Py_buffer buf[{nbuf}];
-    int held = 0;
-    double* ws = NULL;
-    int err_step = -1, err_info = 0;
-    const char* err_routine = NULL;
-    if (nargs != {nbuf}) {{
-        PyErr_SetString(PyExc_TypeError,
-                        "run expects {n_inputs} operands plus the output");
-        return NULL;
-    }}
-    for (; held < {n_inputs}; held++)
-        if (PyObject_GetBuffer(args[held], &buf[held], PyBUF_SIMPLE) < 0)
-            goto fail;
-    if (PyObject_GetBuffer(args[{n_inputs}], &buf[{n_inputs}],
-                           PyBUF_WRITABLE) < 0)
-        goto fail;
-    held++;
-{chr(10).join(len_checks)}
-{ws_alloc}
-    {{
-{input_decls}
-    double* outbuf = (double*)buf[{n_inputs}].buf;
-    Py_BEGIN_ALLOW_THREADS
-{steps}
-    goto native_done;
-native_done: ;
-    Py_END_ALLOW_THREADS
-    }}
-    if (err_step >= 0) {{
-        PyErr_Format(PyExc_RuntimeError,
-                     "plan step %d: %s failed (info=%d)",
-                     err_step, err_routine, err_info);
-        goto fail;
-    }}
-    free(ws);
-    while (held) PyBuffer_Release(&buf[--held]);
-    Py_RETURN_NONE;
-fail:
-    free(ws);
-    while (held) PyBuffer_Release(&buf[--held]);
-    return NULL;
-}}
-
-static PyMethodDef cg_methods[] = {{
-    {{"init", (PyCFunction)cg_init, METH_O, NULL}},
-    {{"run", (PyCFunction)(void*)cg_run, METH_FASTCALL, NULL}},
-    {{NULL, NULL, 0, NULL}}
-}};
-
-static struct PyModuleDef cg_module = {{
-    PyModuleDef_HEAD_INIT, "@MOD@", NULL, -1, cg_methods
-}};
-
-PyMODINIT_FUNC PyInit_@MOD@(void) {{
-    return PyModule_Create(&cg_module);
-}}
-"""
-
-
-# ---------------------------------------------------------------------------
-# Loading and the per-plan native callable.
-# ---------------------------------------------------------------------------
-
-#: module name -> bound ``run`` of an already-initialized module.  Shared
-#: objects cannot be unloaded; one load serves every plan that hashes to
-#: the same emission.
+#: cache key -> bound ``run`` of the initialized interpreter.  Shared
+#: objects cannot be unloaded; one load per process serves every plan.
 _loaded: dict[str, Callable] = {}
 _loaded_lock = threading.Lock()
 
 
-def _load_native_run(
-    modname: str, so_path: str, routines: list[str]
-) -> Callable:
+def _load_native_run(key: str, so_path: str) -> Callable:
     with _loaded_lock:
-        run = _loaded.get(modname)
+        run = _loaded.get(key)
         if run is not None:
             return run
-        loader = importlib.machinery.ExtensionFileLoader(modname, so_path)
+        loader = importlib.machinery.ExtensionFileLoader(_MODULE_NAME, so_path)
         spec = importlib.util.spec_from_file_location(
-            modname, so_path, loader=loader
+            _MODULE_NAME, so_path, loader=loader
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         addresses = _harvest_addresses()
         if addresses is None:  # pragma: no cover - guarded by lower_plan
             raise ExecutionError("BLAS capsule addresses unavailable")
-        module.init(tuple(addresses[name] for name in routines))
+        module.init(tuple(addresses[name] for name in _ROUTINES), ExecutionError)
         run = module.run
-        _loaded[modname] = run
+        _loaded[key] = run
         return run
 
 
 class _NativePlan:
-    """The compiled plan's replay callable: one native call, one output.
+    """The packed plan's replay callable: one native call, one output.
 
     A fresh output array per call keeps plans stateless (concurrent
     replays share nothing but the read-only input buffers and the
-    module's code).  The retry path re-presents inputs C-contiguously —
-    the one copy non-contiguous callers pay, exactly where the blas
-    backend pays ``np.asfortranarray``.
+    record).  The interpreter raises :class:`ExecutionError` itself for
+    wrong-shaped operands and failed factorizations; ``BufferError``
+    (right shape, but not C-contiguous float64) takes the retry path,
+    which re-presents inputs C-contiguously — the one copy non-contiguous
+    callers pay, exactly where the blas backend pays
+    ``np.asfortranarray``.
     """
 
-    __slots__ = ("_run", "_out_shape")
+    __slots__ = ("_run", "_record", "_out_shape")
 
-    def __init__(self, run: Callable, out_shape: tuple[int, int]):
+    def __init__(self, run: Callable, record: bytes, out_shape: tuple[int, int]):
         self._run = run
+        self._record = record
         self._out_shape = out_shape
 
     def __call__(self, values: list[np.ndarray]) -> np.ndarray:
         out = np.empty(self._out_shape, dtype=np.float64)
         try:
-            try:
-                self._run(*values, out)
-            except (BufferError, ValueError):
-                self._run(
-                    *[
-                        np.ascontiguousarray(v, dtype=np.float64)
-                        for v in values
-                    ],
-                    out,
-                )
-        except RuntimeError as exc:  # LAPACK info != 0, translated
-            raise ExecutionError(str(exc)) from exc
+            self._run(self._record, *values, out)
+        except BufferError:
+            self._run(
+                self._record,
+                *[np.ascontiguousarray(v, dtype=np.float64) for v in values],
+                out,
+            )
         return out
 
 
@@ -858,7 +602,7 @@ class _NativePlan:
 
 
 class CEmitBackend(Backend):
-    """Code-generate whole plans to native step loops; lower steps via blas.
+    """Pack whole plans for the native step interpreter; lower steps via blas.
 
     ``specialize`` delegates to :class:`BlasBackend`, so every plan this
     backend compiles also carries the per-step blas lowering — that is
@@ -888,29 +632,29 @@ class CEmitBackend(Backend):
         registry = get_registry()
         start = time.perf_counter()
         try:
-            source, modname, routines, out_shape = emit_plan_source(plan)
+            record, out_shape = pack_plan(plan)
         except _Unsupported as exc:
             return self._fall_back(exc.reason, plan)
+        # The "emit" stage times packing: no C is written per plan.
         registry.histogram("runtime.codegen_seconds", stage="emit").observe(
             time.perf_counter() - start
         )
         try:
-            so_path = get_codegen_cache().shared_object(
-                modname, source, toolchain
-            )
-        except ToolchainError as exc:
+            key, source = _interpreter_source()
+            so_path = get_codegen_cache().shared_object(key, source, toolchain)
+        except (OSError, ToolchainError) as exc:
             logger.info("codegen compile failed: %s", exc)
             return self._fall_back("compile-error", plan)
         start = time.perf_counter()
         try:
-            run = _load_native_run(modname, so_path, routines)
+            run = _load_native_run(key, so_path)
         except Exception as exc:
-            logger.info("codegen load failed for %s: %s", modname, exc)
+            logger.info("codegen load failed for %s: %s", key, exc)
             return self._fall_back("load-error", plan)
         registry.histogram("runtime.codegen_seconds", stage="load").observe(
             time.perf_counter() - start
         )
-        return _NativePlan(run, out_shape)
+        return _NativePlan(run, record, out_shape)
 
     @staticmethod
     def _fall_back(reason: str, plan: "ExecutionPlan") -> None:

@@ -1,7 +1,8 @@
-"""C toolchain discovery for the code-generating execution backend.
+"""C toolchain discovery for the native ``c`` execution backend.
 
-The ``c`` backend (:mod:`repro.runtime.backends.cemit`) compiles emitted
-plan modules lazily with whatever C compiler the host provides.  This
+The ``c`` backend (:mod:`repro.runtime.backends.cemit`) compiles its
+native step interpreter lazily, once per codegen cache directory, with
+whatever C compiler the host provides.  This
 module owns the discovery seam so it can be patched in tests and masked
 in CI:
 
@@ -12,7 +13,7 @@ in CI:
 * ``$REPRO_DISABLE_CC`` (any non-empty value) masks discovery entirely —
   the no-compiler degradation path, exercised once per CI run;
 * a toolchain is only reported when the CPython ``Python.h`` header is
-  present (emitted modules are CPython extensions).
+  present (the interpreter is a CPython extension).
 
 Discovery is cached per process (compilers do not appear mid-run);
 :func:`reset_toolchain_cache` drops the cache for tests that flip the
@@ -41,7 +42,7 @@ _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 
 
 class ToolchainError(RuntimeError):
-    """A discovered compiler failed to build an emitted module."""
+    """A discovered compiler failed to build the interpreter."""
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,13 @@ class Toolchain:
     include_dir: str
 
     def compile_shared(self, source_path: str, output_path: str) -> None:
-        """Compile one emitted C file into a shared object.
+        """Compile one C file (the step interpreter) into a shared object.
 
-        ``-O2 -fPIC -shared`` is the whole story: the emitted code is a
-        thin step loop around function-pointer calls, so there is nothing
-        for heroic optimization levels to find, and keeping the command
-        minimal keeps it portable across cc/gcc/clang.
+        ``-O2 -fPIC -shared`` is the whole story: the interpreter is a
+        thin loop over packed steps around function-pointer calls, so
+        there is nothing for heroic optimization levels to find, and
+        keeping the command minimal keeps it portable across
+        cc/gcc/clang.
         """
         cmd = [
             self.compiler,

@@ -1,19 +1,19 @@
-"""Bounded on-disk cache for code-generated plan modules.
+"""Bounded on-disk cache for the ``c`` backend's compiled native code.
 
-The ``c`` execution backend emits each frozen plan as C source and
-compiles it to a CPython extension.  Compilation is the only expensive
-part (~100ms per plan vs microseconds to load), so the shared objects are
-content-addressed on disk — keyed by a digest of the emitted source plus
-the interpreter ABI tag, which folds in everything that matters: the plan
-structure, the concrete sizes, every resolved flag, and the module name
-itself.  A warm deployment therefore never re-invokes the compiler: the
+The ``c`` execution backend replays every plan through one native step
+interpreter, a CPython extension compiled from a fixed C source.
+Compilation is the only expensive part (a few hundred milliseconds, once,
+vs microseconds to load), so the shared object is content-addressed on
+disk — keyed by a digest of the source plus the interpreter ABI tag.
+Plans never reach the key: packing a plan for new sizes needs no
+compiler.  A warm deployment therefore never re-invokes the compiler: the
 second process finds ``<key>.so`` and loads it directly (asserted by the
 CI bench via the ``runtime.codegen_cache`` counters).
 
 Like the compilation disk cache (:class:`repro.serve.backends.DiskBackend`)
 the tier is *bounded*: total bytes are pruned least-recently-used by
 mtime, which a hit refreshes.  Publication is atomic (temp file +
-``os.replace``), so concurrent processes compiling the same plan race
+``os.replace``), so concurrent processes compiling the same source race
 harmlessly — one byte-identical object wins.
 
 Knobs: ``$REPRO_CODEGEN_CACHE_DIR`` / ``--codegen-cache-dir`` relocate
@@ -44,8 +44,9 @@ __all__ = [
     "get_codegen_cache",
 ]
 
-#: Default byte bound of the codegen tier.  Emitted objects are ~16-20KB
-#: each, so the default holds a few thousand distinct (plan, sizes) pairs.
+#: Default byte bound of the codegen tier.  One interpreter object (plus
+#: its source) is some tens of KB, so the bound holds every interpreter
+#: build (one per source revision and Python ABI) many times over.
 DEFAULT_CODEGEN_CACHE_BYTES = 64 * 1024 * 1024
 
 

@@ -653,7 +653,7 @@ class Dispatcher:
         per-backend win tallied in :attr:`auto_wins`).  When the blas
         lowering is pure fallback the plans are identical callables, so
         reference wins without measuring.  The ``c`` lowering joins the
-        tournament only when the host can actually emit native plans
+        tournament only when the host can actually run native plans
         *and* this plan did not fall back (a fallen-back c plan is the
         blas plan with extra codegen attempts).
         """

@@ -351,7 +351,7 @@ class ExecutionPlan:
         ]
         if self._native is not None:
             lines.append(
-                "  native: fused code-generated step loop (replay path)"
+                "  native: fused step-interpreter call (replay path)"
             )
         for step, (_, _, left, right, out), cfg, routine in zip(
             self.variant.steps, self._ops, self.call_configs, self.step_routines

@@ -1,18 +1,21 @@
 """The C-emitter backend: native lowering, parity, fallback, codegen cache.
 
-The ``c`` backend code-generates each frozen execution plan as a CPython
-extension whose single native function walks the step list through BLAS/
+The ``c`` backend packs each frozen execution plan into a step record that
+one prebuilt native interpreter (a CPython extension) walks through BLAS/
 LAPACK function pointers.  Three properties matter and are tested here:
 
 * **Parity** — a natively lowered plan produces the same numbers as the
   per-step blas lowering (tight tolerance) and the reference backend
-  (routine-level reassociation tolerance), across the kernel table.
+  (routine-level reassociation tolerance), across the kernel table and
+  over random chains (the hypothesis differential test), and rejects
+  wrong-shaped operands like the other backends.
 * **Graceful degradation** — no compiler, no capsules, or an unsupported
   step must silently fall back to ``blas`` (the plan reports the backend
   it actually runs on) while counting the reason in
   ``runtime.codegen_fallbacks``.
-* **Bounded codegen cache** — shared objects persist across processes in
-  an LRU-by-bytes on-disk cache with hit/miss/eviction accounting.
+* **Bounded codegen cache** — the interpreter's shared object persists
+  across processes in an LRU-by-bytes on-disk cache with hit/miss/eviction
+  accounting, and is compiled once, not once per plan.
 """
 
 from __future__ import annotations
@@ -21,12 +24,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import compile_chain
+from repro.compiler.selection import all_variants
+from repro.errors import ExecutionError
+from repro.experiments.sampling import EXTENDED_MATRIX_OPTIONS, option_to_operand
+from repro.ir.chain import Chain
+from repro.ir.operand import Operand, UnaryOp
 from repro.obs import get_registry
 from repro.runtime import (
     blas_available,
     cemit_available,
+    compile_plan,
     naive_evaluate,
     random_instance_arrays,
 )
@@ -56,9 +66,9 @@ def _fallback_count(reason: str) -> int:
 # Numerical equivalence across the kernel table
 # ---------------------------------------------------------------------------
 
-#: (id, source) — one chain per emitter family, plus transposed/side
-#: variants that exercise the flag algebra (trans/side/uplo resolved to
-#: constants at emit time).
+#: (id, source) — one chain per packer family, plus transposed/side
+#: variants that exercise the flag algebra (trans/side/uplo resolved into
+#: the step record at plan-compile time).
 PARITY_CHAINS = [
     (
         "gemm",
@@ -214,7 +224,115 @@ def test_native_result_is_fresh_per_call():
 @needs_cemit
 def test_describe_reports_native_path():
     _, _, plan = _plan_for(PARITY_CHAINS[0][1], "c")
-    assert "native: fused code-generated step loop" in plan.describe()
+    assert "native: fused step-interpreter call" in plan.describe()
+
+
+@needs_cemit
+@pytest.mark.parametrize(
+    "kind, routine", [("gen_solve", "dgetrf"), ("spd_solve", "dposv")]
+)
+def test_failed_factorization_names_step_and_routine(kind, routine):
+    chain, q, plan = _plan_for(dict(PARITY_CHAINS)[kind], "c")
+    assert plan.backend == "c"
+    arrays = random_instance_arrays(chain, q, np.random.default_rng(9))
+    arrays[0] = np.zeros_like(arrays[0])  # the coefficient
+    with pytest.raises(ExecutionError, match=f"plan step 0: {routine} failed"):
+        plan.execute(arrays)
+    assert not arrays[0].any()
+
+
+@pytest.mark.parametrize("backend", ["reference", "blas", "c"])
+@pytest.mark.parametrize("bad", ["transposed", "flat"])
+def test_wrong_shaped_operand_raises_on_every_backend(backend, bad):
+    if backend != "reference" and not blas_available():
+        pytest.skip("scipy BLAS/LAPACK routines unavailable")
+    chain, q, plan = _plan_for(PARITY_CHAINS[0][1], backend, sizes=[4, 5, 6, 3])
+    arrays = random_instance_arrays(chain, q, np.random.default_rng(8))
+    # Same element count as the expected (5, 6) operand: a byte-length
+    # check alone cannot tell these apart from the right operand.
+    arrays[1] = arrays[1].T.copy() if bad == "transposed" else arrays[1].ravel()
+    with pytest.raises(Exception) as raised:
+        plan.execute(arrays)
+    if plan.backend == "c":
+        assert isinstance(raised.value, ExecutionError)
+        assert "operand 1" in str(raised.value)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: random chains through every variant, c vs blas vs oracle
+# ---------------------------------------------------------------------------
+
+#: Sizes per equivalence class: 1, small, and large enough to skew shapes.
+_SIZES = st.one_of(st.just(1), st.integers(2, 6), st.integers(20, 40))
+
+
+@st.composite
+def _chain_and_sizes(draw):
+    """A random chain over the extended option space (transposes,
+    inverses, diagonals), possibly repeating one square matrix, with
+    sizes drawn per size-symbol class."""
+    n = draw(st.integers(2, 4))
+    operands = []
+    for i in range(n):
+        index = draw(st.integers(0, len(EXTENDED_MATRIX_OPTIONS) - 1))
+        operand = option_to_operand(index, f"M{i}", EXTENDED_MATRIX_OPTIONS)
+        if draw(st.booleans()):
+            operand = Operand(
+                operand.matrix, UnaryOp.from_flags(operand.op.inverted, True)
+            )
+        operands.append(operand)
+    square = [i for i, o in enumerate(operands) if o.is_square]
+    repeat = None
+    if len(square) >= 2 and draw(st.booleans()):
+        # The same matrix twice (as in A * B * A^T): one stored array.
+        src, dst = draw(st.permutations(square))[:2]
+        matrix, op = operands[src].matrix, operands[dst].op
+        inverted = op.inverted and matrix.is_invertible
+        operands[dst] = Operand(matrix, UnaryOp.from_flags(inverted, op.transposed))
+        repeat = (src, dst)
+    chain = Chain(tuple(operands))
+    classes = chain.equivalence_classes()
+    values = [draw(_SIZES) for _ in classes]
+    if repeat is not None:
+        # A repeated square matrix ties its two size classes together.
+        tied = {chain.class_of(i) for i in repeat}
+        shared = values[classes.index(next(iter(tied)))]
+        values = [shared if cls in tied else v for cls, v in zip(classes, values)]
+    sizes = [0] * (n + 1)
+    for cls, value in zip(classes, values):
+        for index in cls:
+            sizes[index] = value
+    return chain, tuple(sizes), repeat
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_chain_and_sizes(), seed=st.integers(0, 2**16))
+def _check_c_against_blas_and_oracle(case, seed):
+    chain, q, repeat = case
+    arrays = random_instance_arrays(chain, q, np.random.default_rng(seed))
+    if repeat is not None:
+        arrays[repeat[1]] = arrays[repeat[0]]
+    pristine = [a.copy() for a in arrays]
+    expected = naive_evaluate(chain, pristine)
+    scale = max(1.0, float(np.abs(expected).max()))
+    for variant in all_variants(chain):
+        got = compile_plan(variant, q, backend="c").execute(arrays)
+        via_blas = compile_plan(variant, q, backend="blas").execute(arrays)
+        np.testing.assert_allclose(got, via_blas, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(got / scale, expected / scale, atol=1e-6)
+        for orig, after in zip(pristine, arrays):
+            np.testing.assert_array_equal(orig, after)
+
+
+@needs_blas
+def test_interpreter_differential_compiles_at_most_once(tmp_path, monkeypatch):
+    cache = CodegenCache(directory=str(tmp_path))
+    monkeypatch.setattr(cemit, "get_codegen_cache", lambda: cache)
+    compiles = get_registry().counter("runtime.codegen_compiles")
+    before = compiles.value
+    _check_c_against_blas_and_oracle()
+    # Every (variant, sizes) pair above shares one interpreter build.
+    assert compiles.value - before <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +469,7 @@ def test_fresh_plan_hits_disk_cache_without_recompiling(tmp_path, monkeypatch):
     _, _, first = _plan_for(source, "c", sizes=[9, 10, 11])
     assert first.backend == "c"
     assert cache.stats()["compiles"] == 1
-    # A second plan build (fresh ExecutionPlan, same emitted module) must
+    # A second plan build (fresh ExecutionPlan, same interpreter) must
     # come out of the disk cache: zero additional compiler invocations.
     _, _, again = _plan_for(source, "c", sizes=[9, 10, 11])
     assert again.backend == "c"

@@ -241,6 +241,42 @@ class TestParityNet:
             BlasBackend().specialize("POGESV", cfg).impl(singular, rhs)
 
 
+    @needs_blas
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_sysv_gets_the_blocked_workspace(self, side, monkeypatch):
+        from repro.runtime.backends import blas as blas_mod
+
+        lapack = blas_mod._lapack
+        seen = []
+
+        class RecordingLapack:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            def dsysv(self, *args, **kwargs):
+                seen.append(kwargs.get("lwork"))
+                return lapack.dsysv(*args, **kwargs)
+
+        monkeypatch.setattr(blas_mod, "_lapack", RecordingLapack())
+        n = 48
+        cfg = KernelCallConfig(
+            side=side,
+            left_trans=False,
+            right_trans=False,
+            left_lower=None,
+            right_lower=None,
+        )
+        s = _stored_array("sym", n, n, lower=False)
+        g = RNG.standard_normal((n, 5) if side == "left" else (5, n))
+        left, right = (s, g) if side == "left" else (g, s)
+        got = BlasBackend().specialize("SYGESV", cfg).impl(left, right)
+        expected = ReferenceBackend().specialize("SYGESV", cfg).impl(left, right)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
+        # scipy's default lwork (n) forces the unblocked factorization.
+        optimum = int(lapack.dsysv_lwork(n, lower=0)[0])
+        assert seen and seen[0] is not None and seen[0] >= optimum
+
+
 class TestBackendRegistry:
     def test_get_backend_resolves_names_and_instances(self):
         assert get_backend("reference").name == "reference"
