@@ -39,6 +39,7 @@ from repro.compiler.variant import (
     _build_fixups,
     _make_same_class,
     build_variant,
+    build_variants,
 )
 
 
@@ -174,22 +175,7 @@ def dp_optimal_plan(chain: Chain, sizes: Sequence[int]) -> Variant:
         right_state = reconstruct(split + 1, j, right_key)
         index = len(steps)
         result = associate(left_state, right_state, same_class, index)
-        steps.append(
-            Step(
-                index=index,
-                kernel=result.kernel,
-                side=result.side,
-                cheap=result.cheap,
-                left_ref=result.left.source,
-                right_ref=result.right.source,
-                left_state=result.left,
-                right_state=result.right,
-                triplet=(i, split + 1, j + 1),
-                call_dims=result.call_dims,
-                cost=result.cost,
-                result_state=result.result,
-            )
-        )
+        steps.append(Step.of(result, index, (i, split + 1, j + 1)))
         return result.result
 
     final_state = reconstruct(0, chain.n - 1, best_key)
@@ -273,7 +259,5 @@ def dp_plan_variants(
     the instance rows; see :func:`dp_seed_trees` for the sampling and
     deduplication rules.
     """
-    return [
-        build_variant(chain, tree, name=f"D{i}")
-        for i, tree in enumerate(dp_seed_trees(chain, instances, max_plans))
-    ]
+    trees = dp_seed_trees(chain, instances, max_plans)
+    return build_variants(chain, trees, [f"D{i}" for i in range(len(trees))])

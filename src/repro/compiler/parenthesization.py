@@ -210,26 +210,11 @@ def fanning_out_tree(n: int, h: int) -> ParenTree:
 def linearize(tree: ParenTree) -> list[ParenTree]:
     """Total order of associations: leftmost available first (Section IV).
 
-    Repeatedly pick, among internal nodes whose children have both been
-    computed, the one with the smallest left index.  Two simultaneously
-    available associations can never share their left index (they would
-    overlap and hence be nested), so the order is well defined.
+    That order is the tree's post-order.  Every node of a left subtree has
+    a smaller ``lo`` than any node of its right sibling, and while the left
+    subtree is unfinished, its lowest unfinished node is available (the
+    parent is not).  So the left subtree is issued first, then the right,
+    then the parent; by induction, post-order (checked for every tree with
+    n <= 10 in ``tests/test_variant_builder.py``).
     """
-    nodes = list(tree.internal_nodes())
-    done: set[tuple[int, int]] = set()
-    order: list[ParenTree] = []
-
-    def ready(node: ParenTree) -> bool:
-        assert node.left is not None and node.right is not None
-        left_ok = node.left.is_leaf or (node.left.lo, node.left.hi) in done
-        right_ok = node.right.is_leaf or (node.right.lo, node.right.hi) in done
-        return left_ok and right_ok
-
-    remaining = set(range(len(nodes)))
-    while remaining:
-        candidates = [i for i in remaining if ready(nodes[i])]
-        chosen = min(candidates, key=lambda i: nodes[i].lo)
-        order.append(nodes[chosen])
-        done.add((nodes[chosen].lo, nodes[chosen].hi))
-        remaining.discard(chosen)
-    return order
+    return list(tree.internal_nodes())

@@ -10,7 +10,8 @@ sympy expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -18,11 +19,10 @@ import numpy as np
 
 from repro.errors import CompilationError
 from repro.ir.chain import Chain
-from repro.ir.features import Structure
 from repro.kernels.cost import CostFunction
 from repro.kernels.spec import COPY, TRANSPOSE, KernelSpec
 from repro.kernels.tables import lookup_inversion_kernel
-from repro.compiler.parenthesization import ParenTree, linearize
+from repro.compiler.parenthesization import ParenTree
 from repro.compiler.states import (
     AssociationResult,
     OperandState,
@@ -53,6 +53,39 @@ class Step:
     cost: CostFunction
     result_state: OperandState
 
+    @classmethod
+    def of(
+        cls, result: AssociationResult, index: int, triplet: tuple[int, int, int]
+    ) -> "Step":
+        """The step issuing one resolved association as call ``index``."""
+        return cls(
+            index=index,
+            kernel=result.kernel,
+            side=result.side,
+            cheap=result.cheap,
+            left_ref=result.left.source,
+            right_ref=result.right.source,
+            left_state=result.left,
+            right_state=result.right,
+            triplet=triplet,
+            call_dims=result.call_dims,
+            cost=result.cost,
+            result_state=result.result,
+        )
+
+    @cached_property
+    def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """This call's cost as (coefficient, ((symbol index, exponent), ...))."""
+        m, k, n = self.call_dims
+        flat = []
+        for term in self.cost.terms:
+            powers: dict[int, int] = {}
+            for sym, exp in ((m, term.em), (k, term.ek), (n, term.en)):
+                if exp:
+                    powers[sym] = powers.get(sym, 0) + exp
+            flat.append((float(term.coeff), tuple(sorted(powers.items()))))
+        return tuple(flat)
+
     def describe(self) -> str:
         a, b, c = self.triplet
         return (
@@ -71,6 +104,15 @@ class FixupStep:
     dim: int
     cost: CostFunction
 
+    @cached_property
+    def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """This fix-up's cost, flattened like :attr:`Step._flat_terms`."""
+        return tuple(
+            (float(term.coeff), ((self.dim, degree),))
+            for term in self.cost.terms
+            if (degree := term.em + term.ek + term.en)
+        )
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -87,22 +129,10 @@ class Variant:
 
     @cached_property
     def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """Cost flattened to (coefficient, ((symbol index, exponent), ...))."""
-        flat: list[tuple[float, tuple[tuple[int, int], ...]]] = []
-        for step in self.steps:
-            m, k, n = step.call_dims
-            for term in step.cost.terms:
-                powers: dict[int, int] = {}
-                for sym, exp in ((m, term.em), (k, term.ek), (n, term.en)):
-                    if exp:
-                        powers[sym] = powers.get(sym, 0) + exp
-                flat.append((float(term.coeff), tuple(sorted(powers.items()))))
-        for fix in self.fixups:
-            for term in fix.cost.terms:
-                degree = term.em + term.ek + term.en
-                if degree:
-                    flat.append((float(term.coeff), ((fix.dim, degree),)))
-        return tuple(flat)
+        """Cost flattened to (coefficient, ((symbol index, exponent), ...)):
+        the cached terms of every step, then of every fix-up."""
+        parts = self.steps + self.fixups
+        return tuple(itertools.chain.from_iterable(p._flat_terms for p in parts))
 
     def flop_cost(self, sizes: Sequence[int]) -> float:
         """Numeric FLOP cost ``T(A, q)`` on a concrete instance ``q``."""
@@ -205,63 +235,61 @@ def _build_fixups(state: OperandState, chain: Chain) -> tuple[FixupStep, ...]:
     return tuple(fixups)
 
 
-def build_variant(chain: Chain, tree: ParenTree, name: str = "") -> Variant:
-    """Construct the unique variant for a parenthesization (Section IV).
+def build_variants(
+    chain: Chain, trees: Sequence[ParenTree], names: Sequence[str]
+) -> list[Variant]:
+    """Construct the variant of every tree in ``trees`` (Section IV).
 
-    The parenthesization's partial order is extended to a total order by
-    issuing the leftmost available association first; each association is
-    then resolved through the four-step procedure of
-    :func:`repro.compiler.states.associate`.
+    Associations are issued leftmost available first, i.e. in post-order
+    (see :func:`~repro.compiler.parenthesization.linearize`), each resolved
+    by :func:`repro.compiler.states.associate`.  A subtree's steps depend
+    only on the subtree and the number of steps before it, so they are
+    memoized, for this call only, on (subtree identity, post-order offset):
+    one ``associate`` and one :class:`Step` per key, and every variant's
+    ``steps`` is a concatenation of shared tuples.
     """
-    if tree.lo != 0 or tree.hi != chain.n - 1:
-        raise CompilationError(
-            f"tree spans matrices {tree.lo}..{tree.hi} but the chain has "
-            f"{chain.n} matrices"
-        )
-    same_class = _make_same_class(chain)
-    states = initial_states(chain)
-
-    if chain.n == 1:
-        return _single_matrix_variant(chain, states[0], name)
-
-    # Map from a node span to the state holding its computed value.
-    span_state: dict[tuple[int, int], OperandState] = {
-        (i, i): states[i] for i in range(chain.n)
-    }
-    steps: list[Step] = []
-    for index, node in enumerate(linearize(tree)):
-        assert node.left is not None and node.right is not None
-        left_state = span_state[(node.left.lo, node.left.hi)]
-        right_state = span_state[(node.right.lo, node.right.hi)]
-        result = associate(left_state, right_state, same_class, index)
-        steps.append(
-            Step(
-                index=index,
-                kernel=result.kernel,
-                side=result.side,
-                cheap=result.cheap,
-                left_ref=result.left.source,
-                right_ref=result.right.source,
-                left_state=result.left,
-                right_state=result.right,
-                triplet=node.triplet,
-                call_dims=result.call_dims,
-                cost=result.cost,
-                result_state=result.result,
+    trees = list(trees)
+    for tree in trees:
+        if tree.lo != 0 or tree.hi != chain.n - 1:
+            raise CompilationError(
+                f"tree spans matrices {tree.lo}..{tree.hi} but the chain has "
+                f"{chain.n} matrices"
             )
-        )
-        span_state[(node.lo, node.hi)] = result.result
+    states = initial_states(chain)
+    if chain.n == 1:
+        pairs = zip(trees, names, strict=True)
+        return [_single_matrix_variant(chain, states[0], name) for _, name in pairs]
+    same_class = _make_same_class(chain)
+    leaves = [((), state) for state in states]
+    # Keyed by id(): ``trees`` keeps every node alive for the whole call.
+    memo: dict[tuple[int, int], tuple[tuple[Step, ...], OperandState]] = {}
 
-    final_state = span_state[(0, chain.n - 1)]
-    fixups = _build_fixups(final_state, chain)
-    return Variant(
-        chain=chain,
-        tree=tree,
-        steps=tuple(steps),
-        fixups=fixups,
-        final_state=final_state,
-        name=name,
-    )
+    def build(node: ParenTree, offset: int) -> tuple[tuple[Step, ...], OperandState]:
+        if node.is_leaf:
+            return leaves[node.lo]
+        key = (id(node), offset)
+        built = memo.get(key)
+        if built is None:
+            left_steps, left_state = build(node.left, offset)
+            right_steps, right_state = build(node.right, offset + len(left_steps))
+            index = offset + len(left_steps) + len(right_steps)
+            result = associate(left_state, right_state, same_class, index)
+            step = Step.of(result, index, node.triplet)
+            built = memo[key] = (left_steps + right_steps + (step,), result.result)
+        return built
+
+    variants = []
+    for tree, name in zip(trees, names, strict=True):
+        steps, final = build(tree, 0)
+        variants.append(
+            Variant(chain, tree, steps, _build_fixups(final, chain), final, name)
+        )
+    return variants
+
+
+def build_variant(chain: Chain, tree: ParenTree, name: str = "") -> Variant:
+    """The unique variant of one parenthesization (see :func:`build_variants`)."""
+    return build_variants(chain, [tree], [name])[0]
 
 
 def _single_matrix_variant(chain: Chain, state: OperandState, name: str) -> Variant:
@@ -269,16 +297,7 @@ def _single_matrix_variant(chain: Chain, state: OperandState, name: str) -> Vari
     fixups: list[FixupStep] = list(_build_fixups(state, chain))
     if not fixups:
         fixups.append(FixupStep(kernel=COPY, dim=state.rows, cost=COPY.cost()))
-    resolved = OperandState(
-        structure=state.structure,
-        prop=state.prop,
-        inverted=False,
-        transposed=False,
-        rows=state.rows,
-        cols=state.cols,
-        square=state.square,
-        source=("step", 0),
-    )
+    resolved = replace(state, inverted=False, transposed=False, source=("step", 0))
     return Variant(
         chain=chain,
         tree=None,

@@ -419,10 +419,11 @@ class Dispatcher:
 
         ``instances`` is one size vector or an ``(count, n+1)`` array; the
         result has shape ``(num_variants, count)``.  With ``validate``
-        (the default) every row is checked against the chain; trusted
-        callers that already validated their instances — size inference,
-        the serve layer — pass ``validate=False`` to skip the per-row
-        Python loop (a cheap width check still applies).  Under the
+        (the default) every row is checked against the chain, in one
+        numpy pass (:meth:`_validated_batch`); trusted callers that
+        already validated their instances — size inference, the serve
+        layer — pass ``validate=False`` to skip it (a cheap width check
+        still applies).  Under the
         default FLOP estimator the whole matrix is computed with the
         :func:`~repro.compiler.selection.flatten_cost_terms` broadcast
         sweep (one numpy pass over all variants and instances, no
@@ -444,19 +445,36 @@ class Dispatcher:
                 f"array, got shape {instances.shape}"
             )
         if validate:
-            return np.array(
-                [
-                    self.chain.validate_sizes([int(x) for x in row])
-                    for row in instances
-                ],
-                dtype=np.float64,
-            ).reshape(instances.shape[0], self.chain.n + 1)
+            return self._validated_batch(instances)
         if instances.shape[1] != self.chain.n + 1:
             raise DispatchError(
                 f"instances have {instances.shape[1]} sizes, expected "
                 f"{self.chain.n + 1}"
             )
         return np.asarray(instances, dtype=np.float64)
+
+    def _validated_batch(self, instances: np.ndarray) -> np.ndarray:
+        """Check every row as :meth:`Chain.validate_sizes` does, in numpy.
+
+        Width, positivity after the same int truncation, and the
+        square-operand equalities are checked on the whole batch at once.
+        On any failure, or a non-finite or non-numeric entry, the per-row
+        loop runs instead, so the exception and its message are the scalar
+        check's.
+        """
+        width = self.chain.n + 1
+        kind = instances.dtype.kind
+        if instances.shape[1] == width and (
+            kind in "iu" or (kind == "f" and np.isfinite(instances).all())
+        ):
+            q = instances if kind in "iu" else np.trunc(instances)
+            square = [i for i, op in enumerate(self.chain.operands) if op.is_square]
+            if (q > 0).all() and (q[:, square] == q[:, [i + 1 for i in square]]).all():
+                return q.astype(np.float64)
+        return np.array(
+            [self.chain.validate_sizes([int(x) for x in row]) for row in instances],
+            dtype=np.float64,
+        ).reshape(instances.shape[0], width)
 
     def _evaluate_costs(
         self,
@@ -522,7 +540,7 @@ class Dispatcher:
         One broadcast cost sweep covers all instances; ``argmin`` keeps the
         documented tie-break (first occurrence of the minimum, i.e. the
         earliest variant in ``self.variants`` order).  ``validate=False``
-        skips per-row instance validation for pre-validated callers.
+        skips instance validation for pre-validated callers.
         """
         validated = self._as_instance_matrix(instances, validate)
         snapshot = self._sync_pool()

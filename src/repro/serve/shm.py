@@ -35,8 +35,10 @@ handle the fallback transparently.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -106,6 +108,14 @@ def _payload_spec(payload: dict) -> tuple[str, tuple[int, ...], np.dtype]:
     return name, tuple(shape), dtype
 
 
+#: Segments this process created, by name.  Attaching to one of them
+#: (client and server in one process) must leave its resource-tracker
+#: registration alone: the creator's ``unlink()`` unregisters it, and a
+#: second unregister makes the tracker print a KeyError traceback.
+_CREATED: "weakref.WeakValueDictionary[str, object]" = weakref.WeakValueDictionary()
+_ATTACH_LOCK = threading.Lock()
+
+
 def create_segment_payload(
     array: np.ndarray, *, reaper: Optional["SegmentReaper"] = None
 ) -> tuple[dict, "object"]:
@@ -130,6 +140,7 @@ def create_segment_payload(
         segment.close()
         segment.unlink()
         raise
+    _CREATED[segment.name] = segment
     payload = {
         "encoding": "shm",
         "name": segment.name,
@@ -139,6 +150,29 @@ def create_segment_payload(
     if reaper is not None:
         reaper.track(segment)
     return payload, segment
+
+
+def _attach(shared_memory, name: str):
+    """Map an existing segment without taking ownership of its name.
+
+    Attaching registers the segment with this process's resource tracker
+    before Python 3.13, and the tracker unlinks whatever is still
+    registered when the process exits.  A server that only attaches to a
+    client's request segment would then destroy it (and warn about a
+    "leaked" object) on exit.  The creator owns the name, so the attach
+    is unregistered at once.  The tracker keeps a set of names, so two
+    threads attaching the same segment must not interleave their
+    register/unregister pairs: the second unregister would miss.
+    """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    from multiprocessing import resource_tracker
+
+    with _ATTACH_LOCK:
+        segment = shared_memory.SharedMemory(name=name)
+        if name not in _CREATED:
+            resource_tracker.unregister(segment._name, "shared_memory")
+    return segment
 
 
 def open_segment(payload: dict) -> tuple[np.ndarray, "object"]:
@@ -151,7 +185,7 @@ def open_segment(payload: dict) -> tuple[np.ndarray, "object"]:
     shared_memory = _shared_memory()
     name, shape, dtype = _payload_spec(payload)
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        segment = _attach(shared_memory, name)
     except FileNotFoundError as exc:
         raise ValueError(f"unknown shm segment {name!r}") from exc
     nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize

@@ -204,6 +204,70 @@ class TestValidateFastPath:
             dispatcher.cost_matrix(np.ones((2, 3)), validate=False)
 
 
+class TestBatchValidation:
+    """The numpy batch check agrees with ``Chain.validate_sizes`` per row."""
+
+    def setup_method(self):
+        from repro.ir.chain import Chain
+
+        from conftest import make_general, make_lower, make_symmetric
+
+        # L is square (q0 == q1), S is square (q2 == q3), G is not.
+        self.chain = Chain(
+            (
+                make_lower("L").as_operand(),
+                make_general("G").as_operand(),
+                make_symmetric("S").as_operand(),
+            )
+        )
+        self.dispatcher = Dispatcher(self.chain, all_variants(self.chain))
+
+    def per_row(self, instances):
+        instances = np.atleast_2d(np.asarray(instances))
+        return np.array(
+            [self.chain.validate_sizes([int(x) for x in row]) for row in instances],
+            dtype=np.float64,
+        ).reshape(instances.shape[0], self.chain.n + 1)
+
+    @pytest.mark.parametrize(
+        "instances",
+        [
+            [[3, 3, 5, 5], [7, 7, 2, 2]],
+            np.array([[3, 3, 5, 5], [7, 7, 2, 2]], dtype=np.int32),
+            np.array([[3.7, 3.2, 5.0, 5.9], [7.0, 7.0, 2.5, 2.0]]),
+            [4, 4, 6, 6],
+            np.zeros((0, 4)),
+            np.zeros((0, 3)),
+        ],
+    )
+    def test_valid_batches_match_per_row_loop(self, instances):
+        got = self.dispatcher._as_instance_matrix(np.asarray(instances), True)
+        expected = self.per_row(instances)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "instances",
+        [
+            [[3, 3, 5, 5], [0, 0, 2, 2]],  # zero
+            [[3, 3, 5, 5], [-4, -4, 2, 2]],  # negative
+            [[0.5, 0.5, 5, 5]],  # positive, but truncates to zero
+            [[3, 4, 5, 5]],  # L not square
+            [[3, 3, 5, 6]],  # S not square
+            [[3, 3, 5]],  # wrong width
+            [[3, 3, 5, 5, 5]],  # wrong width
+            [[3.0, 3.0, float("nan"), 5.0]],  # NaN
+            [[3.0, 3.0, float("inf"), 5.0]],  # infinite
+        ],
+    )
+    def test_invalid_batches_raise_like_per_row_loop(self, instances):
+        with pytest.raises(Exception) as expected:
+            self.per_row(instances)
+        with pytest.raises(type(expected.value)) as got:
+            self.dispatcher.cost_matrix(np.asarray(instances))
+        assert str(got.value) == str(expected.value)
+
+
 class TestExecuteMany:
     def test_matches_per_call_execution(self):
         rng = np.random.default_rng(7)

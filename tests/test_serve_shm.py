@@ -1,7 +1,11 @@
 """Zero-copy shared-memory operand transport (repro.serve.shm)."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,48 @@ class TestSegmentRoundTrip:
         finally:
             segment.close()
             segment.unlink()
+
+
+class TestAttachOwnership:
+    """Attaching never takes ownership: the creator owns the name."""
+
+    def test_attaching_process_exit_keeps_segment(self):
+        payload, segment = shm.create_segment_payload(np.arange(4.0))
+        # The child attaches from several threads at once, as a server
+        # does when concurrent requests carry the same segment.
+        child = (
+            "import json, sys, threading\n"
+            "from repro.serve import shm\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "payload = json.loads(sys.argv[1])\n"
+            "def attach():\n"
+            "    for _ in range(100):\n"
+            "        view, mapped = shm.open_segment(payload)\n"
+            "        assert view.tolist() == [0.0, 1.0, 2.0, 3.0]\n"
+            "        del view\n"
+            "        mapped.close()\n"
+            "threads = [threading.Thread(target=attach) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(shm.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", child, json.dumps(payload)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            assert "leaked" not in done.stderr
+            assert "Traceback" not in done.stderr, done.stderr
+            # The child's exit must not have unlinked the parent's segment.
+            assert np.array_equal(shm.read_segment_payload(payload), np.arange(4.0))
+        finally:
+            segment.close()
+            shm.release_segment(payload["name"])
 
 
 class TestReaper:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CompilationError
 from repro.ir.chain import Chain
+from repro.ir.operand import Operand, UnaryOp
+from repro.compiler import variant as variant_module
 from repro.compiler.parenthesization import (
     enumerate_trees,
     leaf,
@@ -14,7 +17,18 @@ from repro.compiler.parenthesization import (
     linearize,
     right_to_left_tree,
 )
-from repro.compiler.variant import build_variant
+from repro.compiler.selection import all_variants, flatten_cost_terms
+from repro.compiler.states import associate, initial_states
+from repro.compiler.variant import (
+    Step,
+    Variant,
+    _build_fixups,
+    _make_same_class,
+    _single_matrix_variant,
+    build_variant,
+    build_variants,
+)
+from repro.experiments.sampling import EXTENDED_MATRIX_OPTIONS, option_to_operand
 
 from conftest import (
     general_chain,
@@ -167,3 +181,203 @@ class TestErrorsAndMeta:
         many = variant.flop_cost_many(instances)
         for row, expected in zip(instances, many):
             assert variant.flop_cost(tuple(row)) == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# The shared-step pool builder against the per-tree construction.
+# ---------------------------------------------------------------------------
+
+
+def leftmost_available_order(tree):
+    """Section IV's order, computed literally: repeatedly issue the
+    available association with the smallest left index."""
+    remaining = list(tree.internal_nodes())
+    done = set()
+    order = []
+    while remaining:
+        ready = [
+            node
+            for node in remaining
+            if all(
+                child.is_leaf or (child.lo, child.hi) in done
+                for child in (node.left, node.right)
+            )
+        ]
+        chosen = min(ready, key=lambda node: node.lo)
+        order.append(chosen)
+        done.add((chosen.lo, chosen.hi))
+        remaining.remove(chosen)
+    return order
+
+
+def per_tree_variant(chain, tree, name=""):
+    """Oracle: one tree at a time, every association resolved afresh."""
+    states = initial_states(chain)
+    if chain.n == 1:
+        return _single_matrix_variant(chain, states[0], name)
+    same_class = _make_same_class(chain)
+    span_state = {(i, i): states[i] for i in range(chain.n)}
+    steps = []
+    for index, node in enumerate(leftmost_available_order(tree)):
+        result = associate(
+            span_state[(node.left.lo, node.left.hi)],
+            span_state[(node.right.lo, node.right.hi)],
+            same_class,
+            index,
+        )
+        steps.append(
+            Step(
+                index=index,
+                kernel=result.kernel,
+                side=result.side,
+                cheap=result.cheap,
+                left_ref=result.left.source,
+                right_ref=result.right.source,
+                left_state=result.left,
+                right_state=result.right,
+                triplet=node.triplet,
+                call_dims=result.call_dims,
+                cost=result.cost,
+                result_state=result.result,
+            )
+        )
+        span_state[(node.lo, node.hi)] = result.result
+    final_state = span_state[(0, chain.n - 1)]
+    return Variant(
+        chain=chain,
+        tree=tree,
+        steps=tuple(steps),
+        fixups=_build_fixups(final_state, chain),
+        final_state=final_state,
+        name=name,
+    )
+
+
+def per_tree_pool(chain):
+    """Oracle for ``all_variants``: the per-tree loop over every tree."""
+    return [
+        per_tree_variant(chain, tree, name=f"P{i}")
+        for i, tree in enumerate(enumerate_trees(chain.n))
+    ]
+
+
+@st.composite
+def extended_chains(draw):
+    """Chains over the extended option space, with transposes and inverses."""
+    n = draw(st.integers(1, 7))
+    operands = []
+    for i in range(n):
+        index = draw(st.integers(0, len(EXTENDED_MATRIX_OPTIONS) - 1))
+        operand = option_to_operand(index, f"M{i}", EXTENDED_MATRIX_OPTIONS)
+        inverted = operand.op.inverted or (
+            operand.matrix.is_invertible and draw(st.booleans())
+        )
+        operands.append(
+            Operand(operand.matrix, UnaryOp.from_flags(inverted, draw(st.booleans())))
+        )
+    return Chain(tuple(operands))
+
+
+class TestSharedStepBuilder:
+    @settings(max_examples=40, deadline=None)
+    @given(extended_chains())
+    def test_pool_equals_per_tree_loop(self, chain):
+        try:
+            expected = per_tree_pool(chain)
+        except CompilationError:
+            with pytest.raises(CompilationError):
+                all_variants(chain)
+            return
+        assert all_variants(chain) == expected
+        # The one-tree case goes through the same builder.
+        tree = enumerate_trees(chain.n)[-1]
+        assert build_variant(chain, tree, "x") == per_tree_variant(chain, tree, "x")
+
+    def test_gemm10_equals_per_tree_loop(self):
+        chain = general_chain(10)
+        got = all_variants(chain)
+        assert len(got) == 4862
+        assert got == per_tree_pool(chain)
+
+    def test_steps_are_shared_between_variants(self):
+        chain = general_chain(5)
+        pool = all_variants(chain)
+        distinct = {id(step) for variant in pool for step in variant.steps}
+        assert len(distinct) < sum(len(variant.steps) for variant in pool)
+
+    def test_names_must_match_trees(self):
+        chain = general_chain(3)
+        with pytest.raises(ValueError):
+            build_variants(chain, enumerate_trees(3), ["only-one"])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_linearize_is_post_order(self, n):
+        for tree in enumerate_trees(n):
+            order = list(tree.internal_nodes())
+            assert linearize(tree) == order
+            assert leftmost_available_order(tree) == order
+
+    @pytest.mark.parametrize("n, before, bound", [(7, 792, 345), (10, 43758, 11253)])
+    def test_associate_call_count(self, monkeypatch, n, before, bound):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return associate(*args)
+
+        chain = general_chain(n)
+        assert len(enumerate_trees(n)) * (n - 1) == before  # one per tree node
+        monkeypatch.setattr(variant_module, "associate", counting)
+        all_variants(chain)
+        assert len(calls) <= bound
+
+
+def per_row_term_stack(variants, num_symbols):
+    """Oracle for ``flatten_cost_terms``: one exponent row per term."""
+    coeffs, rows, owner = [], [], []
+    for v, variant in enumerate(variants):
+        for coeff, powers in variant._flat_terms:
+            row = np.zeros(num_symbols, dtype=np.int64)
+            for sym, exp in powers:
+                row[sym] = exp
+            coeffs.append(coeff)
+            rows.append(row)
+            owner.append(v)
+    exponents = np.stack(rows) if rows else np.zeros((0, num_symbols), np.int64)
+    return (
+        np.asarray(coeffs, dtype=np.float64),
+        exponents,
+        np.asarray(owner, dtype=np.intp),
+    )
+
+
+class TestFlattenCostTerms:
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_matches_per_row_oracle(self, n):
+        chain = Chain(
+            tuple(
+                option_to_operand(i % len(EXTENDED_MATRIX_OPTIONS), f"M{i}",
+                                  EXTENDED_MATRIX_OPTIONS)
+                for i in range(n)
+            )
+        )
+        pool = all_variants(chain)
+        got = flatten_cost_terms(pool, n + 1)
+        for got_array, expected_array in zip(got, per_row_term_stack(pool, n + 1)):
+            assert got_array.dtype == expected_array.dtype
+            np.testing.assert_array_equal(got_array, expected_array)
+
+    def test_empty_pool(self):
+        coeffs, exponents, owner = flatten_cost_terms([], 4)
+        assert coeffs.shape == (0,) and coeffs.dtype == np.float64
+        assert exponents.shape == (0, 4) and exponents.dtype == np.int64
+        assert owner.shape == (0,) and owner.dtype == np.intp
+
+    def test_variant_terms_concatenate_step_terms(self):
+        chain = Chain((make_general("A", invertible=True).inv,
+                       make_general("B", invertible=True).inv))
+        variant = build_variant(chain, left_to_right_tree(2))
+        assert variant.fixups  # GEINV fix-up terms follow the step terms
+        assert variant._flat_terms == (
+            variant.steps[0]._flat_terms + variant.fixups[0]._flat_terms
+        )
