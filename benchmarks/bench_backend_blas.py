@@ -1,7 +1,7 @@
 """Execution backends: BLAS-lowered plans vs the reference kernels.
 
 PR 6 adds a pluggable execution-backend layer (``repro.runtime.backends``).
-The ``blas`` backend maps each frozen ``KernelCallConfig`` to a direct
+The ``blas`` backend maps each step's ``StepCall`` record to a direct
 ``scipy.linalg.blas``/``lapack`` call (dtrmm/dsymm/dtrsm/dgemm/dsyrk, plus
 LAPACK solvers) with the transpose/side/triangularity algebra resolved into
 routine flags at plan-compile time, so structured operands stop paying

@@ -72,9 +72,9 @@ class SkewedBackend(Backend):
         self.factor = factor
         self._reference = ReferenceBackend()
 
-    def specialize(self, kernel_name, cfg):
-        lowered = self._reference.specialize(kernel_name, cfg)
-        if kernel_name != self.slow_kernel:
+    def specialize(self, call):
+        lowered = self._reference.specialize(call)
+        if call.kernel != self.slow_kernel:
             return lowered
         impl, reps = lowered.impl, self.factor
 

@@ -8,7 +8,7 @@ The **memo-less baseline** pays per call what the memo amortizes away:
 a full cost-matrix sweep with per-row instance validation (a dispatcher
 with ``memo_capacity=0``), a second ``infer_sizes`` inside
 ``execute_variant(check_shapes=True)``, and a plan compiled for the
-sizes before its single replay (kernel lowering, ``KernelCallConfig``
+sizes before its single replay (kernel lowering, ``StepCall``
 construction, slot resolution).
 
 The acceptance test asserts the memoized runtime answers repeated

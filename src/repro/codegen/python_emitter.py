@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.ir.chain import Chain
-from repro.compiler.states import OperandState
 from repro.compiler.variant import Variant
+from repro.runtime.executor import StepCall, _stored_lower
 
 _PRELUDE = '''\
 """Auto-generated by repro: multi-versioned GMC evaluator.
@@ -95,12 +95,15 @@ def _inv_diag(a):
     return np.diag(1.0 / np.diag(a))
 '''
 
-_SOLVE_FAMILY = {
-    "GEGESV": "ge", "GESYSV": "ge", "GETRSV": "ge",
-    "SYGESV": "sy", "SYSYSV": "sy", "SYTRSV": "sy",
-    "POGESV": "po", "POSYSV": "po", "POTRSV": "po",
-    "TRSM": "tr", "TRSYSV": "tr", "TRTRSV": "tr",
-    "DIGESV": "di", "DISYSV": "di", "DITRSV": "di", "DIDISV": "di",
+#: Solve family -> (prelude helper, whether it takes the coefficient's
+#: transpose flag, whether it takes its stored triangularity).  Every
+#: other family is a product, emitted as one ``_matmul``.
+_SOLVERS = {
+    "gesv": ("_solve_general", True, False),
+    "sysv": ("_solve_sym", False, False),
+    "posv": ("_solve_spd", False, False),
+    "disv": ("_solve_diag", False, False),
+    "trsm": ("_solve_tri", True, True),
 }
 
 
@@ -109,43 +112,25 @@ def _ref_expr(ref: tuple[str, int]) -> str:
     return f"A[{index}]" if kind == "matrix" else f"X{index}"
 
 
-def _stored_lower_literal(state: OperandState) -> str:
-    return "True" if state.stored_structure.name == "LOWER_TRIANGULAR" else "False"
-
-
 def _emit_step(step) -> str:
+    call = StepCall.of(step)
     left = _ref_expr(step.left_ref)
     right = _ref_expr(step.right_ref)
-    kernel = step.kernel.name
-    if kernel in _SOLVE_FAMILY:
-        family = _SOLVE_FAMILY[kernel]
-        if step.side == "left":
-            coeff, coeff_state, rhs, rhs_state = (
-                left, step.left_state, right, step.right_state
-            )
-        else:
-            coeff, coeff_state, rhs, rhs_state = (
-                right, step.right_state, left, step.left_state
-            )
-        if rhs_state.transposed:
-            rhs = f"np.ascontiguousarray({rhs}.T)"
-        trans = "True" if coeff_state.transposed else "False"
-        if family == "ge":
-            call = f'_solve_general({coeff}, {rhs}, "{step.side}", {trans})'
-        elif family == "sy":
-            call = f'_solve_sym({coeff}, {rhs}, "{step.side}")'
-        elif family == "po":
-            call = f'_solve_spd({coeff}, {rhs}, "{step.side}")'
-        elif family == "di":
-            call = f'_solve_diag({coeff}, {rhs}, "{step.side}")'
-        else:
-            lower = _stored_lower_literal(coeff_state)
-            call = f'_solve_tri({coeff}, {rhs}, "{step.side}", {trans}, {lower})'
+    solver = _SOLVERS.get(call.family)
+    if solver is None:
+        expr = f"_matmul({left}, {right}, {call.left_trans}, {call.right_trans})"
     else:
-        ta = "True" if step.left_state.transposed else "False"
-        tb = "True" if step.right_state.transposed else "False"
-        call = f"_matmul({left}, {right}, {ta}, {tb})"
-    return f"    X{step.index} = {call}  # {step.describe()}"
+        helper, takes_trans, takes_lower = solver
+        coeff, rhs = (left, right) if call.s_left else (right, left)
+        if call.o_trans:
+            rhs = f"np.ascontiguousarray({rhs}.T)"
+        args = [coeff, rhs, f'"{call.side}"']
+        if takes_trans:
+            args.append(str(call.s_trans))
+        if takes_lower:
+            args.append(str(bool(call.s_lower)))
+        expr = f"{helper}({', '.join(args)})"
+    return f"    X{step.index} = {expr}  # {step.describe()}"
 
 
 def _emit_fixups(variant: Variant, result_expr: str) -> list[str]:
@@ -160,7 +145,7 @@ def _emit_fixups(variant: Variant, result_expr: str) -> list[str]:
             lines.append(f"    result = _inv_spd({current})")
         elif name == "TRINV":
             lines.append(
-                f"    result = _inv_tri({current}, {_stored_lower_literal(state)})"
+                f"    result = _inv_tri({current}, {bool(_stored_lower(state))})"
             )
         elif name == "DIINV":
             lines.append(f"    result = _inv_diag({current})")

@@ -17,6 +17,10 @@ Conventions
 * ``trans_*`` flags mean "the logical operand is the transpose of the array
   passed in"; transposition is applied lazily through NumPy views.
 * ``lower_*`` flags give the *logical* triangularity where relevant.
+* Execution plans do not call the per-kernel functions: they lower each
+  step's :class:`~repro.runtime.executor.StepCall` once, by kernel
+  family, through :func:`specialize_kernel` (one matmul for every product
+  family, one structured solver per solve family).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ __all__ = [
     "dimm", "didimm", "digesv", "disysv", "ditrsv", "didisv",
     "geinv", "syinv", "poinv", "trinv", "diinv",
     "explicit_transpose", "copy",
-    "PRODUCT_KERNELS", "SOLVER_BY_KERNEL", "specialize_kernel",
+    "PRODUCT_FAMILIES", "SOLVER_BY_FAMILY", "specialize_kernel",
 ]
 
 
@@ -313,74 +317,54 @@ def copy(a):
 
 # ---------------------------------------------------------------------------
 # Plan-time specialization.  Every execution plan lowers its binary kernel
-# calls through these tables: product kernels all reduce to a (possibly
-# transposed) matmul on the full dense storage; solve kernels pick the
-# structured solver of their coefficient family.
+# calls through these family tables: product families all reduce to a
+# (possibly transposed) matmul on the full dense storage; solve families
+# pick the structured solver of their coefficient.
 # ---------------------------------------------------------------------------
 
-#: Kernels whose execution is a dense matmul over the full storage.
-PRODUCT_KERNELS = frozenset(
-    {"GEMM", "SYMM", "TRMM", "SYSYMM", "TRSYMM", "TRTRMM", "DIMM", "DIDIMM"}
-)
+#: Families whose execution is a dense matmul over the full storage.
+PRODUCT_FAMILIES = frozenset({"gemm", "symm", "trmm", "dimm", "didimm"})
 
-#: Solve kernels mapped to the structured solver of their coefficient family.
-SOLVER_BY_KERNEL = {
-    "GEGESV": _solve_general,
-    "GESYSV": _solve_general,
-    "GETRSV": _solve_general,
-    "SYGESV": _solve_symmetric,
-    "SYSYSV": _solve_symmetric,
-    "SYTRSV": _solve_symmetric,
-    "POGESV": _solve_spd,
-    "POSYSV": _solve_spd,
-    "POTRSV": _solve_spd,
-    "TRSM": _solve_triangular,
-    "TRSYSV": _solve_triangular,
-    "TRTRSV": _solve_triangular,
-    "DIGESV": _solve_diagonal,
-    "DISYSV": _solve_diagonal,
-    "DITRSV": _solve_diagonal,
-    "DIDISV": _solve_diagonal,
+#: Solve families mapped to the structured solver of their coefficient.
+SOLVER_BY_FAMILY = {
+    "gesv": _solve_general,
+    "sysv": _solve_symmetric,
+    "posv": _solve_spd,
+    "trsm": _solve_triangular,
+    "disv": _solve_diagonal,
 }
 
 
-def specialize_kernel(name, cfg):
-    """A direct ``(left, right) -> result`` callable for one frozen config.
+def specialize_kernel(call):
+    """A direct ``(left, right) -> result`` callable for one resolved call.
 
     Execution plans (:mod:`repro.runtime.plan`) call each kernel with the
-    same :class:`call config <repro.runtime.executor.KernelCallConfig>`
-    every time, so transpose resolution and side selection are resolved
-    once here.  The returned callable trusts its inputs: 2-D float64
-    arrays whose shapes were validated when the plan was compiled
-    (dimension mismatches surface as numpy errors, not
-    :class:`ExecutionError`).  Products lower to the ``op(L) @ op(R)``
-    matmul, solves to the family solver of :data:`SOLVER_BY_KERNEL` with
-    the transpose/triangularity algebra pre-applied.
+    same :class:`~repro.runtime.executor.StepCall` every time, so
+    transpose resolution and side selection are resolved once here.  The
+    returned callable trusts its inputs: 2-D float64 arrays whose shapes
+    were validated when the plan was compiled (dimension mismatches
+    surface as numpy errors, not :class:`ExecutionError`).  Products lower
+    to the ``op(L) @ op(R)`` matmul, solves to the family solver of
+    :data:`SOLVER_BY_FAMILY` with the transpose/triangularity algebra
+    pre-applied.
     """
-    if name in PRODUCT_KERNELS:
-        if cfg.left_trans and cfg.right_trans:
+    if call.family in PRODUCT_FAMILIES:
+        if call.left_trans and call.right_trans:
             return lambda left, right: left.T @ right.T
-        if cfg.left_trans:
+        if call.left_trans:
             return lambda left, right: left.T @ right
-        if cfg.right_trans:
+        if call.right_trans:
             return lambda left, right: left @ right.T
         return lambda left, right: left @ right
-    solver = SOLVER_BY_KERNEL.get(name)
+    solver = SOLVER_BY_FAMILY.get(call.family)
     if solver is None:
-        raise ExecutionError(f"no implementation for kernel {name}")
-    left_side = cfg.side == "left"
-    if left_side:
-        coeff_trans, rhs_trans, lower = (
-            cfg.left_trans, cfg.right_trans, cfg.left_lower,
-        )
-    else:
-        coeff_trans, rhs_trans, lower = (
-            cfg.right_trans, cfg.left_trans, cfg.right_lower,
-        )
-    side = cfg.side
+        raise ExecutionError(f"no implementation for kernel {call.kernel}")
+    left_side = call.s_left
+    coeff_trans, rhs_trans = call.s_trans, call.o_trans
+    side = call.side
     if solver is _solve_triangular:
         # Stored-to-logical triangularity flips under transposition.
-        logical_lower = bool(lower) != coeff_trans
+        logical_lower = bool(call.s_lower) != coeff_trans
 
         def run(left, right):
             coeff, rhs = (left, right) if left_side else (right, left)
@@ -403,7 +387,7 @@ def specialize_kernel(name, cfg):
     return run
 
 
-def specialize_kernel_out(name, cfg):
+def specialize_kernel_out(call):
     """An out-parameter variant of :func:`specialize_kernel`, or ``None``.
 
     Product kernels lower to ``np.matmul(..., out=out)`` — the same BLAS
@@ -414,12 +398,12 @@ def specialize_kernel_out(name, cfg):
     Solve kernels answer ``None`` — their scipy solvers allocate
     internally, so an out buffer would only add a copy.
     """
-    if name not in PRODUCT_KERNELS:
+    if call.family not in PRODUCT_FAMILIES:
         return None
-    if cfg.left_trans and cfg.right_trans:
+    if call.left_trans and call.right_trans:
         return lambda left, right, out: np.matmul(left.T, right.T, out=out)
-    if cfg.left_trans:
+    if call.left_trans:
         return lambda left, right, out: np.matmul(left.T, right, out=out)
-    if cfg.right_trans:
+    if call.right_trans:
         return lambda left, right, out: np.matmul(left, right.T, out=out)
     return lambda left, right, out: np.matmul(left, right, out=out)

@@ -418,6 +418,25 @@ KERNELS: dict[str, KernelSpec] = {
 }
 
 
+#: Execution family of every binary kernel: the one routine (or broadcast)
+#: that carries it out, named after its BLAS/LAPACK call.  Kernels of one
+#: family differ only in the features of the *other* operand, which the
+#: routine consumes densely; every backend and emitter keys its lowering
+#: by family (see :class:`~repro.runtime.executor.StepCall`).
+KERNEL_FAMILY: dict[str, str] = {
+    "GEMM": "gemm",
+    "SYMM": "symm", "SYSYMM": "symm",
+    "TRMM": "trmm", "TRSYMM": "trmm", "TRTRMM": "trmm",
+    "DIMM": "dimm",
+    "DIDIMM": "didimm",
+    "TRSM": "trsm", "TRSYSV": "trsm", "TRTRSV": "trsm",
+    "POGESV": "posv", "POSYSV": "posv", "POTRSV": "posv",
+    "SYGESV": "sysv", "SYSYSV": "sysv", "SYTRSV": "sysv",
+    "GEGESV": "gesv", "GESYSV": "gesv", "GETRSV": "gesv",
+    "DIGESV": "disv", "DISYSV": "disv", "DITRSV": "disv", "DIDISV": "disv",
+}
+
+
 def get_kernel(name: str) -> KernelSpec:
     """Look a kernel up by name, raising ``KeyError`` with suggestions."""
     try:

@@ -5,9 +5,9 @@ The paper's product has two halves: compile-time variant generation
 observed instance, picks and runs the cheapest variant.  This package is
 that second half, structured for the per-request hot path:
 
-* :mod:`repro.runtime.executor` — call configurations, size inference,
-  the fix-up table, the one-shot :func:`execute_variant`, and the
-  concrete-operand helpers;
+* :mod:`repro.runtime.executor` — the per-step call record
+  (:class:`StepCall`), size inference, the fix-up table, the one-shot
+  :func:`execute_variant`, and the concrete-operand helpers;
 * :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, one ``(variant,
   sizes)`` pair compiled into a replayable loop of pre-resolved kernel
   calls over flat buffer slots (no dict lookups, no re-validation); its
@@ -19,8 +19,8 @@ that second half, structured for the per-request hot path:
   work itself;
 * :mod:`repro.runtime.backends` — pluggable execution backends
   (``reference``, ``blas``, and the native-interpreter ``c`` backend) that
-  lower each frozen kernel call to a direct callable at plan-compile
-  time, plus the dispatcher's measured ``auto`` strategy.
+  lower each step's :class:`StepCall` to a direct callable at
+  plan-compile time, plus the dispatcher's measured ``auto`` strategy.
 """
 
 from repro.runtime.backends import (
@@ -44,8 +44,8 @@ from repro.runtime.codegen_cache import (
     get_codegen_cache,
 )
 from repro.runtime.executor import (
-    KernelCallConfig,
     SizeInferencer,
+    StepCall,
     execute_variant,
     expected_stored_shapes,
     infer_sizes,
@@ -85,8 +85,8 @@ __all__ = [
     "configure_codegen_cache",
     "get_backend",
     "get_codegen_cache",
-    "KernelCallConfig",
     "SizeInferencer",
+    "StepCall",
     "compile_plan",
     "execute_variant",
     "expected_stored_shapes",

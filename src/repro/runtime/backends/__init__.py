@@ -1,5 +1,9 @@
 """Pluggable execution backends for compiled execution plans.
 
+Each backend lowers a plan step from its
+:class:`~repro.runtime.executor.StepCall` — the kernel's family plus the
+operand roles, resolved once at plan-compile time — keyed by family.
+
 ``reference``
     Today's numpy/scipy kernel substrate — structured products executed
     as dense matmuls, solves through the family solvers.  Bit-identical
@@ -7,13 +11,13 @@
 ``blas``
     Direct ``scipy.linalg.blas`` / ``scipy.linalg.lapack`` calls with the
     transpose/side/triangularity algebra pre-resolved into routine flags;
-    per-kernel reference fallback for configurations BLAS cannot express.
+    per-kernel reference fallback for calls BLAS cannot express.
 ``c``
     Packs each frozen plan into a step record replayed by one prebuilt
     native interpreter (BLAS and LAPACK reached through capsule-harvested
     function pointers), compiled once and cached on disk; falls back to
     ``blas`` per plan when no toolchain is present or a step is outside
-    the packer's table.
+    the packer's family table.
 ``auto``
     Not a plan-level backend but a dispatcher strategy: compile a plan
     per concrete backend, micro-benchmark each once per ``(variant,

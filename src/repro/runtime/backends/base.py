@@ -1,22 +1,24 @@
 """The execution-backend strategy interface.
 
 A :class:`Backend` decides *how* a frozen kernel call executes: given a
-kernel name and its :class:`~repro.runtime.executor.KernelCallConfig`
-(both fixed at plan-compile time), it returns a :class:`LoweredKernel` —
-a direct ``(left, right) -> result`` callable plus the name of the
-routine the call lowered to.  :class:`~repro.runtime.plan.ExecutionPlan`
-asks its backend once per step and replays the returned callables; the
-backend never sees per-call state, so one lowered kernel may serve
-concurrent replays.
+step's :class:`~repro.runtime.executor.StepCall` — the one record of its
+kernel family and operand roles, resolved once at plan-compile time — it
+returns a :class:`LoweredKernel`: a direct ``(left, right) -> result``
+callable plus the name of the routine the call lowered to.
+:class:`~repro.runtime.plan.ExecutionPlan` asks its backend once per step
+and replays the returned callables; the backend never sees per-call
+state, so one lowered kernel may serve concurrent replays.
 
 Three backends ship: ``reference`` (the numpy/scipy reference
 implementations, structured operands executed densely), ``blas``
 (:mod:`repro.runtime.backends.blas`, direct ``scipy.linalg.blas`` /
 ``lapack`` calls with the structure flags pre-resolved), and ``c``
 (:mod:`repro.runtime.backends.cemit`, whole plans packed into step
-records for one native interpreter).  The dispatcher adds a fourth *strategy*, ``auto``,
-which is not a backend of its own: it compiles a plan per concrete
-backend and serves the measured winner.
+records for one native interpreter).  All three key their lowerings by
+the record's family; each keeps its own physical layout algebra.  The
+dispatcher adds a fourth *strategy*, ``auto``, which is not a backend of
+its own: it compiles a plan per concrete backend and serves the measured
+winner.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import KernelCallConfig
+    from repro.runtime.executor import StepCall
     from repro.runtime.plan import ExecutionPlan
 
 #: Routine label of a kernel the backend could not lower and delegated to
@@ -36,7 +38,7 @@ FALLBACK_ROUTINE = "reference fallback"
 
 
 class LoweredKernel(NamedTuple):
-    """One kernel call lowered for a frozen configuration."""
+    """One resolved kernel call, lowered."""
 
     #: Direct ``(stored_left, stored_right) -> result`` callable.
     impl: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -57,19 +59,17 @@ class Backend(ABC):
     fallback_name: Optional[str] = None
 
     @abstractmethod
-    def specialize(
-        self, kernel_name: str, cfg: "KernelCallConfig"
-    ) -> LoweredKernel:
-        """Lower one kernel call for a frozen configuration.
+    def specialize(self, call: "StepCall") -> LoweredKernel:
+        """Lower one resolved kernel call.
 
-        Must never raise for a kernel the reference substrate implements:
-        configurations the backend cannot express are returned as a
+        Must never raise for a family the reference substrate implements:
+        calls the backend cannot express are returned as a
         reference-implementation :class:`LoweredKernel` labelled
         :data:`FALLBACK_ROUTINE`, keeping plan compilation total.
         """
 
     def specialize_out(
-        self, kernel_name: str, cfg: "KernelCallConfig"
+        self, call: "StepCall"
     ) -> Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]:
         """Optionally lower one kernel call to an out-parameter form.
 
@@ -77,7 +77,7 @@ class Backend(ABC):
         caller-owned ``out`` buffer (never aliasing an operand) and
         returns it — what :class:`~repro.runtime.plan.PlanArena`-backed
         warm replays use to run allocation-free.  ``None`` — the default
-        — means "no in-place form for this kernel/config"; the plan then
+        — means "no in-place form for this call"; the plan then
         keeps the allocating implementation for that step.
         """
         return None

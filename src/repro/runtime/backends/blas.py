@@ -5,10 +5,12 @@ The compiler tracks operand properties (triangular, symmetric, SPD,
 diagonal, transposed) precisely so the cheap *structured* kernel can be
 picked — but the reference backend still executes every product as a full
 dense matmul and every solve through generic scipy entry points.  This
-module makes the structured choice pay off at execution time: each frozen
-:class:`~repro.runtime.executor.KernelCallConfig` is lowered **once, at
-plan-compile time** to a direct BLAS/LAPACK call with the transpose /
-side / triangularity algebra pre-resolved into the routine's own flags.
+module makes the structured choice pay off at execution time: each step's
+:class:`~repro.runtime.executor.StepCall` (kernel family, which operand is
+structured, its transpose and stored triangularity, the other operand's
+transpose) is lowered **once, at plan-compile time** to a direct
+BLAS/LAPACK call of its family, with the roles pre-resolved into the
+routine's own flags.
 
 Contiguity and copies
 ---------------------
@@ -22,24 +24,24 @@ loop pays are the ones the routines themselves require (e.g. ``dtrmm`` /
 operand buffers must never be overwritten — plans replay concurrently
 and input arrays belong to the caller).
 
-Lowering table (see also ``BLAS_LOWERED_KERNELS``)
---------------------------------------------------
+Lowering table (by family; see also ``BLAS_LOWERED_KERNELS``)
+-------------------------------------------------------------
 ===========================  =======================================
-kernel                       routine
+family: kernels              routine
 ===========================  =======================================
-GEMM                         ``dgemm`` (``dsyrk`` + mirror when both
+gemm: GEMM                   ``dgemm`` (``dsyrk`` + mirror when both
                              operands are the same array, ``A op(A)``)
-SYMM, SYSYMM                 ``dsymm``
-TRMM, TRTRMM, TRSYMM         ``dtrmm``
-DIMM, DIDIMM                 broadcast diagonal scaling
-TRSM, TRSYSV, TRTRSV         ``dtrsm``
-POGESV, POSYSV, POTRSV       ``dposv``
-SYGESV, SYSYSV, SYTRSV       ``dsysv``
-GEGESV, GESYSV, GETRSV       ``dgetrf`` + ``dgetrs``
-DIGESV/DISYSV/...            reference fallback (already a broadcast)
+symm: SYMM, SYSYMM           ``dsymm``
+trmm: TRMM, TRTRMM, TRSYMM   ``dtrmm``
+dimm, didimm: DIMM, DIDIMM   broadcast diagonal scaling
+trsm: TRSM, TRSYSV, TRTRSV   ``dtrsm``
+posv: POGESV, POSYSV, ...    ``dposv``
+sysv: SYGESV, SYSYSV, ...    ``dsysv``
+gesv: GEGESV, GESYSV, ...    ``dgetrf`` + ``dgetrs``
+disv: DIGESV, DISYSV, ...    reference fallback (already a broadcast)
 ===========================  =======================================
 
-Configurations the routines cannot express fall back per-kernel to the
+Calls the routines cannot express fall back per-kernel to the
 reference implementation (labelled ``"reference fallback"``), so plan
 compilation is total: the backend never refuses a plan, it only lowers
 less of it.
@@ -47,12 +49,14 @@ less of it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.kernels import reference as _reference
+from repro.kernels.spec import KERNEL_FAMILY
 from repro.runtime.backends.base import (
     FALLBACK_ROUTINE,
     Backend,
@@ -60,7 +64,7 @@ from repro.runtime.backends.base import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import KernelCallConfig
+    from repro.runtime.executor import StepCall
 
 try:  # pragma: no cover - exercised implicitly on every import
     from scipy.linalg import blas as _blas
@@ -126,12 +130,14 @@ def _check_info(info: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Product lowerings.
+# Lowerings, one per family.  Each reads the operand roles off the step's
+# StepCall: the structured operand (coefficient, for solves) is the left
+# one iff ``call.s_left``.
 # ---------------------------------------------------------------------------
 
-def _lower_gemm(cfg: "KernelCallConfig"):
+def _lower_gemm(call: "StepCall"):
     """``op(A) op(B)`` -> ``dgemm`` (``dsyrk`` when A and B alias)."""
-    lt, rt = cfg.left_trans, cfg.right_trans
+    lt, rt = call.left_trans, call.right_trans
     syrk_shape = lt != rt  # A op(A): symmetric rank-k update territory
 
     def run(left, right):
@@ -146,10 +152,10 @@ def _lower_gemm(cfg: "KernelCallConfig"):
         b, tb = _fortran_view(right, rt)
         return _blas.dgemm(1.0, a, b, trans_a=1 if ta else 0, trans_b=1 if tb else 0)
 
-    return run, "dgemm"
+    return run
 
 
-def _lower_symm(cfg: "KernelCallConfig"):
+def _lower_symm(call: "StepCall"):
     """``S G`` / ``G S`` with S symmetric -> ``dsymm``.
 
     The symmetric operand equals its transpose, so its trans flag and
@@ -158,8 +164,7 @@ def _lower_symm(cfg: "KernelCallConfig"):
     flipped and viewing the result back (``(S G^T)^T = G S``), which
     ``dsymm`` *can* spell — no transposed copy is ever materialized.
     """
-    side_left = cfg.side == "left"
-    g_trans = cfg.right_trans if side_left else cfg.left_trans
+    side_left, g_trans = call.s_left, call.o_trans
 
     def run(left, right):
         s, g = (left, right) if side_left else (right, left)
@@ -170,37 +175,38 @@ def _lower_symm(cfg: "KernelCallConfig"):
         out = _blas.dsymm(1.0, sa, gb, side=1 if side_left else 0, lower=0)
         return out.T
 
-    return run, "dsymm"
+    return run
 
 
-def _lower_trmm(cfg: "KernelCallConfig"):
-    """``op(T) G`` / ``G op(T)`` with T triangular -> ``dtrmm``.
+def _lower_triangular(call: "StepCall", routine: str):
+    """``op(T) G`` / ``G op(T)`` (``dtrmm``) or ``op(T)^-1 G`` /
+    ``G op(T)^-1`` (``dtrsm``), T triangular.
 
     Triangular transposition folds into ``trans_a`` (flipping the stored
     triangularity when the array is re-presented as its transpose view);
     a transposed general operand uses the same side-flip duality as
-    :func:`_lower_symm`.
+    :func:`_lower_symm`: ``op(T) G^T = (G op(T)^T)^T``, and likewise for
+    the inverse.
     """
-    t_pos = _structured_position(cfg)
-    if t_pos is None:
+    if call.s_lower is None:
         return None
-    side_left = t_pos == "left"
-    t_trans = cfg.left_trans if side_left else cfg.right_trans
-    t_lower = cfg.left_lower if side_left else cfg.right_lower
-    g_trans = cfg.right_trans if side_left else cfg.left_trans
+    side_left, t_trans, t_lower, g_trans = (
+        call.s_left, call.s_trans, call.s_lower, call.o_trans,
+    )
+    apply = getattr(_blas, routine)
 
     def run(left, right):
         t, g = (left, right) if side_left else (right, left)
         ta, tt, tl = _fortran_triangular(t, t_trans, t_lower)
         gb, gt = _fortran_view(g, g_trans)
         if not gt:
-            return _blas.dtrmm(
+            return apply(
                 1.0, ta, gb,
                 side=0 if side_left else 1,
                 lower=1 if tl else 0,
                 trans_a=1 if tt else 0,
             )
-        out = _blas.dtrmm(
+        out = apply(
             1.0, ta, gb,
             side=1 if side_left else 0,
             lower=1 if tl else 0,
@@ -208,45 +214,18 @@ def _lower_trmm(cfg: "KernelCallConfig"):
         )
         return out.T
 
-    return run, "dtrmm"
+    return run
 
 
-def _structured_position(cfg: "KernelCallConfig") -> Optional[str]:
-    """Which operand carries the triangular storage flags.
-
-    The kernel convention puts the structured operand on ``cfg.side``;
-    trust that when its triangularity is recorded, otherwise fall back to
-    whichever operand has a stored triangularity at all.
-    """
-    side_lower = cfg.left_lower if cfg.side == "left" else cfg.right_lower
-    if side_lower is not None:
-        return cfg.side
-    if cfg.left_lower is not None:
-        return "left"
-    if cfg.right_lower is not None:
-        return "right"
-    return None
-
-
-def _lower_dimm(cfg: "KernelCallConfig"):
+def _lower_dimm(call: "StepCall"):
     """``D G`` (row scaling) / ``G D`` (column scaling), D diagonal.
 
     Not a BLAS call at all — a broadcast multiply over the diagonal view,
     replacing the reference backend's full dense matmul (2mn^2 FLOPs) with
     the mn the kernel actually costs.  Bit-compatible with the dense
     emulation for finite inputs: the dense sum adds exact zeros.
-
-    The diagonal operand is located by the config's ``left_diag`` /
-    ``right_diag`` flags, not by ``side``: side marks the *structured*
-    operand, which points at the wrong one when the non-diagonal operand
-    is itself structured (``L * D``, ``S * D``).  Hand-built configs
-    without the flags fall back to the side heuristic.
     """
-    if cfg.left_diag or cfg.right_diag:
-        diag_left = cfg.left_diag
-    else:
-        diag_left = cfg.side == "left"
-    g_trans = cfg.right_trans if diag_left else cfg.left_trans
+    diag_left, g_trans = call.s_left, call.o_trans
 
     def run(left, right):
         d, g = (left, right) if diag_left else (right, left)
@@ -256,60 +235,21 @@ def _lower_dimm(cfg: "KernelCallConfig"):
             return diag[:, None] * og
         return og * diag[None, :]
 
-    return run, "diag-scale"
+    return run
 
 
-def _lower_didimm(cfg: "KernelCallConfig"):
+def _lower_didimm(call: "StepCall"):
     """``D1 D2`` with both operands diagonal: elementwise on the diagonals."""
 
     def run(left, right):
         return np.diag(left.diagonal() * right.diagonal())
 
-    return run, "diag-scale"
+    return run
 
 
-# ---------------------------------------------------------------------------
-# Solve lowerings.  The coefficient (the operand whose inverse appears in
-# the association) stands on ``cfg.side`` of the product.
-# ---------------------------------------------------------------------------
-
-def _lower_trsm(cfg: "KernelCallConfig"):
-    """Triangular solve -> ``dtrsm``, same flag algebra as ``dtrmm``."""
-    side_left = cfg.side == "left"
-    c_trans = cfg.left_trans if side_left else cfg.right_trans
-    c_lower = cfg.left_lower if side_left else cfg.right_lower
-    r_trans = cfg.right_trans if side_left else cfg.left_trans
-    if c_lower is None:
-        return None
-
-    def run(left, right):
-        t, g = (left, right) if side_left else (right, left)
-        ta, tt, tl = _fortran_triangular(t, c_trans, c_lower)
-        gb, gt = _fortran_view(g, r_trans)
-        if not gt:
-            return _blas.dtrsm(
-                1.0, ta, gb,
-                side=0 if side_left else 1,
-                lower=1 if tl else 0,
-                trans_a=1 if tt else 0,
-            )
-        # op(T)^-1 G^T = (G op(T)^-T)^T (and symmetrically for the
-        # right side): solve the transposed system, view the result back.
-        out = _blas.dtrsm(
-            1.0, ta, gb,
-            side=1 if side_left else 0,
-            lower=1 if tl else 0,
-            trans_a=0 if tt else 1,
-        )
-        return out.T
-
-    return run, "dtrsm"
-
-
-def _lower_posv(cfg: "KernelCallConfig"):
+def _lower_posv(call: "StepCall"):
     """SPD solve -> one ``dposv`` (Cholesky-factor-and-solve) call."""
-    side_left = cfg.side == "left"
-    r_trans = cfg.right_trans if side_left else cfg.left_trans
+    side_left, r_trans = call.s_left, call.o_trans
 
     def run(left, right):
         a, b = (left, right) if side_left else (right, left)
@@ -326,7 +266,7 @@ def _lower_posv(cfg: "KernelCallConfig"):
             )
         return x if side_left else x.T
 
-    return run, "dposv"
+    return run
 
 
 #: ``dsysv`` workspace (``lwork``) per coefficient row.  scipy's default
@@ -336,10 +276,9 @@ def _lower_posv(cfg: "KernelCallConfig"):
 SYSV_LWORK_PER_ROW = 64
 
 
-def _lower_sysv(cfg: "KernelCallConfig"):
+def _lower_sysv(call: "StepCall"):
     """Symmetric-indefinite solve -> ``dsysv`` (blocked Bunch-Kaufman)."""
-    side_left = cfg.side == "left"
-    r_trans = cfg.right_trans if side_left else cfg.left_trans
+    side_left, r_trans = call.s_left, call.o_trans
 
     def run(left, right):
         a, b = (left, right) if side_left else (right, left)
@@ -352,14 +291,12 @@ def _lower_sysv(cfg: "KernelCallConfig"):
         _check_info(info, "symmetric solve")
         return x if side_left else x.T
 
-    return run, "dsysv"
+    return run
 
 
-def _lower_gesv(cfg: "KernelCallConfig"):
+def _lower_gesv(call: "StepCall"):
     """General solve -> ``dgetrf`` + ``dgetrs`` (trans folded into getrs)."""
-    side_left = cfg.side == "left"
-    c_trans = cfg.left_trans if side_left else cfg.right_trans
-    r_trans = cfg.right_trans if side_left else cfg.left_trans
+    side_left, c_trans, r_trans = call.s_left, call.s_trans, call.o_trans
 
     def run(left, right):
         a, b = (left, right) if side_left else (right, left)
@@ -378,60 +315,34 @@ def _lower_gesv(cfg: "KernelCallConfig"):
         _check_info(info, "general solve")
         return x.T
 
-    return run, "dgetrf+dgetrs"
+    return run
 
 
 # ---------------------------------------------------------------------------
 # The backend.
 # ---------------------------------------------------------------------------
 
+#: family -> (routine label, lowering).  Families absent here (the
+#: diagonal solves, which the reference backend already executes as
+#: broadcasts) always take the reference fallback.
 _LOWERINGS = {
-    "GEMM": _lower_gemm,
-    "SYMM": _lower_symm,
-    "SYSYMM": _lower_symm,
-    "TRMM": _lower_trmm,
-    "TRTRMM": _lower_trmm,
-    "TRSYMM": _lower_trmm,
-    "DIMM": _lower_dimm,
-    "DIDIMM": _lower_didimm,
-    "TRSM": _lower_trsm,
-    "TRSYSV": _lower_trsm,
-    "TRTRSV": _lower_trsm,
-    "POGESV": _lower_posv,
-    "POSYSV": _lower_posv,
-    "POTRSV": _lower_posv,
-    "SYGESV": _lower_sysv,
-    "SYSYSV": _lower_sysv,
-    "SYTRSV": _lower_sysv,
-    "GEGESV": _lower_gesv,
-    "GESYSV": _lower_gesv,
-    "GETRSV": _lower_gesv,
+    "gemm": ("dgemm", _lower_gemm),
+    "symm": ("dsymm", _lower_symm),
+    "trmm": ("dtrmm", partial(_lower_triangular, routine="dtrmm")),
+    "dimm": ("diag-scale", _lower_dimm),
+    "didimm": ("diag-scale", _lower_didimm),
+    "trsm": ("dtrsm", partial(_lower_triangular, routine="dtrsm")),
+    "posv": ("dposv", _lower_posv),
+    "sysv": ("dsysv", _lower_sysv),
+    "gesv": ("dgetrf+dgetrs", _lower_gesv),
 }
 
-#: kernel name -> routine label the backend lowers it to (README Table).
-#: Kernels absent here (the diagonal solves, which the reference backend
-#: already executes as broadcasts) always take the reference fallback.
+#: kernel name -> routine label the backend lowers it to (README Table),
+#: derived from the kernel-family table.
 BLAS_LOWERED_KERNELS = {
-    "GEMM": "dgemm",
-    "SYMM": "dsymm",
-    "SYSYMM": "dsymm",
-    "TRMM": "dtrmm",
-    "TRTRMM": "dtrmm",
-    "TRSYMM": "dtrmm",
-    "DIMM": "diag-scale",
-    "DIDIMM": "diag-scale",
-    "TRSM": "dtrsm",
-    "TRSYSV": "dtrsm",
-    "TRTRSV": "dtrsm",
-    "POGESV": "dposv",
-    "POSYSV": "dposv",
-    "POTRSV": "dposv",
-    "SYGESV": "dsysv",
-    "SYSYSV": "dsysv",
-    "SYTRSV": "dsysv",
-    "GEGESV": "dgetrf+dgetrs",
-    "GESYSV": "dgetrf+dgetrs",
-    "GETRSV": "dgetrf+dgetrs",
+    kernel: _LOWERINGS[family][0]
+    for kernel, family in KERNEL_FAMILY.items()
+    if family in _LOWERINGS
 }
 
 
@@ -439,23 +350,20 @@ class BlasBackend(Backend):
     """Lower frozen kernel calls to direct BLAS/LAPACK routines.
 
     Total over the kernel set: anything the routines cannot express —
-    unknown kernels, missing scipy routines, configurations without the
-    flags they need — lowers to the reference implementation labelled
+    the diagonal solves, missing scipy routines, calls without the
+    triangularity they need — lowers to the reference implementation labelled
     :data:`~repro.runtime.backends.base.FALLBACK_ROUTINE`.
     """
 
     name = "blas"
 
-    def specialize(
-        self, kernel_name: str, cfg: "KernelCallConfig"
-    ) -> LoweredKernel:
-        if blas_available():
-            lowering = _LOWERINGS.get(kernel_name)
-            if lowering is not None:
-                lowered = lowering(cfg)
-                if lowered is not None:
-                    impl, routine = lowered
-                    return LoweredKernel(impl, routine)
+    def specialize(self, call: "StepCall") -> LoweredKernel:
+        entry = _LOWERINGS.get(call.family)
+        if entry is not None and blas_available():
+            routine, lower = entry
+            impl = lower(call)
+            if impl is not None:
+                return LoweredKernel(impl, routine)
         return LoweredKernel(
-            _reference.specialize_kernel(kernel_name, cfg), FALLBACK_ROUTINE
+            _reference.specialize_kernel(call), FALLBACK_ROUTINE
         )

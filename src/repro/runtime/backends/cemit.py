@@ -14,10 +14,13 @@ zero per step.
 
 Everything dynamic is resolved into the record at plan-compile time:
 
-* transpose / side / triangularity flags, via the same algebra as
-  :mod:`repro.runtime.backends.blas` (a C-contiguous stored array is
-  re-presented as its Fortran-contiguous transpose with the flags
-  flipped — no copies);
+* the operand roles of each step's
+  :class:`~repro.runtime.executor.StepCall` (the record every backend
+  lowers from: family, structured side, transposes, stored
+  triangularity), folded into the routine's transpose / side / uplo
+  flags by this packer's own layout algebra — a C-contiguous stored
+  array is re-presented as its Fortran-contiguous transpose with the
+  flags flipped, fixed at pack time (no copies);
 * all dimensions and leading dimensions (the plan is already specialized
   to one size vector);
 * buffer addressing: inputs map to the call's operand arguments,
@@ -67,7 +70,6 @@ from repro.runtime.backends.base import Backend, LoweredKernel
 from repro.runtime.backends.blas import (
     SYSV_LWORK_PER_ROW,
     BlasBackend,
-    _structured_position,
     blas_available,
 )
 from repro.runtime.backends.toolchain import (
@@ -77,7 +79,7 @@ from repro.runtime.backends.toolchain import (
 from repro.runtime.codegen_cache import get_codegen_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import KernelCallConfig
+    from repro.runtime.executor import StepCall
     from repro.runtime.plan import ExecutionPlan
 
 __all__ = ["CEmitBackend", "cemit_available", "pack_plan"]
@@ -279,13 +281,11 @@ class _Packer:
     def alloc_ints(self, count: int) -> int:
         return self.alloc((count + 1) // 2)
 
-    # -- per-kernel packing --------------------------------------------------
+    # -- per-family packing --------------------------------------------------
 
-    def _gemm(
-        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
-    ) -> _StepSpec:
-        el = cfg.left_trans != l.t
-        er = cfg.right_trans != r.t
+    def _gemm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
+        el = call.left_trans != l.t
+        er = call.right_trans != r.t
         m, k = (l.pc, l.pr) if el else (l.pr, l.pc)
         _, n = (r.pc, r.pr) if er else (r.pr, r.pc)
         if last:
@@ -302,13 +302,10 @@ class _Packer:
         )
         return _StepSpec(m, n, False, False, step)
 
-    def _symm(
-        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
-    ) -> _StepSpec:
-        side_left = cfg.side == "left"
+    def _symm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
+        side_left = call.s_left
         s, g = (l, r) if side_left else (r, l)
-        g_trans = cfg.right_trans if side_left else cfg.left_trans
-        eg = g_trans != g.t
+        eg = call.o_trans != g.t
         # The symmetric operand equals its transpose: its layout flag is
         # immaterial and 'U' always names a valid stored triangle.  A
         # transposed general operand computes the transposed product with
@@ -320,71 +317,37 @@ class _Packer:
         )
         return _StepSpec(m, n, eg, False, step)
 
-    def _trmm(
-        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
+    def _triangular(
+        self, call: "StepCall", l: _Buf, r: _Buf, last: bool, op: int
     ) -> _StepSpec:
-        t_pos = _structured_position(cfg)
-        if t_pos is None:
+        """dtrmm / dtrsm: the same flag algebra for product and solve."""
+        if call.s_lower is None:
             raise _Unsupported("unsupported-step")
-        t_left = t_pos == "left"
+        t_left = call.s_left
         tb, g = (l, r) if t_left else (r, l)
-        t_trans = cfg.left_trans if t_left else cfg.right_trans
-        t_lower = cfg.left_lower if t_left else cfg.right_lower
-        g_trans = cfg.right_trans if t_left else cfg.left_trans
-        et = t_trans != tb.t
-        lower = bool(t_lower) != tb.t  # transposed view flips the triangle
-        eg = g_trans != g.t
+        et = call.s_trans != tb.t
+        lower = call.s_lower != tb.t  # transposed view flips the triangle
+        eg = call.o_trans != g.t
         m, n = g.pr, g.pc
-        # dtrmm multiplies in place: the interpreter copies B into the
+        # dtrmm/dtrsm work in place: the interpreter copies B into the
         # output slot first, so the operand buffers survive the call.
         step = _Step(
-            OP_TRMM, f0=_side(t_left != eg), f1=_ul(lower), f2=_tn(et != eg),
+            op, f0=_side(t_left != eg), f1=_ul(lower), f2=_tn(et != eg),
             m=m, n=n, a=tb.ref, lda=tb.pr, b=g.ref, ldc=m,
         )
         return _StepSpec(m, n, eg, False, step)
 
-    def _trsm(
-        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
-    ) -> _StepSpec:
-        side_left = cfg.side == "left"
-        c, rhs = (l, r) if side_left else (r, l)
-        c_trans = cfg.left_trans if side_left else cfg.right_trans
-        c_lower = cfg.left_lower if side_left else cfg.right_lower
-        r_trans = cfg.right_trans if side_left else cfg.left_trans
-        if c_lower is None:
-            raise _Unsupported("unsupported-step")
-        ec = c_trans != c.t
-        lower = bool(c_lower) != c.t
-        er = r_trans != rhs.t
-        m, n = rhs.pr, rhs.pc
-        step = _Step(
-            OP_TRSM, f0=_side(side_left != er), f1=_ul(lower), f2=_tn(ec != er),
-            m=m, n=n, a=c.ref, lda=c.pr, b=rhs.ref, ldc=m,
-        )
-        return _StepSpec(m, n, er, False, step)
-
-    def _dimm(
-        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
-    ) -> _StepSpec:
-        # The diag flags locate the diagonal operand exactly (``side``
-        # marks the structured operand, which is the *other* one for
-        # ``L * D`` / ``S * D`` — see blas._lower_dimm).
-        if cfg.left_diag or cfg.right_diag:
-            diag_left = cfg.left_diag
-        else:
-            diag_left = cfg.side == "left"
+    def _dimm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
+        diag_left = call.s_left
         d, g = (l, r) if diag_left else (r, l)
-        g_trans = cfg.right_trans if diag_left else cfg.left_trans
-        eg = g_trans != g.t
+        eg = call.o_trans != g.t
         # Scale in the general operand's own layout (t_out = eg): the
         # scale then runs down physical rows or columns with unit stride.
         op = OP_ROW_SCALE if diag_left != eg else OP_COL_SCALE
         step = _Step(op, m=g.pr, n=g.pc, a=d.ref, lda=d.pr + 1, b=g.ref)
         return _StepSpec(g.pr, g.pc, eg, False, step)
 
-    def _didimm(
-        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, last: bool
-    ) -> _StepSpec:
+    def _didimm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
         n = l.pr
         step = _Step(
             OP_DIAG_DIAG, m=n, a=l.ref, lda=l.pr + 1, b=r.ref, ldb=r.pr + 1
@@ -392,16 +355,14 @@ class _Packer:
         return _StepSpec(n, n, False, True, step)
 
     def _factor_solve(
-        self, cfg: "KernelCallConfig", l: _Buf, r: _Buf, op: int
+        self, call: "StepCall", l: _Buf, r: _Buf, last: bool, op: int
     ) -> _StepSpec:
         """dposv / dsysv / dgetrf+dgetrs: copy-factor the coefficient,
         materialize the right-hand side in the layout the solve needs."""
-        side_left = cfg.side == "left"
+        side_left = call.s_left
         c, rhs = (l, r) if side_left else (r, l)
-        c_trans = cfg.left_trans if side_left else cfg.right_trans
-        r_trans = cfg.right_trans if side_left else cfg.left_trans
-        ec = c_trans != c.t
-        er = r_trans != rhs.t
+        ec = call.s_trans != c.t
+        er = call.o_trans != rhs.t
         na = c.pr
         # side=left solves op(A) X = R and needs R physical in B;
         # side=right solves op(A)^T X^T = R^T and needs R^T physical —
@@ -428,38 +389,26 @@ class _Packer:
         return _StepSpec(brow, bcol, not side_left, False, step)
 
 
-_PRODUCT_PACKERS = {
-    "GEMM": _Packer._gemm,
-    "SYMM": _Packer._symm,
-    "SYSYMM": _Packer._symm,
-    "TRMM": _Packer._trmm,
-    "TRTRMM": _Packer._trmm,
-    "TRSYMM": _Packer._trmm,
-    "DIMM": _Packer._dimm,
-    "DIDIMM": _Packer._didimm,
-    "TRSM": _Packer._trsm,
-    "TRSYSV": _Packer._trsm,
-    "TRTRSV": _Packer._trsm,
-}
-
-_SOLVE_OPS = {
-    "POGESV": OP_POSV,
-    "POSYSV": OP_POSV,
-    "POTRSV": OP_POSV,
-    "SYGESV": OP_SYSV,
-    "SYSYSV": OP_SYSV,
-    "SYTRSV": OP_SYSV,
-    "GEGESV": OP_GESV,
-    "GESYSV": OP_GESV,
-    "GETRSV": OP_GESV,
+#: family -> packer, each called as ``pack(packer, call, l, r, last)``.
+#: Families absent here (the diagonal solves) fall the plan back.
+_PACKERS = {
+    "gemm": _Packer._gemm,
+    "symm": _Packer._symm,
+    "trmm": functools.partial(_Packer._triangular, op=OP_TRMM),
+    "dimm": _Packer._dimm,
+    "didimm": _Packer._didimm,
+    "trsm": functools.partial(_Packer._triangular, op=OP_TRSM),
+    "posv": functools.partial(_Packer._factor_solve, op=OP_POSV),
+    "sysv": functools.partial(_Packer._factor_solve, op=OP_SYSV),
+    "gesv": functools.partial(_Packer._factor_solve, op=OP_GESV),
 }
 
 
 def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
     """Pack one plan as an interpreter step record: ``(record, out_shape)``.
 
-    Raises :class:`_Unsupported` for steps outside the packer's kernel
-    table (the diagonal solves, configurations without the flags the
+    Raises :class:`_Unsupported` for steps outside the packer's family
+    table (the diagonal solves, calls without the triangularity the
     routines need) — callers fall the whole plan back to ``blas``.
     """
     steps = plan.variant.steps
@@ -481,17 +430,12 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
 
     last = len(steps) - 1
     packed: list[_Step] = []
-    for i, (step, cfg) in enumerate(zip(steps, plan.call_configs)):
+    for i, (step, call) in enumerate(zip(steps, plan.calls)):
         l, r = bufs[slot(step.left_ref)], bufs[slot(step.right_ref)]
-        kernel = step.kernel.name
-        op = _SOLVE_OPS.get(kernel)
-        if op is not None:
-            spec = packer._factor_solve(cfg, l, r, op)
-        else:
-            pack = _PRODUCT_PACKERS.get(kernel)
-            if pack is None:
-                raise _Unsupported("unsupported-step")
-            spec = pack(packer, cfg, l, r, i == last)
+        pack = _PACKERS.get(call.family)
+        if pack is None:
+            raise _Unsupported("unsupported-step")
+        spec = pack(packer, call, l, r, i == last)
         if i == last and (spec.t_out or spec.sym_out):
             # The caller's output array is C-ordered (r, c): as an F
             # buffer it wants the transposed (or symmetric) result — the
@@ -616,10 +560,8 @@ class CEmitBackend(Backend):
     def __init__(self):
         self._blas = BlasBackend()
 
-    def specialize(
-        self, kernel_name: str, cfg: "KernelCallConfig"
-    ) -> LoweredKernel:
-        return self._blas.specialize(kernel_name, cfg)
+    def specialize(self, call: "StepCall") -> LoweredKernel:
+        return self._blas.specialize(call)
 
     def lower_plan(self, plan: "ExecutionPlan") -> Optional[Callable]:
         if not blas_available():

@@ -1,10 +1,10 @@
-"""The reference execution backend: today's numpy/scipy kernel substrate.
+"""The reference execution backend: the numpy/scipy kernel substrate.
 
-A thin adapter over :func:`repro.kernels.reference.specialize_kernel` —
-the exact per-step callables execution plans used before backends became
-a strategy, so ``backend="reference"`` is bit-identical to the historical
-behaviour (structured products executed as full dense matmuls, solves
-through the family solver of :data:`~repro.kernels.reference.SOLVER_BY_KERNEL`).
+A thin adapter over :func:`repro.kernels.reference.specialize_kernel`,
+which lowers each step's :class:`~repro.runtime.executor.StepCall` by its
+family: products as full dense matmuls over the stored arrays, solves
+through the family solver of
+:data:`~repro.kernels.reference.SOLVER_BY_FAMILY`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.kernels import reference
 from repro.runtime.backends.base import Backend, LoweredKernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import KernelCallConfig
+    from repro.runtime.executor import StepCall
 
 #: Routine label of every reference-lowered kernel.
 REFERENCE_ROUTINE = "reference"
@@ -26,14 +26,10 @@ class ReferenceBackend(Backend):
 
     name = "reference"
 
-    def specialize(
-        self, kernel_name: str, cfg: "KernelCallConfig"
-    ) -> LoweredKernel:
-        return LoweredKernel(
-            reference.specialize_kernel(kernel_name, cfg), REFERENCE_ROUTINE
-        )
+    def specialize(self, call: "StepCall") -> LoweredKernel:
+        return LoweredKernel(reference.specialize_kernel(call), REFERENCE_ROUTINE)
 
-    def specialize_out(self, kernel_name: str, cfg: "KernelCallConfig"):
+    def specialize_out(self, call: "StepCall"):
         # Product kernels write into the arena slot through the same BLAS
         # matmul (np.matmul out=); solves keep their allocating solvers.
-        return reference.specialize_kernel_out(kernel_name, cfg)
+        return reference.specialize_kernel_out(call)

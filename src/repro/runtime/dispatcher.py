@@ -19,7 +19,7 @@ What makes this a *runtime* rather than a per-call recomputation:
   sweep and one plan compilation, then amortized O(1) per call;
 * executing through the memo replays a compiled
   :class:`~repro.runtime.plan.ExecutionPlan`: kernel implementations,
-  call configurations, and buffer slots are pre-resolved, and operand
+  per-step call records, and buffer slots are pre-resolved, and operand
   shapes are validated exactly once (by size inference), not re-checked
   per step or re-inferred per call.
 

@@ -7,7 +7,7 @@ intermediate buffers.  That walk lives in one place, the compiled
 :class:`~repro.runtime.plan.ExecutionPlan`; :func:`execute_variant` is the
 one-shot form (infer the sizes, compile a reference plan, replay it once).
 This module holds what plans and the dispatcher share: call
-configurations, size inference, the fix-up table, and the
+records (:class:`StepCall`), size inference, the fix-up table, and the
 concrete-operand helpers.
 
 Storage convention: the caller passes one array per chain matrix, holding
@@ -27,6 +27,7 @@ from repro.errors import ExecutionError
 from repro.ir.chain import Chain
 from repro.ir.features import Property, Structure
 from repro.kernels import reference
+from repro.kernels.spec import KERNEL_FAMILY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Typing only: repro.runtime stays import-independent of the compiler
@@ -36,26 +37,56 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True)
-class KernelCallConfig:
-    """Run-time configuration handed to a kernel implementation."""
+class StepCall:
+    """One kernel call's operand roles, resolved once per plan step.
 
-    side: str
-    left_trans: bool
-    right_trans: bool
-    left_lower: Optional[bool]
-    right_lower: Optional[bool]
-    #: Which operand is stored diagonal.  ``side`` marks the *structured*
-    #: operand generically, which is ambiguous for DIMM when the other
-    #: operand is structured too (``L * D`` and ``S * D`` both assign
-    #: side="left" to the non-diagonal operand) — these flags let sided
-    #: lowerings locate the diagonal exactly.  Default ``False`` keeps
-    #: hand-built configs (tests, custom backends) on the side heuristic.
-    left_diag: bool = False
-    right_diag: bool = False
+    The one record every backend and emitter lowers from.  ``family`` is
+    the kernel's execution family (:data:`~repro.kernels.spec.KERNEL_FAMILY`);
+    ``kernel`` names the kernel itself, for labels and diagnostics only.
+    The *structured* operand is the coefficient of a solve, the diagonal
+    of ``dimm``, the triangular operand of ``trmm`` and the symmetric one
+    of ``symm`` (the left operand of ``gemm`` and ``didimm``); ``s_left``
+    says whether it is the call's left operand, ``s_trans`` and
+    ``s_lower`` give its transpose flag and stored triangularity (``None``
+    unless triangular), and ``o_trans`` the other operand's transpose flag.
+    """
 
+    kernel: str
+    family: str
+    s_left: bool
+    s_trans: bool = False
+    s_lower: Optional[bool] = None
+    o_trans: bool = False
 
-def _stored_diag(state: "OperandState") -> bool:
-    return state.stored_structure is Structure.DIAGONAL
+    @property
+    def side(self) -> str:
+        return "left" if self.s_left else "right"
+
+    @property
+    def left_trans(self) -> bool:
+        return self.s_trans if self.s_left else self.o_trans
+
+    @property
+    def right_trans(self) -> bool:
+        return self.o_trans if self.s_left else self.s_trans
+
+    @classmethod
+    def of(cls, step) -> "StepCall":
+        """Resolve a variant :class:`~repro.compiler.variant.Step`'s call."""
+        kernel = step.kernel.name
+        family = KERNEL_FAMILY[kernel]
+        left, right = step.left_state, step.right_state
+        if family == "dimm":
+            # ``side`` marks the structured operand, which for L * D and
+            # S * D is the non-diagonal one: locate the diagonal itself.
+            s_left = left.stored_structure is Structure.DIAGONAL
+        else:
+            s_left = step.side == "left"
+            if family == "trmm" and _stored_lower(left if s_left else right) is None:
+                # TRSYMM's S * L puts side on the symmetric operand.
+                s_left = not s_left
+        s, o = (left, right) if s_left else (right, left)
+        return cls(kernel, family, s_left, s.transposed, _stored_lower(s), o.transposed)
 
 
 def _stored_lower(state: "OperandState") -> Optional[bool]:

@@ -2,9 +2,9 @@
 
 Everything about running a variant that depends only on ``(variant,
 sizes)`` — not on the arrays — is resolved **once** by
-:func:`compile_plan`: every step's :class:`KernelCallConfig` is built from
-its operand states, its kernel is lowered by the backend to a direct
-callable (config baked in), buffer references flatten into integer slots
+:func:`compile_plan`: every step's call is resolved once into a
+:class:`~repro.runtime.executor.StepCall` (kernel family and operand
+roles), the backend lowers that record to a direct callable, buffer references flatten into integer slots
 of one flat list (inputs first, one slot per step after), the fix-up
 kernels are pre-bound, and the stored shapes the instance expects are
 recorded.  The resulting :class:`ExecutionPlan` replays through one loop,
@@ -42,9 +42,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.runtime.backends import Backend, get_backend
 from repro.runtime.executor import (
-    KernelCallConfig,
-    _stored_diag,
-    _stored_lower,
+    StepCall,
     expected_stored_shapes,
     resolve_fixup,
 )
@@ -52,8 +50,8 @@ from repro.runtime.executor import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.variant import Variant
 
-#: One pre-resolved kernel call: specialized implementation (call config
-#: already baked in), its optional out-parameter form
+#: One pre-resolved kernel call: specialized implementation (the step's
+#: :class:`StepCall` already baked in), its optional out-parameter form
 #: (``impl_out(left, right, out) -> out``, ``None`` where the backend
 #: cannot write in place for this kernel/config), operand slots, output
 #: slot.
@@ -117,7 +115,7 @@ class ExecutionPlan:
         "chain",
         "sizes",
         "expected_shapes",
-        "call_configs",
+        "calls",
         "backend",
         "step_routines",
         "_ops",
@@ -158,33 +156,25 @@ class ExecutionPlan:
         resolved = get_backend(backend)
         self.backend: str = resolved.name
         ops: list[PlanOp] = []
-        configs: list[KernelCallConfig] = []
+        calls: list[StepCall] = []
         routines: list[str] = []
         for step in variant.steps:
-            cfg = KernelCallConfig(
-                side=step.side,
-                left_trans=step.left_state.transposed,
-                right_trans=step.right_state.transposed,
-                left_lower=_stored_lower(step.left_state),
-                right_lower=_stored_lower(step.right_state),
-                left_diag=_stored_diag(step.left_state),
-                right_diag=_stored_diag(step.right_state),
-            )
-            configs.append(cfg)
-            # The config is baked into the callable: transposes, sides,
-            # and triangularity resolve at compile time.
-            impl, routine = resolved.specialize(step.kernel.name, cfg)
+            # Roles, transposes and triangularity resolve here, once; the
+            # backend bakes the record into the callable.
+            call = StepCall.of(step)
+            calls.append(call)
+            impl, routine = resolved.specialize(call)
             routines.append(routine)
             ops.append(
                 (
                     impl,
-                    resolved.specialize_out(step.kernel.name, cfg),
+                    resolved.specialize_out(call),
                     slot(step.left_ref),
                     slot(step.right_ref),
                     chain.n + step.index,
                 )
             )
-        self.call_configs: tuple[KernelCallConfig, ...] = tuple(configs)
+        self.calls: tuple[StepCall, ...] = tuple(calls)
         self.step_routines: tuple[str, ...] = tuple(routines)
         self._ops: tuple[PlanOp, ...] = tuple(ops)
         self._fixups = _resolve_fixups(variant)
@@ -353,12 +343,12 @@ class ExecutionPlan:
             lines.append(
                 "  native: fused step-interpreter call (replay path)"
             )
-        for step, (_, _, left, right, out), cfg, routine in zip(
-            self.variant.steps, self._ops, self.call_configs, self.step_routines
+        for step, (_, _, left, right, out), routine in zip(
+            self.variant.steps, self._ops, self.step_routines
         ):
             lines.append(
                 f"  slot[{out}] := {step.kernel.name}"
-                f"(slot[{left}], slot[{right}], side={cfg.side})"
+                f"(slot[{left}], slot[{right}], side={step.side})"
                 f" -> {routine}"
             )
         for fixup in self._fixups:

@@ -21,13 +21,16 @@ front end multiplexes every connection onto **one** event loop:
   so a compile storm saturates the service's own admission control
   instead of spawning unbounded threads.
 
-Cheap requests (``ping``, ``stats``, small memoized ``execute`` lines —
-anything but ``compile`` under :attr:`AsyncCompileServer.inline_bytes`)
+Cheap requests (``ping``, ``stats``, ``dispatch`` and ``execute`` by
+``handle`` — anything that cannot compile, under
+:attr:`AsyncCompileServer.inline_bytes`, with no shared-memory operands)
 are answered *inline* on the event loop: for the serving hot path — warm
 handles, small operands — that removes two thread hops per request, which
 is where the async server's throughput edge over thread-per-connection
-comes from.  Big payloads and compiles are offloaded so the loop never
-blocks on them.
+comes from.  Everything else is offloaded to the worker pool so the loop
+never blocks on it: ``compile``, ``warm``, any request carrying
+``source`` (``dispatch``/``execute`` compile-if-needed), big payloads,
+and shm executes.
 
 The event loop runs in a dedicated thread, so the synchronous CLI (and
 tests) drive the server with plain :meth:`AsyncCompileServer.start` /
@@ -55,7 +58,7 @@ from repro.serve.service import CompileService
 
 __all__ = ["AsyncCompileServer", "make_async_server"]
 
-#: Requests at most this many wire bytes (and not ``compile``) are
+#: Requests at most this many wire bytes (and unable to compile) are
 #: answered inline on the event loop; larger ones go to the worker pool.
 DEFAULT_INLINE_BYTES = 64 * 1024
 
@@ -216,16 +219,20 @@ class AsyncCompileServer:
         if not isinstance(payload, dict):
             return json.dumps(handle_request(self.compile_service, payload))
         if (
-            payload.get("op") != "compile"
+            payload.get("op") not in ("compile", "warm")
+            and "source" not in payload
             and len(raw) <= self.inline_bytes
             and not _shm_operands(payload)
         ):
-            # Cheap path: answered on the loop, no thread hop.  Every op
-            # but compile is sub-millisecond at this payload size (warm
-            # execute included — the kernels on small operands cost less
-            # than the executor round-trip would).  shm executes are
-            # excluded: their wire line is tiny but the mapped operands
-            # are not, and the kernels would block the loop.
+            # Cheap path: answered on the loop, no thread hop.  Every
+            # request that cannot compile is sub-millisecond at this
+            # payload size (warm execute included — the kernels on small
+            # operands cost less than the executor round-trip would).
+            # Anything carrying ``source`` may compile first
+            # (compile-if-needed), and ``warm`` re-runs cache warm-up, so
+            # both are offloaded with ``compile``.  shm executes are
+            # excluded too: their wire line is tiny but the mapped
+            # operands are not, and the kernels would block the loop.
             return json.dumps(handle_request(self.compile_service, payload))
         async with self._semaphore:
             loop = asyncio.get_running_loop()

@@ -12,8 +12,8 @@ Request schema (``id`` is optional and echoed back verbatim):
     ``simplify``, ``variant_space``, ``max_variants`` — the last two pick
     the candidate-generation strategy, letting clients compile long chains
     through the DP-seeded space — and ``backend``, the execution-backend
-    strategy ``execute`` runs under: ``"reference"``, ``"blas"``, or
-    ``"auto"``).  Response carries a ``handle`` (the content address of
+    strategy ``execute`` runs under: ``"reference"``, ``"blas"``,
+    ``"c"``, or ``"auto"``).  Response carries a ``handle`` (the content address of
     the compilation) plus the selected variant names and symbolic costs.
 
 ``{"op": "dispatch", "handle": "...", "sizes": [500, 80, 500], "id": 2}``

@@ -9,6 +9,8 @@ from repro.ir.chain import Chain
 from repro.ir.features import Property, Structure
 from repro.ir.matrix import Matrix
 from repro.ir.operand import Operand, UnaryOp
+from repro.kernels.spec import KERNEL_FAMILY
+from repro.runtime.executor import StepCall
 from repro.experiments.sampling import (
     MATRIX_OPTIONS,
     sample_instances,
@@ -44,6 +46,21 @@ def make_symmetric(name: str = "S", spd: bool = False) -> Matrix:
 
 def make_orthogonal(name: str = "Q") -> Matrix:
     return Matrix(name, Structure.GENERAL, Property.ORTHOGONAL)
+
+
+def make_call(kernel, side="left", lt=False, rt=False, ll=None, rl=None) -> StepCall:
+    """The record of a ``kernel`` call whose structured operand (the
+    coefficient, for solves) stands on ``side``; ``lt``/``rt`` and
+    ``ll``/``rl`` are the left/right transpose and stored-lower flags."""
+    s_left = side == "left"
+    return StepCall(
+        kernel,
+        KERNEL_FAMILY[kernel],
+        s_left,
+        s_trans=lt if s_left else rt,
+        s_lower=ll if s_left else rl,
+        o_trans=rt if s_left else lt,
+    )
 
 
 def general_chain(n: int) -> Chain:

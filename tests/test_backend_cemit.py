@@ -7,7 +7,9 @@ LAPACK function pointers.  Three properties matter and are tested here:
 * **Parity** — a natively lowered plan produces the same numbers as the
   per-step blas lowering (tight tolerance) and the reference backend
   (routine-level reassociation tolerance), across the kernel table and
-  over random chains (the hypothesis differential test), and rejects
+  over random chains (the hypothesis differential test, which also runs
+  the reference plans and the emitted Python module against the oracle
+  in C, F and strided operand layouts, plain and ``out=``), and rejects
   wrong-shaped operands like the other backends.
 * **Graceful degradation** — no compiler, no capsules, or an unsupported
   step must silently fall back to ``blas`` (the plan reports the backend
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import compile_chain
+from repro.codegen.python_emitter import emit_python
 from repro.compiler.selection import all_variants
 from repro.errors import ExecutionError
 from repro.experiments.sampling import EXTENDED_MATRIX_OPTIONS, option_to_operand
@@ -259,7 +262,8 @@ def test_wrong_shaped_operand_raises_on_every_backend(backend, bad):
 
 
 # ---------------------------------------------------------------------------
-# Differential test: random chains through every variant, c vs blas vs oracle
+# Differential test: random chains through every variant and every consumer
+# of the call record (reference, blas, c, emitted Python) vs the oracle
 # ---------------------------------------------------------------------------
 
 #: Sizes per equivalence class: 1, small, and large enough to skew shapes.
@@ -305,9 +309,32 @@ def _chain_and_sizes(draw):
     return chain, tuple(sizes), repeat
 
 
+def _layouts(arrays):
+    """The operands C-ordered, F-ordered, and as non-contiguous strided
+    views; a repeated operand stays one (aliased) array in each layout."""
+
+    def strided(a):
+        big = np.zeros((2 * a.shape[0], 2 * a.shape[1]))
+        view = big[::2, ::2]
+        view[...] = a
+        return view
+
+    for name, convert in (
+        ("C", lambda a: a),
+        ("F", np.asfortranarray),
+        ("strided", strided),
+    ):
+        converted: dict[int, np.ndarray] = {}
+        yield name, [converted.setdefault(id(a), convert(a)) for a in arrays]
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_chain_and_sizes(), seed=st.integers(0, 2**16))
-def _check_c_against_blas_and_oracle(case, seed):
+def _check_every_consumer_against_oracle(case, seed):
+    """Every consumer of the per-step call record — reference, blas and c
+    plans (plain and ``out=`` replay) and the emitted Python module's
+    ``variant_<i>`` — agrees with ``naive_evaluate`` on every variant, in
+    every operand layout, without mutating an operand."""
     chain, q, repeat = case
     arrays = random_instance_arrays(chain, q, np.random.default_rng(seed))
     if repeat is not None:
@@ -315,13 +342,34 @@ def _check_c_against_blas_and_oracle(case, seed):
     pristine = [a.copy() for a in arrays]
     expected = naive_evaluate(chain, pristine)
     scale = max(1.0, float(np.abs(expected).max()))
-    for variant in all_variants(chain):
-        got = compile_plan(variant, q, backend="c").execute(arrays)
-        via_blas = compile_plan(variant, q, backend="blas").execute(arrays)
-        np.testing.assert_allclose(got, via_blas, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(got / scale, expected / scale, atol=1e-6)
-        for orig, after in zip(pristine, arrays):
-            np.testing.assert_array_equal(orig, after)
+    variants = all_variants(chain)
+    module: dict = {}
+    exec(emit_python(chain, variants), module)
+    for i, variant in enumerate(variants):
+        plans = {
+            backend: compile_plan(variant, q, backend=backend)
+            for backend in ("reference", "blas", "c")
+        }
+        for layout, operands in _layouts(arrays):
+            results = {"python": module[f"variant_{i}"](operands)}
+            for backend, plan in plans.items():
+                results[backend] = plan.execute(operands)
+                out = np.empty(expected.shape)
+                got = plan.replay(list(operands), out=out)
+                assert got is out
+                results[f"{backend} out="] = got
+            if layout == "C":
+                # Same routines, same flags, same arithmetic: near-bitwise.
+                np.testing.assert_allclose(
+                    results["c"], results["blas"], rtol=1e-12, atol=1e-12 * scale
+                )
+            for path, got in results.items():
+                np.testing.assert_allclose(
+                    got / scale, expected / scale, atol=1e-6,
+                    err_msg=f"{variant.name} via {path}, {layout} operands",
+                )
+            for orig, after in zip(pristine, operands):
+                np.testing.assert_array_equal(orig, after)
 
 
 @needs_blas
@@ -330,7 +378,7 @@ def test_interpreter_differential_compiles_at_most_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cemit, "get_codegen_cache", lambda: cache)
     compiles = get_registry().counter("runtime.codegen_compiles")
     before = compiles.value
-    _check_c_against_blas_and_oracle()
+    _check_every_consumer_against_oracle()
     # Every (variant, sizes) pair above shares one interpreter build.
     assert compiles.value - before <= 1
 

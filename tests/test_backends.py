@@ -1,9 +1,8 @@
 """The execution-backend layer: lowering, parity, auto strategy, plumbing.
 
 The heart of this file is the bit-compatibility parity net: every kernel
-lowered by ``repro.kernels.reference.specialize_kernel``, swept over
-side x trans x stored-triangularity configurations and both memory
-orders, must produce the same answer
+of Table I (plus the diagonal extension), swept over side x trans x
+stored-triangularity call records and both memory orders, must produce the same answer
 through the blas backend as through the reference backend (tight
 tolerance — same arithmetic up to routine-level reassociation).
 """
@@ -17,14 +16,18 @@ import pytest
 
 from repro.errors import CompilationError, DispatchError, ExecutionError
 from repro.ir.chain import Chain
-from repro.kernels.reference import PRODUCT_KERNELS, SOLVER_BY_KERNEL
+from repro.kernels.spec import (
+    DIAGONAL_KERNELS,
+    PRODUCT_KERNELS,
+    SOLVE_KERNELS,
+)
 from repro.runtime import (
     BACKEND_NAMES,
     BLAS_LOWERED_KERNELS,
     Dispatcher,
     FALLBACK_ROUTINE,
-    KernelCallConfig,
     REFERENCE_ROUTINE,
+    StepCall,
     BlasBackend,
     ReferenceBackend,
     blas_available,
@@ -34,7 +37,13 @@ from repro.runtime import (
     random_instance_arrays,
 )
 
-from conftest import make_general, make_lower, make_symmetric, make_upper
+from conftest import (
+    make_call,
+    make_general,
+    make_lower,
+    make_symmetric,
+    make_upper,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -42,9 +51,9 @@ needs_blas = pytest.mark.skipif(
     not blas_available(), reason="scipy BLAS/LAPACK routines unavailable"
 )
 
-#: Operand structure each kernel assumes: (structure at cfg.side, other).
+#: Operand structure each kernel assumes: (structured operand, other).
 #: Kernel names encode it — the first two letters name the structured /
-#: coefficient operand (the one standing on ``cfg.side``), the middle two
+#: coefficient operand (the left one iff ``call.s_left``), the middle two
 #: the other operand (GE when unmarked).
 KERNEL_STRUCTS = {
     "GEMM": ("general", "general"),
@@ -95,8 +104,15 @@ def _stored_array(struct: str, rows: int, cols: int, lower: bool) -> np.ndarray:
     raise AssertionError(struct)
 
 
+#: Every binary kernel of Table I plus the diagonal extension.
+BINARY_KERNELS = sorted(
+    k.name for k in (*PRODUCT_KERNELS, *SOLVE_KERNELS, *DIAGONAL_KERNELS)
+)
+
+
 def _parity_cases(kernel: str):
-    """Every (cfg, left_struct, right_struct) combination worth sweeping."""
+    """Every (call, (left_struct, right_struct), (left_lower, right_lower))
+    combination worth sweeping."""
     side_struct, other_struct = KERNEL_STRUCTS[kernel]
     for side, lt, rt in itertools.product(
         ("left", "right"), (False, True), (False, True)
@@ -110,19 +126,10 @@ def _parity_cases(kernel: str):
             (True, False) if struct == "tri" else (None,) for struct in structs
         ]
         for ll, rl in itertools.product(*lower_choices):
-            yield (
-                KernelCallConfig(
-                    side=side,
-                    left_trans=lt,
-                    right_trans=rt,
-                    left_lower=ll,
-                    right_lower=rl,
-                ),
-                structs,
-            )
+            yield make_call(kernel, side, lt, rt, ll, rl), structs, (ll, rl)
 
 
-def _case_arrays(kernel: str, cfg: KernelCallConfig, structs, n=7, m=5):
+def _case_arrays(call: StepCall, structs, lowers, n=7, m=5):
     """Stored operand arrays for one parity case.
 
     Products allow one rectangular general operand; solves need the
@@ -134,11 +141,11 @@ def _case_arrays(kernel: str, cfg: KernelCallConfig, structs, n=7, m=5):
     # product op(left) @ op(right) (for solves: with the coefficient
     # inverted) conforms with the square structured operand.
     if ls == "general":
-        shapes[0] = (n, m) if cfg.left_trans else (m, n)
+        shapes[0] = (n, m) if call.left_trans else (m, n)
     elif rs == "general":
-        shapes[1] = (m, n) if cfg.right_trans else (n, m)
-    left = _stored_array(ls, *shapes[0], lower=bool(cfg.left_lower))
-    right = _stored_array(rs, *shapes[1], lower=bool(cfg.right_lower))
+        shapes[1] = (m, n) if call.right_trans else (n, m)
+    left = _stored_array(ls, *shapes[0], lower=bool(lowers[0]))
+    right = _stored_array(rs, *shapes[1], lower=bool(lowers[1]))
     return left, right
 
 
@@ -146,99 +153,63 @@ class TestParityNet:
     """reference vs blas bit-compatibility over the whole kernel table."""
 
     @needs_blas
-    @pytest.mark.parametrize(
-        "kernel", sorted(PRODUCT_KERNELS | SOLVER_BY_KERNEL.keys())
-    )
+    @pytest.mark.parametrize("kernel", BINARY_KERNELS)
     def test_blas_matches_reference(self, kernel):
         ref = ReferenceBackend()
         blas = BlasBackend()
-        for cfg, structs in _parity_cases(kernel):
-            left, right = _case_arrays(kernel, cfg, structs)
-            expected = ref.specialize(kernel, cfg).impl(left, right)
+        for call, structs, lowers in _parity_cases(kernel):
+            left, right = _case_arrays(call, structs, lowers)
+            expected = ref.specialize(call).impl(left, right)
             for order in ("C", "F"):
                 lo = np.asarray(left, order=order)
                 ro = np.asarray(right, order=order)
-                got = blas.specialize(kernel, cfg).impl(lo, ro)
+                got = blas.specialize(call).impl(lo, ro)
                 np.testing.assert_allclose(
                     got,
                     expected,
                     rtol=1e-9,
                     atol=1e-9,
-                    err_msg=f"{kernel} {cfg} order={order}",
+                    err_msg=f"{kernel} {call} {lowers} order={order}",
                 )
 
     @needs_blas
     @pytest.mark.parametrize("kernel", sorted(BLAS_LOWERED_KERNELS))
     def test_claimed_kernels_actually_lower(self, kernel):
         blas = BlasBackend()
-        for cfg, _ in _parity_cases(kernel):
-            lowered = blas.specialize(kernel, cfg)
+        for call, _, _ in _parity_cases(kernel):
+            lowered = blas.specialize(call)
             assert lowered.routine == BLAS_LOWERED_KERNELS[kernel], (
-                f"{kernel} {cfg} lowered to {lowered.routine!r}"
+                f"{kernel} {call} lowered to {lowered.routine!r}"
             )
 
     def test_diagonal_solves_fall_back(self):
         blas = BlasBackend()
         for kernel in ("DIGESV", "DISYSV", "DITRSV", "DIDISV"):
-            cfg = KernelCallConfig(
-                side="left",
-                left_trans=False,
-                right_trans=False,
-                left_lower=None,
-                right_lower=None,
-            )
-            assert blas.specialize(kernel, cfg).routine == FALLBACK_ROUTINE
+            assert blas.specialize(make_call(kernel)).routine == FALLBACK_ROUTINE
 
     def test_unknown_kernel_falls_back_not_raises(self):
-        cfg = KernelCallConfig(
-            side="left",
-            left_trans=False,
-            right_trans=False,
-            left_lower=None,
-            right_lower=None,
-        )
+        call = StepCall("NOPE", "nope", True)
         with pytest.raises(Exception):
-            BlasBackend().specialize("NOPE", cfg)  # reference rejects too
+            BlasBackend().specialize(call)  # reference rejects too
 
     @needs_blas
     def test_gemm_syrk_path_on_aliased_operand(self):
         blas = BlasBackend()
-        cfg = KernelCallConfig(
-            side="left",
-            left_trans=False,
-            right_trans=True,
-            left_lower=None,
-            right_lower=None,
-        )
         a = RNG.standard_normal((6, 4))
-        got = blas.specialize("GEMM", cfg).impl(a, a)
+        got = blas.specialize(make_call("GEMM", rt=True)).impl(a, a)
         np.testing.assert_allclose(got, a @ a.T, rtol=1e-12, atol=1e-12)
         # And the transposed-first flavour (A^T A).
-        cfg_t = KernelCallConfig(
-            side="left",
-            left_trans=True,
-            right_trans=False,
-            left_lower=None,
-            right_lower=None,
-        )
-        got = blas.specialize("GEMM", cfg_t).impl(a, a)
+        got = blas.specialize(make_call("GEMM", lt=True)).impl(a, a)
         np.testing.assert_allclose(got, a.T @ a, rtol=1e-12, atol=1e-12)
 
     @needs_blas
     def test_singular_coefficient_raises_execution_error(self):
-        cfg = KernelCallConfig(
-            side="left",
-            left_trans=False,
-            right_trans=False,
-            left_lower=None,
-            right_lower=None,
-        )
         singular = np.zeros((4, 4))
         rhs = RNG.standard_normal((4, 3))
         with pytest.raises(ExecutionError):
-            BlasBackend().specialize("GEGESV", cfg).impl(singular, rhs)
+            BlasBackend().specialize(make_call("GEGESV")).impl(singular, rhs)
         with pytest.raises(ExecutionError):
-            BlasBackend().specialize("POGESV", cfg).impl(singular, rhs)
+            BlasBackend().specialize(make_call("POGESV")).impl(singular, rhs)
 
 
     @needs_blas
@@ -259,18 +230,12 @@ class TestParityNet:
 
         monkeypatch.setattr(blas_mod, "_lapack", RecordingLapack())
         n = 48
-        cfg = KernelCallConfig(
-            side=side,
-            left_trans=False,
-            right_trans=False,
-            left_lower=None,
-            right_lower=None,
-        )
+        call = make_call("SYGESV", side)
         s = _stored_array("sym", n, n, lower=False)
         g = RNG.standard_normal((n, 5) if side == "left" else (5, n))
         left, right = (s, g) if side == "left" else (g, s)
-        got = BlasBackend().specialize("SYGESV", cfg).impl(left, right)
-        expected = ReferenceBackend().specialize("SYGESV", cfg).impl(left, right)
+        got = BlasBackend().specialize(call).impl(left, right)
+        expected = ReferenceBackend().specialize(call).impl(left, right)
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
         # scipy's default lwork (n) forces the unblocked factorization.
         optimum = int(lapack.dsysv_lwork(n, lower=0)[0])

@@ -1,26 +1,22 @@
 """Configuration-level tests for the reference kernel lowering.
 
 ``repro.kernels.reference.specialize_kernel`` is what every reference
-execution plan replays: given a kernel name and a resolved call
-configuration (side, transposition flags, stored triangularity), it
-returns a callable over the *stored* left/right arrays.  These tests
-sweep the configuration space per kernel family and check each call
-against dense NumPy evaluation of the logical operation.
+execution plan replays: given a resolved call record
+(:class:`~repro.runtime.executor.StepCall`: kernel family, structured
+side, transposition flags, stored triangularity), it returns a callable
+over the *stored* left/right arrays.  These tests sweep the configuration
+space per kernel family and check each call against dense NumPy
+evaluation of the logical operation.
 """
 
 import numpy as np
 import pytest
 
-from repro.runtime.executor import KernelCallConfig
 from repro.kernels.reference import specialize_kernel
 
+from conftest import make_call
+
 RNG = np.random.default_rng(42)
-
-
-def _cfg(side="left", lt=False, rt=False, ll=None, rl=None):
-    return KernelCallConfig(
-        side=side, left_trans=lt, right_trans=rt, left_lower=ll, right_lower=rl
-    )
 
 
 def _sym(n):
@@ -65,13 +61,13 @@ class TestProductImpls:
         # dense storage, whatever the declared structures.
         a = _gen(4, 4)
         b = _gen(4, 4)
-        got = specialize_kernel(kernel, _cfg(lt=lt, rt=rt))(a, b)
+        got = specialize_kernel(make_call(kernel, lt=lt, rt=rt))(a, b)
         np.testing.assert_allclose(got, _op(a, lt) @ _op(b, rt))
 
     def test_rectangular_product(self):
         a, b = _gen(3, 5), _gen(5, 7)
         np.testing.assert_allclose(
-            specialize_kernel("GEMM", _cfg())(a, b), a @ b
+            specialize_kernel(make_call("GEMM"))(a, b), a @ b
         )
 
 
@@ -79,23 +75,23 @@ class TestGeneralSolveImpls:
     @pytest.mark.parametrize("kernel", ["GEGESV", "GESYSV", "GETRSV"])
     def test_coefficient_left(self, kernel):
         coeff, rhs = _gen_inv(5), _gen(5, 3)
-        got = specialize_kernel(kernel, _cfg(side="left"))(coeff, rhs)
+        got = specialize_kernel(make_call(kernel, side="left"))(coeff, rhs)
         np.testing.assert_allclose(coeff @ got, rhs, atol=1e-9)
 
     @pytest.mark.parametrize("kernel", ["GEGESV"])
     def test_coefficient_right(self, kernel):
         rhs, coeff = _gen(3, 5), _gen_inv(5)
-        got = specialize_kernel(kernel, _cfg(side="right"))(rhs, coeff)
+        got = specialize_kernel(make_call(kernel, side="right"))(rhs, coeff)
         np.testing.assert_allclose(got @ coeff, rhs, atol=1e-9)
 
     def test_transposed_coefficient_left(self):
         coeff, rhs = _gen_inv(5), _gen(5, 3)
-        got = specialize_kernel("GEGESV", _cfg(side="left", lt=True))(coeff, rhs)
+        got = specialize_kernel(make_call("GEGESV", side="left", lt=True))(coeff, rhs)
         np.testing.assert_allclose(coeff.T @ got, rhs, atol=1e-9)
 
     def test_transposed_coefficient_right(self):
         rhs, coeff = _gen(3, 5), _gen_inv(5)
-        got = specialize_kernel("GEGESV", _cfg(side="right", rt=True))(rhs, coeff)
+        got = specialize_kernel(make_call("GEGESV", side="right", rt=True))(rhs, coeff)
         np.testing.assert_allclose(got @ coeff.T, rhs, atol=1e-9)
 
 
@@ -103,19 +99,19 @@ class TestStructuredSolveImpls:
     def test_symmetric_left_and_right(self):
         s = _sym(5)
         rhs = _gen(5, 4)
-        got = specialize_kernel("SYGESV", _cfg(side="left"))(s, rhs)
+        got = specialize_kernel(make_call("SYGESV", side="left"))(s, rhs)
         np.testing.assert_allclose(s @ got, rhs, atol=1e-8)
         rhs_r = _gen(4, 5)
-        got = specialize_kernel("SYGESV", _cfg(side="right"))(rhs_r, s)
+        got = specialize_kernel(make_call("SYGESV", side="right"))(rhs_r, s)
         np.testing.assert_allclose(got @ s, rhs_r, atol=1e-8)
 
     def test_spd_left_and_right(self):
         p = _spd(5)
         rhs = _gen(5, 4)
-        got = specialize_kernel("POGESV", _cfg(side="left"))(p, rhs)
+        got = specialize_kernel(make_call("POGESV", side="left"))(p, rhs)
         np.testing.assert_allclose(p @ got, rhs, atol=1e-8)
         rhs_r = _gen(4, 5)
-        got = specialize_kernel("POGESV", _cfg(side="right"))(rhs_r, p)
+        got = specialize_kernel(make_call("POGESV", side="right"))(rhs_r, p)
         np.testing.assert_allclose(got @ p, rhs_r, atol=1e-8)
 
     @pytest.mark.parametrize("stored_lower", [True, False])
@@ -123,26 +119,26 @@ class TestStructuredSolveImpls:
         low = _low(5)
         stored = low if stored_lower else low.T.copy()
         rhs = _gen(5, 4)
-        got = specialize_kernel("TRSM", _cfg(side="left", ll=stored_lower))(stored, rhs)
+        got = specialize_kernel(make_call("TRSM", side="left", ll=stored_lower))(stored, rhs)
         np.testing.assert_allclose(stored @ got, rhs, atol=1e-9)
         rhs_r = _gen(4, 5)
-        got = specialize_kernel("TRSM", _cfg(side="right", rl=stored_lower))(rhs_r, stored)
+        got = specialize_kernel(make_call("TRSM", side="right", rl=stored_lower))(rhs_r, stored)
         np.testing.assert_allclose(got @ stored, rhs_r, atol=1e-9)
 
     def test_triangular_transposed_coefficient(self):
         # Stored lower, consumed transposed: solve with the upper L^T.
         low = _low(5)
         rhs = _gen(5, 4)
-        got = specialize_kernel("TRSM", _cfg(side="left", lt=True, ll=True))(low, rhs)
+        got = specialize_kernel(make_call("TRSM", side="left", lt=True, ll=True))(low, rhs)
         np.testing.assert_allclose(low.T @ got, rhs, atol=1e-9)
 
     def test_diagonal_solves(self):
         d = _diag(5)
         rhs = _gen(5, 4)
-        got = specialize_kernel("DIGESV", _cfg(side="left"))(d, rhs)
+        got = specialize_kernel(make_call("DIGESV", side="left"))(d, rhs)
         np.testing.assert_allclose(d @ got, rhs, atol=1e-12)
         rhs_r = _gen(4, 5)
-        got = specialize_kernel("DIGESV", _cfg(side="right"))(rhs_r, d)
+        got = specialize_kernel(make_call("DIGESV", side="right"))(rhs_r, d)
         np.testing.assert_allclose(got @ d, rhs_r, atol=1e-12)
 
     def test_transposed_rhs_is_materialized(self):
@@ -150,7 +146,7 @@ class TestStructuredSolveImpls:
         # though compiled variants never produce this for solves).
         coeff = _gen_inv(5)
         rhs_stored = _gen(3, 5)  # logical RHS is its transpose: 5 x 3
-        got = specialize_kernel("GEGESV", _cfg(side="left", rt=True))(coeff, rhs_stored)
+        got = specialize_kernel(make_call("GEGESV", side="left", rt=True))(coeff, rhs_stored)
         np.testing.assert_allclose(coeff @ got, rhs_stored.T, atol=1e-9)
 
 
@@ -159,4 +155,4 @@ class TestCoverage:
         from repro.kernels.spec import DIAGONAL_KERNELS, PRODUCT_KERNELS, SOLVE_KERNELS
 
         for kernel in (*PRODUCT_KERNELS, *SOLVE_KERNELS, *DIAGONAL_KERNELS):
-            assert callable(specialize_kernel(kernel.name, _cfg()))
+            assert callable(specialize_kernel(make_call(kernel.name)))

@@ -157,8 +157,36 @@ class TestUnary:
 
 class TestKernelImplRegistry:
     def test_every_binary_kernel_has_impl(self):
-        from repro.kernels.spec import PRODUCT_KERNELS, SOLVE_KERNELS
+        from repro.kernels.spec import KERNEL_FAMILY, PRODUCT_KERNELS, SOLVE_KERNELS
 
         for kernel in (*PRODUCT_KERNELS, *SOLVE_KERNELS):
-            names = ref.PRODUCT_KERNELS | ref.SOLVER_BY_KERNEL.keys()
-            assert kernel.name in names
+            families = ref.PRODUCT_FAMILIES | ref.SOLVER_BY_FAMILY.keys()
+            assert KERNEL_FAMILY[kernel.name] in families
+
+    def test_one_family_per_binary_kernel_and_a_lowering_per_family(self):
+        from repro.kernels.spec import (
+            DIAGONAL_KERNELS,
+            KERNEL_FAMILY,
+            PRODUCT_KERNELS,
+            SOLVE_KERNELS,
+        )
+        from repro.runtime import REFERENCE_ROUTINE, ReferenceBackend, StepCall
+
+        binary = [k.name for k in (*PRODUCT_KERNELS, *SOLVE_KERNELS, *DIAGONAL_KERNELS)]
+        assert len(binary) == len(set(binary))
+        # Exactly the binary kernels, each mapped to one family.
+        assert sorted(KERNEL_FAMILY) == sorted(binary)
+        # 2I is diagonal, triangular, symmetric and SPD at once, so it is a
+        # valid structured operand (or coefficient) of every family.
+        two = 2.0 * np.eye(4)
+        other = RNG.standard_normal((4, 4))
+        for family in sorted(set(KERNEL_FAMILY.values())):
+            kernel = min(k for k, f in KERNEL_FAMILY.items() if f == family)
+            lowered = ReferenceBackend().specialize(
+                StepCall(kernel, family, True, s_lower=True)
+            )
+            assert lowered.routine == REFERENCE_ROUTINE
+            expected = (
+                other / 2.0 if family in ref.SOLVER_BY_FAMILY else 2.0 * other
+            )
+            assert_close(lowered.impl(two, other), expected)

@@ -160,6 +160,58 @@ class TestJsonLines:
         assert all(response["ok"] for response in results.values())
 
 
+class TestOffload:
+    """Requests that may compile never run on the event loop."""
+
+    @pytest.mark.parametrize(
+        "request_payload, blocked",
+        [
+            ({"op": "dispatch", "source": SOURCE_AB, "sizes": [4, 5, 6]}, "submit"),
+            (
+                {
+                    "op": "execute",
+                    "source": SOURCE_AB,
+                    "arrays": [[[1.0, 2.0]], [[3.0], [4.0]]],
+                },
+                "submit",
+            ),
+            ({"op": "warm"}, "warm"),
+        ],
+        ids=["dispatch-source", "execute-source", "warm"],
+    )
+    def test_ping_answers_while_a_compile_is_blocked(
+        self, server, service, monkeypatch, request_payload, blocked
+    ):
+        entered, release = threading.Event(), threading.Event()
+        target = service if blocked == "submit" else service.session
+        original = getattr(target, blocked)
+
+        def stalled(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, blocked, stalled)
+        answers: list[dict] = []
+
+        def slow_client() -> None:
+            with socket.create_connection(server.address) as conn:
+                answers.append(request_line(conn.makefile("rw"), request_payload))
+
+        thread = threading.Thread(target=slow_client)
+        thread.start()
+        try:
+            assert entered.wait(timeout=10), "the request never reached the service"
+            with socket.create_connection(server.address, timeout=5) as conn:
+                pong = request_line(conn.makefile("rw"), {"op": "ping"})
+            assert pong["ok"] is True
+            assert not release.is_set() and not answers  # still blocked
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert answers and answers[0]["ok"], answers
+
+
 class TestHttp:
     def post(self, address, body, headers=None):
         import http.client
