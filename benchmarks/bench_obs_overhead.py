@@ -1,10 +1,11 @@
 """Observability overhead on the runtime hot path.
 
 The ``repro.obs`` layer instruments ``Dispatcher.run``: disabled, the
-only additions over the pre-obs path are one module-flag read and one
-cached histogram observe of the already-measured elapsed time; enabled,
-every kernel call is individually timed into per-``(kernel, routine)``
-histograms and the call is stamped with a ``runtime.run`` leaf span.
+only addition over the plain replay is one module-flag read (the
+execute-time histogram is fed in batches from the dispatcher's execution
+log, like its counters); enabled, every kernel call is individually
+timed into per-``(kernel, routine)`` histograms and the call is stamped
+with a ``runtime.run`` leaf span.
 
 The **pre-obs baseline**, reconstructed faithfully here from the PR-5
 ``run`` body, is the same memoized dispatch + plan replay with no flag

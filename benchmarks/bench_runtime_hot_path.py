@@ -1,8 +1,9 @@
 """Runtime hot path: memoized dispatch+execute vs a memo-less baseline.
 
 The runtime (`repro.runtime`) answers a repeated instance from a
-size-keyed dispatch memo: one size inference, one memo lookup, and a
-replay of the `ExecutionPlan` compiled for those sizes.
+dispatch memo keyed on the operand shapes: one memo probe and a replay
+of the `ExecutionPlan` compiled for those sizes (sizes are inferred only
+on the miss that memoized them).
 
 The **memo-less baseline** pays per call what the memo amortizes away:
 a full cost-matrix sweep with per-row instance validation (a dispatcher

@@ -212,6 +212,22 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
+    def observe_many(self, values) -> None:
+        """Observe a batch in order, under one lock acquisition — the same
+        window, totals and extremes as one :meth:`observe` per value."""
+        values = [float(value) for value in values]
+        with self._lock:
+            self._samples.extend(values)
+            self._count += len(values)
+            total, low, high = self._sum, self._min, self._max
+            for value in values:
+                total += value
+                if value < low:
+                    low = value
+                if value > high:
+                    high = value
+            self._sum, self._min, self._max = total, low, high
+
     @property
     def count(self) -> int:
         with self._lock:
@@ -356,18 +372,12 @@ class MetricsRegistry:
             return list(self._metrics.values())
 
     def snapshot(self) -> dict[str, object]:
-        """One JSON-clean dict of every metric and collector scope."""
-        counters: dict[str, int] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict[str, float]] = {}
-        for metric in self.metrics():
-            key = metric_key(metric.name, metric.labels)
-            if isinstance(metric, Counter):
-                counters[key] = metric.snapshot()
-            elif isinstance(metric, Gauge):
-                gauges[key] = metric.snapshot()
-            else:
-                histograms[key] = metric.snapshot()
+        """One JSON-clean dict of every metric and collector scope.
+
+        Collectors run first: a component that buffers observations (the
+        dispatcher's batched execution log) folds them into its metrics
+        when collected, so the metrics read afterwards are exact.
+        """
         with self._lock:
             collectors = list(self._collectors.items())
         scopes: dict[str, dict] = {}
@@ -379,6 +389,17 @@ class MetricsRegistry:
                 scopes[scope] = fn()
             except Exception as exc:  # a dying component must not kill stats
                 scopes[scope] = {"error": f"{type(exc).__name__}: {exc}"}
+        counters: dict[str, int] = {}
+        gauges: dict[str, float] = {}
+        histograms: dict[str, dict[str, float]] = {}
+        for metric in self.metrics():
+            key = metric_key(metric.name, metric.labels)
+            if isinstance(metric, Counter):
+                counters[key] = metric.snapshot()
+            elif isinstance(metric, Gauge):
+                gauges[key] = metric.snapshot()
+            else:
+                histograms[key] = metric.snapshot()
         return {
             "counters": counters,
             "gauges": gauges,

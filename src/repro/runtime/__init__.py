@@ -13,10 +13,10 @@ that second half, structured for the per-request hot path:
   calls over flat buffer slots (no dict lookups, no re-validation); its
   :meth:`~ExecutionPlan.replay` is the one loop every execution runs;
 * :mod:`repro.runtime.dispatcher` — :class:`Dispatcher`, the generated
-  dispatch function with a bounded size-keyed memo: repeated instances
-  bypass the cost sweep and replay their compiled plan, making the
-  steady-state per-call path amortized O(1) in everything but the kernel
-  work itself;
+  dispatch function with a bounded memo keyed on the operand shapes:
+  repeated instances skip size inference and the cost sweep and replay
+  their compiled plan, making the steady-state per-call path one dict
+  probe plus the kernel work itself;
 * :mod:`repro.runtime.backends` — pluggable execution backends
   (``reference``, ``blas``, and the native-interpreter ``c`` backend) that
   lower each step's :class:`StepCall` to a direct callable at

@@ -39,8 +39,8 @@ are per-process, so the first load in a process passes the harvested
 capsules to the module's ``init``.
 
 Degradation is total and silent: no toolchain, no harvestable capsules,
-an unsupported step (the diagonal solves, configurations the routines
-cannot express), a compiler rejection, or a load failure all fall back
+an unsupported step (configurations the routines cannot express), a
+compiler rejection, or a load failure all fall back
 to the ``blas`` lowering the plan already carries (``specialize`` here
 delegates to :class:`~repro.runtime.backends.blas.BlasBackend`), counted
 per reason in the ``runtime.codegen_fallbacks`` metric and logged at
@@ -178,7 +178,9 @@ def cemit_available() -> bool:
     OP_SYSV,
     OP_GESV,
     OP_STORE_T,
-) = range(1, 12)
+    OP_ROW_DIV,
+    OP_COL_DIV,
+) = range(1, 14)
 _REF_INPUT, _REF_WS, _REF_OUT = range(3)
 
 
@@ -337,13 +339,17 @@ class _Packer:
         )
         return _StepSpec(m, n, eg, False, step)
 
-    def _dimm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
+    def _diagonal(
+        self, call: "StepCall", l: _Buf, r: _Buf, last: bool, ops: tuple[int, int]
+    ) -> _StepSpec:
+        """Diagonal product (dimm) or solve (disv): scale or divide the
+        other operand's rows or columns by the diagonal's entries."""
         diag_left = call.s_left
         d, g = (l, r) if diag_left else (r, l)
         eg = call.o_trans != g.t
-        # Scale in the general operand's own layout (t_out = eg): the
-        # scale then runs down physical rows or columns with unit stride.
-        op = OP_ROW_SCALE if diag_left != eg else OP_COL_SCALE
+        # Work in the other operand's own layout (t_out = eg): the scale
+        # then runs down physical rows or columns with unit stride.
+        op = ops[0] if diag_left != eg else ops[1]
         step = _Step(op, m=g.pr, n=g.pc, a=d.ref, lda=d.pr + 1, b=g.ref)
         return _StepSpec(g.pr, g.pc, eg, False, step)
 
@@ -390,12 +396,13 @@ class _Packer:
 
 
 #: family -> packer, each called as ``pack(packer, call, l, r, last)``.
-#: Families absent here (the diagonal solves) fall the plan back.
+#: A family absent here falls the plan back.
 _PACKERS = {
     "gemm": _Packer._gemm,
     "symm": _Packer._symm,
     "trmm": functools.partial(_Packer._triangular, op=OP_TRMM),
-    "dimm": _Packer._dimm,
+    "dimm": functools.partial(_Packer._diagonal, ops=(OP_ROW_SCALE, OP_COL_SCALE)),
+    "disv": functools.partial(_Packer._diagonal, ops=(OP_ROW_DIV, OP_COL_DIV)),
     "didimm": _Packer._didimm,
     "trsm": functools.partial(_Packer._triangular, op=OP_TRSM),
     "posv": functools.partial(_Packer._factor_solve, op=OP_POSV),
@@ -408,8 +415,8 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
     """Pack one plan as an interpreter step record: ``(record, out_shape)``.
 
     Raises :class:`_Unsupported` for steps outside the packer's family
-    table (the diagonal solves, calls without the triangularity the
-    routines need) — callers fall the whole plan back to ``blas``.
+    table or calls without the triangularity the routines need — callers
+    fall the whole plan back to ``blas``.
     """
     steps = plan.variant.steps
     if not steps:

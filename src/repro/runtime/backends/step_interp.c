@@ -30,6 +30,9 @@
  *               inverted for TRSM; a triangular with triangle f1
  *   ROW_SCALE   c[i, j] := a[i * lda] * b[i, j]   (a diagonal, b m x n)
  *   COL_SCALE   c[i, j] := a[j * lda] * b[i, j]
+ *   ROW_DIV     c[i, j] := b[i, j] / a[i * lda]   (a diagonal, b m x n; a
+ *   COL_DIV     c[i, j] := b[i, j] / a[j * lda]    zero a entry fails the
+ *               step, info = its position + 1)
  *   DIAG_DIAG   c := diag(a[k * lda] * b[k * ldb]), c is m x m
  *   POSV/SYSV/  w0 := a (the m x m coefficient, so operands are never
  *   GESV        factored), c := b (f2 = 'N') or b^T (f2 = 'T', b has
@@ -81,7 +84,8 @@ enum { H_NINPUTS, H_OUT_ROWS, H_OUT_COLS, H_WS, H_NSTEPS, H_LEN };
 enum { REF_INPUT, REF_WS, REF_OUT };
 enum {
     OP_GEMM = 1, OP_SYMM, OP_TRMM, OP_TRSM, OP_ROW_SCALE, OP_COL_SCALE,
-    OP_DIAG_DIAG, OP_POSV, OP_SYSV, OP_GESV, OP_STORE_T
+    OP_DIAG_DIAG, OP_POSV, OP_SYSV, OP_GESV, OP_STORE_T, OP_ROW_DIV,
+    OP_COL_DIV
 };
 
 typedef struct {
@@ -164,6 +168,37 @@ solve(const step_t *s, double *a, double *b, double *c, double *ws,
     return info == 0 ? 0 : -1;
 }
 
+/* Diagonal solves: c := b with each row (or column) divided by the
+ * matching entry of the diagonal a.  Divides rather than multiplying by
+ * reciprocals, so results match numpy's elementwise division bit for bit. */
+static int
+divide(const step_t *s, const double *a, const double *b, double *c,
+       failure_t *fail)
+{
+    int m = (int)s->m, n = (int)s->n, p, q;
+    int rows = s->op == OP_ROW_DIV;
+    size_t lda = (size_t)s->lda;
+    for (p = 0; p < (rows ? m : n); p++) {
+        if (a[p * lda] == 0.0) {
+            fail->routine = "diagonal solve";
+            fail->info = p + 1;
+            return -1;
+        }
+    }
+    for (q = 0; q < n; q++) {
+        if (rows) {
+            for (p = 0; p < m; p++)
+                c[p + (size_t)q * m] = b[p + (size_t)q * m] / a[p * lda];
+        }
+        else {
+            double d = a[q * lda];
+            for (p = 0; p < m; p++)
+                c[p + (size_t)q * m] = b[p + (size_t)q * m] / d;
+        }
+    }
+    return 0;
+}
+
 /* Walk the steps; runs without the GIL.  0, or -1 with *fail filled in. */
 static int
 walk(const step_t *steps, Py_ssize_t n_steps, double *const *in, double *ws,
@@ -225,6 +260,11 @@ walk(const step_t *steps, Py_ssize_t n_steps, double *const *in, double *ws,
             break;
         case OP_STORE_T:
             transpose_copy(c, a, m, n, lda);
+            break;
+        case OP_ROW_DIV:
+        case OP_COL_DIV:
+            if (divide(s, a, b, c, fail) < 0)
+                return -1;
             break;
         default:
             fail->routine = "an unknown opcode";

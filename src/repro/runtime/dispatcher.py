@@ -13,21 +13,32 @@ What makes this a *runtime* rather than a per-call recomputation:
 * the flattened cost-term stack of the variant pool is built once and
   keyed on the **identity** of the pool (so in-place replacement of the
   list, even at the same length, rebuilds it);
-* every dispatch decision is memoized in a bounded, LRU-evicted map from
-  the observed size vector to ``(variant, cost, ExecutionPlan)`` —
-  a service answering repeated instances of the same sizes pays one cost
-  sweep and one plan compilation, then amortized O(1) per call;
-* executing through the memo replays a compiled
-  :class:`~repro.runtime.plan.ExecutionPlan`: kernel implementations,
-  per-step call records, and buffer slots are pre-resolved, and operand
-  shapes are validated exactly once (by size inference), not re-checked
-  per step or re-inferred per call.
+* every dispatch decision is memoized in a bounded map from the operand
+  **shapes** to ``(variant, cost, sizes, ExecutionPlan)``, evicted by
+  CLOCK (second chance: a hit sets the entry's reference bit, eviction
+  under the lock spares a referenced entry once) — a service answering
+  repeated instances of the same sizes pays one cost sweep and one plan
+  compilation, then amortized O(1) per call;
+* a warm :meth:`Dispatcher.run` is one dict probe on the shape tuple, one
+  replay of the compiled :class:`~repro.runtime.plan.ExecutionPlan`
+  (kernel implementations, per-step call records, and buffer slots
+  pre-resolved) and one append to an execution log.  Shapes are
+  validated by size inference on the miss that stores an entry; the
+  stored-shape map is one-to-one on valid size vectors, so a hit on the
+  same shapes needs neither inference nor any re-check.  Size-keyed
+  callers (:meth:`~Dispatcher.select`, :meth:`~Dispatcher.plan_for`)
+  derive the same key from validated sizes;
+* a hit's bookkeeping — hit count, per-backend executions, the latest
+  replay time and the ``runtime.execute_seconds`` histogram — is folded
+  from that log under the lock in batches, and before every read
+  (:meth:`~Dispatcher.memo_stats`, :func:`runtime_snapshot`, the registry
+  snapshot), so the counts are exact whenever they are read.
 
 The memo is invalidated by reassigning :attr:`Dispatcher.variants`,
 mutating the variant list in place, or swapping
 :attr:`Dispatcher.cost_estimator`.  Memo bookkeeping is guarded by a
 lock, so one dispatcher may serve many threads (plans themselves are
-stateless and replay concurrently).
+stateless and replay concurrently; a hit reads the memo without it).
 
 Dispatch can additionally be *feedback-directed*: with ``reselect_ratio``
 set, every memoized decision tracks its measured replay time (an EMA),
@@ -47,7 +58,8 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from operator import is_not
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -61,7 +73,7 @@ import numpy as np
 
 from repro.errors import DispatchError
 from repro.ir.chain import Chain
-from repro.obs import get_registry
+from repro.obs import Histogram, get_registry
 from repro.obs import trace as obs_trace
 from repro.runtime.backends import (
     BACKEND_NAMES,
@@ -95,6 +107,14 @@ DEFAULT_RESELECT_MIN_EXECUTIONS = 8
 
 #: EMA weight of the freshest measured replay time in an entry's estimate.
 MEASURED_EMA_WEIGHT = 0.3
+
+#: The operand dtype, as an instance: ``np.asarray`` resolves a dtype
+#: object faster than the scalar type it stands for.
+_FLOAT64 = np.dtype(np.float64)
+
+#: Logged executions that trigger a fold into the counters and histogram
+#: (reads fold whatever is pending first, so this only bounds the log).
+EXECUTION_LOG_BATCH = 256
 
 
 def flop_estimator(variant: Variant, sizes: Sequence[int]) -> float:
@@ -153,6 +173,28 @@ def runtime_snapshot() -> dict[str, object]:
 get_registry().register_collector("runtime", runtime_snapshot)
 
 
+def _observe_executions(log: deque, hists: dict[str, Histogram]) -> list:
+    """Pop every logged execution and feed it to the per-backend
+    ``runtime.execute_seconds`` histograms, one batch per backend;
+    returns the popped ``(backend, elapsed, end stamp, hit)`` records.
+
+    Also the finalizer of a dispatcher's log, so executions it had not
+    folded yet still reach the histogram.
+    """
+    batch = [log.popleft() for _ in range(len(log))]
+    seconds: dict[str, list[float]] = {}
+    for backend, elapsed, _, _ in batch:
+        seconds.setdefault(backend, []).append(elapsed)
+    for backend, values in seconds.items():
+        histogram = hists.get(backend)
+        if histogram is None:
+            histogram = hists[backend] = get_registry().histogram(
+                "runtime.execute_seconds", backend=backend
+            )
+        histogram.observe_many(values)
+    return batch
+
+
 class DispatchOutcome(NamedTuple):
     """Everything one dispatched execution produced (see :meth:`Dispatcher.run`)."""
 
@@ -166,10 +208,13 @@ class _MemoEntry:
     """One memoized dispatch decision; the plan is compiled on first use.
 
     Holds the winning variant *object* (not an index into the mutable
-    pool), so a stale entry can never index out of a reassigned list.
+    pool), so a stale entry can never index out of a reassigned list,
+    and the validated size vector its shape key was derived from.
     """
 
     __slots__ = (
+        "sizes",
+        "referenced",
         "variant",
         "cost",
         "plan",
@@ -182,7 +227,11 @@ class _MemoEntry:
         "next_check",
     )
 
-    def __init__(self, variant: "Variant", cost: float):
+    def __init__(self, variant: "Variant", cost: float, sizes: tuple[int, ...]):
+        self.sizes = sizes
+        #: CLOCK reference bit: set by every hit, cleared by an eviction
+        #: sweep that spares the entry once.
+        self.referenced = False
         self.reset(variant, cost)
 
     def reset(self, variant: "Variant", cost: float) -> None:
@@ -223,9 +272,9 @@ class Dispatcher:
     the ``k`` generated variants (with their cost functions) and, per call,
     selects and executes the best variant for the observed matrix sizes.
     Repeated instances of the same sizes bypass the cost sweep entirely
-    through the size-keyed memo (see the module docstring).
+    through the shape-keyed memo (see the module docstring).
 
-    ``memo_capacity`` bounds the memo (LRU eviction); ``0`` disables
+    ``memo_capacity`` bounds the memo (CLOCK eviction); ``0`` disables
     memoization, restoring a full cost sweep per call.
 
     ``backend`` is a registered strategy name (``reference``/``blas``/
@@ -270,9 +319,11 @@ class Dispatcher:
         self.chain = chain
         self.memo_capacity = memo_capacity
         self._infer = SizeInferencer(chain)
+        # memo_hits, backend_executions and last_execute_* trail the
+        # execution log until its next fold; memo_stats() folds first.
         self.memo_hits = 0  #: dispatch decisions answered from the memo
         self.memo_misses = 0  #: dispatch decisions that paid a cost sweep
-        self.memo_evictions = 0  #: memo entries dropped by the LRU bound
+        self.memo_evictions = 0  #: memo entries dropped by the capacity bound
         #: executed instances per concrete plan backend (observability for
         #: the ``auto`` strategy; see :meth:`memo_stats`)
         self.backend_executions: dict[str, int] = {}
@@ -281,11 +332,16 @@ class Dispatcher:
         self.auto_wins: dict[str, int] = {}
         #: wall-clock seconds of the most recent run()/execute_many replay
         self.last_execute_seconds: Optional[float] = None
-        #: monotonic stamp of that replay (lets aggregators order
-        #: "most recent" across dispatchers); None until the first one
+        #: ``time.perf_counter`` stamp of that replay's end (lets
+        #: aggregators order "most recent" across dispatchers); None until
+        #: the first one
         self.last_execute_at: Optional[float] = None
-        self._memo: OrderedDict[tuple[int, ...], _MemoEntry] = OrderedDict()
+        #: operand-shape tuple -> decision (see the module docstring)
+        self._memo: OrderedDict[tuple[tuple[int, int], ...], _MemoEntry] = OrderedDict()
         self._memo_lock = threading.Lock()
+        #: ``(backend, elapsed, end stamp, hit)`` per run() not yet folded
+        #: into the counters and histogram (see :meth:`_fold_log`).
+        self._exec_log: deque = deque()
         self._pool_snapshot: Optional[tuple[Variant, ...]] = None
         self._term_stack = None
         self.variants = list(variants)  # via the setter: resets the caches
@@ -304,10 +360,14 @@ class Dispatcher:
 
             calibration = get_default_estimator()
         self._calibration = calibration
-        #: Per-backend execute-time Histogram cache: the registry lookup
-        #: (string formatting + dict get under a lock) is too slow for the
-        #: per-call hot path, the bound observe() is not.
-        self._exec_hists: dict[str, Callable[[float], None]] = {}
+        #: Per-backend execute-time Histogram cache (the registry lookup
+        #: formats a key and takes the registry lock).
+        self._exec_hists: dict[str, Histogram] = {}
+        # Executions still logged when the dispatcher dies reach the
+        # process-wide histogram anyway.
+        weakref.finalize(
+            self, _observe_executions, self._exec_log, self._exec_hists
+        ).atexit = False
         with _DISPATCHERS_LOCK:
             _DISPATCHERS.add(self)
 
@@ -406,7 +466,7 @@ class Dispatcher:
         if (
             snapshot is None
             or len(snapshot) != len(pool)
-            or any(a is not b for a, b in zip(pool, snapshot))
+            or any(map(is_not, pool, snapshot))
         ):
             self._invalidate()
             snapshot = self._pool_snapshot
@@ -551,39 +611,38 @@ class Dispatcher:
             for i, v in enumerate(winners)
         ]
 
-    def _lookup(self, q: tuple[int, ...], count: bool = True) -> Optional[_MemoEntry]:
-        with self._memo_lock:
-            entry = self._memo.get(q)
-            if entry is not None:
-                self._memo.move_to_end(q)
-                if count:
-                    self.memo_hits += 1
-            return entry
-
     def _decide(
         self,
         snapshot: tuple["Variant", ...],
         sizes: Sequence[tuple[int, ...]],
         estimator: CostEstimator,
-    ) -> dict[tuple[int, ...], _MemoEntry]:
+    ) -> list[_MemoEntry]:
         """A fresh decision per validated size vector, from one sweep."""
         costs = self._evaluate_costs(
             snapshot, np.asarray(sizes, dtype=np.float64), estimator
         )
         winners = costs.argmin(axis=0).tolist()
-        return {
-            q: _MemoEntry(snapshot[w], float(costs[w, j]))
+        return [
+            _MemoEntry(snapshot[w], float(costs[w, j]), q)
             for j, (q, w) in enumerate(zip(sizes, winners))
-        }
+        ]
 
     def _store(
         self,
-        entries: dict[tuple[int, ...], _MemoEntry],
+        entries: dict[tuple, _MemoEntry],
         snapshot: tuple["Variant", ...],
         estimator: CostEstimator,
     ) -> None:
-        """Memoize fresh decisions under the LRU bound; a size vector
-        memoized concurrently keeps its first decision."""
+        """Memoize fresh decisions by shape key under the capacity bound;
+        a key memoized concurrently keeps its first decision.
+
+        Eviction is CLOCK, run before the fresh entries go in: the oldest
+        entry goes unless its reference bit is set, in which case the bit
+        is cleared and the entry moves to the back.  Hits set bits without
+        the lock, so the sweep grants at most one second chance per
+        memoized entry.  When the fresh entries alone exceed the
+        capacity, the earliest of them are the ones dropped.
+        """
         if self.memo_capacity <= 0:
             return
         with self._memo_lock:
@@ -595,23 +654,38 @@ class Dispatcher:
                 # decisions are stale, drop them rather than poison the
                 # memo that the concurrent swap just cleared.
                 return
-            for q, entry in entries.items():
-                self._memo.setdefault(q, entry)
-            while len(self._memo) > self.memo_capacity:
-                self._memo.popitem(last=False)
-                self.memo_evictions += 1
+            memo = self._memo
+            fresh = [item for item in entries.items() if item[0] not in memo]
+            capacity = self.memo_capacity
+            chances = len(memo)
+            evicted = 0
+            while memo and len(memo) + len(fresh) > capacity:
+                key, entry = next(iter(memo.items()))
+                if entry.referenced and chances:
+                    entry.referenced = False
+                    chances -= 1
+                    memo.move_to_end(key)
+                else:
+                    memo.popitem(last=False)
+                    evicted += 1
+            dropped = max(0, len(fresh) - capacity)
+            memo.update(fresh[dropped:])
+            self.memo_evictions += evicted + dropped
 
-    def _select_entry(self, q: tuple[int, ...]) -> _MemoEntry:
-        """The memoized dispatch decision for a validated size vector."""
+    def _select_entry(self, key: tuple, q: tuple[int, ...]) -> _MemoEntry:
+        """The memoized dispatch decision for a validated size vector and
+        its shape key, counting the hit or the miss."""
         snapshot = self._sync_pool()
-        entry = self._lookup(q)
-        if entry is None:
-            estimator = self._cost_estimator
-            with self._memo_lock:
-                self.memo_misses += 1
-            fresh = self._decide(snapshot, [q], estimator)
-            self._store(fresh, snapshot, estimator)
-            entry = fresh[q]
+        with self._memo_lock:
+            entry = self._memo.get(key)
+            if entry is not None:
+                entry.referenced = True
+                self.memo_hits += 1
+                return entry
+            self.memo_misses += 1
+        estimator = self._cost_estimator
+        (entry,) = self._decide(snapshot, [q], estimator)
+        self._store({key: entry}, snapshot, estimator)
         return entry
 
     def select(self, sizes: Sequence[int]) -> tuple[Variant, float]:
@@ -628,7 +702,7 @@ class Dispatcher:
         decision, not merely an equal one.
         """
         q = self.chain.validate_sizes(sizes)
-        entry = self._select_entry(q)
+        entry = self._select_entry(self._infer.shapes(q), q)
         return entry.variant, entry.cost
 
     def plan_for(
@@ -637,26 +711,27 @@ class Dispatcher:
         """The memoized ``(variant, cost, plan)`` for an instance.
 
         The plan is compiled on the first request for a size vector and
-        replayed from the memo afterwards.
+        replayed from the memo afterwards.  ``validate=False`` trusts the
+        caller's sizes (e.g. just inferred from arrays).
         """
         q = (
             self.chain.validate_sizes(sizes)
             if validate
             else tuple(int(s) for s in sizes)
         )
-        entry = self._select_entry(q)
-        return entry.variant, entry.cost, self._entry_plan(entry, q)
+        entry = self._select_entry(self._infer.shapes(q), q)
+        return entry.variant, entry.cost, self._entry_plan(entry)
 
-    def _entry_plan(self, entry: _MemoEntry, q: tuple[int, ...]) -> ExecutionPlan:
+    def _entry_plan(self, entry: _MemoEntry) -> ExecutionPlan:
         """The entry's compiled plan, lowering it through the backend
         strategy on first use (``auto`` micro-benchmarks here, once per
         memo entry)."""
         plan = entry.plan
         if plan is None:
             if self._backend == "auto":
-                plan = self._auto_plan(entry, q)
+                plan = self._auto_plan(entry, entry.sizes)
             else:
-                plan = compile_plan(entry.variant, q, backend=self._backend)
+                plan = compile_plan(entry.variant, entry.sizes, backend=self._backend)
             entry.backend = plan.backend
             entry.plan = plan
         return plan
@@ -755,20 +830,22 @@ class Dispatcher:
             entry.kernel_hists = observers
         return observers
 
-    def _observe_execution(self, backend: str, elapsed: float) -> None:
-        """Feed the always-on per-backend execute-time histogram.
-
-        One dict get + one bound observe per call (the raw material for
-        the feedback-directed cost model), cheap enough to stay on even
-        with tracing off.
-        """
-        observe = self._exec_hists.get(backend)
-        if observe is None:
-            observe = get_registry().histogram(
-                "runtime.execute_seconds", backend=backend
-            ).observe
-            self._exec_hists[backend] = observe
-        observe(elapsed)
+    def _fold_log(self) -> None:
+        """Fold the execution log into the hit count, per-backend
+        executions, the latest replay and the execute-time histogram.
+        The caller holds the memo lock."""
+        batch = _observe_executions(self._exec_log, self._exec_hists)
+        executions = self.backend_executions
+        latest = self.last_execute_at
+        hits = 0
+        for backend, elapsed, stamp, hit in batch:
+            hits += hit
+            executions[backend] = executions.get(backend, 0) + 1
+            if latest is None or stamp > latest:
+                latest = stamp
+                self.last_execute_seconds = elapsed
+        self.last_execute_at = latest
+        self.memo_hits += hits
 
     def _checkout_arena(self, entry: _MemoEntry, plan: ExecutionPlan):
         """An idle arena for this plan, or ``None`` (cold plan / no gain)."""
@@ -798,12 +875,15 @@ class Dispatcher:
     ) -> DispatchOutcome:
         """Dispatch and execute one instance; returns the full outcome.
 
-        Sizes are inferred (and thereby validated) exactly once; the
-        memoized plan replays without re-inferring or re-checking shapes.
+        A warm call is one memo probe on the operand shapes and one plan
+        replay: the shapes were validated by size inference on the miss
+        that memoized them, and the memoized plan replays without
+        re-checking them.  A miss only *resolves* the entry (infer,
+        select, lower, memoize); hits and misses then run the same code.
         With tracing enabled, the replay additionally times every kernel
         call into per-``(kernel, routine)`` histograms and emits a
-        ``runtime.run`` span; disabled, the only extra work over the plain
-        replay is one histogram observe of the already-measured elapsed.
+        ``runtime.run`` span; disabled, the only work besides the replay
+        is one append to the execution log (:meth:`_fold_log`).
 
         ``reuse_buffers=True`` runs warm replays on pooled intermediate
         buffers (:class:`~repro.runtime.plan.PlanArena`, checked out per
@@ -814,10 +894,25 @@ class Dispatcher:
         must not alias an operand) — together they make a warm replay
         allocation-free.  Both default off.
         """
-        values = [np.asarray(a, dtype=np.float64) for a in arrays]
-        sizes = self._infer.infer(values)
-        entry = self._select_entry(sizes)
-        plan = self._entry_plan(entry, sizes)
+        values = [np.asarray(a, dtype=_FLOAT64) for a in arrays]
+        key = tuple([v.shape for v in values])
+        entry = self._memo.get(key)
+        plan = None if entry is None else entry.plan
+        pool, snapshot = self._variants, self._pool_snapshot
+        if (
+            plan is None
+            or len(pool) != len(snapshot)
+            or any(map(is_not, pool, snapshot))
+        ):
+            # Miss (or a plan-less entry, or a pool mutated in place):
+            # _select_entry counts the hit or miss itself.
+            entry = self._select_entry(key, self._infer.infer(values))
+            plan = self._entry_plan(entry)
+            hit = 0
+        else:
+            entry.referenced = True
+            hit = 1
+        sizes = entry.sizes
         traced = obs_trace._enabled  # module flag, read once per call
         # Traced replays run without an arena: each timed step allocates
         # its own result.
@@ -827,7 +922,7 @@ class Dispatcher:
         if not traced:
             start = time.perf_counter()
             result = plan.replay(values, arena, out)
-            elapsed = time.perf_counter() - start
+            end = time.perf_counter()
         else:
             # Traced path: the plan records raw per-step durations (one
             # C-level append between kernels), then the histogram feeds
@@ -850,7 +945,7 @@ class Dispatcher:
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 raise
-            elapsed = time.perf_counter() - start
+            end = time.perf_counter()
             for (observe_s, observe_rate, flops), seconds in zip(
                 self._kernel_observers(entry, plan), durations
             ):
@@ -860,32 +955,31 @@ class Dispatcher:
             obs_trace.leaf_span(
                 "runtime.run",
                 started_at,
-                elapsed,
+                end - start,
                 backend=plan.backend,
                 sizes=list(sizes),
                 variant=entry.variant.name,
-                elapsed=elapsed,
+                elapsed=end - start,
             )
+        elapsed = end - start
         if arena is not None:
             self._release_arena(entry, plan, arena)
         elif reuse_buffers:
             # Cold plan: remember the step shapes this replay produced so
             # the next one can build an arena.
             plan.record_buffer_shapes(values, result)
-        with self._memo_lock:
-            self.backend_executions[plan.backend] = (
-                self.backend_executions.get(plan.backend, 0) + 1
-            )
-            self.last_execute_seconds = elapsed
-            self.last_execute_at = time.monotonic()
-        self._observe_execution(plan.backend, elapsed)
+        log = self._exec_log
+        log.append((plan.backend, elapsed, end, hit))
+        if len(log) >= EXECUTION_LOG_BATCH:
+            with self._memo_lock:
+                self._fold_log()
         # Snapshot the decision that actually ran before the feedback
         # checkpoint — a re-selection there swaps the entry in place, and
         # the outcome must describe this call, not the next one.
         variant, cost = entry.variant, entry.cost
         if self._reselect_ratio is not None:
             self._feedback(entry, sizes, elapsed)
-        return DispatchOutcome(sizes, variant, cost, result)
+        return DispatchOutcome._make((sizes, variant, cost, result))
 
     def _feedback(
         self, entry: _MemoEntry, q: tuple[int, ...], elapsed: float
@@ -938,7 +1032,7 @@ class Dispatcher:
             if measured >= predicted
             else predicted / measured
         )
-        fresh = self._decide(self._sync_pool(), [q], calibration)[q]
+        (fresh,) = self._decide(self._sync_pool(), [q], calibration)
         winner, best = fresh.variant, fresh.cost
         advantage = predicted / best if best > 0.0 else float("inf")
         if (
@@ -957,7 +1051,7 @@ class Dispatcher:
             entry.reset(winner, best)
 
     def __call__(self, *arrays: np.ndarray) -> np.ndarray:
-        """Evaluate the chain: infer sizes, pick the best variant, run it."""
+        """Evaluate the chain: pick the best variant for the sizes, run it."""
         if len(arrays) == 1 and isinstance(arrays[0], (list, tuple)):
             arrays = tuple(arrays[0])
         return self.run(arrays).result
@@ -972,18 +1066,21 @@ class Dispatcher:
         the per-size plans in input order.
         """
         prepared = [
-            [np.asarray(a, dtype=np.float64) for a in arrays]
+            [np.asarray(a, dtype=_FLOAT64) for a in arrays]
             for arrays in instances
         ]
         sized = [self._infer.infer(arrays) for arrays in prepared]
-        local: dict[tuple[int, ...], _MemoEntry] = {}
+        keys = [tuple([v.shape for v in arrays]) for arrays in prepared]
+        local: dict[tuple, _MemoEntry] = {}
         if sized:
             snapshot = self._sync_pool()
             estimator = self._cost_estimator
             with self._memo_lock:
-                fresh = [
-                    q for q in dict.fromkeys(sized) if q not in self._memo
-                ]
+                fresh = {
+                    key: q
+                    for key, q in zip(keys, sized)
+                    if key not in self._memo
+                }
                 # Counters mirror the scalar path: the first occurrence of
                 # each uncached size is a miss (they share the single
                 # sweep below); every other instance — warm sizes and
@@ -991,34 +1088,38 @@ class Dispatcher:
                 self.memo_misses += len(fresh)
                 self.memo_hits += len(sized) - len(fresh)
             if fresh:
-                local = self._decide(snapshot, fresh, estimator)
+                local = dict(
+                    zip(fresh, self._decide(snapshot, list(fresh.values()), estimator))
+                )
                 self._store(local, snapshot, estimator)
         results = []
         executed: dict[str, int] = {}
         start = time.perf_counter()
-        for q, arrays in zip(sized, prepared):
+        for key, q, arrays in zip(keys, sized, prepared):
             # Counters were settled above.  The local entries keep the
             # one-sweep promise even with memo_capacity=0 or immediate
             # eviction; _select_entry is the last-resort fallback (and
             # counts its own miss).
-            entry = self._lookup(q, count=False) or local.get(q)
-            if entry is None:
-                entry = self._select_entry(q)
-            plan = self._entry_plan(entry, q)
+            entry = self._memo.get(key)
+            if entry is not None:
+                entry.referenced = True
+            else:
+                entry = local.get(key) or self._select_entry(key, q)
+            plan = self._entry_plan(entry)
             results.append(plan.replay(arrays))
             executed[plan.backend] = executed.get(plan.backend, 0) + 1
         if sized:
-            elapsed = time.perf_counter() - start
+            end = time.perf_counter()
             with self._memo_lock:
                 for name, count in executed.items():
                     self.backend_executions[name] = (
                         self.backend_executions.get(name, 0) + count
                     )
-                self.last_execute_seconds = elapsed
-                self.last_execute_at = time.monotonic()
+                self.last_execute_seconds = end - start
+                self.last_execute_at = end
             get_registry().histogram(
                 "runtime.batch_seconds", backend=self._backend_label
-            ).observe(elapsed)
+            ).observe(end - start)
         return results
 
     def memo_stats(self) -> dict[str, object]:
@@ -1028,8 +1129,11 @@ class Dispatcher:
         backend — under ``auto`` this is how its measured choices surface
         in production; ``last_execute_seconds`` is the replay wall time of
         the most recent :meth:`run` call or :meth:`execute_many` batch.
+        Pending execution-log records are folded first, so every count is
+        exact as of this call.
         """
         with self._memo_lock:
+            self._fold_log()
             return {
                 "entries": len(self._memo),
                 "capacity": self.memo_capacity,

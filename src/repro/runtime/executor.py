@@ -101,11 +101,17 @@ def _stored_lower(state: "OperandState") -> Optional[bool]:
 def expected_stored_shapes(chain: Chain, sizes: Sequence[int]) -> list[tuple[int, int]]:
     """Stored array shape expected for each chain matrix on an instance."""
     q = chain.validate_sizes(sizes)
-    shapes = []
-    for i, operand in enumerate(chain):
-        logical = (q[i], q[i + 1])
-        shapes.append(logical[::-1] if operand.transposed else logical)
-    return shapes
+    return list(_stored_shapes(tuple(op.transposed for op in chain), q))
+
+
+def _stored_shapes(
+    transposed: Sequence[bool], q: Sequence[int]
+) -> tuple[tuple[int, int], ...]:
+    """Stored shapes of a size vector (trusted): the inverse of inference."""
+    return tuple(
+        (q[i + 1], q[i]) if t else (q[i], q[i + 1])
+        for i, t in enumerate(transposed)
+    )
 
 
 def infer_sizes(chain: Chain, arrays: Sequence[np.ndarray]) -> tuple[int, ...]:
@@ -140,7 +146,7 @@ def infer_sizes(chain: Chain, arrays: Sequence[np.ndarray]) -> tuple[int, ...]:
 
 
 class SizeInferencer:
-    """Per-chain compiled size inference for the dispatch hot path.
+    """Per-chain compiled size inference for the dispatcher's memo misses.
 
     :func:`infer_sizes` re-reads each operand's transpose flag and the
     chain's square constraints on every call and cross-checks every shared
@@ -198,6 +204,11 @@ class SizeInferencer:
             if q[i] != q[i + 1]:
                 chain.validate_sizes(q)  # canonical ShapeError
         return tuple(q)
+
+    def shapes(self, sizes: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """The stored operand shapes of a validated size vector — the
+        inverse of :meth:`infer`, and one-to-one on valid vectors."""
+        return _stored_shapes(self._transposed, sizes)
 
     __call__ = infer
 

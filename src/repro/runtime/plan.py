@@ -101,8 +101,8 @@ class ExecutionPlan:
 
     Construction (via :func:`compile_plan`) validates the size vector and
     resolves every step; :meth:`execute` then trusts its inputs by default
-    — the caller (the dispatcher) has already inferred the sizes from the
-    arrays, which guarantees the stored shapes match :attr:`expected_shapes`.
+    — the caller (the dispatcher) found the plan under the arrays' shapes,
+    which guarantees the stored shapes match :attr:`expected_shapes`.
     Pass ``check_shapes=True`` to re-assert that explicitly (the first-run
     or untrusted-caller path).
 
@@ -231,8 +231,9 @@ class ExecutionPlan:
 
         ``values`` must be a fresh list of float64 arrays matching
         :attr:`expected_shapes` in stored order (the dispatcher guarantees
-        this via size inference); the list is extended in place with the
-        intermediate buffers, so the caller must hand over ownership.
+        this: its memo is keyed on those shapes); the list is extended in
+        place with the intermediate buffers, so the caller must hand over
+        ownership.
 
         ``arena`` (built by :meth:`new_arena`) supplies pre-allocated
         intermediate buffers — steps with an out-parameter implementation

@@ -168,6 +168,31 @@ PARITY_CHAINS = [
         "Matrix L <LowerTri, NonSingular>; Matrix B <General, Singular>; "
         "R := B * L^-T;",
     ),
+    (
+        "diag_solve",
+        "Matrix D <Diagonal, NonSingular>; Matrix B <General, Singular>; "
+        "R := D^-1 * B;",
+    ),
+    (
+        "diag_solve_right",
+        "Matrix D <Diagonal, NonSingular>; Matrix B <General, Singular>; "
+        "R := B * D^-1;",
+    ),
+    (
+        "diag_solve_trans",
+        "Matrix D <Diagonal, NonSingular>; Matrix B <General, Singular>; "
+        "R := D^-1 * B^T;",
+    ),
+    (
+        "diag_solve_sym",
+        "Matrix D <Diagonal, NonSingular>; Matrix S <Symmetric, NonSingular>; "
+        "R := D^-1 * S;",
+    ),
+    (
+        "diag_solve_diag",
+        "Matrix D <Diagonal, NonSingular>; Matrix E <Diagonal, NonSingular>; "
+        "R := D^-1 * E;",
+    ),
 ]
 
 
@@ -242,6 +267,27 @@ def test_failed_factorization_names_step_and_routine(kind, routine):
     with pytest.raises(ExecutionError, match=f"plan step 0: {routine} failed"):
         plan.execute(arrays)
     assert not arrays[0].any()
+
+
+@needs_cemit
+@pytest.mark.parametrize(
+    "kind", ["diag_solve", "diag_solve_right", "diag_solve_trans", "diag_solve_diag"]
+)
+def test_diagonal_solve_is_bit_identical_and_rejects_zero_pivots(kind):
+    chain, q, plan = _plan_for(dict(PARITY_CHAINS)[kind], "c")
+    assert plan.backend == "c"
+    _, _, ref_plan = _plan_for(dict(PARITY_CHAINS)[kind], "reference")
+    arrays = random_instance_arrays(chain, q, np.random.default_rng(10))
+    # Divisions, not reciprocal products: the same bits as numpy.
+    np.testing.assert_array_equal(
+        plan.execute(arrays), ref_plan.execute([a.copy() for a in arrays])
+    )
+    coeff = 0 if kind != "diag_solve_right" else 1
+    arrays[coeff][3, 3] = 0.0
+    with pytest.raises(ExecutionError, match="plan step 0: diagonal solve failed"):
+        plan.execute(arrays)
+    with pytest.raises(ExecutionError, match="zero diagonal entry"):
+        ref_plan.execute(arrays)
 
 
 @pytest.mark.parametrize("backend", ["reference", "blas", "c"])
@@ -417,8 +463,10 @@ def test_no_capsules_falls_back_to_blas(monkeypatch):
 
 
 @needs_cemit
-def test_unsupported_step_falls_back_to_blas():
-    # A diagonal coefficient solve has no emitter (DIGESV family).
+def test_unsupported_step_falls_back_to_blas(monkeypatch):
+    # A family without a packer (here: the diagonal solves, taken out of
+    # the table) falls the whole plan back.
+    monkeypatch.delitem(cemit._PACKERS, "disv")
     source = (
         "Matrix D <Diagonal, NonSingular>; Matrix B <General, Singular>; "
         "R := D^-1 * B;"
@@ -582,7 +630,7 @@ def test_auto_tournament_includes_c_and_records_wins():
     q = [12, 12, 12, 12]
     arrays = random_instance_arrays(gen.program.chain, q, np.random.default_rng(6))
     runtime.run(arrays)
-    entry = runtime._memo[tuple(q)]
+    entry = runtime._memo[runtime._infer.shapes(q)]
     assert set(entry.bench) == {"reference", "blas", "c"}
     stats = runtime.memo_stats()
     assert stats["auto_wins"]

@@ -377,7 +377,7 @@ class TestDispatcherBackend:
         out = dispatcher.run(arrays)
         expected = naive_evaluate(chain, arrays)
         np.testing.assert_allclose(out.result, expected, rtol=1e-7, atol=1e-7)
-        entry = dispatcher._memo[tuple(q)]
+        entry = dispatcher._memo[dispatcher._infer.shapes(q)]
         assert entry.backend in ("reference", "blas", "c")
         assert entry.bench is not None
         # The c lowering joins the tournament only on hosts that can
@@ -388,7 +388,7 @@ class TestDispatcherBackend:
         # The cached winner serves later calls without re-benchmarking.
         bench = entry.bench
         dispatcher.run(arrays)
-        assert dispatcher._memo[tuple(q)].bench is bench
+        assert dispatcher._memo[dispatcher._infer.shapes(q)].bench is bench
         stats = dispatcher.memo_stats()
         assert stats["backend"] == "auto"
         assert sum(stats["executions"].values()) == 2
@@ -400,11 +400,11 @@ class TestDispatcherBackend:
         q = [8, 8, 8, 8, 4]
         arrays = random_instance_arrays(chain, q, np.random.default_rng(4))
         first = dispatcher.run(arrays)
-        assert dispatcher._memo[tuple(q)].plan.backend == "reference"
+        assert dispatcher._memo[dispatcher._infer.shapes(q)].plan.backend == "reference"
         dispatcher.backend = "blas"
-        assert dispatcher._memo[tuple(q)].plan is None  # decision kept
+        assert dispatcher._memo[dispatcher._infer.shapes(q)].plan is None  # decision kept
         second = dispatcher.run(arrays)
-        assert dispatcher._memo[tuple(q)].plan.backend == "blas"
+        assert dispatcher._memo[dispatcher._infer.shapes(q)].plan.backend == "blas"
         assert second.variant is first.variant
         np.testing.assert_allclose(
             second.result, first.result, rtol=1e-9, atol=1e-9

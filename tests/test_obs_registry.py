@@ -138,6 +138,16 @@ class TestHistogram:
         assert snap["p50"] == 8.0
         assert snap["min"] == 1.0 and snap["max"] == 10.0
 
+    def test_observe_many_matches_one_observe_per_value(self):
+        values = [0.3, 0.1, 7.0, 0.2, 1e-9, 2.5]
+        one, batched = Histogram("lat", window=4), Histogram("lat", window=4)
+        for v in values:
+            one.observe(v)
+        batched.observe_many(values[:2])
+        batched.observe_many([])
+        batched.observe_many(values[2:])
+        assert batched.snapshot() == one.snapshot()
+
     def test_empty_snapshot(self):
         snap = Histogram("lat").snapshot()
         assert snap["count"] == 0
@@ -192,6 +202,20 @@ class TestMetricsRegistry:
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
         assert snap["scopes"] == {}
+
+    def test_collectors_run_before_metrics_are_read(self):
+        # A collector may flush buffered observations into the registry's
+        # own metrics; the same snapshot must already see them.
+        r = MetricsRegistry()
+        pending = [1.0, 2.0]
+
+        def flush():
+            r.histogram("h").observe_many(pending)
+            pending.clear()
+            return {}
+
+        r.register_collector("buffered", flush)
+        assert r.snapshot()["histograms"]["h"]["count"] == 2
 
     def test_collector_scope_and_suffixing(self):
         r = MetricsRegistry()

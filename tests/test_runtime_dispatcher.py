@@ -1,11 +1,16 @@
 """Tests for the memoizing runtime dispatcher (repro.runtime.dispatcher)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.compiler.selection import all_variants
 from repro.runtime import (
     Dispatcher,
+    blas_available,
+    cemit_available,
     execute_variant,
     flop_estimator,
     naive_evaluate,
@@ -65,8 +70,9 @@ class TestMemoCorrectness:
             picked, _ = dispatcher.select(q)
             assert picked.signature() == variants[0].signature()
 
-    def test_sizes_inferred_exactly_once_per_call(self, monkeypatch):
-        """The old path inferred sizes twice (dispatch + execute)."""
+    def test_sizes_inferred_once_per_miss_never_per_hit(self, monkeypatch):
+        """A miss infers (and thereby validates) the sizes once; a hit on
+        the same operand shapes trusts the memo key and infers nothing."""
         chain = general_chain(3)
         dispatcher = Dispatcher(chain, all_variants(chain))
         rng = np.random.default_rng(2)
@@ -82,8 +88,11 @@ class TestMemoCorrectness:
 
         monkeypatch.setattr(SizeInferencer, "infer", counting)
         dispatcher(*arrays)  # cold: sweep + plan compile
-        dispatcher(*arrays)  # warm: memo replay
-        assert len(calls) == 2  # exactly one inference per call
+        assert len(calls) == 1
+        for _ in range(3):
+            dispatcher(*arrays)  # warm: memo replay
+        assert len(calls) == 1
+        assert dispatcher.memo_stats()["hits"] == 3
 
 
 class TestMemoInvalidation:
@@ -154,6 +163,21 @@ class TestMemoBounds:
         # The most recent entries are retained.
         dispatcher.select((5, 3, 4, 5))
         assert dispatcher.memo_stats()["hits"] == 1
+
+    def test_a_hit_spares_its_entry_from_the_next_eviction(self):
+        chain = general_chain(3)
+        dispatcher = Dispatcher(chain, all_variants(chain), memo_capacity=2)
+        a, b, c = (2, 3, 4, 5), (3, 3, 4, 5), (4, 3, 4, 5)
+        dispatcher.select(a)
+        dispatcher.select(b)
+        dispatcher.select(a)  # hit: a is in use, b is not
+        dispatcher.select(c)
+        stats = dispatcher.memo_stats()
+        assert stats["entries"] == 2 and stats["evictions"] == 1
+        dispatcher.select(a)
+        assert dispatcher.memo_stats()["hits"] == 2  # a survived
+        dispatcher.select(b)
+        assert dispatcher.memo_stats()["misses"] == 4  # b was evicted
 
     def test_zero_capacity_disables_memoization(self):
         chain = general_chain(3)
@@ -448,3 +472,273 @@ class TestServeWarmMemo:
             assert outcome.cost == cost
             with pytest.raises(KeyError):
                 service.execute("no-such-handle", arrays)
+
+
+class TestExecutionLog:
+    """Warm-call bookkeeping is batched, yet exact whenever it is read."""
+
+    @staticmethod
+    def executed(backend="reference"):
+        from repro.obs import get_registry, metric_key
+
+        key = metric_key("runtime.execute_seconds", {"backend": backend})
+        histogram = get_registry().snapshot()["histograms"].get(key)
+        return histogram["count"] if histogram else 0
+
+    def test_reads_see_every_call(self):
+        from repro.obs import get_registry
+        from repro.runtime.dispatcher import EXECUTION_LOG_BATCH
+
+        chain = general_chain(3)
+        dispatcher = Dispatcher(chain, all_variants(chain))
+        arrays = random_instance_arrays(
+            chain, (3, 4, 5, 6), np.random.default_rng(3)
+        )
+        before = self.executed()
+        calls = EXECUTION_LOG_BATCH + 3  # one batch fold, then a tail
+        for _ in range(calls):
+            dispatcher.run(arrays)
+        # The registry snapshot folds the tail before reading histograms.
+        assert self.executed() == before + calls
+        stats = dispatcher.memo_stats()
+        assert stats["hits"] == calls - 1 and stats["misses"] == 1
+        assert stats["executions"] == {"reference": calls}
+        assert stats["last_execute_seconds"] > 0
+        runtime = get_registry().snapshot()["scopes"]["runtime"]
+        assert runtime["memo_hits"] >= calls - 1
+
+    def test_a_dropped_dispatcher_still_reports_its_calls(self):
+        import gc
+
+        chain = general_chain(3)
+        dispatcher = Dispatcher(chain, all_variants(chain))
+        arrays = random_instance_arrays(
+            chain, (3, 4, 5, 6), np.random.default_rng(4)
+        )
+        before = self.executed()
+        for _ in range(3):
+            dispatcher.run(arrays)
+        del dispatcher
+        gc.collect()
+        assert self.executed() == before + 3
+
+
+class TestConcurrency:
+    """One dispatcher driven from many threads, with evictions."""
+
+    THREADS = 8
+    CALLS = 500
+    CAPACITY = 4
+
+    @pytest.mark.parametrize("backend", ["reference", "c"])
+    def test_threads_share_one_dispatcher(self, backend):
+        if backend == "c" and not cemit_available():
+            pytest.skip("C toolchain or scipy cython capsules unavailable")
+        rng = np.random.default_rng(21)
+        chain = general_chain(3)
+        dispatcher = Dispatcher(
+            chain,
+            all_variants(chain),
+            memo_capacity=self.CAPACITY,
+            backend=backend,
+        )
+        sizes = [(m, 9 - m, 7, 2 + m) for m in range(1, 7)]  # 6 shapes
+        instances = [random_instance_arrays(chain, q, rng) for q in sizes]
+        expected = [naive_evaluate(chain, arrays) for arrays in instances]
+        barrier = threading.Barrier(self.THREADS)
+        errors = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).integers(len(sizes), size=self.CALLS)
+            barrier.wait()
+            try:
+                for k, i in enumerate(order.tolist()):
+                    outcome = dispatcher.run(
+                        list(instances[i]), reuse_buffers=bool(k % 2)
+                    )
+                    assert outcome.sizes == sizes[i]
+                    np.testing.assert_allclose(
+                        outcome.result, expected[i], rtol=1e-10, atol=1e-10
+                    )
+            except BaseException as exc:  # reported from the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(seed,), daemon=True)
+            for seed in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        calls = self.THREADS * self.CALLS
+        stats = dispatcher.memo_stats()
+        assert stats["hits"] + stats["misses"] == calls
+        assert sum(stats["executions"].values()) == calls
+        assert stats["entries"] <= self.CAPACITY
+        assert stats["evictions"] > 0
+
+
+class TestWhatAHitTrusts:
+    """A warm call skips size inference; everything else it must still
+    honour behaves exactly as on a cold dispatcher."""
+
+    SIZES = (3, 4, 5, 6)
+
+    def setup_method(self):
+        self.chain = general_chain(3)
+        self.variants = all_variants(self.chain)
+        rng = np.random.default_rng(31)
+        self.arrays = random_instance_arrays(self.chain, self.SIZES, rng)
+
+    def warm(self, **options):
+        dispatcher = Dispatcher(self.chain, self.variants, **options)
+        dispatcher.run(self.arrays)
+        dispatcher.run(self.arrays)
+        return dispatcher
+
+    def assert_same_outcome(self, warm, cold):
+        assert warm.sizes == cold.sizes
+        assert warm.variant is cold.variant
+        assert warm.cost == cold.cost
+        np.testing.assert_array_equal(warm.result, cold.result)
+
+    def test_in_place_pool_mutation(self):
+        v0, v1 = self.variants
+        dispatcher = Dispatcher(self.chain, [v0])
+        dispatcher.run(self.arrays)
+        dispatcher.run(self.arrays)
+        dispatcher.variants[0] = v1  # in place, same length
+        warm = dispatcher.run(self.arrays)
+        self.assert_same_outcome(warm, Dispatcher(self.chain, [v1]).run(self.arrays))
+        assert warm.variant is v1
+
+    def test_estimator_swap(self):
+        def worst(variant, sizes):
+            return -flop_estimator(variant, sizes)
+
+        dispatcher = self.warm()
+        best = dispatcher.run(self.arrays).variant
+        dispatcher.cost_estimator = worst
+        warm = dispatcher.run(self.arrays)
+        cold = Dispatcher(self.chain, self.variants, cost_estimator=worst)
+        self.assert_same_outcome(warm, cold.run(self.arrays))
+        assert warm.variant is not best
+
+    @pytest.mark.skipif(not blas_available(), reason="scipy BLAS unavailable")
+    def test_backend_swap(self):
+        dispatcher = self.warm()
+        dispatcher.backend = "blas"
+        warm = dispatcher.run(self.arrays)
+        cold = Dispatcher(self.chain, self.variants, backend="blas")
+        self.assert_same_outcome(warm, cold.run(self.arrays))
+        assert dispatcher.memo_stats()["executions"] == {"reference": 2, "blas": 1}
+
+    def test_feedback_reselection_runs_on_hits(self):
+        first = Dispatcher(self.chain, self.variants).select(self.SIZES)[0]
+        other = next(v for v in self.variants if v is not first)
+
+        def calibration(variant, sizes):
+            return 1e6 if variant is first else 1e-9
+
+        dispatcher = Dispatcher(
+            self.chain,
+            self.variants,
+            calibration=calibration,
+            reselect_ratio=2.0,
+            reselect_min_executions=2,
+        )
+        outcomes = [dispatcher.run(self.arrays) for _ in range(4)]
+        assert [o.variant for o in outcomes] == [first, first, other, other]
+        assert dispatcher.reselections == 1
+        np.testing.assert_array_equal(
+            outcomes[-1].result, execute_variant(other, list(self.arrays))
+        )
+        stats = dispatcher.memo_stats()
+        assert stats["hits"] == 3 and stats["misses"] == 1
+
+    def test_zero_capacity_resolves_every_call(self, monkeypatch):
+        from repro.runtime.executor import SizeInferencer
+
+        calls = []
+        real = SizeInferencer.infer
+
+        def counting(self, arrays_arg):
+            calls.append(1)
+            return real(self, arrays_arg)
+
+        monkeypatch.setattr(SizeInferencer, "infer", counting)
+        dispatcher = Dispatcher(self.chain, self.variants, memo_capacity=0)
+        cold = Dispatcher(self.chain, self.variants).run(self.arrays)
+        for _ in range(3):
+            self.assert_same_outcome(dispatcher.run(self.arrays), cold)
+        assert len(calls) == 4  # every memo-less call infers
+        stats = dispatcher.memo_stats()
+        assert stats["entries"] == 0
+        assert stats["hits"] == 0 and stats["misses"] == 3
+
+    def test_out_buffer(self):
+        dispatcher = self.warm()
+        cold = Dispatcher(self.chain, self.variants).run(self.arrays)
+        out = np.empty_like(cold.result)
+        warm = dispatcher.run(self.arrays, out=out)
+        assert warm.result is out
+        self.assert_same_outcome(warm, cold)
+
+    def test_reuse_buffers(self):
+        dispatcher = self.warm()
+        cold = Dispatcher(self.chain, self.variants).run(self.arrays)
+        for _ in range(3):
+            self.assert_same_outcome(
+                dispatcher.run(self.arrays, reuse_buffers=True), cold
+            )
+        assert dispatcher.memo_stats()["idle_arenas"] == 1
+
+    @pytest.mark.parametrize(
+        "bad", ["transposed", "flat", "missing", "inner", "square"]
+    )
+    def test_wrong_shaped_operand_raises_as_cold(self, bad):
+        from repro.ir.chain import Chain
+
+        from conftest import make_general, make_lower
+
+        # L must be square; G is free.
+        chain = Chain((make_lower("L").as_operand(), make_general("G").as_operand()))
+        variants = all_variants(chain)
+        rng = np.random.default_rng(5)
+        arrays = random_instance_arrays(chain, (4, 4, 5), rng)
+        warm = Dispatcher(chain, variants)
+        warm.run(arrays)
+        warm.run(arrays)
+        broken = {
+            "transposed": [arrays[0], arrays[1].T.copy()],
+            "flat": [arrays[0], arrays[1].ravel()],
+            "missing": [arrays[0]],
+            "inner": [arrays[0], np.ones((5, 5))],
+            "square": [np.ones((4, 5)), np.ones((5, 5))],
+        }[bad]
+        with pytest.raises(Exception) as cold_error:
+            Dispatcher(chain, variants).run(broken)
+        with pytest.raises(type(cold_error.value)) as warm_error:
+            warm.run(broken)
+        assert str(warm_error.value) == str(cold_error.value)
+
+    def test_int64_operands_at_a_warm_shape(self):
+        rng = np.random.default_rng(6)
+        ints = [
+            rng.integers(-5, 5, size=a.shape, dtype=np.int64) for a in self.arrays
+        ]
+        floats = [a.astype(np.float64) for a in ints]
+        dispatcher = Dispatcher(self.chain, self.variants)
+        expected = dispatcher.run(floats).result
+        got = dispatcher.run(ints)
+        assert got.result.dtype == np.float64
+        np.testing.assert_array_equal(got.result, expected)
+        assert dispatcher.memo_stats()["hits"] == 1
