@@ -1,42 +1,42 @@
 """Asyncio front end: one event loop, thousands of connections.
 
-The threaded :class:`~repro.serve.frontend.CompileServer` spends one OS
-thread per connection — fine for a handful of clients, but at 64+ mostly
-idle connections the per-thread stacks and GIL churn dominate.  This
-front end multiplexes every connection onto **one** event loop:
+The TCP and HTTP front end of ``repro serve``.  Every connection is
+multiplexed onto **one** event loop, so mostly idle connections cost a
+buffer each, not an OS thread:
 
-* the same JSON-lines protocol (:func:`~repro.serve.frontend.handle_line`
-  answers each request, so the two servers cannot drift), with
-  per-connection buffers bounded by ``max_line_bytes`` — an oversize line
-  is answered in-band and the connection closed, exactly like the
-  threaded server;
+* the JSON-lines protocol (:func:`~repro.serve.frontend.handle_request`
+  answers each request, the same function ``serve_stream`` uses for
+  stdin/stdout), with per-connection buffers bounded by
+  ``max_line_bytes`` — an oversize line is answered in-band and the
+  connection closed;
 * a minimal HTTP/1.1 mapping on a second port: ``POST`` a JSON request
   body (the same schema as one protocol line) to any path and get the
   JSON response back, keep-alive honoured — enough for ``curl`` and
   stdlib-http clients without an HTTP framework;
 * backpressure at both ends: slow readers stall their own connection via
   ``writer.drain()`` (bytes queue per-connection, not per-process), and
-  expensive requests pass through a bounded semaphore + worker pool
-  before reaching the :class:`~repro.serve.service.CompileService` queue,
-  so a compile storm saturates the service's own admission control
-  instead of spawning unbounded threads.
+  expensive requests pass through a bounded semaphore
+  (:data:`DEFAULT_MAX_INFLIGHT`) + worker pool before reaching the
+  :class:`~repro.serve.service.CompileService` queue, so a compile storm
+  saturates the service's own admission control instead of spawning
+  unbounded threads.
 
 Cheap requests (``ping``, ``stats``, ``dispatch`` and ``execute`` by
-``handle`` — anything that cannot compile, under
-:attr:`AsyncCompileServer.inline_bytes`, with no shared-memory operands)
+``handle`` — anything that cannot compile, at most
+:data:`DEFAULT_INLINE_BYTES` on the wire, with no shared-memory operands)
 are answered *inline* on the event loop: for the serving hot path — warm
-handles, small operands — that removes two thread hops per request, which
-is where the async server's throughput edge over thread-per-connection
-comes from.  Everything else is offloaded to the worker pool so the loop
-never blocks on it: ``compile``, ``warm``, any request carrying
-``source`` (``dispatch``/``execute`` compile-if-needed), big payloads,
-and shm executes.
+handles, small operands — that saves two thread hops per request.
+Everything else is offloaded to the worker pool so the loop never blocks
+on it: ``compile``, ``warm``, any request carrying ``source``
+(``dispatch``/``execute`` compile-if-needed), big payloads, and shm
+executes.
 
 The event loop runs in a dedicated thread, so the synchronous CLI (and
 tests) drive the server with plain :meth:`AsyncCompileServer.start` /
 :meth:`~AsyncCompileServer.close` calls; :meth:`close` is deterministic —
-servers closed, every connection task cancelled and awaited, worker pool
-shut down, loop thread joined.
+servers closed, every connection task cancelled and awaited, queued
+offloads cancelled, running ones finished and the worker pool joined,
+loop thread joined.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import asyncio
 import contextlib
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -56,7 +57,7 @@ from repro.serve.frontend import (
 from repro.serve.metrics import connection_closed, connection_opened, record_wire
 from repro.serve.service import CompileService
 
-__all__ = ["AsyncCompileServer", "make_async_server"]
+__all__ = ["AsyncCompileServer"]
 
 #: Requests at most this many wire bytes (and unable to compile) are
 #: answered inline on the event loop; larger ones go to the worker pool.
@@ -96,16 +97,12 @@ class AsyncCompileServer:
         *,
         http_port: Optional[int] = None,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-        inline_bytes: int = DEFAULT_INLINE_BYTES,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
     ):
         self.compile_service = service
         self.host = host
         self._port = port
         self._http_port = http_port
         self.max_line_bytes = max_line_bytes
-        self.inline_bytes = inline_bytes
-        self.max_inflight = max_inflight
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -126,7 +123,7 @@ class AsyncCompileServer:
         self._started = True
         self._loop = asyncio.new_event_loop()
         self._pool = ThreadPoolExecutor(
-            max_workers=max(4, min(self.max_inflight, 16)),
+            max_workers=min(DEFAULT_MAX_INFLIGHT, 16),
             thread_name_prefix="repro-aserve",
         )
         self._thread = threading.Thread(
@@ -147,7 +144,7 @@ class AsyncCompileServer:
         self._loop.run_forever()
 
     async def _open_servers(self) -> None:
-        self._semaphore = asyncio.Semaphore(self.max_inflight)
+        self._semaphore = asyncio.Semaphore(DEFAULT_MAX_INFLIGHT)
         # limit bounds the reader's internal buffer: readline() past it
         # raises instead of buffering an unbounded line.
         self._server = await asyncio.start_server(
@@ -171,21 +168,33 @@ class AsyncCompileServer:
             self.http_address = (sock[0], sock[1])
 
     def close(self, timeout: float = 5.0) -> None:
-        """Deterministic shutdown: listeners, connections, pool, loop."""
+        """Deterministic shutdown: listeners, connections, pool, loop.
+
+        Queued offloads are cancelled; running ones finish and the pool's
+        threads are joined.  Every wait shares the one ``timeout``.
+        """
         if self._closed or self._loop is None:
             return
         self._closed = True
+        deadline = time.monotonic() + timeout
+
+        def remaining() -> float:
+            return max(0.0, deadline - time.monotonic())
+
         with contextlib.suppress(Exception):
             asyncio.run_coroutine_threadsafe(
                 self._shutdown(), self._loop
-            ).result(timeout=timeout)
+            ).result(timeout=remaining())
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            # shutdown(wait=True) has no timeout; join the workers instead.
+            for worker in list(self._pool._threads):
+                worker.join(remaining())
         self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(remaining())
         with contextlib.suppress(Exception):
             self._loop.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
 
     async def _shutdown(self) -> None:
         for server in (self._server, self._http_server):
@@ -221,7 +230,7 @@ class AsyncCompileServer:
         if (
             payload.get("op") not in ("compile", "warm")
             and "source" not in payload
-            and len(raw) <= self.inline_bytes
+            and len(raw) <= DEFAULT_INLINE_BYTES
             and not _shm_operands(payload)
         ):
             # Cheap path: answered on the loop, no thread hop.  Every
@@ -255,8 +264,7 @@ class AsyncCompileServer:
                     raw = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
                     # Oversize line: the buffer holds a partial request we
-                    # can never resync from — answer in-band and close,
-                    # mirroring the threaded server.
+                    # can never resync from — answer in-band and close.
                     await self._write_line(
                         writer,
                         json.dumps(
@@ -429,17 +437,3 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
         writer.close()
         await writer.wait_closed()
 
-
-def make_async_server(
-    service: CompileService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    http_port: Optional[int] = None,
-    max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-) -> AsyncCompileServer:
-    """Build (without starting) an :class:`AsyncCompileServer` —
-    the asyncio sibling of :func:`~repro.serve.frontend.make_tcp_server`."""
-    return AsyncCompileServer(
-        service, host, port, http_port=http_port, max_line_bytes=max_line_bytes
-    )

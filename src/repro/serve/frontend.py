@@ -63,11 +63,9 @@ Responses are ``{"id": ..., "ok": true, ...}`` or
 JSON and unknown ops are answered in-band, never by closing the stream.
 
 :func:`serve_stream` drives the protocol over file objects (the
-``repro serve`` stdin/stdout mode); :func:`make_tcp_server` wraps it in a
-threading TCP server (``repro serve --port N``), one connection per client,
-all connections multiplexed onto one :class:`CompileService` worker pool.
-:mod:`repro.serve.aserve` speaks the same protocol from a single asyncio
-event loop (``repro serve --async`` / ``--http-port``).
+``repro serve`` stdin/stdout mode).  :mod:`repro.serve.aserve` speaks it
+over TCP (``repro serve --port N``) and HTTP (``--http-port``) from one
+asyncio event loop, every connection sharing one :class:`CompileService`.
 """
 
 from __future__ import annotations
@@ -75,9 +73,6 @@ from __future__ import annotations
 import base64
 import io
 import json
-import socket
-import socketserver
-import threading
 import time
 from typing import IO, Callable, Optional, Sequence
 
@@ -515,159 +510,3 @@ def serve_stream(
         connection_closed("stdio")
     return served
 
-
-class _JsonLineHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
-        server: CompileServer = self.server  # type: ignore[assignment]
-        service = server.compile_service
-        limit = server.max_line_bytes
-        connection_opened("tcp")
-        try:
-            while True:
-                raw = self.rfile.readline(limit + 1)
-                if not raw:
-                    return
-                record_wire("tcp", "in", len(raw))
-                if len(raw) > limit:
-                    # One oversize line poisons the rest of the stream (we
-                    # cannot tell where the next request starts), so answer
-                    # in-band and close.  Drain the rest of the offending
-                    # line first (bounded): closing with unread bytes in
-                    # the receive queue would RST the connection before
-                    # the client reads the error.
-                    self._reply(
-                        json.dumps(
-                            _error(
-                                None,
-                                f"request line exceeds {limit} bytes",
-                            )
-                        )
-                    )
-                    try:
-                        self.connection.settimeout(5.0)
-                        for _ in range(64):
-                            if not raw or raw.endswith(b"\n"):
-                                break
-                            raw = self.rfile.readline(limit + 1)
-                    except OSError:
-                        pass
-                    return
-                response = handle_line(service, raw.decode("utf-8", "replace"))
-                if response is None:
-                    continue
-                if not self._reply(response):
-                    return
-        finally:
-            connection_closed("tcp")
-
-    def _reply(self, response: str) -> bool:
-        try:
-            encoded = response.encode() + b"\n"
-            self.wfile.write(encoded)
-            self.wfile.flush()
-            record_wire("tcp", "out", len(encoded))
-            return True
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            return False
-
-
-class CompileServer(socketserver.ThreadingTCPServer):
-    """Threading TCP server speaking the JSON-lines protocol.
-
-    One handler thread per connection; every connection shares the single
-    :class:`CompileService` (hence its queue bound, coalescing map, cache,
-    and metrics).  Connection threads and sockets are tracked so
-    :meth:`close` can shut the server down *deterministically*: the
-    listener stops, every live connection socket is shut down (clients
-    blocked on a read get a clean EOF, not a reset), and the handler
-    threads are joined with a timeout — no daemon threads leak past
-    shutdown.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True  # last-resort: interpreter exit never hangs
-    # The socketserver default backlog of 5 drops SYN-ACK completions
-    # under a burst of simultaneous connects (the kernel RSTs the
-    # half-open connections once its retries run out); a serving data
-    # plane must absorb a 64-client stampede without resets.
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        service: CompileService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-    ):
-        super().__init__((host, port), _JsonLineHandler)
-        self.compile_service = service
-        self.max_line_bytes = max_line_bytes
-        self._conn_lock = threading.Lock()
-        self._conn_threads: dict[threading.Thread, socket.socket] = {}
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
-
-    # -- tracked connection threads ------------------------------------------
-
-    def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self._handle_tracked,
-            args=(request, client_address),
-            daemon=True,
-            name=f"repro-serve-conn-{client_address[1]}",
-        )
-        with self._conn_lock:
-            self._conn_threads[thread] = request
-        thread.start()
-
-    def _handle_tracked(self, request, client_address) -> None:
-        try:
-            self.finish_request(request, client_address)
-        except Exception:  # pragma: no cover - handler errors are per-conn
-            self.handle_error(request, client_address)
-        finally:
-            self.shutdown_request(request)
-            with self._conn_lock:
-                self._conn_threads.pop(threading.current_thread(), None)
-
-    def connection_count(self) -> int:
-        with self._conn_lock:
-            return len(self._conn_threads)
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Deterministic shutdown: listener, live connections, threads.
-
-        Safe to call from any thread (including while ``serve_forever``
-        runs elsewhere) and idempotent.  Clients mid-request observe a
-        clean EOF: each live socket is ``shutdown(SHUT_RDWR)`` — flushing
-        a FIN — before the handler thread is joined.
-        """
-        try:
-            self.shutdown()  # stops serve_forever, no-op if never started
-        except Exception:  # pragma: no cover - platform quirks
-            pass
-        self.server_close()
-        with self._conn_lock:
-            live = dict(self._conn_threads)
-        for conn in live.values():
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        deadline = time.monotonic() + timeout
-        for thread in live:
-            thread.join(max(0.0, deadline - time.monotonic()))
-
-
-def make_tcp_server(
-    service: CompileService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-) -> CompileServer:
-    """Bind a :class:`CompileServer` (``port=0`` picks a free port)."""
-    return CompileServer(service, host, port, max_line_bytes=max_line_bytes)

@@ -35,7 +35,7 @@ __all__ = [
 # -- front-end wire accounting (process-wide registry) -----------------------
 #
 # Unlike the per-service counters below, wire traffic belongs to the front
-# ends (stdio / tcp / async / http), which may outnumber or outlive any one
+# ends (stdio / async / http), which may outnumber or outlive any one
 # CompileService — so these report straight into the global registry:
 # ``serve.wire_bytes{direction,transport}`` counters plus a
 # ``serve.connections{transport}`` gauge of currently-open connections.

@@ -1,10 +1,19 @@
 """CLI surface of the serving layer: `repro serve`, `repro cache warm`."""
 
+import http.client
 import io
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 SOURCE = (
@@ -104,6 +113,80 @@ class TestServeCommand:
             ],
         )
         assert [r["ok"] for r in responses] == [False, False]
+
+
+class TestServeTcp:
+    def test_port_serves_jsonl_http_and_stats_until_sigint(self, capsys):
+        """`repro serve --port 0 --http-port 0` in its own process: both
+        listeners answer, `repro stats` reads it, SIGINT exits cleanly."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--http-port", "0", "--no-warm", "--stats"],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            jsonl_address = http_address = None
+            while jsonl_address is None or http_address is None:
+                line = proc.stderr.readline()
+                assert line, "server exited before both banners"
+                if match := re.match(r"serving JSON-lines on (\S+):(\d+)$",
+                                     line.strip()):
+                    jsonl_address = (match[1], int(match[2]))
+                elif match := re.match(
+                    r"serving HTTP POST on http://(\S+):(\d+)/$", line.strip()
+                ):
+                    http_address = (match[1], int(match[2]))
+
+            with socket.create_connection(jsonl_address, timeout=30) as conn:
+                stream = conn.makefile("rw", encoding="utf-8")
+
+                def request(payload):
+                    stream.write(json.dumps(payload) + "\n")
+                    stream.flush()
+                    return json.loads(stream.readline())
+
+                compiled = request({"op": "compile", "source": SOURCE,
+                                    "options": {"num_training_instances": 20}})
+                assert compiled["ok"], compiled
+                executed = request({
+                    "op": "execute",
+                    "handle": compiled["handle"],
+                    "arrays": [[[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]]],
+                })
+                assert executed["ok"], executed
+                assert executed["result"] == [[17.0], [39.0]]
+
+            conn = http.client.HTTPConnection(*http_address, timeout=30)
+            try:
+                conn.request("POST", "/", json.dumps({"op": "ping", "id": 9}))
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["pong"] is True
+            finally:
+                conn.close()
+
+            host, port = jsonl_address
+            assert main(["stats", "--host", host, "--port", str(port)]) == 0
+            assert "conns:   serve.connections{transport=async}=" in (
+                capsys.readouterr().out
+            )
+
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "service:" in err
 
 
 class TestCacheWarmCommand:

@@ -7,16 +7,20 @@ import threading
 import numpy as np
 import pytest
 
+from repro.obs import get_registry
 from repro.serve import (
     AsyncCompileServer,
     CompileService,
     decode_array,
     encode_array,
-    make_tcp_server,
 )
 
 SOURCE_AB = (
     "Matrix A <General, Singular>; Matrix B <General, Singular>; R := A * B;"
+)
+SOURCE_ABC = (
+    "Matrix A <General, Singular>; Matrix B <General, Singular>; "
+    "Matrix C <General, Singular>; R := A * B * C;"
 )
 
 
@@ -68,6 +72,27 @@ class TestJsonLines:
             )
             assert executed["ok"], executed
             assert np.allclose(decode_array(executed["result"]), a @ b)
+
+    def test_two_clients_share_one_service(self, server):
+        def roundtrip(payloads):
+            with socket.create_connection(server.address, timeout=10) as conn:
+                stream = conn.makefile("rw", encoding="utf-8")
+                return [request_line(stream, payload) for payload in payloads]
+
+        first = roundtrip([
+            {"op": "compile", "source": SOURCE_ABC,
+             "options": {"num_training_instances": 25}, "id": 1},
+        ])
+        second = roundtrip([
+            {"op": "compile", "source": SOURCE_ABC.replace("A", "X"),
+             "options": {"num_training_instances": 25}, "id": 2},
+            {"op": "stats", "id": 3},
+        ])
+        assert first[0]["ok"] and second[0]["ok"]
+        # Same structure from a different connection: same handle
+        # (content address), served by the shared session cache.
+        assert second[0]["handle"] == first[0]["handle"]
+        assert second[1]["cache"]["hits"] >= 1
 
     def test_malformed_json_answered_in_band(self, server):
         with socket.create_connection(server.address) as conn:
@@ -314,23 +339,43 @@ class TestLifecycle:
         assert stream.readline() == ""
         conn.close()
 
+    def test_close_waits_for_offloaded_requests(self, service, monkeypatch):
+        """close() returns only once running offloads have finished and
+        the worker pool's threads are joined."""
+        gauge = get_registry().gauge("serve.connections", transport="async")
+        connections_before = gauge.value
+        threads_before = set(threading.enumerate())
+        entered, release = threading.Event(), threading.Event()
+        original = service.submit
 
-class TestThreadedServerShutdown:
-    def test_threaded_close_joins_connections_and_sends_eof(self, service):
-        server = make_tcp_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        conn = socket.create_connection(server.address)
-        stream = conn.makefile("rw")
-        stream.write(json.dumps({"op": "ping"}) + "\n")
-        stream.flush()
-        assert json.loads(stream.readline())["ok"] is True
-        assert server.connection_count() == 1
-        server.close(timeout=5.0)
-        # Deterministic: no live handler threads after close() returns.
-        assert server.connection_count() == 0
-        conn.settimeout(5)
-        assert stream.readline() == ""  # mid-request client: clean EOF
-        conn.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+        def stalled(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(service, "submit", stalled)
+        server = AsyncCompileServer(service).start()
+        clients = [socket.create_connection(server.address) for _ in range(3)]
+        timer = threading.Timer(0.5, release.set)
+        try:
+            for conn in clients:
+                conn.sendall(
+                    json.dumps({"op": "compile", "source": SOURCE_AB}).encode()
+                    + b"\n"
+                )
+            assert entered.wait(timeout=10), "no compile reached the service"
+            timer.start()
+            server.close(timeout=5)
+            leaked = [
+                thread.name
+                for thread in set(threading.enumerate()) - threads_before
+                if thread.name.startswith("repro-aserve")
+            ]
+            assert leaked == []
+            assert gauge.value == connections_before
+        finally:
+            release.set()
+            timer.cancel()
+            for conn in clients:
+                conn.close()
+

@@ -1,15 +1,13 @@
-"""JSON-lines front end: request handling, streams, and the TCP server."""
+"""JSON-lines front end: request handling, the codec, and streams."""
 
 import io
 import json
-import socket
-import threading
 
 import pytest
 
 import numpy as np
 
-from repro.serve import CompileService, make_tcp_server
+from repro.serve import CompileService
 from repro.serve.frontend import (
     PROTOCOL_VERSION,
     array_to_npy_bytes,
@@ -370,55 +368,3 @@ class TestArrayCodec:
         with pytest.raises(ValueError, match="unknown array encoding"):
             encode_array(np.ones((2, 2)), "protobuf")
 
-
-class TestTcpServer:
-    def test_two_clients_share_one_service(self, service):
-        server = make_tcp_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.address
-
-            def roundtrip(payloads):
-                with socket.create_connection((host, port), timeout=10) as conn:
-                    handle = conn.makefile("rw", encoding="utf-8")
-                    responses = []
-                    for payload in payloads:
-                        handle.write(json.dumps(payload) + "\n")
-                        handle.flush()
-                        responses.append(json.loads(handle.readline()))
-                    return responses
-
-            first = roundtrip([
-                {"op": "compile", "source": SOURCE_ABC,
-                 "options": {"num_training_instances": 25}, "id": 1},
-            ])
-            second = roundtrip([
-                {"op": "compile", "source": SOURCE_ABC.replace("A", "X"),
-                 "options": {"num_training_instances": 25}, "id": 2},
-                {"op": "stats", "id": 3},
-            ])
-            assert first[0]["ok"] and second[0]["ok"]
-            # Same structure from a different connection: same handle
-            # (content address), served by the shared session cache.
-            assert second[0]["handle"] == first[0]["handle"]
-            assert second[1]["cache"]["hits"] >= 1
-        finally:
-            server.close()
-            thread.join(timeout=10)
-
-    def test_oversize_line_answered_in_band_then_eof(self, service):
-        server = make_tcp_server(service, "127.0.0.1", 0, max_line_bytes=4096)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with socket.create_connection(server.address, timeout=10) as conn:
-                conn.sendall(b"y" * 10_000 + b"\n")
-                stream = conn.makefile("r", encoding="utf-8")
-                response = json.loads(stream.readline())
-                assert response["ok"] is False
-                assert "exceeds 4096 bytes" in response["error"]
-                assert stream.readline() == ""  # stream unrecoverable: EOF
-        finally:
-            server.close()
-            thread.join(timeout=10)
