@@ -50,8 +50,8 @@ class ArmadilloStep:
     """One kernel call in the Armadillo evaluation plan.
 
     Mirrors the attribute interface of :class:`repro.compiler.variant.Step`
-    (``kernel``, ``cost``, ``call_dims``) so that the simulated machine and
-    the performance models can time it with the same code paths.
+    (``kernel``, ``cost``, ``call_dims``) so that every kernel-speed model
+    times it with the same pricing loop.
     """
 
     kernel: KernelSpec
@@ -60,7 +60,13 @@ class ArmadilloStep:
 
 
 class ArmadilloEvaluator:
-    """Cost/time model of Armadillo's evaluation of one chain shape."""
+    """Cost/time model of Armadillo's evaluation of one chain shape.
+
+    Shaped like a variant, so a kernel-speed model prices the plan:
+    ``machine.cost_many(evaluator, instances)``.
+    """
+
+    fixups: tuple = ()  # inversions run up front: no fix-ups
 
     def __init__(self, chain: Chain):
         self.chain = chain
@@ -124,7 +130,7 @@ class ArmadilloEvaluator:
             )
             left_structure = Structure.GENERAL
 
-    # -- cost/time evaluation --------------------------------------------------
+    # -- cost evaluation -------------------------------------------------------
 
     def flop_cost_many(self, instances: np.ndarray) -> np.ndarray:
         """Vectorized FLOP cost of the Armadillo plan over instances."""
@@ -140,14 +146,6 @@ class ArmadilloEvaluator:
 
     def flop_cost(self, sizes: Sequence[int]) -> float:
         return float(self.flop_cost_many(np.asarray([sizes]))[0])
-
-    def time_many(self, machine, instances: np.ndarray) -> np.ndarray:
-        """True execution time of the plan on a simulated machine."""
-        instances = np.asarray(instances, dtype=np.float64)
-        total = np.zeros(instances.shape[0])
-        for step in self.steps:
-            total += machine.step_time_many(step, instances)
-        return total
 
     def kernel_names(self) -> tuple[str, ...]:
         return tuple(step.kernel.name for step in self.steps)

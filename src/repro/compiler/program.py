@@ -271,6 +271,15 @@ class CompiledProgram:
         calibration = payload.get("calibration")
         if not isinstance(calibration, dict):
             calibration = {}
+        elif calibration:
+            # Rebuild once here so a section the calibrated runtime cannot
+            # use fails the load (a cache miss) instead of every dispatch.
+            from repro.perfmodel.feedback import CalibratedEstimator
+
+            try:
+                CalibratedEstimator.from_snapshot(calibration)
+            except (TypeError, ValueError) as exc:
+                raise ArtifactError(f"malformed calibration section: {exc}") from exc
         return cls(
             chain=chain,
             variants=tuple(variants),

@@ -15,7 +15,7 @@ Implements:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -237,6 +237,34 @@ def flop_cost_matrix(
     return evaluate_cost_terms(stack, len(variants), instances, term_block)
 
 
+def cost_matrix(
+    variants: Sequence[Variant],
+    instances: np.ndarray,
+    estimator=None,
+) -> np.ndarray:
+    """Costs of every variant on every instance: ``(num_variants, count)``.
+
+    ``estimator`` is any dispatcher cost estimator.  ``None`` or
+    :func:`~repro.runtime.dispatcher.flop_estimator` prices FLOPs with the
+    term-stack sweep (:func:`flop_cost_matrix`); an estimator with the
+    batched ``cost_many(variant, instances)`` form (every
+    :class:`~repro.perfmodel.machine.KernelTimeModel`) is called once per
+    variant; any other is called once per (variant, instance) on int tuples.
+    """
+    from repro.runtime.dispatcher import flop_estimator
+
+    instances = np.asarray(instances, dtype=np.float64)
+    if estimator is None or estimator is flop_estimator:
+        return flop_cost_matrix(variants, instances)
+    cost_many = getattr(estimator, "cost_many", None)
+    if cost_many is not None:
+        rows = [cost_many(v, instances) for v in variants]
+    else:
+        sizes = [tuple(int(x) for x in row) for row in instances]
+        rows = [[float(estimator(v, q)) for q in sizes] for v in variants]
+    return np.array(rows, dtype=np.float64).reshape(len(variants), len(instances))
+
+
 class CostMatrix:
     """Pre-evaluated costs of many variants on many instances.
 
@@ -250,23 +278,18 @@ class CostMatrix:
         self,
         variants: Sequence[Variant],
         instances: np.ndarray,
-        evaluator: Optional[Callable[[Variant, np.ndarray], np.ndarray]] = None,
+        estimator=None,
     ):
-        """``evaluator(variant, instances) -> per-instance costs``.
+        """Costs under ``estimator`` (see :func:`cost_matrix`).
 
         Defaults to the FLOP cost; the execution-time experiment passes the
-        simulated machine's or the performance models' time estimates.
+        simulated machine or the performance models.
         """
         self.variants = list(variants)
         self.instances = np.asarray(instances, dtype=np.float64)
         if self.instances.ndim != 2:
             raise ValueError("instances must be a 2-D (count, n+1) array")
-        if evaluator is None:
-            self.costs = flop_cost_matrix(self.variants, self.instances)
-        else:
-            self.costs = np.stack(
-                [evaluator(v, self.instances) for v in self.variants]
-            )
+        self.costs = cost_matrix(self.variants, self.instances, estimator)
         self.optimal = self.costs.min(axis=0)
 
     @property

@@ -52,6 +52,7 @@ from repro.compiler.parenthesization import (
 from repro.compiler.selection import (
     _tree_key,
     all_variants,
+    cost_matrix,
     distinct_fanning_trees,
 )
 from repro.compiler.variant import Variant, build_variants
@@ -206,12 +207,11 @@ class DPSeededSpace(VariantSpace):
     effort is *sized by measurement* instead of fixed knobs: the training
     set is split, pools of growing ``num_seeds``/``neighborhood`` are
     generated from the larger part, and each round's pool is scored by its
-    mean held-out cost minimum (under ``estimator`` — e.g. a calibrated
-    cost model — or analytic FLOPs).  Growth stops when the held-out
-    penalty improves by less than ``plateau_rtol``, or after
-    ``max_rounds`` doublings — "few parenthesisations are essential"
-    (López et al.) says the plateau comes early, so the common case pays
-    one extra round.
+    mean held-out cost minimum in FLOPs, as every compile prices variants.
+    Growth stops when the held-out penalty improves by less than
+    ``plateau_rtol``, or after ``max_rounds`` doublings — "few
+    parenthesisations are essential" (López et al.) says the plateau comes
+    early, so the common case pays one extra round.
     """
 
     name = "dp"
@@ -235,7 +235,6 @@ class DPSeededSpace(VariantSpace):
         adaptive: bool = False,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         plateau_rtol: float = DEFAULT_PLATEAU_RTOL,
-        estimator=None,
     ):
         if max_variants is not None and max_variants < 1:
             raise CompilationError("max_variants must be >= 1")
@@ -255,7 +254,6 @@ class DPSeededSpace(VariantSpace):
         self.adaptive = adaptive
         self.max_rounds = max_rounds
         self.plateau_rtol = plateau_rtol
-        self.estimator = estimator
         if adaptive:
             self.name = "dp-adaptive"  # instance attr shadows the class's
 
@@ -337,7 +335,7 @@ class DPSeededSpace(VariantSpace):
         num_seeds, neighborhood = self.num_seeds, self.neighborhood
         history: list[dict] = []
         pool = self._generate_once(chain, train, num_seeds, neighborhood)
-        penalty = self._holdout_penalty(chain, pool, holdout)
+        penalty = self._holdout_penalty(pool, holdout)
         history.append(
             {"num_seeds": num_seeds, "neighborhood": neighborhood,
              "pool_size": len(pool), "holdout_penalty": penalty}
@@ -350,7 +348,7 @@ class DPSeededSpace(VariantSpace):
             if grown_seeds == num_seeds and grown_hood == neighborhood:
                 break
             candidate = self._generate_once(chain, train, grown_seeds, grown_hood)
-            candidate_penalty = self._holdout_penalty(chain, candidate, holdout)
+            candidate_penalty = self._holdout_penalty(candidate, holdout)
             history.append(
                 {"num_seeds": grown_seeds, "neighborhood": grown_hood,
                  "pool_size": len(candidate), "holdout_penalty": candidate_penalty}
@@ -380,33 +378,10 @@ class DPSeededSpace(VariantSpace):
         )
         return pool
 
-    def _holdout_penalty(
-        self, chain: Chain, pool: list[Variant], holdout: np.ndarray
-    ) -> float:
-        """Mean per-instance pool-minimum cost on the held-out rows.
-
-        Scored under the configured ``estimator`` when it supports the
-        batched ``cost_many`` protocol (the calibrated cost model), else
-        under the analytic FLOP broadcast sweep.
-        """
-        instances = np.asarray(holdout, dtype=np.float64)
-        cost_many = getattr(self.estimator, "cost_many", None)
-        if cost_many is not None:
-            costs = np.stack(
-                [
-                    np.asarray(cost_many(v, instances), dtype=np.float64)
-                    for v in pool
-                ]
-            )
-        else:
-            from repro.compiler.selection import (
-                evaluate_cost_terms,
-                flatten_cost_terms,
-            )
-
-            stack = flatten_cost_terms(tuple(pool), chain.n + 1)
-            costs = evaluate_cost_terms(stack, len(pool), instances)
-        return float(costs.min(axis=0).mean())
+    @staticmethod
+    def _holdout_penalty(pool: list[Variant], holdout: np.ndarray) -> float:
+        """Mean per-instance pool-minimum FLOP cost on the held-out rows."""
+        return float(cost_matrix(pool, holdout).min(axis=0).mean())
 
     def cache_token(self) -> tuple:
         token: tuple = (self.max_variants, self.num_seeds, self.neighborhood)

@@ -25,7 +25,9 @@ import numpy as np
 from repro.ir.chain import Chain
 from repro.baselines.armadillo import ArmadilloEvaluator
 from repro.compiler.expansion import AveragePenalty, expand_set
-from repro.compiler.selection import CostMatrix, all_variants, essential_set
+from repro.compiler.selection import (
+    CostMatrix, all_variants, cost_matrix, essential_set,
+)
 from repro.compiler.variant import Variant, build_variant
 from repro.compiler.parenthesization import left_to_right_tree
 from repro.experiments.ecdf import ECDF, format_summary_table, summarize_ratios
@@ -91,9 +93,7 @@ def evaluate_shape_time(
     es1_f = expand_set(
         flop_train, base, max_size=len(base) + 1, objective=AveragePenalty
     )
-    model_train = CostMatrix(
-        variants, train, evaluator=models.variant_time_many
-    )
+    model_train = CostMatrix(variants, train, estimator=models)
     es1_m = expand_set(
         model_train, base, max_size=len(base) + 1, objective=AveragePenalty
     )
@@ -101,9 +101,9 @@ def evaluate_shape_time(
 
     val = sample_instances(chain, val_instances, rng, low=low, high=high)
     val_f = val.astype(np.float64)
-    flop_costs = np.stack([v.flop_cost_many(val_f) for v in variants])
-    model_costs = np.stack([models.variant_time_many(v, val_f) for v in variants])
-    true_times = np.stack([machine.variant_time_many(v, val_f) for v in variants])
+    flop_costs = cost_matrix(variants, val_f)
+    model_costs = cost_matrix(variants, val_f, models)
+    true_times = cost_matrix(variants, val_f, machine)
     optimal = true_times.min(axis=0)
     sig_to_idx = {v.signature(): i for i, v in enumerate(variants)}
 
@@ -120,7 +120,7 @@ def evaluate_shape_time(
     ratios["L"] = true_times[sig_to_idx[ltr.signature()]] / optimal
 
     arma = ArmadilloEvaluator(chain)
-    ratios["Arma"] = arma.time_many(machine, val_f) / optimal
+    ratios["Arma"] = machine.cost_many(arma, val_f) / optimal
     return ratios
 
 

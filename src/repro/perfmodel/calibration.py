@@ -5,8 +5,9 @@ machine; this module applies the identical methodology to the *real* one:
 time each NumPy/SciPy reference kernel on the Cartesian grid (the paper
 uses six points per axis over [50, 1000]), record FLOP/s, interpolate, and
 estimate variant times as FLOPs / interpolated performance.  The resulting
-:class:`MeasuredPerformanceModelSet` is a drop-in replacement for the
-simulated model set, so the Fig. 6 experiment can be re-run against actual
+:class:`MeasuredPerformanceModelSet` fills the same grid builder from
+measurements, and prices variants through the same ``time_call`` and
+shared loop, so the Fig. 6 experiment can be re-run against actual
 hardware (``run_time_experiment`` accepts any machine/model pair with the
 same interface).
 
@@ -15,21 +16,15 @@ Measurements use the median of repeated runs, as in the paper.
 
 from __future__ import annotations
 
-import statistics
-import time
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from repro.kernels import reference as ref
 from repro.kernels.spec import get_kernel
 from repro.perfmodel.machine import SimulatedMachine
-from repro.perfmodel.models import (
-    KERNEL_MODEL_DIMS,
-    KernelModel,
-    PerformanceModelSet,
-)
+from repro.perfmodel.models import KERNEL_MODEL_DIMS, PerformanceModelSet
+from repro.perfmodel.timing import time_callable
 
 
 def _spd(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,12 +118,7 @@ def measure_performance(
     rng = rng or np.random.default_rng(0)
     call = build_call(kernel, m, k, n, rng)
     call()  # warm-up (allocations, BLAS thread pools)
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        samples.append(time.perf_counter() - start)
-    seconds = max(statistics.median(samples), 1e-9)
+    seconds = max(time_callable(call, repeats), 1e-9)
     flops = get_kernel(kernel).cost(side="left", cheap=True).evaluate(m, k, n)
     if flops <= 0.0:
         return 0.0
@@ -138,11 +128,11 @@ def measure_performance(
 class MeasuredPerformanceModelSet(PerformanceModelSet):
     """Grid-interpolated models calibrated against wall-clock measurements.
 
-    Exposes the same estimation interface as the simulated
-    :class:`PerformanceModelSet` (``variant_time_many`` etc.), so it can be
-    handed to the Fig. 6 harness to run the experiment on real hardware.
-    Data-movement kernels (TRANSPOSE/COPY) still use the analytic bandwidth
-    model of the attached :class:`SimulatedMachine`.
+    Prices variants exactly like the simulated :class:`PerformanceModelSet`
+    (``cost_many`` / ``__call__``), so it can be handed to the Fig. 6
+    harness to run the experiment on real hardware.  Data-movement kernels
+    (TRANSPOSE/COPY) still use the analytic bandwidth model of the attached
+    :class:`SimulatedMachine`.
     """
 
     def __init__(
@@ -152,41 +142,16 @@ class MeasuredPerformanceModelSet(PerformanceModelSet):
         kernels: Optional[Iterable[str]] = None,
         seed: int = 0,
     ):
-        # Deliberately does NOT call super().__init__: models come from
-        # measurements, not from sampling the simulated machine.
-        self.machine = SimulatedMachine()
-        self.grid = tuple(float(g) for g in grid)
         self.repeats = repeats
-        self.models = {}
         rng = np.random.default_rng(seed)
-        axis = np.asarray(self.grid)
+
+        def measured(kernel: str, m, k, n) -> np.ndarray:
+            perf = np.empty(np.shape(m))
+            for idx in np.ndindex(perf.shape):
+                perf[idx] = measure_performance(
+                    kernel, int(m[idx]), int(k[idx]), int(n[idx]), repeats, rng
+                )
+            return perf
+
         names = list(kernels) if kernels is not None else list(KERNEL_MODEL_DIMS)
-        for name in names:
-            dims = KERNEL_MODEL_DIMS[name]
-            if dims == "mkn":
-                perf = np.empty((axis.size,) * 3)
-                for i, m in enumerate(axis):
-                    for j, k in enumerate(axis):
-                        for l, n in enumerate(axis):
-                            perf[i, j, l] = measure_performance(
-                                name, int(m), int(k), int(n), repeats, rng
-                            )
-                interp = RegularGridInterpolator((axis, axis, axis), perf)
-            elif dims == "mn":
-                perf = np.empty((axis.size,) * 2)
-                for i, m in enumerate(axis):
-                    for j, n in enumerate(axis):
-                        perf[i, j] = measure_performance(
-                            name, int(m), int(m), int(n), repeats, rng
-                        )
-                interp = RegularGridInterpolator((axis, axis), perf)
-            else:
-                perf = np.empty(axis.size)
-                for i, m in enumerate(axis):
-                    perf[i] = measure_performance(
-                        name, int(m), int(m), int(m), repeats, rng
-                    )
-                interp = RegularGridInterpolator((axis,), perf)
-            self.models[name] = KernelModel(
-                name, dims, interp, lo=self.grid[0], hi=self.grid[-1]
-            )
+        self._sample(SimulatedMachine(), grid, measured, names)

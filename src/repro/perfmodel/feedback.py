@@ -18,9 +18,10 @@ FLOP/s of each call (``runtime.kernel_rate``).
 * :meth:`refresh` folds the registry histograms' windowed *medians* into
   the table with exponential decay, so the rates track the machine while
   staying robust to interrupt spikes (medians) and drift (decay);
-* as a cost estimator it maps ``(variant, sizes)`` to estimated seconds —
-  per-step FLOPs divided by the step kernel's calibrated rate — with the
-  batched :meth:`cost_many` form the dispatcher's broadcast sweep uses;
+* as a :class:`~repro.perfmodel.machine.KernelTimeModel` its
+  ``time_call`` is a call's FLOPs divided by the kernel's calibrated rate,
+  and the shared loop maps ``(variant, sizes)`` — or, batched through
+  :meth:`cost_many`, a whole instance matrix — to estimated seconds;
 * :meth:`snapshot` / :meth:`from_snapshot` serialize the learned table
   into the :class:`~repro.compiler.program.CompiledProgram` artifact's
   ``calibration`` section, so a warmed deployment ships its calibration
@@ -41,12 +42,13 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 import numpy as np
 
 from repro.obs import get_registry
 from repro.obs.registry import MetricsRegistry
+from repro.perfmodel.machine import KernelTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.variant import Variant
@@ -56,9 +58,7 @@ __all__ = [
     "KERNEL_RATE_METRIC",
     "CalibratedEstimator",
     "calibration_snapshot",
-    "fixup_flops",
     "get_default_estimator",
-    "step_flops",
 ]
 
 #: Version of the serialized calibration payload (the artifact section).
@@ -79,27 +79,7 @@ DEFAULT_DECAY = 0.5
 DEFAULT_REFRESH_INTERVAL = 1.0
 
 
-def step_flops(step, sizes: Sequence[int]) -> float:
-    """Analytic FLOPs of one variant step at a concrete size vector."""
-    m = float(sizes[step.call_dims[0]])
-    k = float(sizes[step.call_dims[1]])
-    n = float(sizes[step.call_dims[2]])
-    total = 0.0
-    for term in step.cost.terms:
-        total += float(term.coeff) * m**term.em * k**term.ek * n**term.en
-    return total
-
-
-def fixup_flops(fixup, sizes: Sequence[int]) -> float:
-    """Analytic FLOPs of one final fix-up at a concrete size vector."""
-    d = float(sizes[fixup.dim])
-    total = 0.0
-    for term in fixup.cost.terms:
-        total += float(term.coeff) * d ** (term.em + term.ek + term.en)
-    return total
-
-
-class CalibratedEstimator:
+class CalibratedEstimator(KernelTimeModel):
     """Online per-kernel FLOP/s table, usable as a dispatcher cost estimator.
 
     Thread-safe: the table is guarded by a lock, reads go through an
@@ -212,49 +192,18 @@ class CalibratedEstimator:
 
     # -- estimation ----------------------------------------------------------
 
-    def __call__(self, variant: "Variant", sizes: Sequence[int]) -> float:
-        """Estimated execution seconds of a variant at a size vector."""
-        self.maybe_refresh()
-        rates = self._kernel_rates
-        seed = self.seed_flops_per_second
-        total = 0.0
-        for step in variant.steps:
-            total += step_flops(step, sizes) / rates.get(
-                step.kernel.name, seed
-            )
-        for fixup in variant.fixups:
-            total += fixup_flops(fixup, sizes) / rates.get(
-                fixup.kernel.name, seed
-            )
-        return total
+    def time_call(self, kernel: str, flops, m, k, n):
+        """A call's FLOPs over the kernel's calibrated FLOP/s."""
+        return flops / self._kernel_rates.get(kernel, self.seed_flops_per_second)
 
     def cost_many(self, variant: "Variant", instances: np.ndarray) -> np.ndarray:
         """Batched estimate: seconds of one variant on ``(count, n+1)`` sizes.
 
-        The dispatcher's broadcast cost sweep calls this per pool variant
-        instead of the scalar path — one numpy pass per step rather than a
-        Python loop per ``(variant, instance)`` pair.
+        Pulls fresh rates first (throttled); the scalar ``estimator(variant,
+        sizes)`` form goes through here too.
         """
         self.maybe_refresh()
-        instances = np.asarray(instances, dtype=np.float64)
-        rates = self._kernel_rates
-        seed = self.seed_flops_per_second
-        total = np.zeros(instances.shape[0])
-        for step in variant.steps:
-            m = instances[:, step.call_dims[0]]
-            k = instances[:, step.call_dims[1]]
-            n = instances[:, step.call_dims[2]]
-            flops = np.zeros(instances.shape[0])
-            for term in step.cost.terms:
-                flops += float(term.coeff) * m**term.em * k**term.ek * n**term.en
-            total += flops / rates.get(step.kernel.name, seed)
-        for fixup in variant.fixups:
-            d = instances[:, fixup.dim]
-            flops = np.zeros(instances.shape[0])
-            for term in fixup.cost.terms:
-                flops += float(term.coeff) * d ** (term.em + term.ek + term.en)
-            total += flops / rates.get(fixup.kernel.name, seed)
-        return total
+        return super().cost_many(variant, instances)
 
     # -- introspection and serialization -------------------------------------
 

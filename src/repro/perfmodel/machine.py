@@ -15,6 +15,10 @@ We replace that testbed with a roofline-style analytic machine:
   bandwidth.
 
 The machine is a pure function of the call: noise-free and reproducible.
+
+Every kernel-speed model subclasses :class:`KernelTimeModel`, which holds
+the one pricing loop: a variant costs the sum of ``time_call`` over its
+steps, then its fix-ups, at the FLOPs of :func:`step_call`/:func:`fixup_call`.
 """
 
 from __future__ import annotations
@@ -65,8 +69,60 @@ for _name in DEFAULT_KERNEL_EFFICIENCY:
 DEFAULT_SATURATION["TRSM"] = 64.0
 
 
+def step_call(step, instances: np.ndarray):
+    """``(flops, m, k, n)`` of one kernel step over ``(count, n+1)`` sizes.
+
+    ``step`` is anything with ``call_dims`` and a ``cost`` (a variant
+    :class:`~repro.compiler.variant.Step`, an Armadillo plan step).
+    """
+    m = instances[:, step.call_dims[0]]
+    k = instances[:, step.call_dims[1]]
+    n = instances[:, step.call_dims[2]]
+    flops = np.zeros(instances.shape[0])
+    for term in step.cost.terms:
+        flops += float(term.coeff) * m**term.em * k**term.ek * n**term.en
+    return flops, m, k, n
+
+
+def fixup_call(fixup, instances: np.ndarray):
+    """``(flops, d, d, d)`` of one square fix-up over ``(count, n+1)`` sizes."""
+    d = instances[:, fixup.dim]
+    flops = np.zeros(instances.shape[0])
+    for term in fixup.cost.terms:
+        flops += float(term.coeff) * d ** (term.em + term.ek + term.en)
+    return flops, d, d, d
+
+
+class KernelTimeModel:
+    """A kernel-speed model: subclasses supply :meth:`time_call` only.
+
+    Instances are cost estimators in the dispatcher's protocol —
+    ``model(variant, sizes)`` and the batched ``model.cost_many(variant,
+    instances)`` — so one object serves the dispatcher, the compiler and
+    the experiments.
+    """
+
+    def time_call(self, kernel: str, flops, m, k, n):
+        """Seconds of one kernel call given its FLOP count and dims."""
+        raise NotImplementedError
+
+    def cost_many(self, variant, instances: np.ndarray) -> np.ndarray:
+        """Estimated seconds of a variant on ``(count, n+1)`` size vectors."""
+        instances = np.asarray(instances, dtype=np.float64)
+        total = np.zeros(instances.shape[0])
+        for step in variant.steps:
+            total += self.time_call(step.kernel.name, *step_call(step, instances))
+        for fixup in variant.fixups:
+            total += self.time_call(fixup.kernel.name, *fixup_call(fixup, instances))
+        return total
+
+    def __call__(self, variant, sizes: Sequence[int]) -> float:
+        """Estimated seconds of a variant at one size vector."""
+        return float(self.cost_many(variant, np.asarray([sizes], dtype=np.float64))[0])
+
+
 @dataclass(frozen=True)
-class SimulatedMachine:
+class SimulatedMachine(KernelTimeModel):
     """Analytic kernel-time oracle (the reproduction's hardware stand-in)."""
 
     peak_flops: float = 8.0e11  # ~14 cores x 2.6 GHz x 32 DP FLOP/cycle
@@ -99,38 +155,3 @@ class SimulatedMachine:
             n = np.asarray(n, dtype=np.float64)
             return 16.0 * m * n / self.memory_bandwidth  # read + write
         return flops / self.performance(kernel, m, k, n)
-
-    # -- variant-level helpers -------------------------------------------------
-
-    def step_time_many(self, step, instances: np.ndarray) -> np.ndarray:
-        """Vectorized execution time of one variant step over instances."""
-        instances = np.asarray(instances, dtype=np.float64)
-        m = instances[:, step.call_dims[0]]
-        k = instances[:, step.call_dims[1]]
-        n = instances[:, step.call_dims[2]]
-        flops = np.zeros(instances.shape[0])
-        for term in step.cost.terms:
-            flops += float(term.coeff) * m**term.em * k**term.ek * n**term.en
-        return self.time_call(step.kernel.name, flops, m, k, n)
-
-    def fixup_time_many(self, fixup, instances: np.ndarray) -> np.ndarray:
-        instances = np.asarray(instances, dtype=np.float64)
-        d = instances[:, fixup.dim]
-        flops = np.zeros(instances.shape[0])
-        for term in fixup.cost.terms:
-            flops += float(term.coeff) * d ** (term.em + term.ek + term.en)
-        return self.time_call(fixup.kernel.name, flops, d, d, d)
-
-    def variant_time_many(self, variant, instances: np.ndarray) -> np.ndarray:
-        """True execution time of a variant on many instances."""
-        instances = np.asarray(instances, dtype=np.float64)
-        total = np.zeros(instances.shape[0])
-        for step in variant.steps:
-            total += self.step_time_many(step, instances)
-        for fixup in variant.fixups:
-            total += self.fixup_time_many(fixup, instances)
-        return total
-
-    def variant_time(self, variant, sizes: Sequence[int]) -> float:
-        q = np.asarray([sizes], dtype=np.float64)
-        return float(self.variant_time_many(variant, q)[0])

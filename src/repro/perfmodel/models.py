@@ -14,17 +14,23 @@ kernels with one square operand are 2-D in (m, n); all-square kernels are
 clamping at the grid boundary.  The model is deliberately *crude* — exactly
 like the paper's — so model-based estimates deviate from the machine's true
 times between grid points and outside sampled configurations.
+
+The model set is a :class:`~repro.perfmodel.machine.KernelTimeModel`: its
+``time_call`` divides a call's FLOPs by the interpolated rate, and the
+shared loop prices whole variants.  The grid is filled from any rate
+function, so :mod:`repro.perfmodel.calibration` reuses it for measured
+rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from repro.perfmodel.machine import SimulatedMachine
+from repro.perfmodel.machine import KernelTimeModel, SimulatedMachine
 
 GRID_POINTS = (50.0, 100.0, 300.0, 500.0, 700.0, 1000.0)
 
@@ -75,81 +81,43 @@ class KernelModel:
 
     def performance(self, m, k, n):
         """Estimated FLOP/s for a call with the given dimensions."""
-        m = np.atleast_1d(np.asarray(m, dtype=np.float64))
-        k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-        n = np.atleast_1d(np.asarray(n, dtype=np.float64))
-        if self.dims == "mkn":
-            points = np.stack([m, k, n], axis=-1)
-        elif self.dims == "mn":
-            points = np.stack([m, n], axis=-1)
-        else:
-            points = m[:, None]
+        coords = {"m": m, "k": k, "n": n}
+        points = np.stack(
+            [np.atleast_1d(np.asarray(coords[d], dtype=np.float64)) for d in self.dims],
+            axis=-1,
+        )
         return self.interpolator(np.clip(points, self.lo, self.hi))
 
 
-class PerformanceModelSet:
+class PerformanceModelSet(KernelTimeModel):
     """All kernel models sampled from one machine (or real measurements)."""
 
     def __init__(self, machine: SimulatedMachine, grid: Sequence[float] = GRID_POINTS):
+        self._sample(machine, grid, machine.performance, KERNEL_MODEL_DIMS)
+
+    def _sample(self, machine, grid, rate, kernels: Iterable[str]) -> None:
+        """One interpolated model per kernel, from ``rate(kernel, m, k, n)``
+        (FLOP/s on equally shaped arrays of grid points)."""
         self.machine = machine
         self.grid = tuple(float(g) for g in grid)
         self.models: dict[str, KernelModel] = {}
         axis = np.asarray(self.grid)
-        for kernel, dims in KERNEL_MODEL_DIMS.items():
-            if dims == "mkn":
-                mg, kg, ng = np.meshgrid(axis, axis, axis, indexing="ij")
-                perf = machine.performance(kernel, mg, kg, ng)
-                interp = RegularGridInterpolator((axis, axis, axis), perf)
-            elif dims == "mn":
-                # The sampled configuration fixes k = m (coefficient /
-                # structured operand on the left), as a crude model would.
-                mg, ng = np.meshgrid(axis, axis, indexing="ij")
-                perf = machine.performance(kernel, mg, mg, ng)
-                interp = RegularGridInterpolator((axis, axis), perf)
-            else:
-                perf = machine.performance(kernel, axis, axis, axis)
-                interp = RegularGridInterpolator((axis,), perf)
+        for kernel in kernels:
+            dims = KERNEL_MODEL_DIMS[kernel]
+            axes = (axis,) * len(dims)
+            points = dict(zip(dims, np.meshgrid(*axes, indexing="ij")))
+            # A dimension the model does not sample equals m (the
+            # coefficient / structured operand is square), as a crude
+            # model would fix it.
+            m = points["m"]
+            perf = rate(kernel, m, points.get("k", m), points.get("n", m))
+            interp = RegularGridInterpolator(axes, perf)
             self.models[kernel] = KernelModel(
                 kernel, dims, interp, lo=self.grid[0], hi=self.grid[-1]
             )
 
-    def step_time_many(self, step, instances: np.ndarray) -> np.ndarray:
-        """Model-estimated execution time of one variant step."""
-        instances = np.asarray(instances, dtype=np.float64)
-        m = instances[:, step.call_dims[0]]
-        k = instances[:, step.call_dims[1]]
-        n = instances[:, step.call_dims[2]]
-        flops = np.zeros(instances.shape[0])
-        for term in step.cost.terms:
-            flops += float(term.coeff) * m**term.em * k**term.ek * n**term.en
-        name = step.kernel.name
-        if name in ("TRANSPOSE", "COPY"):
-            return self.machine.time_call(name, flops, m, k, n)
-        perf = self.models[name].performance(m, k, n)
-        return flops / perf
-
-    def fixup_time_many(self, fixup, instances: np.ndarray) -> np.ndarray:
-        instances = np.asarray(instances, dtype=np.float64)
-        d = instances[:, fixup.dim]
-        flops = np.zeros(instances.shape[0])
-        for term in fixup.cost.terms:
-            flops += float(term.coeff) * d ** (term.em + term.ek + term.en)
-        name = fixup.kernel.name
-        if name in ("TRANSPOSE", "COPY"):
-            return self.machine.time_call(name, flops, d, d, d)
-        perf = self.models[name].performance(d, d, d)
-        return flops / perf
-
-    def variant_time_many(self, variant, instances: np.ndarray) -> np.ndarray:
-        """Model-estimated execution time of a variant on many instances."""
-        instances = np.asarray(instances, dtype=np.float64)
-        total = np.zeros(instances.shape[0])
-        for step in variant.steps:
-            total += self.step_time_many(step, instances)
-        for fixup in variant.fixups:
-            total += self.fixup_time_many(fixup, instances)
-        return total
-
-    def variant_time(self, variant, sizes: Sequence[int]) -> float:
-        q = np.asarray([sizes], dtype=np.float64)
-        return float(self.variant_time_many(variant, q)[0])
+    def time_call(self, kernel: str, flops, m, k, n):
+        """FLOPs over the interpolated rate; data movement at bandwidth."""
+        if kernel in ("TRANSPOSE", "COPY"):
+            return self.machine.time_call(kernel, flops, m, k, n)
+        return flops / self.models[kernel].performance(m, k, n)

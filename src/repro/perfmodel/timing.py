@@ -1,10 +1,11 @@
 """Wall-clock timing of the NumPy reference kernels.
 
-For users who want real-hardware numbers instead of the simulated machine,
-this module measures the reference implementations and can feed measured
-FLOP/s grids into :class:`~repro.perfmodel.models.PerformanceModelSet`-style
-interpolation.  Measurements are summarized by the median of repeated runs,
-as in the paper.
+For users who want real-hardware numbers instead of the simulated machine:
+:func:`time_callable` is the one median-of-repeats timer (as in the paper),
+which :func:`repro.perfmodel.calibration.measure_performance` uses to fill
+a measured model's FLOP/s grid — that model then prices variants through
+the same ``time_call`` loop as the simulated one.  :func:`time_variant`
+times a whole variant's reference plan.
 """
 
 from __future__ import annotations
@@ -44,13 +45,3 @@ def time_variant(
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     plan = compile_plan(variant, infer_sizes(variant.chain, arrays))
     return time_callable(lambda: plan.execute(arrays), repeats)
-
-
-def measured_performance(
-    variant: Variant, arrays: Sequence[np.ndarray], sizes: Sequence[int], repeats: int = 10
-) -> float:
-    """Measured FLOP/s of a variant execution (analytic FLOPs / median time)."""
-    seconds = time_variant(variant, arrays, repeats)
-    if seconds <= 0.0:
-        return float("inf")
-    return variant.flop_cost(sizes) / seconds

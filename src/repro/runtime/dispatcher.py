@@ -487,8 +487,8 @@ class Dispatcher:
         default FLOP estimator the whole matrix is computed with the
         :func:`~repro.compiler.selection.flatten_cost_terms` broadcast
         sweep (one numpy pass over all variants and instances, no
-        per-variant Python loop); a custom estimator falls back to
-        per-pair evaluation.
+        per-variant Python loop); any other estimator is priced by
+        :func:`~repro.compiler.selection.cost_matrix`.
         """
         validated = self._as_instance_matrix(instances, validate)
         snapshot = self._sync_pool()
@@ -568,27 +568,9 @@ class Dispatcher:
                     if self._pool_snapshot is snapshot:
                         self._term_stack = (snapshot, stack)
             return evaluate_cost_terms(stack, len(snapshot), validated)
-        cost_many = getattr(estimator, "cost_many", None)
-        if cost_many is not None:
-            # Batched estimators (CalibratedEstimator) vectorize over
-            # instances — one numpy pass per (variant, step) instead of a
-            # Python call per (variant, instance) pair.
-            return np.stack(
-                [
-                    np.asarray(cost_many(v, validated), dtype=np.float64)
-                    for v in snapshot
-                ]
-            )
-        return np.array(
-            [
-                [
-                    float(estimator(v, tuple(int(x) for x in row)))
-                    for row in validated
-                ]
-                for v in snapshot
-            ],
-            dtype=np.float64,
-        ).reshape(len(snapshot), validated.shape[0])
+        from repro.compiler.selection import cost_matrix
+
+        return cost_matrix(snapshot, validated, estimator)
 
     # -- selection ------------------------------------------------------------
 
@@ -806,9 +788,11 @@ class Dispatcher:
         """
         observers = entry.kernel_hists
         if observers is None:
-            from repro.perfmodel.feedback import KERNEL_RATE_METRIC, step_flops
+            from repro.perfmodel.feedback import KERNEL_RATE_METRIC
+            from repro.perfmodel.machine import step_call
 
             registry = get_registry()
+            sizes = np.asarray([plan.sizes], dtype=np.float64)
             observers = tuple(
                 (
                     registry.histogram(
@@ -821,7 +805,7 @@ class Dispatcher:
                         kernel=step.kernel.name,
                         routine=routine,
                     ).observe,
-                    step_flops(step, plan.sizes),
+                    float(step_call(step, sizes)[0][0]),
                 )
                 for step, routine in zip(
                     plan.variant.steps, plan.step_routines

@@ -51,9 +51,7 @@ class TestCustomEvaluators:
         rng = np.random.default_rng(3)
         instances = sample_instances(chain, 50, rng, low=50, high=500)
         machine = SimulatedMachine()
-        matrix = CostMatrix(
-            variants, instances, evaluator=machine.variant_time_many
-        )
+        matrix = CostMatrix(variants, instances, estimator=machine)
         assert matrix.costs.shape == (len(variants), 50)
         assert (matrix.costs > 0).all()
         # Ratios against the time-optimal variant are >= 1 everywhere.
@@ -67,20 +65,20 @@ class TestCustomEvaluators:
         dispatcher = Dispatcher(
             chain,
             variants,
-            cost_estimator=lambda v, q: models.variant_time(v, q),
+            cost_estimator=models,
         )
         q = (100, 700, 60, 900, 80)
         picked, cost = dispatcher.select(q)
         assert cost > 0
         # The pick minimizes the model time among the variants.
-        best = min(variants, key=lambda v: models.variant_time(v, q))
+        best = min(variants, key=lambda v: models(v, q))
         assert picked.signature() == best.signature()
 
     def test_compile_chain_with_time_estimator(self):
         machine = SimulatedMachine()
         generated = compile_chain(
             general_chain(4),
-            cost_estimator=lambda v, q: machine.variant_time(v, q),
+            cost_estimator=machine,
             num_training_instances=100,
             seed=4,
         )

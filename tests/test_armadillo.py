@@ -76,5 +76,5 @@ class TestAgainstCompiler:
         arma = ArmadilloEvaluator(chain)
         rng = np.random.default_rng(0)
         instances = sample_instances(chain, 5, rng, low=50, high=500)
-        times = arma.time_many(machine, instances)
+        times = machine.cost_many(arma, instances)
         assert (times > 0).all()

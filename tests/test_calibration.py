@@ -67,6 +67,6 @@ class TestMeasuredModelSet:
         chain = general_chain(3)
         variant = build_variant(chain, left_to_right_tree(3))
         instances = np.asarray([[16, 32, 16, 48], [48, 16, 32, 16]], float)
-        times = models.variant_time_many(variant, instances)
+        times = models.cost_many(variant, instances)
         assert times.shape == (2,)
         assert (times > 0).all()

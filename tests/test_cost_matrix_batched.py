@@ -61,7 +61,7 @@ class TestBatchedCostMatrix:
         matrix = CostMatrix(
             variants,
             instances,
-            evaluator=lambda v, q: np.full(q.shape[0], float(len(v.steps))),
+            estimator=lambda v, q: float(len(v.steps)),
         )
         assert np.all(matrix.costs == len(variants[0].steps))
 

@@ -22,9 +22,11 @@ import pytest
 
 from repro.api import compile_chain
 from repro.compiler.pipeline import COST_MODEL_NAMES, CompileOptions
+from repro.compiler.cache import DiskCache
 from repro.compiler.program import (
     ARTIFACT_VERSION,
     SUPPORTED_ARTIFACT_VERSIONS,
+    ArtifactError,
     CompiledProgram,
 )
 from repro.compiler.selection import essential_set
@@ -35,9 +37,8 @@ from repro.perfmodel.feedback import (
     CALIBRATION_FORMAT_VERSION,
     KERNEL_RATE_METRIC,
     CalibratedEstimator,
-    fixup_flops,
-    step_flops,
 )
+from repro.perfmodel.machine import fixup_call, step_call
 from repro.runtime import Dispatcher, random_instance_arrays
 from repro.runtime.dispatcher import flop_estimator, runtime_snapshot
 
@@ -62,9 +63,10 @@ class TestStepFlops:
     def test_step_and_fixup_flops_sum_to_variant_flop_cost(self):
         chain = general_chain(5)
         sizes = (7, 19, 4, 31, 12, 9)
+        q = np.asarray([sizes], dtype=np.float64)
         for variant in _pool(chain):
-            total = sum(step_flops(s, sizes) for s in variant.steps) + sum(
-                fixup_flops(f, sizes) for f in variant.fixups
+            total = sum(step_call(s, q)[0][0] for s in variant.steps) + sum(
+                fixup_call(f, q)[0][0] for f in variant.fixups
             )
             assert total == pytest.approx(variant.flop_cost(sizes))
 
@@ -410,6 +412,30 @@ class TestArtifactCalibration:
         payload = json.loads(program.dumps())
         payload["calibration"] = "garbage"
         assert CompiledProgram.loads(json.dumps(payload)).calibration == {}
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"decay": 7},
+            {"seed_flops_per_second": -1},
+            {"decay": "x"},
+            {"table": {"GEMM|blas": {"flops_per_second": "abc"}}},
+            {"table": {"GEMM|blas": {"flops_per_second": 1e9, "samples": "x"}}},
+            {"refresh_count": "x"},
+        ],
+    )
+    def test_malformed_calibration_section_fails_the_load(self, section, tmp_path):
+        # A section the calibrated runtime cannot rebuild must fail at
+        # load (a disk-cache miss), not at every calibrated dispatch.
+        program = self._program()
+        payload = json.loads(program.dumps())
+        payload["calibration"] = section
+        text = json.dumps(payload)
+        with pytest.raises(ArtifactError, match="malformed calibration section"):
+            CompiledProgram.loads(text)
+        cache = DiskCache(tmp_path)
+        cache.path_for(program.key).write_text(text)
+        assert cache.load(program.key) is None
 
     def test_options_cost_model_round_trips(self):
         program = self._program(cost_model="calibrated")

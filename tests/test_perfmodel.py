@@ -7,7 +7,7 @@ from repro.compiler.selection import all_variants
 from repro.compiler.parenthesization import left_to_right_tree
 from repro.compiler.variant import build_variant
 from repro.experiments.sampling import sample_instances
-from repro.perfmodel.machine import SimulatedMachine
+from repro.perfmodel.machine import SimulatedMachine, step_call
 from repro.perfmodel.models import GRID_POINTS, KERNEL_MODEL_DIMS, PerformanceModelSet
 from repro.perfmodel.timing import time_callable, time_variant
 
@@ -43,10 +43,12 @@ class TestSimulatedMachine:
         variant = build_variant(chain, left_to_right_tree(4))
         rng = np.random.default_rng(0)
         instances = sample_instances(chain, 10, rng, low=50, high=1000)
-        times = self.machine.variant_time_many(variant, instances)
+        times = self.machine.cost_many(variant, instances)
         assert (times > 0).all()
+        q = np.asarray(instances, dtype=np.float64)
         per_step = sum(
-            self.machine.step_time_many(step, instances) for step in variant.steps
+            self.machine.time_call(step.kernel.name, *step_call(step, q))
+            for step in variant.steps
         )
         np.testing.assert_allclose(times, per_step)
 
@@ -63,7 +65,7 @@ class TestSimulatedMachine:
             instances = sample_instances(chain, 100, rng, low=50, high=1000)
             flops = np.stack([v.flop_cost_many(instances) for v in variants])
             times = np.stack(
-                [self.machine.variant_time_many(v, instances) for v in variants]
+                [self.machine.cost_many(v, instances) for v in variants]
             )
             disagreements += int(
                 (flops.argmin(axis=0) != times.argmin(axis=0)).sum()
@@ -110,8 +112,8 @@ class TestPerformanceModels:
         variant = build_variant(chain, left_to_right_tree(5))
         rng = np.random.default_rng(3)
         instances = sample_instances(chain, 50, rng, low=50, high=1000)
-        true_t = self.machine.variant_time_many(variant, instances)
-        model_t = self.models.variant_time_many(variant, instances)
+        true_t = self.machine.cost_many(variant, instances)
+        model_t = self.models.cost_many(variant, instances)
         rel_err = np.abs(model_t - true_t) / true_t
         assert rel_err.max() < 0.25  # crude but sane
         assert rel_err.mean() < 0.10
@@ -120,8 +122,8 @@ class TestPerformanceModels:
         chain = general_chain(3)
         variant = build_variant(chain, left_to_right_tree(3))
         q = (100, 200, 300, 400)
-        scalar = self.models.variant_time(variant, q)
-        vector = self.models.variant_time_many(variant, np.asarray([q]))[0]
+        scalar = self.models(variant, q)
+        vector = self.models.cost_many(variant, np.asarray([q]))[0]
         assert scalar == pytest.approx(vector)
 
 

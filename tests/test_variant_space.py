@@ -497,20 +497,6 @@ class TestAdaptiveDPSpace:
         assert len(pool) >= 1
         assert space.diagnostics["holdout_penalty"] > 0
 
-    def test_calibrated_estimator_scores_the_holdout(self):
-        from repro.obs.registry import MetricsRegistry
-        from repro.perfmodel.feedback import CalibratedEstimator
-
-        chain = general_chain(10)
-        estimator = CalibratedEstimator(registry=MetricsRegistry())
-        space = DPSeededSpace(
-            max_variants=64, num_seeds=2, adaptive=True, estimator=estimator
-        )
-        pool = space.generate(chain, training(chain, count=40))
-        assert len(pool) >= 1
-        # Seed-rate calibrated penalties are FLOPs scaled to seconds.
-        assert 0 < space.diagnostics["holdout_penalty"] < 1e6
-
     def test_cache_token_separates_adaptive_from_plain_dp(self):
         plain = DPSeededSpace(max_variants=64)
         adaptive = DPSeededSpace(max_variants=64, adaptive=True)
