@@ -20,7 +20,7 @@ Commands:
 * ``cache stats`` / ``cache clear`` / ``cache warm`` — inspect, empty, or
   warm-validate the on-disk compilation cache; ``stats`` and ``clear``
   also cover the codegen tier (shared objects compiled by the ``c``
-  backend, ``--codegen-cache-dir``/``--codegen-cache-bytes``).
+  backend, relocated by ``--codegen-cache-dir``).
 * ``serve`` — long-lived JSON-lines compilation service
   (:mod:`repro.serve`): bounded queue, worker pool (``--workers-mode
   process`` fans compilation out to a process pool and ships artifacts
@@ -63,6 +63,17 @@ def _env_cache_dir(fallback: str | None = None) -> str | None:
     return os.environ.get("REPRO_CACHE_DIR", fallback)
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts and bounds that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_codegen_cache_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--codegen-cache-dir",
@@ -70,23 +81,14 @@ def _add_codegen_cache_args(p: argparse.ArgumentParser) -> None:
         help="directory for shared objects compiled by the 'c' backend "
         "(default: $REPRO_CODEGEN_CACHE_DIR or ~/.cache/repro-codegen)",
     )
-    p.add_argument(
-        "--codegen-cache-bytes",
-        type=int,
-        default=None,
-        help="bound the codegen cache to this many bytes "
-        "(LRU-by-mtime eviction; default: $REPRO_CODEGEN_CACHE_BYTES or 64 MiB)",
-    )
 
 
 def _configure_codegen(args: argparse.Namespace) -> None:
-    """Apply the ``--codegen-cache-*`` knobs to the process-wide cache."""
-    directory = getattr(args, "codegen_cache_dir", None)
-    max_bytes = getattr(args, "codegen_cache_bytes", None)
-    if directory is not None or max_bytes is not None:
+    """Apply ``--codegen-cache-dir`` to the process-wide cache."""
+    if args.codegen_cache_dir is not None:
         from repro.runtime.codegen_cache import configure_codegen_cache
 
-        configure_codegen_cache(directory=directory, max_bytes=max_bytes)
+        configure_codegen_cache(directory=args.codegen_cache_dir)
 
 
 def _make_session(args: argparse.Namespace):
@@ -275,10 +277,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         codegen = get_codegen_cache().stats()
         print(f"codegen directory: {codegen['directory']}")
         print(f"codegen entries:   {codegen['entries']}")
-        print(
-            f"codegen bytes:     {codegen['total_bytes']} "
-            f"(budget {codegen['max_bytes']})"
-        )
+        print(f"codegen bytes:     {codegen['total_bytes']}")
         return 0
     if args.action == "clear":
         removed = disk.clear()
@@ -302,14 +301,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.compiler.pipeline import CompileOptions
     from repro.compiler.session import CompilerSession
     from repro.serve import AsyncCompileServer, CompileService, serve_stream
-    from repro.serve.backends import default_backend
+    from repro.serve.backends import DiskBackend
 
+    cache_backend = None
+    if args.cache_dir:
+        cache_backend = DiskBackend(
+            args.cache_dir,
+            max_entries=args.max_cache_entries,
+            max_bytes=args.max_cache_bytes,
+        )
+    elif args.max_cache_entries is not None or args.max_cache_bytes is not None:
+        args.usage_error(
+            "--max-cache-entries/--max-cache-bytes need --cache-dir "
+            "(or $REPRO_CACHE_DIR)"
+        )
     _configure_codegen(args)
-    cache_backend = default_backend(
-        args.cache_dir,
-        max_entries=args.max_cache_entries,
-        max_bytes=args.max_cache_bytes,
-    )
     overrides = {
         key: value
         for key, value in (
@@ -770,17 +776,20 @@ def build_parser() -> argparse.ArgumentParser:
         "$REPRO_CACHE_DIR when set, else no disk cache)",
     )
     p.add_argument(
-        "--cache-capacity", type=int, default=256, help="in-memory LRU entries"
+        "--cache-capacity",
+        type=_positive_int,
+        default=256,
+        help="in-memory LRU entries",
     )
     p.add_argument(
         "--max-cache-entries",
-        type=int,
+        type=_positive_int,
         default=None,
         help="bound the disk cache to this many entries (LRU-by-mtime pruning)",
     )
     p.add_argument(
         "--max-cache-bytes",
-        type=int,
+        type=_positive_int,
         default=None,
         help="bound the disk cache to this many bytes (LRU-by-mtime pruning)",
     )
@@ -852,7 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the process-wide metrics registry as Prometheus text "
         "on this HTTP port (/metrics; 0 picks a free port)",
     )
-    p.set_defaults(func=_cmd_serve)
+    # The disk bounds need a directory, which may come from the environment,
+    # so that check runs after parsing; it still exits 2 with serve's usage.
+    p.set_defaults(func=_cmd_serve, usage_error=p.error)
 
     p = sub.add_parser(
         "stats",

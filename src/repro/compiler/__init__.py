@@ -83,7 +83,7 @@ from repro.compiler.pipeline import (
     Pipeline,
     default_pipeline,
 )
-from repro.compiler.cache import CacheStats, CompilationCache, DiskCache
+from repro.compiler.cache import CacheStats, CompilationCache
 from repro.compiler.session import (
     CompilerSession,
     get_default_session,
@@ -101,7 +101,6 @@ __all__ = [
     "default_pipeline",
     "CacheStats",
     "CompilationCache",
-    "DiskCache",
     "CompilerSession",
     "get_default_session",
     "set_default_session",

@@ -12,11 +12,12 @@ steps reference operands by position, never by name.
 Two layers:
 
 * an in-memory LRU (``capacity`` entries, thread-safe) for the hot path;
-* an optional on-disk layer (one JSON file per key under ``disk_dir``,
-  written atomically) whose entries are verbatim
-  :class:`~repro.compiler.program.CompiledProgram` artifacts — portable
-  across processes and hosts, loadable by ``repro run`` directly, the moral
-  equivalent of a shared build cache for the generated C++.
+* an optional on-disk layer, a :class:`~repro.serve.backends.DiskBackend`
+  (one JSON file per key, written atomically, optionally bounded) whose
+  entries are verbatim :class:`~repro.compiler.program.CompiledProgram`
+  artifacts — portable across processes and hosts, loadable by ``repro
+  run`` directly, the moral equivalent of a shared build cache for the
+  generated C++.
 
 The entry type *is* the artifact: :data:`CacheEntry` aliases
 :class:`~repro.compiler.program.CompiledProgram` (the historical
@@ -28,24 +29,22 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.backends import CacheBackend
+    from repro.serve.backends import DiskBackend
 
 import numpy as np
 
 from repro.ir.chain import Chain
 from repro.ir.structural import structural_key
 from repro.compiler.pipeline import CompileOptions
-from repro.compiler.program import ArtifactError, CompiledProgram
+from repro.compiler.program import CompiledProgram
 from repro.compiler.variant import Variant
+from repro.obs import get_registry
 
 
 @dataclass
@@ -124,126 +123,6 @@ def rebind_variants(
 
 
 # ---------------------------------------------------------------------------
-# Disk layer.
-# ---------------------------------------------------------------------------
-
-
-class DiskCache:
-    """One-artifact-file-per-key persistent layer under ``directory``.
-
-    Entry files hold the :class:`CompiledProgram` wire format verbatim
-    (``<key>.json`` = ``entry.dumps()``), so a cache directory is a
-    collection of portable artifacts: another process or host can load an
-    entry, and ``repro run <cache-dir>/<key>.json`` works on it directly.
-    Entries written by earlier layouts fail artifact validation and read as
-    misses (the compilation simply reruns and overwrites them).
-    """
-
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = Path(directory)
-
-    def path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def load(self, key: str) -> Optional[CacheEntry]:
-        path = self.path_for(key)
-        try:
-            text = path.read_text()
-        except (OSError, ValueError):
-            # ValueError covers the UnicodeDecodeError a binary-garbage
-            # entry raises from read_text().
-            return None
-        try:
-            program = CompiledProgram.loads(text)
-        except ArtifactError:
-            return None
-        if program.key != key:
-            return None
-        return program
-
-    def store(self, key: str, entry: CacheEntry) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if entry.key != key:
-            # Stamp the content address so the stored file is self-describing
-            # (and so load() can reject misfiled or renamed entries).
-            entry = dataclasses.replace(entry, key=key)
-        # Atomic publish: concurrent writers of the same key both produce
-        # equivalent content, so last-rename-wins is safe.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{key[:16]}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(entry.dumps())
-            os.replace(tmp_name, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def keys(self) -> list[str]:
-        if not self.directory.is_dir():
-            return []
-        return sorted(p.stem for p in self.directory.glob("*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of entries removed.
-
-        Also sweeps ``*.tmp`` droppings left by writers that were killed
-        between ``mkstemp`` and the atomic rename (not counted).
-        """
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for path in self.directory.glob("*.tmp"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return removed
-
-    def stats(self) -> dict[str, object]:
-        entries = 0
-        total_bytes = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                # A concurrent `cache clear` (or eviction) may unlink files
-                # between glob and stat; skip the ones that vanished.
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-        return {
-            "directory": str(self.directory),
-            "entries": entries,
-            "total_bytes": total_bytes,
-        }
-
-
-def keys_by_recency(backend) -> list[str]:
-    """Backend keys, most recently used first.
-
-    Uses the backend's own ``keys_by_recency`` when it has one (the
-    :mod:`repro.serve.backends` implementations all do) and falls back to
-    ``keys()`` order otherwise; cache warm-up uses this to fill the LRU
-    with the hottest entries first.
-    """
-    probe = getattr(backend, "keys_by_recency", None)
-    if callable(probe):
-        return list(probe())
-    return list(backend.keys())
-
-
-# ---------------------------------------------------------------------------
 # Two-layer cache.
 # ---------------------------------------------------------------------------
 
@@ -255,38 +134,25 @@ class CompilationCache:
     (promoting backend hits into memory); ``put`` writes both layers.  All
     counters live in :class:`CacheStats`.
 
-    The second layer is pluggable: pass any
-    :class:`repro.serve.backends.CacheBackend` (a shared in-memory tier, a
-    bounded disk tier, a tiered composition, or your own remote store) as
-    ``backend``.  ``disk_dir`` is the PR-1 shorthand for a
-    :class:`~repro.serve.backends.DiskBackend` on that directory; for
-    backward compatibility the backend is also reachable as ``self.disk``,
-    and the ``disk_*`` stats counters cover whatever backend is installed.
+    The second layer is ``backend``: normally a
+    :class:`~repro.serve.backends.DiskBackend`, though any object with its
+    ``load``/``store``/``keys``/``clear``/``stats`` methods works (warm-up
+    also needs ``keys_by_recency``).  The ``disk_*`` stats counters and the
+    ``cache.lookups{tier=disk}`` registry counter cover that layer.
     """
 
     def __init__(
         self,
         capacity: int = 128,
-        disk_dir: Optional[str | os.PathLike] = None,
-        backend: Optional["CacheBackend"] = None,
+        backend: Optional["DiskBackend"] = None,
     ):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        if backend is None and disk_dir is not None:
-            # Imported lazily: repro.serve.backends imports this module.
-            from repro.serve.backends import DiskBackend
-
-            backend = DiskBackend(disk_dir)
         self.capacity = capacity
-        self.disk = backend
+        self.backend = backend
         self.stats = CacheStats()
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
-
-    @property
-    def backend(self) -> Optional["CacheBackend"]:
-        """The second-layer storage backend (``None`` when memory-only)."""
-        return self.disk
 
     def key(
         self,
@@ -303,8 +169,12 @@ class CompilationCache:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return entry
-        if self.disk is not None:
-            entry = self.disk.load(key)
+        if self.backend is not None:
+            entry = self.backend.load(key)
+            outcome = "hit" if entry is not None else "miss"
+            get_registry().counter(
+                "cache.lookups", tier="disk", outcome=outcome
+            ).inc()
             if entry is not None:
                 with self._lock:
                     self.stats.hits += 1
@@ -318,12 +188,12 @@ class CompilationCache:
     def put(self, key: str, entry: CacheEntry) -> None:
         with self._lock:
             self._insert(key, entry)
-        if self.disk is not None:
+        if self.backend is not None:
             # A broken disk layer (unwritable path, --cache-dir pointing at
             # a file, full disk, an unserializable custom variant) must not
             # fail the compilation it caches.
             try:
-                self.disk.store(key, entry)
+                self.backend.store(key, entry)
             except Exception:
                 with self._lock:
                     self.stats.disk_errors += 1
@@ -352,7 +222,7 @@ class CompilationCache:
         ``stats.disk_errors``.  Warm-up does not touch the hit/miss
         counters — it is provisioning, not traffic.
         """
-        if self.disk is None:
+        if self.backend is None:
             return 0
         with self._lock:
             budget = self.capacity - len(self._entries)
@@ -364,13 +234,13 @@ class CompilationCache:
         # Hottest-first iteration + insert-at-the-cold-end means the
         # hottest warmed entry sits closest to (but still below) the live
         # set, and recency among warmed entries matches the backend's.
-        for key in keys_by_recency(self.disk):
+        for key in self.backend.keys_by_recency():
             if warmed >= budget:
                 break
             with self._lock:
                 if key in self._entries:
                     continue
-            entry = self.disk.load(key)
+            entry = self.backend.load(key)
             if entry is None:
                 with self._lock:
                     self.stats.disk_errors += 1
@@ -390,8 +260,8 @@ class CompilationCache:
         with self._lock:
             self._entries.clear()
             self.stats = CacheStats()
-        if disk and self.disk is not None:
-            self.disk.clear()
+        if disk and self.backend is not None:
+            self.backend.clear()
 
     def __len__(self) -> int:
         with self._lock:

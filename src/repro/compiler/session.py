@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.backends import CacheBackend
+    from repro.serve.backends import DiskBackend
 
 import numpy as np
 
@@ -52,13 +52,12 @@ class CompilerSession:
     cache_capacity:
         In-memory LRU size (number of compiled structures).
     cache_dir:
-        When set, compilations also persist to this directory and survive
-        process restarts.
+        When set, compilations also persist to this directory (an unbounded
+        :class:`~repro.serve.backends.DiskBackend`) and survive process
+        restarts.
     cache_backend:
-        A :class:`repro.serve.backends.CacheBackend` to use as the cache's
-        second layer (e.g. a shared :class:`~repro.serve.backends.InMemoryBackend`,
-        a bounded :class:`~repro.serve.backends.DiskBackend`, or a
-        :class:`~repro.serve.backends.TieredBackend`); overrides ``cache_dir``.
+        The cache's second layer, e.g. a bounded
+        :class:`~repro.serve.backends.DiskBackend`; overrides ``cache_dir``.
     cost_estimator:
         Default dispatcher cost estimator for compiles in this session.
     options:
@@ -73,19 +72,18 @@ class CompilerSession:
         cache: Optional[CompilationCache] = None,
         cache_capacity: int = 128,
         cache_dir: Optional[str | os.PathLike] = None,
-        cache_backend: Optional["CacheBackend"] = None,
+        cache_backend: Optional["DiskBackend"] = None,
         cost_estimator: CostEstimator = flop_estimator,
         options: Optional[CompileOptions] = None,
     ):
-        self.cache = (
-            cache
-            if cache is not None
-            else CompilationCache(
-                capacity=cache_capacity,
-                disk_dir=cache_dir,
-                backend=cache_backend,
-            )
-        )
+        if cache is None:
+            if cache_backend is None and cache_dir is not None:
+                # Imported lazily: repro.serve imports this module.
+                from repro.serve.backends import DiskBackend
+
+                cache_backend = DiskBackend(cache_dir)
+            cache = CompilationCache(capacity=cache_capacity, backend=cache_backend)
+        self.cache = cache
         self.cost_estimator = cost_estimator
         self.options = options if options is not None else CompileOptions()
         self._lock = threading.Lock()

@@ -13,7 +13,7 @@ process doing?" in one call.  The registry is that one place:
   max, so long-lived processes keep totals while percentiles stay recent.
 
 Metrics are identified by ``name`` plus optional string labels
-(``counter("cache.lookups", tier="memory", outcome="hit")``); the same
+(``counter("cache.lookups", tier="disk", outcome="hit")``); the same
 identity always returns the same object, so call sites never hold
 registration state.  :func:`get_registry` returns the process-wide
 instance every layer reports into; private registries (e.g. one per

@@ -1,4 +1,4 @@
-"""Bounded on-disk cache for the ``c`` backend's compiled native code.
+"""On-disk cache for the ``c`` backend's compiled native code.
 
 The ``c`` execution backend replays every plan through one native step
 interpreter, a CPython extension compiled from a fixed C source.
@@ -10,15 +10,14 @@ compiler.  A warm deployment therefore never re-invokes the compiler: the
 second process finds ``<key>.so`` and loads it directly (asserted by the
 CI bench via the ``runtime.codegen_cache`` counters).
 
-Like the compilation disk cache (:class:`repro.serve.backends.DiskBackend`)
-the tier is *bounded*: total bytes are pruned least-recently-used by
-mtime, which a hit refreshes.  Publication is atomic (temp file +
-``os.replace``), so concurrent processes compiling the same source race
-harmlessly — one byte-identical object wins.
+The directory holds one ``<key>.so`` / ``<key>.c`` pair per interpreter
+source revision and Python ABI — some tens of KB each — so it needs no
+size bound; ``repro cache clear`` empties it.  Publication is atomic (temp
+file + ``os.replace``), so concurrent processes compiling the same source
+race harmlessly — one byte-identical object wins.
 
-Knobs: ``$REPRO_CODEGEN_CACHE_DIR`` / ``--codegen-cache-dir`` relocate
-the directory (default ``~/.cache/repro-codegen``);
-``$REPRO_CODEGEN_CACHE_BYTES`` / ``--codegen-cache-bytes`` bound it.
+``$REPRO_CODEGEN_CACHE_DIR`` / ``--codegen-cache-dir`` relocate the
+directory (default ``~/.cache/repro-codegen``).
 ``repro cache stats`` reports this tier alongside the compilation cache,
 and the ``codegen`` collector scope exposes the same numbers through the
 process-wide metrics registry.
@@ -38,16 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.backends.toolchain import Toolchain
 
 __all__ = [
-    "DEFAULT_CODEGEN_CACHE_BYTES",
     "CodegenCache",
     "configure_codegen_cache",
     "get_codegen_cache",
 ]
-
-#: Default byte bound of the codegen tier.  One interpreter object (plus
-#: its source) is some tens of KB, so the bound holds every interpreter
-#: build (one per source revision and Python ABI) many times over.
-DEFAULT_CODEGEN_CACHE_BYTES = 64 * 1024 * 1024
 
 
 def _default_directory() -> str:
@@ -57,37 +50,19 @@ def _default_directory() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-codegen")
 
 
-def _default_max_bytes() -> int:
-    env = os.environ.get("REPRO_CODEGEN_CACHE_BYTES")
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_CODEGEN_CACHE_BYTES
-
-
 class CodegenCache:
-    """Content-addressed ``<key>.c`` / ``<key>.so`` pairs, LRU-by-bytes.
+    """Content-addressed ``<key>.c`` / ``<key>.so`` pairs.
 
     The ``.c`` source is kept beside the object purely as a debugging
-    artifact (and is pruned together with it); correctness only needs the
+    artifact (and is cleared together with it); correctness only needs the
     ``.so``.
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        max_bytes: Optional[int] = None,
-    ):
+    def __init__(self, directory: Optional[str] = None):
         self.directory = os.path.abspath(directory or _default_directory())
-        self.max_bytes = (
-            _default_max_bytes() if max_bytes is None else max(0, int(max_bytes))
-        )
         self.hits = 0
         self.misses = 0
         self.compiles = 0
-        self.evictions = 0
         self._lock = threading.Lock()
 
     # -- the one entry point the backend uses --------------------------------
@@ -105,11 +80,6 @@ class CodegenCache:
         so_path = os.path.join(self.directory, f"{key}.so")
         with self._lock:
             if os.path.isfile(so_path):
-                now = time.time()
-                try:
-                    os.utime(so_path, (now, now))
-                except OSError:
-                    pass
                 self.hits += 1
                 registry.counter("runtime.codegen_cache", outcome="hit").inc()
                 return so_path
@@ -147,15 +117,14 @@ class CodegenCache:
             registry.histogram(
                 "runtime.codegen_seconds", stage="compile"
             ).observe(elapsed)
-            self._prune(protect=key)
         return so_path
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _records(self) -> list[tuple[str, int, float]]:
-        """``(key, bytes, mtime)`` per cached object, source bytes folded
-        into its object's record so a pair prunes as one unit."""
-        records: list[tuple[str, int, float]] = []
+    def _records(self) -> list[tuple[str, int]]:
+        """``(key, bytes)`` per cached object, source bytes folded into its
+        object's record so a pair counts as one entry."""
+        records: list[tuple[str, int]] = []
         try:
             names = os.listdir(self.directory)
         except OSError:
@@ -166,17 +135,16 @@ class CodegenCache:
             key = name[:-3]
             so_path = os.path.join(self.directory, name)
             try:
-                stat = os.stat(so_path)
+                size = os.path.getsize(so_path)
             except OSError:
                 continue
-            size = stat.st_size
             try:
                 size += os.path.getsize(
                     os.path.join(self.directory, f"{key}.c")
                 )
             except OSError:
                 pass
-            records.append((key, size, stat.st_mtime))
+            records.append((key, size))
         return records
 
     def _unlink_pair(self, key: str) -> None:
@@ -186,29 +154,11 @@ class CodegenCache:
             except OSError:
                 pass
 
-    def _prune(self, protect: Optional[str] = None) -> None:
-        if self.max_bytes <= 0:
-            return
-        records = self._records()
-        total = sum(size for _, size, _ in records)
-        if total <= self.max_bytes:
-            return
-        registry = get_registry()
-        for key, size, _ in sorted(records, key=lambda rec: rec[2]):
-            if total <= self.max_bytes:
-                break
-            if key == protect:
-                continue
-            self._unlink_pair(key)
-            total -= size
-            self.evictions += 1
-            registry.counter("cache.evictions", tier="codegen").inc()
-
     def clear(self) -> int:
         """Remove every cached object; returns the number removed."""
         with self._lock:
             records = self._records()
-            for key, _, _ in records:
+            for key, _ in records:
                 self._unlink_pair(key)
             return len(records)
 
@@ -217,17 +167,15 @@ class CodegenCache:
         return {
             "directory": self.directory,
             "entries": len(records),
-            "total_bytes": sum(size for _, size, _ in records),
-            "max_bytes": self.max_bytes,
+            "total_bytes": sum(size for _, size in records),
             "hits": self.hits,
             "misses": self.misses,
             "compiles": self.compiles,
-            "evictions": self.evictions,
         }
 
 
 # ---------------------------------------------------------------------------
-# Process-wide singleton (one directory, one bound, one set of counters).
+# Process-wide singleton (one directory, one set of counters).
 # ---------------------------------------------------------------------------
 
 _cache: Optional[CodegenCache] = None
@@ -243,13 +191,11 @@ def get_codegen_cache() -> CodegenCache:
         return _cache
 
 
-def configure_codegen_cache(
-    directory: Optional[str] = None, max_bytes: Optional[int] = None
-) -> CodegenCache:
+def configure_codegen_cache(directory: Optional[str] = None) -> CodegenCache:
     """Point the process-wide cache somewhere else (CLI knobs, tests)."""
     global _cache
     with _cache_lock:
-        _cache = CodegenCache(directory=directory, max_bytes=max_bytes)
+        _cache = CodegenCache(directory=directory)
         return _cache
 
 

@@ -2,8 +2,8 @@
 
 Turns the :class:`~repro.compiler.session.CompilerSession` into a
 long-lived concurrent server: a bounded request queue and worker pool with
-request coalescing (:mod:`repro.serve.service`), pluggable shared cache
-backends (:mod:`repro.serve.backends`), service metrics
+request coalescing (:mod:`repro.serve.service`), the bounded on-disk
+compilation store (:mod:`repro.serve.backends`), service metrics
 (:mod:`repro.serve.metrics`), the stdlib-only JSON-lines protocol and its
 stdin/stdout mode (:mod:`repro.serve.frontend`, the ``repro serve`` CLI
 command), the asyncio TCP/HTTP front end multiplexing thousands of
@@ -13,13 +13,7 @@ transport for same-host clients (:mod:`repro.serve.shm`).
 """
 
 from repro.serve.aserve import AsyncCompileServer
-from repro.serve.backends import (
-    CacheBackend,
-    DiskBackend,
-    InMemoryBackend,
-    TieredBackend,
-    default_backend,
-)
+from repro.serve.backends import DiskBackend
 from repro.serve.frontend import (
     decode_array,
     encode_array,
@@ -31,11 +25,7 @@ from repro.serve.service import CompileService, default_worker_count
 from repro.serve.shm import SegmentReaper, shm_available
 
 __all__ = [
-    "CacheBackend",
     "DiskBackend",
-    "InMemoryBackend",
-    "TieredBackend",
-    "default_backend",
     "AsyncCompileServer",
     "decode_array",
     "encode_array",

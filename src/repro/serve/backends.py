@@ -1,47 +1,29 @@
-"""Pluggable cache storage backends shared by sessions and the service.
+"""The on-disk store behind the compilation cache and the service.
 
-PR 1's :class:`~repro.compiler.cache.CompilationCache` hard-wired its second
-layer to one on-disk format.  This module extracts that storage seam into a
-:class:`CacheBackend` protocol — ``load``/``store``/``keys``/``clear``/
-``stats`` over :class:`~repro.compiler.cache.CacheEntry` — with three
-implementations:
-
-* :class:`InMemoryBackend` — a thread-safe LRU dict.  Handing the *same*
-  instance to several sessions gives them a shared second-level cache
-  (the single-process analogue of a memcached tier).
-* :class:`DiskBackend` — the existing one-JSON-file-per-key layer
-  (:class:`~repro.compiler.cache.DiskCache`), now cross-process safe via an
-  advisory file lock around mutations and *bounded*: ``max_entries`` /
-  ``max_bytes`` knobs prune least-recently-used entries (by mtime, which
-  ``load`` refreshes) so a long-running service cannot grow the cache
-  directory without limit.
-* :class:`TieredBackend` — an ordered composition (e.g. shared memory in
-  front of disk) that promotes hits into the faster tiers.
-
-``CompilationCache(backend=...)`` accepts any of these (or your own object
-satisfying the protocol) in place of its default disk layer.
+:class:`DiskBackend` is the second layer of
+:class:`~repro.compiler.cache.CompilationCache`: one JSON artifact file per
+content-addressed key, published atomically, cross-process safe via an
+advisory file lock around mutations, and optionally *bounded* —
+``max_entries`` / ``max_bytes`` prune least-recently-used entries (by
+mtime, which ``load`` refreshes) so a long-running service cannot grow the
+cache directory without limit.  ``CompilerSession(cache_dir=...)``,
+``repro cache`` and ``repro serve --cache-dir`` all build one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-import threading
-from collections import OrderedDict
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, Protocol, runtime_checkable
+from typing import Iterator, Optional
 
-from repro.compiler.cache import CacheEntry, DiskCache, keys_by_recency
+from repro.compiler.cache import CacheEntry
+from repro.compiler.program import ArtifactError, CompiledProgram
 from repro.obs import get_registry
 
-__all__ = [
-    "CacheBackend",
-    "DiskBackend",
-    "InMemoryBackend",
-    "TieredBackend",
-    "default_backend",
-    "keys_by_recency",
-]
+__all__ = ["DiskBackend"]
 
 try:  # POSIX advisory locks; absent on some platforms (e.g. Windows).
     import fcntl
@@ -49,112 +31,16 @@ except ImportError:  # pragma: no cover - platform-dependent
     fcntl = None  # type: ignore[assignment]
 
 
-@runtime_checkable
-class CacheBackend(Protocol):
-    """Storage contract behind :class:`CompilationCache` and the service.
+class DiskBackend:
+    """One-artifact-file-per-key persistent store under ``directory``.
 
-    Implementations must be safe to call from multiple threads.  ``load``
-    returns ``None`` on a miss (including corrupt or version-mismatched
-    entries); ``store`` must be idempotent for identical content, because
-    concurrent compilations of the same structure race to publish the same
-    entry.
-    """
-
-    def load(self, key: str) -> Optional[CacheEntry]: ...
-
-    def store(self, key: str, entry: CacheEntry) -> None: ...
-
-    def keys(self) -> list[str]: ...
-
-    def clear(self) -> int: ...
-
-    def stats(self) -> dict[str, object]: ...
-
-
-# ---------------------------------------------------------------------------
-# In-memory backend.
-# ---------------------------------------------------------------------------
-
-
-class InMemoryBackend:
-    """A thread-safe LRU mapping of key -> :class:`CacheEntry`.
-
-    Unlike the per-session LRU inside :class:`CompilationCache`, one
-    instance can be shared by any number of sessions/services in the same
-    process, giving them a common second-level cache with one eviction
-    policy.
-    """
-
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ValueError("backend capacity must be >= 1")
-        self.capacity = capacity
-        self.evictions = 0
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def load(self, key: str) -> Optional[CacheEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        outcome = "hit" if entry is not None else "miss"
-        get_registry().counter("cache.lookups", tier="memory", outcome=outcome).inc()
-        return entry
-
-    def store(self, key: str, entry: CacheEntry) -> None:
-        evicted = 0
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-        registry = get_registry()
-        registry.counter("cache.stores", tier="memory").inc()
-        if evicted:
-            registry.counter("cache.evictions", tier="memory").inc(evicted)
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)
-
-    def keys_by_recency(self) -> list[str]:
-        with self._lock:
-            return list(reversed(self._entries))
-
-    def clear(self) -> int:
-        with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-            return removed
-
-    def stats(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                "kind": "memory",
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "evictions": self.evictions,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-
-# ---------------------------------------------------------------------------
-# Disk backend: the PR-1 layer + inter-process locking + bounded eviction.
-# ---------------------------------------------------------------------------
-
-
-class DiskBackend(DiskCache):
-    """Cross-process-safe, bounded variant of the on-disk cache layer.
+    Entry files hold the :class:`CompiledProgram` wire format verbatim
+    (``<key>.json`` = ``entry.dumps()``), so a cache directory is a
+    collection of portable artifacts: another process or host can load an
+    entry, and ``repro run <cache-dir>/<key>.json`` works on it directly.
+    Entries written by earlier layouts, corrupt files and entries filed
+    under the wrong key fail validation and read as misses (the
+    compilation simply reruns and overwrites them).
 
     Mutations (``store``, ``clear``, pruning) serialize on an advisory
     ``.lock`` file in the cache directory, so concurrent writers in
@@ -179,14 +65,17 @@ class DiskBackend(DiskCache):
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ):
-        super().__init__(directory)
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
+        self.directory = Path(directory)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.pruned = 0
+
+    def path_for(self, key: str) -> Path:
+        return self.directory / f"{key}.json"
 
     @contextmanager
     def _interprocess_lock(self) -> Iterator[None]:
@@ -208,26 +97,55 @@ class DiskBackend(DiskCache):
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
     def load(self, key: str) -> Optional[CacheEntry]:
-        entry = super().load(key)
-        if entry is not None:
-            # Refresh recency for LRU-by-mtime pruning; best-effort (a
-            # concurrent prune may have unlinked the file already).
-            try:
-                os.utime(self.path_for(key))
-            except OSError:
-                pass
-        outcome = "hit" if entry is not None else "miss"
-        get_registry().counter("cache.lookups", tier="disk", outcome=outcome).inc()
-        return entry
+        path = self.path_for(key)
+        try:
+            text = path.read_text()
+        except (OSError, ValueError):
+            # ValueError covers the UnicodeDecodeError a binary-garbage
+            # entry raises from read_text().
+            return None
+        try:
+            program = CompiledProgram.loads(text)
+        except ArtifactError:
+            return None
+        if program.key != key:
+            return None
+        # Refresh recency for LRU-by-mtime pruning; best-effort (a
+        # concurrent prune may have unlinked the file already).
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+        return program
 
     def store(self, key: str, entry: CacheEntry) -> None:
+        if entry.key != key:
+            # Stamp the content address so the stored file is self-describing
+            # (and so load() can reject misfiled or renamed entries).
+            entry = dataclasses.replace(entry, key=key)
+        path = self.path_for(key)
         with self._interprocess_lock():
-            super().store(key, entry)
-            pruned = self._prune(protect=key)
+            self.directory.mkdir(parents=True, exist_ok=True)
+            # Atomic publish: concurrent writers of the same key both
+            # produce equivalent content, so last-rename-wins is safe.
+            fd, tmp_name = tempfile.mkstemp(
+                dir=self.directory, prefix=f".{key[:16]}.", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(entry.dumps())
+                os.replace(tmp_name, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
+            pruned = self._prune(protect=path)
         registry = get_registry()
         registry.counter("cache.stores", tier="disk").inc()
         try:
-            written = self.path_for(key).stat().st_size
+            written = path.stat().st_size
         except OSError:
             written = 0
         if written:
@@ -235,9 +153,33 @@ class DiskBackend(DiskCache):
         if pruned:
             registry.counter("cache.evictions", tier="disk").inc(pruned)
 
+    def keys(self) -> list[str]:
+        return sorted(p.stem for p in self.directory.glob("*.json"))
+
+    def keys_by_recency(self) -> list[str]:
+        """Entry keys, most recently used first (cache warm-up order)."""
+        return [path.stem for _, _, path in reversed(self._entries_by_age())]
+
     def clear(self) -> int:
+        """Delete every entry; returns the number of entries removed.
+
+        Also sweeps ``*.tmp`` droppings left by writers that were killed
+        between ``mkstemp`` and the atomic rename (not counted).
+        """
+        removed = 0
         with self._interprocess_lock():
-            return super().clear()
+            for path in self.directory.glob("*.json"):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+            for path in self.directory.glob("*.tmp"):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+        return removed
 
     def _entries_by_age(self) -> list[tuple[float, int, Path]]:
         """(mtime, size, path) per entry, oldest first; vanished files skipped."""
@@ -251,14 +193,13 @@ class DiskBackend(DiskCache):
         records.sort(key=lambda record: record[0])
         return records
 
-    def _prune(self, protect: Optional[str] = None) -> int:
+    def _prune(self, protect: Path) -> int:
         """Unlink oldest entries until both bounds hold (caller holds lock)."""
         if self.max_entries is None and self.max_bytes is None:
             return 0
         records = self._entries_by_age()
         total_bytes = sum(size for _, size, _ in records)
         count = len(records)
-        protected = self.path_for(protect) if protect is not None else None
         removed = 0
         for _, size, path in records:
             over_entries = (
@@ -267,7 +208,7 @@ class DiskBackend(DiskCache):
             over_bytes = self.max_bytes is not None and total_bytes > self.max_bytes
             if not over_entries and not over_bytes:
                 break
-            if protected is not None and path == protected:
+            if path == protect:
                 continue
             try:
                 path.unlink()
@@ -279,96 +220,14 @@ class DiskBackend(DiskCache):
         self.pruned += removed
         return removed
 
-    def keys_by_recency(self) -> list[str]:
-        return [path.stem for _, _, path in reversed(self._entries_by_age())]
-
     def stats(self) -> dict[str, object]:
-        base = super().stats()
-        base["kind"] = "disk"
-        base["max_entries"] = self.max_entries
-        base["max_bytes"] = self.max_bytes
-        base["pruned"] = self.pruned
-        return base
-
-
-# ---------------------------------------------------------------------------
-# Tiered composition.
-# ---------------------------------------------------------------------------
-
-
-class TieredBackend:
-    """An ordered stack of backends (fastest first).
-
-    ``load`` probes tiers in order and promotes a hit into every faster
-    tier; ``store`` writes through to all tiers.  The canonical serving
-    arrangement is ``TieredBackend(shared_memory, disk)`` — one process-wide
-    :class:`InMemoryBackend` in front of a bounded :class:`DiskBackend`.
-    """
-
-    def __init__(self, *tiers: CacheBackend):
-        if not tiers:
-            raise ValueError("a tiered backend needs at least one tier")
-        self.tiers: tuple[CacheBackend, ...] = tuple(tiers)
-
-    def load(self, key: str) -> Optional[CacheEntry]:
-        for level, tier in enumerate(self.tiers):
-            entry = tier.load(key)
-            if entry is not None:
-                if level > 0:
-                    get_registry().counter("cache.promotions", tier="tiered").inc()
-                for faster in self.tiers[:level]:
-                    faster.store(key, entry)
-                return entry
-        return None
-
-    def store(self, key: str, entry: CacheEntry) -> None:
-        for tier in self.tiers:
-            tier.store(key, entry)
-
-    def keys(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for tier in self.tiers:
-            seen.update(dict.fromkeys(tier.keys()))
-        return list(seen)
-
-    def keys_by_recency(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for tier in self.tiers:
-            seen.update(dict.fromkeys(keys_by_recency(tier)))
-        return list(seen)
-
-    def clear(self) -> int:
-        return max(tier.clear() for tier in self.tiers)
-
-    def stats(self) -> dict[str, object]:
+        records = self._entries_by_age()
         return {
-            "kind": "tiered",
-            "tiers": [tier.stats() for tier in self.tiers],
+            "directory": str(self.directory),
+            "entries": len(records),
+            "total_bytes": sum(size for _, size, _ in records),
+            "kind": "disk",
+            "max_entries": self.max_entries,
+            "max_bytes": self.max_bytes,
+            "pruned": self.pruned,
         }
-
-
-def default_backend(
-    cache_dir: Optional[str | os.PathLike] = None,
-    *,
-    shared_memory: Optional[InMemoryBackend] = None,
-    max_entries: Optional[int] = None,
-    max_bytes: Optional[int] = None,
-) -> Optional[CacheBackend]:
-    """The standard serving arrangement for the given knobs.
-
-    ``None`` (no second layer) without a directory or shared memory tier; a
-    bounded :class:`DiskBackend` for a bare directory; a
-    :class:`TieredBackend` when a shared memory tier is supplied as well.
-    """
-    tiers: list[CacheBackend] = []
-    if shared_memory is not None:
-        tiers.append(shared_memory)
-    if cache_dir is not None:
-        tiers.append(
-            DiskBackend(cache_dir, max_entries=max_entries, max_bytes=max_bytes)
-        )
-    if not tiers:
-        return None
-    if len(tiers) == 1:
-        return tiers[0]
-    return TieredBackend(*tiers)

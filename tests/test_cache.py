@@ -9,7 +9,6 @@ from repro.codegen import serialize
 from repro.compiler.cache import (
     CacheEntry,
     CompilationCache,
-    DiskCache,
     compilation_key,
     rebind_variants,
 )
@@ -17,6 +16,7 @@ from repro.compiler.program import CompiledProgram
 from repro.compiler.pipeline import CompileOptions
 from repro.compiler.selection import essential_set
 from repro.experiments.sampling import sample_instances
+from repro.serve.backends import DiskBackend
 
 from conftest import general_chain, make_general, make_lower
 
@@ -130,7 +130,7 @@ class TestDiskLayer:
     def test_round_trip_through_serialize(self, tmp_path):
         chain = make_general("A") * make_lower("L").inv * make_general("B")
         entry = compiled_entry(chain)
-        disk = DiskCache(tmp_path)
+        disk = DiskBackend(tmp_path)
         disk.store("k" * 64, entry)
 
         # The stored file is a verbatim CompiledProgram artifact whose
@@ -156,10 +156,10 @@ class TestDiskLayer:
         )
 
     def test_load_missing_returns_none(self, tmp_path):
-        assert DiskCache(tmp_path).load("absent") is None
+        assert DiskBackend(tmp_path).load("absent") is None
 
     def test_load_rejects_corrupt_payload(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = DiskBackend(tmp_path)
         disk.directory.mkdir(parents=True, exist_ok=True)
         disk.path_for("bad").write_text("{not json")
         assert disk.load("bad") is None
@@ -177,7 +177,7 @@ class TestDiskLayer:
         assert disk.load("binary") is None
 
     def test_clear_sweeps_orphaned_tmp_files(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = DiskBackend(tmp_path)
         entry = compiled_entry(general_chain(3))
         disk.store("a" * 64, entry)
         orphan = tmp_path / (".deadbeef.xyz.tmp")
@@ -186,7 +186,7 @@ class TestDiskLayer:
         assert not orphan.exists()
 
     def test_stats_tolerates_vanishing_files(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = DiskBackend(tmp_path)
         entry = compiled_entry(general_chain(3))
         disk.store("a" * 64, entry)
         # A dangling .json symlink models a file unlinked between the
@@ -196,7 +196,7 @@ class TestDiskLayer:
         assert stats["entries"] == 1 and stats["total_bytes"] > 0
 
     def test_stats_and_clear(self, tmp_path):
-        disk = DiskCache(tmp_path)
+        disk = DiskBackend(tmp_path)
         entry = compiled_entry(general_chain(3))
         disk.store("a" * 64, entry)
         disk.store("b" * 64, entry)
@@ -209,7 +209,7 @@ class TestDiskLayer:
     def test_unwritable_disk_layer_does_not_fail_put(self, tmp_path):
         blocker = tmp_path / "notadir"
         blocker.write_text("I am a file, not a cache directory")
-        cache = CompilationCache(capacity=4, disk_dir=blocker)
+        cache = CompilationCache(capacity=4, backend=DiskBackend(blocker))
         entry = compiled_entry(general_chain(3))
         key = compilation_key(entry.chain, CompileOptions())
         cache.put(key, entry)  # must not raise
@@ -221,12 +221,12 @@ class TestDiskLayer:
         entry = compiled_entry(general_chain(3))
         key = compilation_key(entry.chain, CompileOptions())
 
-        writer = CompilationCache(capacity=4, disk_dir=tmp_path)
+        writer = CompilationCache(capacity=4, backend=DiskBackend(tmp_path))
         writer.put(key, entry)
         assert writer.stats.disk_writes == 1
 
         # A fresh cache (cold memory) finds the entry on disk.
-        reader = CompilationCache(capacity=4, disk_dir=tmp_path)
+        reader = CompilationCache(capacity=4, backend=DiskBackend(tmp_path))
         restored = reader.get(key)
         assert restored is not None
         assert reader.stats.disk_hits == 1

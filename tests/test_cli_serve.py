@@ -115,6 +115,38 @@ class TestServeCommand:
         assert [r["ok"] for r in responses] == [False, False]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cache-dir", "{d}", "--max-cache-entries", "0"],
+        ["--cache-dir", "{d}", "--max-cache-bytes", "-3"],
+        ["--cache-capacity", "0"],
+        ["--max-cache-entries", "5"],
+        ["--max-cache-bytes", "1024"],
+    ],
+    ids=["zero-entries", "negative-bytes", "zero-capacity", "entries-no-dir",
+         "bytes-no-dir"],
+)
+def test_serve_rejects_invalid_cache_bounds(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: " in err and "serve" in err
+
+
+def test_serve_bound_accepts_cache_dir_from_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    responses, _ = run_serve(
+        monkeypatch, capsys, [{"op": "ping"}],
+        extra_args=["--max-cache-entries", "5"],
+    )
+    assert responses[0]["ok"]
+
+
 class TestServeTcp:
     def test_port_serves_jsonl_http_and_stats_until_sigint(self, capsys):
         """`repro serve --port 0 --http-port 0` in its own process: both

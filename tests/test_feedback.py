@@ -22,7 +22,6 @@ import pytest
 
 from repro.api import compile_chain
 from repro.compiler.pipeline import COST_MODEL_NAMES, CompileOptions
-from repro.compiler.cache import DiskCache
 from repro.compiler.program import (
     ARTIFACT_VERSION,
     SUPPORTED_ARTIFACT_VERSIONS,
@@ -41,6 +40,7 @@ from repro.perfmodel.feedback import (
 from repro.perfmodel.machine import fixup_call, step_call
 from repro.runtime import Dispatcher, random_instance_arrays
 from repro.runtime.dispatcher import flop_estimator, runtime_snapshot
+from repro.serve.backends import DiskBackend
 
 from conftest import general_chain
 
@@ -433,7 +433,7 @@ class TestArtifactCalibration:
         text = json.dumps(payload)
         with pytest.raises(ArtifactError, match="malformed calibration section"):
             CompiledProgram.loads(text)
-        cache = DiskCache(tmp_path)
+        cache = DiskBackend(tmp_path)
         cache.path_for(program.key).write_text(text)
         assert cache.load(program.key) is None
 

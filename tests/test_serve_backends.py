@@ -1,4 +1,4 @@
-"""Cache backends: protocol, shared memory, locked/bounded disk, tiering."""
+"""The compilation cache's disk layer: locked, bounded, warmed, faulted."""
 
 import os
 import time
@@ -12,17 +12,12 @@ from repro.compiler.cache import (
     compilation_key,
 )
 from repro.compiler.pipeline import CompileOptions
+from repro.compiler.program import CompiledProgram
 from repro.compiler.selection import essential_set
 from repro.compiler.session import CompilerSession
 from repro.experiments.sampling import sample_instances
-from repro.serve.backends import (
-    CacheBackend,
-    DiskBackend,
-    InMemoryBackend,
-    TieredBackend,
-    default_backend,
-    keys_by_recency,
-)
+from repro.obs import get_registry
+from repro.serve.backends import DiskBackend
 
 from conftest import general_chain
 
@@ -41,14 +36,11 @@ def entry_and_key(n=3, **options):
     return entry, compilation_key(entry.chain, CompileOptions(**options))
 
 
-class TestProtocol:
-    def test_bundled_backends_satisfy_protocol(self, tmp_path):
-        assert isinstance(InMemoryBackend(), CacheBackend)
-        assert isinstance(DiskBackend(tmp_path), CacheBackend)
-        assert isinstance(
-            TieredBackend(InMemoryBackend(), DiskBackend(tmp_path)), CacheBackend
-        )
+def disk_lookups(outcome):
+    return get_registry().counter("cache.lookups", tier="disk", outcome=outcome)
 
+
+class TestProtocol:
     def test_custom_object_backend_works_in_compilation_cache(self):
         class DictBackend:
             def __init__(self):
@@ -80,38 +72,6 @@ class TestProtocol:
         assert key3 not in cache
         assert cache.get(key3) is not None  # served by the backend
         assert cache.stats.disk_hits == 1
-
-
-class TestInMemoryBackend:
-    def test_lru_eviction_and_recency(self):
-        backend = InMemoryBackend(capacity=2)
-        entries = {n: entry_and_key(n) for n in (2, 3, 4)}
-        backend.store(entries[2][1], entries[2][0])
-        backend.store(entries[3][1], entries[3][0])
-        backend.load(entries[2][1])  # refresh n=2
-        backend.store(entries[4][1], entries[4][0])  # evicts n=3
-        assert backend.load(entries[3][1]) is None
-        assert backend.load(entries[2][1]) is not None
-        assert backend.evictions == 1
-        assert backend.stats()["entries"] == 2
-        assert backend.keys_by_recency()[0] == entries[2][1]
-
-    def test_shared_across_sessions(self):
-        """Two sessions with one InMemoryBackend share compilations."""
-        shared = InMemoryBackend(capacity=16)
-        first = CompilerSession(cache_backend=shared)
-        second = CompilerSession(cache_backend=shared)
-        chain = general_chain(4)
-        first.compile(chain, num_training_instances=20)
-        second.compile(chain, num_training_instances=20)
-        # The second session never ran the expensive passes: its *backend*
-        # hit (counted like a disk hit) replaced them.
-        assert second.cache_stats().disk_hits == 1
-        assert "enumerate" in second.last_context.skipped
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            InMemoryBackend(capacity=0)
 
 
 class TestDiskBackend:
@@ -184,6 +144,27 @@ class TestDiskBackend:
         with pytest.raises(ValueError):
             DiskBackend(tmp_path, max_bytes=0)
 
+    def test_truncated_entry_is_a_miss_that_recompiles_and_overwrites(
+        self, tmp_path
+    ):
+        chain = general_chain(4)
+        CompilerSession(cache_dir=tmp_path).compile(chain, num_training_instances=20)
+        backend = DiskBackend(tmp_path)
+        (key,) = backend.keys()
+        path = backend.path_for(key)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        misses = disk_lookups("miss").value
+
+        session = CompilerSession(cache_backend=backend)
+        session.compile(chain, num_training_instances=20)
+        stats = session.cache_stats()
+        assert stats.disk_hits == 0 and stats.misses == 1
+        assert disk_lookups("miss").value == misses + 1
+        assert "enumerate" not in session.last_context.skipped  # recompiled
+        assert stats.disk_writes == 1
+        assert CompiledProgram.load(path).key == key
+
     def test_lock_file_not_counted_as_entry(self, tmp_path):
         backend = DiskBackend(tmp_path)
         entry, key = entry_and_key(3)
@@ -245,62 +226,6 @@ class TestDiskBackend:
             assert backend.load(key) is not None
 
 
-class TestTieredBackend:
-    def test_load_promotes_into_faster_tiers(self, tmp_path):
-        memory = InMemoryBackend(capacity=8)
-        disk = DiskBackend(tmp_path)
-        tiered = TieredBackend(memory, disk)
-        entry, key = entry_and_key(3)
-        disk.store(key, entry)  # only on the slow tier
-        assert key not in memory
-        assert tiered.load(key) is not None
-        assert key in memory  # promoted
-
-    def test_store_writes_through_all_tiers(self, tmp_path):
-        memory = InMemoryBackend(capacity=8)
-        disk = DiskBackend(tmp_path)
-        tiered = TieredBackend(memory, disk)
-        entry, key = entry_and_key(3)
-        tiered.store(key, entry)
-        assert memory.load(key) is not None
-        assert disk.load(key) is not None
-        assert tiered.keys() == [key]
-        assert tiered.stats()["tiers"][0]["kind"] == "memory"
-        assert tiered.clear() == 1
-        assert tiered.load(key) is None
-
-    def test_session_with_tiered_backend_survives_memory_clear(self, tmp_path):
-        backend = TieredBackend(InMemoryBackend(capacity=8), DiskBackend(tmp_path))
-        session = CompilerSession(cache_backend=backend)
-        chain = general_chain(4)
-        session.compile(chain, num_training_instances=20)
-        fresh = CompilerSession(
-            cache_backend=TieredBackend(
-                InMemoryBackend(capacity=8), DiskBackend(tmp_path)
-            )
-        )
-        fresh.compile(chain, num_training_instances=20)
-        assert fresh.cache_stats().disk_hits == 1
-        assert "enumerate" in fresh.last_context.skipped
-
-    def test_empty_tier_list_rejected(self):
-        with pytest.raises(ValueError):
-            TieredBackend()
-
-
-class TestDefaultBackend:
-    def test_arrangements(self, tmp_path):
-        assert default_backend() is None
-        disk_only = default_backend(tmp_path)
-        assert isinstance(disk_only, DiskBackend)
-        shared = InMemoryBackend()
-        assert default_backend(shared_memory=shared) is shared
-        tiered = default_backend(tmp_path, shared_memory=shared, max_entries=5)
-        assert isinstance(tiered, TieredBackend)
-        assert tiered.tiers[0] is shared
-        assert tiered.tiers[1].max_entries == 5
-
-
 class TestWarmup:
     def test_session_warm_preloads_memory_lru(self, tmp_path):
         chain = general_chain(4)
@@ -334,10 +259,23 @@ class TestWarmup:
         for age, key in enumerate(sorted(backend.keys())):
             os.utime(backend.path_for(key), (base + age, base + age))
             keys[age] = key
-        hottest = keys_by_recency(backend)[0]
+        hottest = backend.keys_by_recency()[0]
         warm_session = CompilerSession(cache_backend=backend, cache_capacity=1)
         assert warm_session.warm() == 1
         assert hottest in warm_session.cache
+
+    def test_warm_is_not_counted_as_disk_traffic(self, tmp_path):
+        seeder = CompilerSession(cache_dir=tmp_path)
+        for n in (2, 3):
+            seeder.compile(general_chain(n), num_training_instances=15)
+        hits = disk_lookups("hit").value
+        assert CompilerSession(cache_dir=tmp_path).warm() == 2
+        assert disk_lookups("hit").value == hits
+        # A get served from disk counts exactly once.
+        cold = CompilerSession(cache_dir=tmp_path)
+        cold.compile(general_chain(2), num_training_instances=15)
+        assert cold.cache_stats().disk_hits == 1
+        assert disk_lookups("hit").value == hits + 1
 
     def test_warm_without_backend_is_zero(self):
         assert CompilerSession().warm() == 0
