@@ -73,6 +73,8 @@ from __future__ import annotations
 import base64
 import io
 import json
+import math
+import re
 import time
 from typing import IO, Callable, Optional, Sequence
 
@@ -140,33 +142,53 @@ def array_to_npy_bytes(array: np.ndarray) -> bytes:
     np.lib.format.write_array_header_1_0(
         header, np.lib.format.header_data_from_array_1_0(array)
     )
+    if array.size == 0:  # memoryview cannot cast a zero-length shape
+        return header.getvalue()
     data = array if array.flags.c_contiguous else array.T
     return b"".join((header.getvalue(), memoryview(data).cast("B")))
+
+
+#: The header ``np.save`` writes (format 1.0 and 2.0): one dict literal
+#: with the keys in this order, then space padding and a newline.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([^'\\]+)', 'fortran_order': (True|False), "
+    rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n"
+)
+#: Width of the little-endian header length, by format version bytes.
+_NPY_LENGTH_WIDTH = {b"\x01\x00": 2, b"\x02\x00": 4}
 
 
 def npy_bytes_to_array(raw: bytes) -> np.ndarray:
     """Decode an ``.npy`` byte stream as a zero-copy read-only view.
 
-    The returned array aliases ``raw`` (kernels only read operands, so a
-    read-only view feeds straight into execution); pickled payloads are
-    rejected exactly like ``np.load(allow_pickle=False)``.
+    The header ``np.save`` writes is parsed by one regex: numpy's own
+    reader runs ``ast.literal_eval``, which compiles the header as Python
+    source on every call and costs more than the kernels of a small
+    execute.  The returned array aliases ``raw`` (kernels only
+    read operands, so a read-only view feeds straight into execution).
+    Any other header (format 3.0, structured dtypes, hand-written
+    streams) goes through ``np.load(allow_pickle=False)``, so a stream
+    decodes here exactly when ``np.load`` accepts it; pickled payloads
+    are rejected on both paths.
     """
-    stream = io.BytesIO(raw)
-    version = np.lib.format.read_magic(stream)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(stream)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(stream)
-    else:  # pragma: no cover - no writer emits 3.0 for plain dtypes
-        stream.seek(0)
-        return np.load(stream, allow_pickle=False)
+    if raw[:6] != np.lib.format.MAGIC_PREFIX:
+        raise ValueError("not an .npy stream (bad magic)")
+    width = _NPY_LENGTH_WIDTH.get(raw[6:8])
+    match = None
+    if width is not None:
+        start = 8 + width
+        end = start + int.from_bytes(raw[8:start], "little")
+        if end <= len(raw):
+            match = _NPY_HEADER.fullmatch(raw, start, end)
+    if match is None:
+        return np.load(io.BytesIO(raw), allow_pickle=False)
+    descr, fortran, dims = match.groups()
+    dtype = np.dtype(descr.decode("ascii"))
     if dtype.hasobject:
         raise ValueError("object arrays cannot be decoded (allow_pickle=False)")
-    offset = stream.tell()
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    array = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    array = array.reshape(shape, order="F" if fortran else "C")
-    return array
+    shape = tuple(int(d) for d in dims.split(b",") if d)
+    array = np.frombuffer(raw, dtype=dtype, count=math.prod(shape), offset=end)
+    return array.reshape(shape, order="F" if fortran == b"True" else "C")
 
 
 def encode_array(

@@ -10,16 +10,18 @@ segment *name* plus the dtype/shape header::
     {"encoding": "shm", "name": "psm_...", "shape": [1024, 1024],
      "dtype": "<f8"}
 
-The server maps the segment and executes **directly on the view** (no
-copy, read-only); the result travels back the same way, in a segment the
+The server maps the segment ``PROT_READ`` and executes **directly on the
+view** (no copy); the result travels back the same way, in a segment the
 server creates and the client releases (explicitly via the ``release``
 op, or by the TTL reaper if the client crashed).
 
 Ownership protocol
 ------------------
 * **Request segments** are created by the client.  The server only ever
-  *attaches* (and closes its mapping after the request); the client
-  unlinks its own segments once the response arrives.
+  *maps* them (``shm_open`` + ``mmap``, never through ``SharedMemory``,
+  so the resource tracker never hears of them) and unmaps after the
+  request; the client unlinks its own segments once the response
+  arrives.  A mapping stays valid if the name is unlinked under it.
 * **Response segments** are created by the server and tracked in a
   :class:`SegmentReaper`.  A well-behaved client sends
   ``{"op": "release", "name": ...}`` after copying the result out; a
@@ -35,10 +37,11 @@ handle the fallback transparently.
 
 from __future__ import annotations
 
-import sys
+import math
+import mmap
+import os
 import threading
 import time
-import weakref
 from typing import Optional
 
 import numpy as np
@@ -66,6 +69,7 @@ def shm_available() -> bool:
     global _AVAILABLE
     if _AVAILABLE is None:
         try:
+            import _posixshmem  # noqa: F401 - the attach path
             from multiprocessing import shared_memory
 
             probe = shared_memory.SharedMemory(create=True, size=1)
@@ -86,7 +90,8 @@ def _shared_memory():
     return shared_memory
 
 
-def _payload_spec(payload: dict) -> tuple[str, tuple[int, ...], np.dtype]:
+def _payload_spec(payload: dict) -> tuple[str, tuple[int, ...], np.dtype, int]:
+    """``(name, shape, dtype, nbytes)`` of a validated segment payload."""
     name = payload.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("'shm' array payload needs a string 'name'")
@@ -99,21 +104,13 @@ def _payload_spec(payload: dict) -> tuple[str, tuple[int, ...], np.dtype]:
         dtype = np.dtype(payload.get("dtype", "<f8"))
     except TypeError as exc:
         raise ValueError(f"undecodable shm dtype: {exc}") from exc
-    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
+    nbytes = math.prod(shape) * dtype.itemsize
     if nbytes > MAX_SEGMENT_BYTES:
         raise ValueError(
             f"shm payload claims {nbytes} bytes, over the "
             f"{MAX_SEGMENT_BYTES}-byte bound"
         )
-    return name, tuple(shape), dtype
-
-
-#: Segments this process created, by name.  Attaching to one of them
-#: (client and server in one process) must leave its resource-tracker
-#: registration alone: the creator's ``unlink()`` unregisters it, and a
-#: second unregister makes the tracker print a KeyError traceback.
-_CREATED: "weakref.WeakValueDictionary[str, object]" = weakref.WeakValueDictionary()
-_ATTACH_LOCK = threading.Lock()
+    return name, tuple(shape), dtype, nbytes
 
 
 def create_segment_payload(
@@ -140,7 +137,6 @@ def create_segment_payload(
         segment.close()
         segment.unlink()
         raise
-    _CREATED[segment.name] = segment
     payload = {
         "encoding": "shm",
         "name": segment.name,
@@ -152,50 +148,47 @@ def create_segment_payload(
     return payload, segment
 
 
-def _attach(shared_memory, name: str):
-    """Map an existing segment without taking ownership of its name.
+def _attach(name: str) -> mmap.mmap:
+    """Map an existing segment ``PROT_READ`` without taking ownership.
 
-    Attaching registers the segment with this process's resource tracker
-    before Python 3.13, and the tracker unlinks whatever is still
-    registered when the process exits.  A server that only attaches to a
-    client's request segment would then destroy it (and warn about a
-    "leaked" object) on exit.  The creator owns the name, so the attach
-    is unregistered at once.  The tracker keeps a set of names, so two
-    threads attaching the same segment must not interleave their
-    register/unregister pairs: the second unregister would miss.
+    ``SharedMemory(name=...)`` registers the segment with the resource
+    tracker before Python 3.13, and the tracker unlinks whatever is still
+    registered when the process exits, so a server that only read a
+    client's request segment would destroy it; unregistering at once
+    costs two pipe writes to the tracker process per operand.  Opening
+    the name directly never involves the tracker: the creator owns the
+    name by construction.  The mapping outlives both the descriptor and
+    any unlink of the name while it is in use.
     """
-    if sys.version_info >= (3, 13):
-        return shared_memory.SharedMemory(name=name, track=False)
-    from multiprocessing import resource_tracker
+    import _posixshmem
 
-    with _ATTACH_LOCK:
-        segment = shared_memory.SharedMemory(name=name)
-        if name not in _CREATED:
-            resource_tracker.unregister(segment._name, "shared_memory")
-    return segment
-
-
-def open_segment(payload: dict) -> tuple[np.ndarray, "object"]:
-    """Map a segment payload; returns ``(read_only_view, segment)``.
-
-    Zero-copy: the view aliases the shared bytes.  The caller must keep
-    the segment object alive while the view is in use and ``close()`` it
-    afterwards (never ``unlink()`` — the creator owns the name).
-    """
-    shared_memory = _shared_memory()
-    name, shape, dtype = _payload_spec(payload)
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY)
     try:
-        segment = _attach(shared_memory, name)
+        return mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    finally:
+        os.close(fd)
+
+
+def open_segment(payload: dict) -> tuple[np.ndarray, mmap.mmap]:
+    """Map a segment payload; returns ``(read_only_view, mapping)``.
+
+    Zero-copy: the view aliases the shared bytes.  The caller must drop
+    the view before it calls ``mapping.close()``, which unmaps them; the
+    name is never unlinked here (the creator owns it).
+    """
+    name, shape, dtype, nbytes = _payload_spec(payload)
+    try:
+        segment = _attach(name)
     except FileNotFoundError as exc:
         raise ValueError(f"unknown shm segment {name!r}") from exc
-    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-    if segment.size < nbytes:
+    size = len(segment)
+    if size < nbytes:
         segment.close()
         raise ValueError(
-            f"shm segment {name!r} holds {segment.size} bytes, "
+            f"shm segment {name!r} holds {size} bytes, "
             f"payload claims {nbytes}"
         )
-    view = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
+    view = np.ndarray(shape, dtype=dtype, buffer=segment)
     view.flags.writeable = False
     return view, segment
 

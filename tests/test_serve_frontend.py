@@ -1,5 +1,6 @@
 """JSON-lines front end: request handling, the codec, and streams."""
 
+import base64
 import io
 import json
 
@@ -339,17 +340,25 @@ class TestArrayCodec:
     def test_npy_bytes_round_trip_all_layouts(self):
         rng = np.random.default_rng(1)
         base = rng.standard_normal((12, 18))
-        for array in (base, np.asfortranarray(base), base[::2, 1::3]):
+        empties = [np.zeros(shape) for shape in ((0, 5), (5, 0), (0,))]
+        for array in (base, np.asfortranarray(base), base[::2, 1::3], *empties):
             back = npy_bytes_to_array(array_to_npy_bytes(array))
             assert np.array_equal(back, array)
+            assert back.shape == array.shape
             assert back.dtype == array.dtype
 
     def test_npy_bytes_match_np_save(self):
         """The header+join fast path emits byte-identical .npy streams."""
-        array = np.random.default_rng(2).standard_normal((7, 5))
-        buffer = io.BytesIO()
-        np.save(buffer, array)
-        assert array_to_npy_bytes(array) == buffer.getvalue()
+        random = np.random.default_rng(2).standard_normal((7, 5))
+        empties = [np.zeros(shape) for shape in ((0, 5), (5, 0), (0,))]
+        for array in (random, *empties):
+            buffer = io.BytesIO()
+            np.save(buffer, array)
+            assert array_to_npy_bytes(array) == buffer.getvalue()
+            assert encode_array(array) == {
+                "encoding": "npy",
+                "data": base64.b64encode(buffer.getvalue()).decode("ascii"),
+            }
 
     def test_npy_decode_is_zero_copy_view(self):
         array = np.arange(20, dtype=np.float64).reshape(4, 5)
@@ -368,3 +377,84 @@ class TestArrayCodec:
         with pytest.raises(ValueError, match="unknown array encoding"):
             encode_array(np.ones((2, 2)), "protobuf")
 
+
+
+def _npy_stream(array: np.ndarray, version: tuple[int, int]) -> bytes:
+    """``array`` as the ``.npy`` stream numpy writes in format ``version``."""
+    buffer = io.BytesIO()
+    if version == (1, 0):
+        np.save(buffer, array)
+    else:
+        np.lib.format.write_array_header_2_0(
+            buffer, np.lib.format.header_data_from_array_1_0(array)
+        )
+        buffer.write(array.tobytes(order="A"))
+    return buffer.getvalue()
+
+
+def _npy_with_header(header: str, data: bytes = b"") -> bytes:
+    """A format 1.0 stream around a hand-written header dict."""
+    header = header + " " * (-(len(header) + 11) % 64) + "\n"
+    length = len(header).to_bytes(2, "little")
+    return b"\x93NUMPY\x01\x00" + length + header.encode("latin1") + data
+
+
+class TestNpyDecoderAgreesWithNpLoad:
+    """``npy_bytes_to_array`` decodes what ``np.load`` does, zero-copy."""
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0)], ids=["v1", "v2"])
+    @pytest.mark.parametrize(
+        "shape", [(), (7,), (1, 7), (3, 5), (0, 5), (64, 64)], ids=str
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", ["<f8", ">f8", "<f4", "<i8"])
+    def test_matches_np_load(self, dtype, order, shape, version):
+        values = np.arange(int(np.prod(shape)), dtype=np.float64) * 1.5 - 3.0
+        array = np.asarray(values.reshape(shape), dtype=dtype, order=order)
+        raw = _npy_stream(array, version)
+        expected = np.load(io.BytesIO(raw), allow_pickle=False)
+        back = npy_bytes_to_array(raw)
+        assert back.dtype == expected.dtype
+        assert back.shape == expected.shape
+        assert back.flags.c_contiguous == expected.flags.c_contiguous
+        assert back.flags.f_contiguous == expected.flags.f_contiguous
+        assert np.array_equal(back, expected)
+        if array.size:
+            # Aliasing the wire bytes shows the header regex took the
+            # stream (the np.load fallback copies).
+            assert np.shares_memory(back, np.frombuffer(raw, dtype=np.uint8))
+
+    def test_structured_dtype_falls_back_to_np_load(self):
+        array = np.zeros(3, dtype=[("a", "<f8"), ("b", "<i4")])
+        back = npy_bytes_to_array(_npy_stream(array, (1, 0)))
+        assert back.dtype == array.dtype and np.array_equal(back, array)
+
+    def test_malformed_streams_are_in_band_errors(self, service):
+        compiled = handle_request(service, {"op": "compile", "source": SOURCE_AB})
+        good = _npy_stream(np.ones((2, 2)), (1, 0))
+        past_end = bytearray(good)
+        past_end[8:10] = (len(good) + 64).to_bytes(2, "little")
+        malformed = {
+            "truncated data": good[:-8],
+            "header length past the end": bytes(past_end),
+            "object dtype": _npy_with_header(
+                "{'descr': '|O', 'fortran_order': False, 'shape': (2,), }",
+                bytes(16),
+            ),
+            "extra header key": _npy_with_header(
+                "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2), "
+                "'extra': 1, }",
+                bytes(32),
+            ),
+        }
+        for case, raw in malformed.items():
+            payload = {
+                "encoding": "npy", "data": base64.b64encode(raw).decode("ascii")
+            }
+            response = handle_request(
+                service,
+                {"op": "execute", "handle": compiled["handle"],
+                 "arrays": [payload, encode_array(np.ones((2, 2)))]},
+            )
+            assert response["ok"] is False, case
+            assert "undecodable npy" in response["error"], (case, response)

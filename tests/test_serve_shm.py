@@ -283,3 +283,107 @@ class TestExecuteOverShm:
         stats = handle_request(service, {"op": "stats"})
         assert stats["transports"] == response["transports"]
         assert "npy" in stats["transports"]
+
+
+class TestAttachSkipsResourceTracker:
+    """The server maps request segments without the resource tracker."""
+
+    def _compile(self, service):
+        return handle_request(
+            service, {"op": "compile", "source": SOURCE_AB}
+        )["handle"]
+
+    def test_attach_and_execute_never_touch_the_tracker(
+        self, service, monkeypatch
+    ):
+        from multiprocessing import resource_tracker
+
+        handle = self._compile(service)
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((6, 5)), rng.standard_normal((5, 3))
+        pa, sa = shm.create_segment_payload(a)
+        pb, sb = shm.create_segment_payload(b)
+        # Drop the client's own mappings: what /proc/self/maps shows of
+        # these names afterwards can only be the server's.
+        sa.close()
+        sb.close()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("attach touched the resource tracker")
+
+        # Holding every mapping keeps garbage collection from unmapping
+        # it: only an explicit close() clears it from /proc/self/maps.
+        mappings = []
+        open_segment = shm.open_segment
+
+        def recording_open(payload):
+            view, mapping = open_segment(payload)
+            mappings.append(mapping)
+            return view, mapping
+
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(resource_tracker, "register", refuse)
+                patched.setattr(resource_tracker, "unregister", refuse)
+                patched.setattr(shm, "open_segment", recording_open)
+                view, mapping = shm.open_segment(pa)
+                assert np.array_equal(view, a)
+                del view
+                mapping.close()
+                ok = handle_request(
+                    service,
+                    {"op": "execute", "handle": handle, "arrays": [pa, pb],
+                     "result_encoding": "npy"},
+                )
+                failed = handle_request(
+                    service,
+                    {"op": "execute", "handle": handle, "arrays": [pa]},
+                )
+            assert ok["ok"], ok
+            expected = service.execute(handle, [a, b]).result
+            assert np.array_equal(decode_array(ok["result"]), expected)
+            assert failed["ok"] is False
+            assert len(mappings) == 4
+            assert all(mapping.closed for mapping in mappings)
+            maps = Path("/proc/self/maps")
+            if maps.exists():
+                text = maps.read_text()
+                for name in (pa["name"], pb["name"]):
+                    assert f"/dev/shm/{name}" not in text
+        finally:
+            sa.unlink()
+            sb.unlink()
+
+    def test_unlink_mid_execute_still_answers(self, service, monkeypatch):
+        from repro.serve.service import CompileService as Service
+
+        handle = self._compile(service)
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((7, 4)), rng.standard_normal((4, 6))
+        pa, sa = shm.create_segment_payload(a)
+        pb, sb = shm.create_segment_payload(b)
+        execute = Service.execute
+
+        def unlink_then_execute(self, handle, arrays):
+            # The client unlinks its segment while the server holds the
+            # mapping: POSIX keeps the mapped pages alive.
+            assert shm.release_segment(pa["name"])
+            return execute(self, handle, arrays)
+
+        try:
+            monkeypatch.setattr(Service, "execute", unlink_then_execute)
+            response = handle_request(
+                service,
+                {"op": "execute", "handle": handle, "arrays": [pa, pb],
+                 "result_encoding": "npy"},
+            )
+            monkeypatch.undo()
+            assert response["ok"], response
+            expected = service.execute(handle, [a, b]).result
+            assert np.array_equal(decode_array(response["result"]), expected)
+            with pytest.raises(ValueError, match="unknown shm segment"):
+                shm.open_segment(pa)
+        finally:
+            sa.close()
+            sb.close()
+            sb.unlink()
