@@ -5,8 +5,7 @@ The ``blas`` backend maps each step's ``StepCall`` record to a direct
 ``scipy.linalg.blas``/``lapack`` call (dtrmm/dsymm/dtrsm/dgemm/dsyrk, plus
 LAPACK solvers) with the transpose/side/triangularity algebra resolved into
 routine flags at plan-compile time, so structured operands stop paying
-dense-matmul prices.  The ``auto`` strategy micro-benchmarks both lowered
-plans once per ``(variant, sizes)`` memo entry and caches the winner.
+dense-matmul prices.
 
 The acceptance test asserts the blas backend replays a
 triangular/symmetric-heavy chain at n=1024 >= 2x faster than the reference
@@ -127,29 +126,6 @@ def test_blas_backend_acceptance(benchmark):
         f"n=1024 (required >= {REQUIRED_SPEEDUP}x); "
         f"routines: {blas_plan.step_routines}"
     )
-
-
-@needs_blas
-def test_auto_strategy_picks_blas(benchmark):
-    """Timed: the auto dispatcher after its one-off micro-benchmark.
-
-    ``auto`` measures both lowered plans once per ``(variant, sizes)``
-    memo entry; on a structured chain the blas lowering must win, and the
-    verdict must be cached (no re-measurement on the warm path).
-    """
-    gen = _compiled(GATE_SOURCE)
-    sizes, arrays = _instance(gen, 512)
-    runtime = gen.program.runtime(backend="auto")
-    out = runtime(*arrays)
-    np.testing.assert_allclose(
-        out, _plan(gen, sizes, "reference").execute(arrays),
-        rtol=1e-9, atol=1e-9,
-    )
-    stats = runtime.memo_stats()
-    assert stats["backend"] == "auto"
-    assert stats["executions"].get("blas", 0) >= 1, stats
-    benchmark(runtime, *arrays)
-    benchmark.extra_info["memo"] = runtime.memo_stats()
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048])

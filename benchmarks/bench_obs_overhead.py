@@ -65,7 +65,10 @@ def _setup(n: int, rng, low=64, high=160):
         int(x) for x in sample_instances(chain, 1, rng, low=low, high=high)[0]
     )
     arrays = random_instance_arrays(chain, sizes, rng)
-    dispatcher = Dispatcher(chain, variants)
+    # Per-step replay on every mode: a traced run of a native c plan
+    # replays its per-step blas lowering instead of the fused call, so
+    # the ratio would measure a change of kernels, not tracing.
+    dispatcher = Dispatcher(chain, variants, backend="reference")
     dispatcher(*arrays)  # compile + memoize the plan outside any timing
     return dispatcher, arrays
 

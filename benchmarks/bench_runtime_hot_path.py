@@ -87,7 +87,10 @@ def test_repeated_dispatch_acceptance(benchmark):
     for n in (8, 10):
         chain = _general_chain(n)
         variants, sizes, arrays = _setup(chain, rng)
-        runtime = Dispatcher(chain, variants)
+        # Both paths on the reference kernels (execute_variant's), so the
+        # ratio is the memo's amortization alone and answers are bitwise
+        # comparable.
+        runtime = Dispatcher(chain, variants, backend="reference")
         legacy = Dispatcher(chain, variants, memo_capacity=0)
         # Identical answers before timing anything.
         np.testing.assert_array_equal(

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.ir.chain import Chain
-from repro.runtime import CostEstimator, Dispatcher, flop_estimator
+from repro.runtime import DEFAULT_BACKEND, CostEstimator, Dispatcher, flop_estimator
 from repro.compiler.program import CompiledProgram
 from repro.compiler.session import get_default_session, set_default_session
 from repro.compiler.variant import Variant
@@ -99,7 +99,7 @@ class GeneratedCode:
     def from_json(
         payload: str,
         cost_estimator: CostEstimator = flop_estimator,
-        backend: str = "reference",
+        backend: str = DEFAULT_BACKEND,
     ) -> "GeneratedCode":
         """Rebuild generated code from :meth:`to_json` output."""
         from repro.codegen import serialize
@@ -214,13 +214,13 @@ def compile_chain(
         Bound on the candidate pool; fanning-out variants are never
         evicted.  ``None`` defers to the space's own default.
     backend:
-        Execution-backend strategy of the built dispatcher:
-        ``"reference"`` (the numpy kernel substrate), ``"blas"`` (direct
-        ``scipy.linalg.blas``/``lapack`` lowering), or ``"auto"``
-        (micro-benchmark both per memoized size vector, serve the
-        measured winner).  A runtime knob — it never changes which
-        variants are selected, and compilations differing only here share
-        one cache entry.
+        Execution backend of the built dispatcher: ``"c"`` (the session
+        default: plans replayed by a native step interpreter, falling
+        back to ``"blas"`` per plan, counted, when no C toolchain is
+        present), ``"blas"`` (direct ``scipy.linalg.blas``/``lapack``
+        lowering), or ``"reference"`` (the numpy kernel substrate).  A
+        runtime knob — it never changes which variants are selected, and
+        compilations differing only here share one cache entry.
     cost_model:
         Cost model of the built dispatcher: ``"flops"`` (analytic FLOP
         count, the default) or ``"calibrated"`` (feedback-directed

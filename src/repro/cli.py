@@ -15,7 +15,7 @@ Commands:
   entry file, or a served ``artifact`` response saved to disk) and use it
   without recompiling: describe it, dispatch on ``--sizes``, or execute on
   concrete matrices from an ``--npz`` file; ``--backend
-  {reference,blas,c,auto}`` picks the execution backend, and dispatching
+  {reference,blas,c}`` picks the execution backend, and dispatching
   prints the compiled plan with the routine each step lowered to.
 * ``cache stats`` / ``cache clear`` / ``cache warm`` — inspect, empty, or
   warm-validate the on-disk compilation cache; ``stats`` and ``clear``
@@ -657,10 +657,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["reference", "blas", "c", "auto"],
+        choices=["reference", "blas", "c"],
         default=None,
         help="execution backend of the built dispatcher, recorded in the "
-        "artifact (default: the session's default, i.e. reference)",
+        "artifact (default: the session's default, i.e. c, which falls back "
+        "to blas without a C toolchain)",
     )
     p.add_argument(
         "--cost-model",
@@ -723,13 +724,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["reference", "blas", "c", "auto"],
+        choices=["reference", "blas", "c"],
         default=None,
-        help="execution backend: reference (numpy substrate), blas (direct "
-        "scipy.linalg.blas/lapack lowering), c (plans replayed by a native "
-        "step interpreter, falls back to blas without a C toolchain), or auto "
-        "(micro-benchmark the candidates per size vector, run the "
-        "measured winner); default: the backend recorded in the artifact",
+        help="execution backend: c (plans replayed by a native step "
+        "interpreter, falls back to blas without a C toolchain), blas "
+        "(direct scipy.linalg.blas/lapack lowering), or reference (numpy "
+        "substrate); default: the backend recorded in the artifact, else c",
     )
     p.add_argument(
         "--cost-model",
@@ -809,10 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["reference", "blas", "c", "auto"],
+        choices=["reference", "blas", "c"],
         default=None,
         help="default execution backend for served compilations (per-request "
-        "'backend' options override it)",
+        "'backend' options override it; default: c, which falls back to "
+        "blas without a C toolchain)",
     )
     p.add_argument(
         "--cost-model",

@@ -31,6 +31,7 @@ from repro.errors import CompilationError
 from repro.ir.chain import Chain
 from repro.obs import get_registry
 from repro.obs import trace as obs_trace
+from repro.runtime.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.runtime.dispatcher import CostEstimator, Dispatcher, flop_estimator
 from repro.compiler.expansion import AveragePenalty, MaxPenalty, expand_set
 from repro.compiler.program import CompiledProgram
@@ -72,15 +73,16 @@ class CompileOptions:
     #: unbounded for exhaustive, 512 for DP-seeded).  Fanning-out variants
     #: are never evicted by the bound.
     max_variants: Optional[int] = None
-    #: Execution-backend strategy for the built dispatcher:
-    #: ``"reference"``, ``"blas"``, ``"c"`` (code-generated native step
-    #: loops, falling back to blas without a toolchain), or ``"auto"``
-    #: (measured pick per memo entry).  See
-    #: :mod:`repro.runtime.backends`.  A *runtime* knob: it
-    #: never influences which variants are selected, so it is excluded
-    #: from :meth:`cache_token` — compilations differing only in backend
-    #: share one cache entry and diverge in the dispatch pass.
-    backend: str = "reference"
+    #: Execution backend of the built dispatcher: ``"c"`` (the default:
+    #: plans replayed by the native step interpreter, falling back to
+    #: ``blas`` per plan without a toolchain), ``"blas"`` (direct
+    #: ``scipy.linalg.blas``/``lapack`` calls) or ``"reference"`` (the
+    #: numpy kernel substrate).  See :mod:`repro.runtime.backends`.  A
+    #: *runtime* knob: it never influences which variants are selected,
+    #: so it is excluded from :meth:`cache_token` — compilations
+    #: differing only in backend share one cache entry and diverge in the
+    #: dispatch pass.
+    backend: str = DEFAULT_BACKEND
     #: Cost model of the built dispatcher: ``"flops"`` (the paper's
     #: analytic FLOP count) or ``"calibrated"`` (the feedback-directed
     #: :class:`~repro.perfmodel.feedback.CalibratedEstimator`, seeded to
@@ -114,8 +116,6 @@ class CompileOptions:
                 f"{self.num_training_instances!r} (selection needs at least "
                 "one instance to score against)"
             )
-        from repro.runtime.backends import BACKEND_NAMES
-
         if self.backend not in BACKEND_NAMES:
             raise CompilationError(
                 f"backend must be one of {BACKEND_NAMES}, "

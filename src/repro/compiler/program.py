@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.codegen.serialize import FORMAT_VERSION, SerializationError
 from repro.ir.chain import Chain
+from repro.runtime.backends import DEFAULT_BACKEND
 from repro.runtime.dispatcher import CostEstimator, Dispatcher, flop_estimator
 from repro.compiler.variant import Variant
 
@@ -313,10 +314,11 @@ class CompiledProgram:
     # -- reconstruction ------------------------------------------------------
 
     def _resolve_backend(self, backend: Optional[str]) -> str:
-        """An explicit backend request, else the compile-time snapshot."""
+        """An explicit backend request, else the compile-time snapshot,
+        else (artifacts predating the snapshot) the default backend."""
         if backend is not None:
             return backend
-        return str(self.options.get("backend") or "reference")
+        return str(self.options.get("backend") or DEFAULT_BACKEND)
 
     def _calibrated_estimator(self) -> CostEstimator:
         """The program's calibrated estimator, built once per artifact.
@@ -380,7 +382,7 @@ class CompiledProgram:
         use :meth:`runtime` for the shared per-artifact instance that
         amortizes dispatch state across calls.  ``backend`` and the cost
         estimator default to the artifact's own snapshot — options,
-        shipped calibration — (``reference``/FLOPs for artifacts predating
+        shipped calibration — (``c``/FLOPs for artifacts predating
         those sections); see :meth:`_resolve_estimator`.
         """
         return Dispatcher(
@@ -405,7 +407,7 @@ class CompiledProgram:
         ``cost_estimator``, ``cost_model``, or ``backend`` than the cached
         runtime's builds a fresh one.
         """
-        resolved = self._resolve_backend(backend)
+        resolved = Dispatcher.resolve_backend(self._resolve_backend(backend))
         estimator = self._resolve_estimator(cost_estimator, cost_model)
         cached: Optional[Dispatcher] = getattr(self, "_runtime", None)
         if (

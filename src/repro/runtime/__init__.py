@@ -20,7 +20,7 @@ that second half, structured for the per-request hot path:
 * :mod:`repro.runtime.backends` — pluggable execution backends
   (``reference``, ``blas``, and the native-interpreter ``c`` backend) that
   lower each step's :class:`StepCall` to a direct callable at
-  plan-compile time, plus the dispatcher's measured ``auto`` strategy.
+  plan-compile time; ``c`` is the default (:data:`DEFAULT_BACKEND`).
 """
 
 from repro.runtime.backends import (
@@ -29,9 +29,9 @@ from repro.runtime.backends import (
     Backend,
     BlasBackend,
     CEmitBackend,
+    DEFAULT_BACKEND,
     FALLBACK_ROUTINE,
     LoweredKernel,
-    PLAN_BACKEND_NAMES,
     REFERENCE_ROUTINE,
     ReferenceBackend,
     blas_available,
@@ -69,6 +69,7 @@ __all__ = [
     "BlasBackend",
     "CEmitBackend",
     "CodegenCache",
+    "DEFAULT_BACKEND",
     "DEFAULT_MEMO_CAPACITY",
     "CostEstimator",
     "DispatchOutcome",
@@ -77,7 +78,6 @@ __all__ = [
     "PlanArena",
     "FALLBACK_ROUTINE",
     "LoweredKernel",
-    "PLAN_BACKEND_NAMES",
     "REFERENCE_ROUTINE",
     "ReferenceBackend",
     "blas_available",

@@ -17,11 +17,8 @@ operand roles, resolved once at plan-compile time — keyed by family.
     native interpreter (BLAS and LAPACK reached through capsule-harvested
     function pointers), compiled once and cached on disk; falls back to
     ``blas`` per plan when no toolchain is present or a step is outside
-    the packer's family table.
-``auto``
-    Not a plan-level backend but a dispatcher strategy: compile a plan
-    per concrete backend, micro-benchmark each once per ``(variant,
-    sizes)`` memo entry, serve the measured winner.
+    the packer's family table.  The default wherever no backend is
+    named (:data:`DEFAULT_BACKEND`).
 """
 
 from __future__ import annotations
@@ -38,13 +35,13 @@ from repro.runtime.backends.blas import (
 from repro.runtime.backends.cemit import CEmitBackend, cemit_available
 from repro.runtime.backends.reference import REFERENCE_ROUTINE, ReferenceBackend
 
-#: Names accepted wherever a backend strategy is selected (CompileOptions,
-#: Dispatcher, ``repro run --backend``).
-BACKEND_NAMES = ("reference", "blas", "c", "auto")
+#: Names accepted wherever a backend is selected (CompileOptions,
+#: Dispatcher, ``compile_plan``, ``repro run --backend``).
+BACKEND_NAMES = ("reference", "blas", "c")
 
-#: Names that denote a concrete plan-level backend; ``auto`` resolves to
-#: one of these per memo entry.
-PLAN_BACKEND_NAMES = ("reference", "blas", "c")
+#: The backend used wherever none is named: native plans, which fall back
+#: to ``blas`` per plan (counted) when they cannot be built.
+DEFAULT_BACKEND = "c"
 
 _BACKENDS = {
     "reference": ReferenceBackend(),
@@ -54,19 +51,15 @@ _BACKENDS = {
 
 
 def get_backend(backend: Union[str, Backend]) -> Backend:
-    """Resolve a concrete plan-level backend from a name or instance.
-
-    ``auto`` is deliberately rejected here: it is a dispatcher strategy,
-    not something a single plan can be compiled against.
-    """
+    """Resolve a concrete plan-level backend from a name or instance."""
     if isinstance(backend, Backend):
         return backend
     try:
         return _BACKENDS[backend]
     except (KeyError, TypeError):
         raise ExecutionError(
-            f"unknown execution backend {backend!r}; plan-level backends are "
-            f"{PLAN_BACKEND_NAMES} (the dispatcher additionally accepts 'auto')"
+            f"unknown execution backend {backend!r}; choose one of "
+            f"{BACKEND_NAMES}"
         ) from None
 
 
@@ -76,9 +69,9 @@ __all__ = [
     "Backend",
     "BlasBackend",
     "CEmitBackend",
+    "DEFAULT_BACKEND",
     "FALLBACK_ROUTINE",
     "LoweredKernel",
-    "PLAN_BACKEND_NAMES",
     "REFERENCE_ROUTINE",
     "ReferenceBackend",
     "blas_available",

@@ -15,10 +15,7 @@ implementations, structured operands executed densely), ``blas``
 ``lapack`` calls with the structure flags pre-resolved), and ``c``
 (:mod:`repro.runtime.backends.cemit`, whole plans packed into step
 records for one native interpreter).  All three key their lowerings by
-the record's family; each keeps its own physical layout algebra.  The
-dispatcher adds a fourth *strategy*, ``auto``, which is not a backend of
-its own: it compiles a plan per concrete backend and serves the measured
-winner.
+the record's family; each keeps its own physical layout algebra.
 """
 
 from __future__ import annotations

@@ -63,6 +63,9 @@ class CodegenCache:
         self.hits = 0
         self.misses = 0
         self.compiles = 0
+        #: key -> why its build failed; a failed key is not rebuilt for
+        #: the life of this object (a new cache object retries).
+        self._failed: dict[str, str] = {}
         self._lock = threading.Lock()
 
     # -- the one entry point the backend uses --------------------------------
@@ -73,9 +76,15 @@ class CodegenCache:
         """The compiled shared object for ``key``, compiling on a miss.
 
         Raises :class:`~repro.runtime.backends.toolchain.ToolchainError`
-        when the compiler rejects the source (the backend turns that into
-        a counted fallback, never a user-facing failure).
+        when the compiler rejects the source, or :class:`OSError` when the
+        directory is unwritable (the backend turns either into a counted
+        fallback, never a user-facing failure).  A failed build is
+        remembered: later requests for the key raise ``ToolchainError`` at
+        once instead of paying the compiler again.
         """
+        # Imported here: the backends package imports this module.
+        from repro.runtime.backends.toolchain import ToolchainError
+
         registry = get_registry()
         so_path = os.path.join(self.directory, f"{key}.so")
         with self._lock:
@@ -83,41 +92,54 @@ class CodegenCache:
                 self.hits += 1
                 registry.counter("runtime.codegen_cache", outcome="hit").inc()
                 return so_path
+            failure = self._failed.get(key)
+            if failure is not None:
+                raise ToolchainError(f"earlier build of {key} failed: {failure}")
             self.misses += 1
             registry.counter("runtime.codegen_cache", outcome="miss").inc()
-            os.makedirs(self.directory, exist_ok=True)
             try:
-                with open(
-                    os.path.join(self.directory, f"{key}.c"), "w"
-                ) as handle:
-                    handle.write(source)
-            except OSError:
-                pass  # the source is a debugging aid, not a dependency
-            fd, tmp_src = tempfile.mkstemp(
-                suffix=".c", prefix=f".{key}.", dir=self.directory
-            )
-            tmp_so = tmp_src[:-2] + ".so"
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(source)
-                start = time.perf_counter()
-                toolchain.compile_shared(tmp_src, tmp_so)
-                elapsed = time.perf_counter() - start
-                # Atomic publish: a concurrent process compiling the same
-                # key replaces the file with identical bytes.
-                os.replace(tmp_so, so_path)
-            finally:
-                for leftover in (tmp_src, tmp_so):
-                    try:
-                        os.unlink(leftover)
-                    except OSError:
-                        pass
+                elapsed = self._build(key, source, toolchain, so_path)
+            except (OSError, ToolchainError) as exc:
+                self._failed[key] = str(exc)
+                raise
             self.compiles += 1
             registry.counter("runtime.codegen_compiles").inc()
             registry.histogram(
                 "runtime.codegen_seconds", stage="compile"
             ).observe(elapsed)
         return so_path
+
+    def _build(
+        self, key: str, source: str, toolchain: "Toolchain", so_path: str
+    ) -> float:
+        """Compile ``source`` and publish it at ``so_path``; returns the
+        compiler's wall time."""
+        os.makedirs(self.directory, exist_ok=True)
+        try:
+            with open(os.path.join(self.directory, f"{key}.c"), "w") as handle:
+                handle.write(source)
+        except OSError:
+            pass  # the source is a debugging aid, not a dependency
+        fd, tmp_src = tempfile.mkstemp(
+            suffix=".c", prefix=f".{key}.", dir=self.directory
+        )
+        tmp_so = tmp_src[:-2] + ".so"
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(source)
+            start = time.perf_counter()
+            toolchain.compile_shared(tmp_src, tmp_so)
+            elapsed = time.perf_counter() - start
+            # Atomic publish: a concurrent process compiling the same
+            # key replaces the file with identical bytes.
+            os.replace(tmp_so, so_path)
+        finally:
+            for leftover in (tmp_src, tmp_so):
+                try:
+                    os.unlink(leftover)
+                except OSError:
+                    pass
+        return elapsed
 
     # -- bookkeeping ----------------------------------------------------------
 

@@ -75,13 +75,8 @@ from repro.errors import DispatchError
 from repro.ir.chain import Chain
 from repro.obs import Histogram, get_registry
 from repro.obs import trace as obs_trace
-from repro.runtime.backends import (
-    BACKEND_NAMES,
-    FALLBACK_ROUTINE,
-    Backend,
-    cemit_available,
-)
-from repro.runtime.executor import SizeInferencer, random_instance_arrays
+from repro.runtime.backends import BACKEND_NAMES, DEFAULT_BACKEND, Backend
+from repro.runtime.executor import SizeInferencer
 from repro.runtime.plan import ExecutionPlan, compile_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,8 +88,9 @@ CostEstimator = Callable[["Variant", Sequence[int]], float]
 #: Default bound on memoized size vectors per dispatcher.
 DEFAULT_MEMO_CAPACITY = 512
 
-#: Replays per backend when ``auto`` micro-benchmarks a memo entry.
-AUTO_BENCH_REPS = 2
+#: Retired strategy names still read as input, and the backend each
+#: now means (``auto`` artifacts predate ``c`` becoming the default).
+_LEGACY_BACKENDS = {"auto": "c"}
 
 #: Idle :class:`~repro.runtime.plan.PlanArena` objects kept per memo
 #: entry — bounds the buffer memory pooled for concurrent
@@ -145,11 +141,9 @@ def runtime_snapshot() -> dict[str, object]:
         "reselect_checks": 0,
         "reselections": 0,
         "executions": {},
-        "auto_wins": {},
         "last_execute_seconds": None,
     }
     executions: dict[str, int] = agg["executions"]  # type: ignore[assignment]
-    auto_wins: dict[str, int] = agg["auto_wins"]  # type: ignore[assignment]
     latest = -1.0
     for dispatcher in dispatchers:
         stats = dispatcher.memo_stats()
@@ -161,8 +155,6 @@ def runtime_snapshot() -> dict[str, object]:
         agg["reselections"] += stats["reselections"]
         for name, count in stats["executions"].items():
             executions[name] = executions.get(name, 0) + count
-        for name, count in stats["auto_wins"].items():
-            auto_wins[name] = auto_wins.get(name, 0) + count
         stamp = dispatcher.last_execute_at
         if stamp is not None and stamp > latest:
             latest = stamp
@@ -219,7 +211,6 @@ class _MemoEntry:
         "cost",
         "plan",
         "backend",
-        "bench",
         "kernel_hists",
         "arenas",
         "executions",
@@ -244,8 +235,6 @@ class _MemoEntry:
         self.plan: Optional[ExecutionPlan] = None
         #: Concrete backend the compiled plan runs on (set with the plan).
         self.backend: Optional[str] = None
-        #: ``auto`` only: measured seconds per backend for this entry.
-        self.bench: Optional[dict[str, float]] = None
         #: Traced-replay observers, built lazily on the first traced
         #: execution of the plan: one ``(observe_seconds, observe_rate,
         #: step_flops)`` triple per plan step.
@@ -277,9 +266,12 @@ class Dispatcher:
     ``memo_capacity`` bounds the memo (CLOCK eviction); ``0`` disables
     memoization, restoring a full cost sweep per call.
 
-    ``backend`` is a registered strategy name (``reference``/``blas``/
-    ``c``/``auto``) or a concrete :class:`~repro.runtime.backends.Backend`
-    instance (synthetic machines in benchmarks, custom lowerings).
+    ``backend`` is a registered backend name (``reference``/``blas``/
+    ``c``, by default ``c``, which falls back to ``blas`` per plan when it
+    cannot build native code) or a concrete
+    :class:`~repro.runtime.backends.Backend` instance (synthetic machines
+    in benchmarks, custom lowerings).  The retired strategy name ``auto``
+    is read as ``c``.
 
     ``reselect_ratio`` enables feedback-directed re-selection (module
     docstring): a memo entry whose measured replay time disagrees with
@@ -298,7 +290,7 @@ class Dispatcher:
         variants: Sequence[Variant],
         cost_estimator: CostEstimator = flop_estimator,
         memo_capacity: int = DEFAULT_MEMO_CAPACITY,
-        backend: Union[str, Backend] = "reference",
+        backend: Union[str, Backend] = DEFAULT_BACKEND,
         calibration: Optional[CostEstimator] = None,
         reselect_ratio: Optional[float] = None,
         reselect_min_executions: int = DEFAULT_RESELECT_MIN_EXECUTIONS,
@@ -324,12 +316,9 @@ class Dispatcher:
         self.memo_hits = 0  #: dispatch decisions answered from the memo
         self.memo_misses = 0  #: dispatch decisions that paid a cost sweep
         self.memo_evictions = 0  #: memo entries dropped by the capacity bound
-        #: executed instances per concrete plan backend (observability for
-        #: the ``auto`` strategy; see :meth:`memo_stats`)
+        #: executed instances per concrete plan backend (a ``c`` plan that
+        #: fell back counts as ``blas``; see :meth:`memo_stats`)
         self.backend_executions: dict[str, int] = {}
-        #: ``auto`` tournament verdicts per winning backend — how often
-        #: each concrete lowering won a memo entry's micro-benchmark
-        self.auto_wins: dict[str, int] = {}
         #: wall-clock seconds of the most recent run()/execute_many replay
         self.last_execute_seconds: Optional[float] = None
         #: ``time.perf_counter`` stamp of that replay's end (lets
@@ -346,7 +335,7 @@ class Dispatcher:
         self._term_stack = None
         self.variants = list(variants)  # via the setter: resets the caches
         self._cost_estimator = cost_estimator
-        self._backend = self._validate_backend(backend)
+        self._backend = self.resolve_backend(backend)
         self.reselect_checks = 0  #: disagreement checkpoints evaluated
         self.reselections = 0  #: memo entries swapped by feedback
         self._reselect_ratio = (
@@ -404,11 +393,13 @@ class Dispatcher:
         return self._calibration
 
     @staticmethod
-    def _validate_backend(
-        backend: Union[str, Backend]
-    ) -> Union[str, Backend]:
+    def resolve_backend(backend: Union[str, Backend]) -> Union[str, Backend]:
+        """The backend a dispatcher built with ``backend`` runs on: the
+        instance or registered name itself, a retired name mapped to its
+        replacement; an unknown name raises :class:`DispatchError`."""
         if isinstance(backend, Backend):
             return backend
+        backend = _LEGACY_BACKENDS.get(backend, backend)
         if backend not in BACKEND_NAMES:
             raise DispatchError(
                 f"unknown execution backend {backend!r}; "
@@ -430,7 +421,7 @@ class Dispatcher:
 
     @backend.setter
     def backend(self, value: Union[str, Backend]) -> None:
-        value = self._validate_backend(value)
+        value = self.resolve_backend(value)
         if value == self._backend:
             return
         self._backend = value
@@ -705,64 +696,14 @@ class Dispatcher:
         return entry.variant, entry.cost, self._entry_plan(entry)
 
     def _entry_plan(self, entry: _MemoEntry) -> ExecutionPlan:
-        """The entry's compiled plan, lowering it through the backend
-        strategy on first use (``auto`` micro-benchmarks here, once per
-        memo entry)."""
+        """The entry's compiled plan, lowered through the backend on
+        first use."""
         plan = entry.plan
         if plan is None:
-            if self._backend == "auto":
-                plan = self._auto_plan(entry, entry.sizes)
-            else:
-                plan = compile_plan(entry.variant, entry.sizes, backend=self._backend)
+            plan = compile_plan(entry.variant, entry.sizes, backend=self._backend)
             entry.backend = plan.backend
             entry.plan = plan
         return plan
-
-    def _auto_plan(self, entry: _MemoEntry, q: tuple[int, ...]) -> ExecutionPlan:
-        """Measure every concrete lowering of this entry, keep the winner.
-
-        The micro-benchmark replays each lowered plan ``AUTO_BENCH_REPS``
-        times on one synthetic instance and takes the best time; the cost
-        is paid once per ``(variant, sizes)`` memo entry and the verdict
-        is cached alongside the plan (:attr:`_MemoEntry.bench`, with the
-        per-backend win tallied in :attr:`auto_wins`).  When the blas
-        lowering is pure fallback the plans are identical callables, so
-        reference wins without measuring.  The ``c`` lowering joins the
-        tournament only when the host can actually run native plans
-        *and* this plan did not fall back (a fallen-back c plan is the
-        blas plan with extra codegen attempts).
-        """
-        ref_plan = compile_plan(entry.variant, q, backend="reference")
-        blas_plan = compile_plan(entry.variant, q, backend="blas")
-        if not blas_plan.step_routines or all(
-            routine == FALLBACK_ROUTINE for routine in blas_plan.step_routines
-        ):
-            self._record_auto_win("reference")
-            return ref_plan
-        candidates = {"reference": ref_plan, "blas": blas_plan}
-        if cemit_available():
-            c_plan = compile_plan(entry.variant, q, backend="c")
-            if c_plan.backend == "c":
-                candidates["c"] = c_plan
-        arrays = random_instance_arrays(
-            entry.variant.chain, q, np.random.default_rng(0)
-        )
-        bench: dict[str, float] = {}
-        for name, plan in candidates.items():
-            best = float("inf")
-            for _ in range(AUTO_BENCH_REPS):
-                start = time.perf_counter()
-                plan.replay(list(arrays))
-                best = min(best, time.perf_counter() - start)
-            bench[name] = best
-        winner = min(bench, key=bench.get)
-        entry.bench = bench
-        self._record_auto_win(winner)
-        return candidates[winner]
-
-    def _record_auto_win(self, name: str) -> None:
-        with self._memo_lock:
-            self.auto_wins[name] = self.auto_wins.get(name, 0) + 1
 
     def costs(self, sizes: Sequence[int]) -> list[tuple[str, float]]:
         """Estimated cost of every variant (for inspection/debugging)."""
@@ -1110,8 +1051,8 @@ class Dispatcher:
         """Memo and execution counters, JSON-ready (service stats, tests).
 
         ``executions`` counts executed instances per *concrete* plan
-        backend — under ``auto`` this is how its measured choices surface
-        in production; ``last_execute_seconds`` is the replay wall time of
+        backend — a ``c`` plan that fell back to ``blas`` counts as
+        ``blas``; ``last_execute_seconds`` is the replay wall time of
         the most recent :meth:`run` call or :meth:`execute_many` batch.
         Pending execution-log records are folded first, so every count is
         exact as of this call.
@@ -1128,7 +1069,6 @@ class Dispatcher:
                 "reselect_checks": self.reselect_checks,
                 "reselections": self.reselections,
                 "executions": dict(self.backend_executions),
-                "auto_wins": dict(self.auto_wins),
                 "last_execute_seconds": self.last_execute_seconds,
                 "idle_arenas": sum(
                     len(entry.arenas) for entry in self._memo.values()

@@ -11,10 +11,11 @@ Request schema (``id`` is optional and echoed back verbatim):
     ``num_training_instances``, ``size_range``, ``objective``, ``seed``,
     ``simplify``, ``variant_space``, ``max_variants`` — the last two pick
     the candidate-generation strategy, letting clients compile long chains
-    through the DP-seeded space — and ``backend``, the execution-backend
-    strategy ``execute`` runs under: ``"reference"``, ``"blas"``,
-    ``"c"``, or ``"auto"``).  Response carries a ``handle`` (the content address of
-    the compilation) plus the selected variant names and symbolic costs.
+    through the DP-seeded space — and ``backend``, the execution backend
+    ``execute`` runs under: ``"c"`` (the default, falling back to
+    ``"blas"`` without a C toolchain), ``"blas"``, or ``"reference"``).
+    Response carries a ``handle`` (the content address of the
+    compilation) plus the selected variant names and symbolic costs.
 
 ``{"op": "dispatch", "handle": "...", "sizes": [500, 80, 500], "id": 2}``
     Run-time dispatch for one instance: answers which variant the
@@ -138,14 +139,47 @@ def array_to_npy_bytes(array: np.ndarray) -> bytes:
     one copy total, none for the header round-trip.
     """
     array = as_wire_array(array)
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header, np.lib.format.header_data_from_array_1_0(array)
-    )
+    header = _npy_header(array)
     if array.size == 0:  # memoryview cannot cast a zero-length shape
-        return header.getvalue()
+        return header
     data = array if array.flags.c_contiguous else array.T
-    return b"".join((header.getvalue(), memoryview(data).cast("B")))
+    return b"".join((header, memoryview(data).cast("B")))
+
+
+#: numpy's header layout constants: spare digits for the growth axis,
+#: the alignment of the data start, and the magic + v1.0 length bytes.
+_NPY_GROWTH_DIGITS = np.lib.format.GROWTH_AXIS_MAX_DIGITS
+_NPY_ALIGN = np.lib.format.ARRAY_ALIGN
+_NPY_PREFIX = len(np.lib.format.MAGIC_PREFIX) + 2 + 2
+
+
+def _npy_header(array: np.ndarray) -> bytes:
+    """The format 1.0 header ``np.save`` writes for a contiguous array,
+    rendered by one format string instead of numpy's dict-and-``BytesIO``
+    writer (which costs most of a small array's encode).
+
+    Byte-identical to numpy's: the dict's keys sorted, the spare spaces
+    numpy leaves for the growth axis (the last for Fortran order, else
+    the first) to be rewritten in place, then space padding and a newline
+    to a multiple of ``ARRAY_ALIGN`` bytes.
+    """
+    dtype = array.dtype
+    descr = dtype.str if dtype.names is None else np.lib.format.dtype_to_descr(dtype)
+    fortran = not array.flags.c_contiguous
+    shape = array.shape
+    text = "{'descr': %r, 'fortran_order': %r, 'shape': %r, }" % (
+        descr,
+        fortran,
+        shape,
+    )
+    if shape:
+        text += " " * (_NPY_GROWTH_DIGITS - len(repr(shape[-1 if fortran else 0])))
+    length = len(text) + 1  # the closing newline
+    length += _NPY_ALIGN - (_NPY_PREFIX + length) % _NPY_ALIGN
+    return b"\x93NUMPY\x01\x00%s%s\n" % (
+        length.to_bytes(2, "little"),
+        text.ljust(length - 1).encode("latin1"),
+    )
 
 
 #: The header ``np.save`` writes (format 1.0 and 2.0): one dict literal

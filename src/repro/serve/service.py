@@ -462,9 +462,9 @@ class CompileService:
                 generated.dispatcher for generated in self._registry.values()
             ]
         # Aggregate per-backend execution counts over the live registry:
-        # how many instances each concrete backend actually ran (the
-        # observable record of ``auto``'s measured choices), plus the most
-        # recent replay wall time across all handles.
+        # how many instances each concrete backend actually ran (a ``c``
+        # plan that fell back runs as ``blas``), plus the most recent
+        # replay wall time across all handles.
         executions: dict[str, int] = {}
         last_execute_seconds: Optional[float] = None
         last_execute_at: Optional[float] = None

@@ -1,4 +1,4 @@
-"""The execution-backend layer: lowering, parity, auto strategy, plumbing.
+"""The execution-backend layer: lowering, parity, the default backend, plumbing.
 
 The heart of this file is the bit-compatibility parity net: every kernel
 of Table I (plus the diagonal extension), swept over side x trans x
@@ -31,6 +31,7 @@ from repro.runtime import (
     BlasBackend,
     ReferenceBackend,
     blas_available,
+    cemit_available,
     compile_plan,
     get_backend,
     naive_evaluate,
@@ -339,7 +340,18 @@ class TestDispatcherBackend:
             Dispatcher(chain, pool, backend="cuda")
 
     def test_backend_names_constant(self):
-        assert BACKEND_NAMES == ("reference", "blas", "c", "auto")
+        assert BACKEND_NAMES == ("reference", "blas", "c")
+
+    def test_default_and_legacy_auto_name_resolve_to_c(self):
+        chain = _structured_chain()
+        pool = _plan_pool(chain)
+        assert Dispatcher(chain, pool).backend == "c"
+        dispatcher = Dispatcher(chain, pool, backend="auto")
+        assert dispatcher.backend == "c"
+        assert dispatcher.memo_stats()["backend"] == "c"
+        dispatcher.backend = "blas"
+        dispatcher.backend = "auto"
+        assert dispatcher.backend == "c"
 
     def test_execution_counters_and_last_time(self):
         chain, dispatcher = self._dispatcher()
@@ -368,31 +380,6 @@ class TestDispatcherBackend:
         stats = dispatcher.memo_stats()
         assert stats["executions"] == {"reference": 2}
         assert stats["last_execute_seconds"] > 0
-
-    @needs_blas
-    def test_auto_measures_and_caches_winner(self):
-        chain, dispatcher = self._dispatcher(backend="auto")
-        q = [16, 16, 16, 16, 8]
-        arrays = random_instance_arrays(chain, q, np.random.default_rng(2))
-        out = dispatcher.run(arrays)
-        expected = naive_evaluate(chain, arrays)
-        np.testing.assert_allclose(out.result, expected, rtol=1e-7, atol=1e-7)
-        entry = dispatcher._memo[dispatcher._infer.shapes(q)]
-        assert entry.backend in ("reference", "blas", "c")
-        assert entry.bench is not None
-        # The c lowering joins the tournament only on hosts that can
-        # emit native plans; reference and blas always compete.
-        assert set(entry.bench) >= {"reference", "blas"}
-        assert set(entry.bench) <= {"reference", "blas", "c"}
-        assert all(t > 0 for t in entry.bench.values())
-        # The cached winner serves later calls without re-benchmarking.
-        bench = entry.bench
-        dispatcher.run(arrays)
-        assert dispatcher._memo[dispatcher._infer.shapes(q)].bench is bench
-        stats = dispatcher.memo_stats()
-        assert stats["backend"] == "auto"
-        assert sum(stats["executions"].values()) == 2
-        assert set(stats["executions"]) == {entry.backend}
 
     @needs_blas
     def test_backend_setter_recompiles_plans_keeps_decisions(self):
@@ -435,13 +422,13 @@ class TestOptionsPlumbing:
 
         session = CompilerSession()
         chain = _structured_chain()
-        gen_ref = compile_chain(
+        gen_default = compile_chain(
             chain, num_training_instances=50, session=session
         )
         gen_blas = compile_chain(
             chain, num_training_instances=50, session=session, backend="blas"
         )
-        assert gen_ref.dispatcher.backend == "reference"
+        assert gen_default.dispatcher.backend == "c"
         assert gen_blas.dispatcher.backend == "blas"
         # Same cache entry despite the different backend (runtime knob).
         assert session.cache_stats().hits >= 1
@@ -468,14 +455,98 @@ class TestOptionsPlumbing:
             "reference"
         )
 
-    def test_legacy_artifact_defaults_to_reference(self):
+    def test_legacy_artifact_defaults_to_c(self):
         from repro.compiler.program import CompiledProgram
 
         gen_chain = _structured_chain()
         program = CompiledProgram.from_artifacts(
             gen_chain, _plan_pool(gen_chain), None
         )
-        assert program.runtime().backend == "reference"
+        assert program.runtime().backend == "c"
+
+    @needs_blas
+    def test_default_backend_is_c_and_matches_oracle(self):
+        from repro.api import compile_chain
+        from repro.compiler.session import CompilerSession
+
+        chain = _structured_chain()
+        q = [9, 9, 9, 9, 5]
+        arrays = random_instance_arrays(chain, q, np.random.default_rng(11))
+        expected = naive_evaluate(chain, arrays)
+        for generated in (
+            compile_chain(chain, num_training_instances=50, session=CompilerSession()),
+            CompilerSession().compile(chain, num_training_instances=50),
+        ):
+            assert generated.program.options["backend"] == "c"
+            assert generated.dispatcher.backend == "c"
+            out = generated.dispatcher.run(arrays)
+            np.testing.assert_allclose(out.result, expected, rtol=1e-7, atol=1e-7)
+            # Native where the host can build it, else the counted blas
+            # fallback.
+            ran = "c" if cemit_available() else "blas"
+            assert generated.dispatcher.memo_stats()["executions"] == {ran: 1}
+
+    @needs_blas
+    def test_auto_artifact_loads_and_runs_on_c(self, tmp_path):
+        import json
+
+        from repro.api import compile_chain, load_program
+        from repro.compiler.program import CompiledProgram
+
+        gen = compile_chain(
+            _structured_chain(), num_training_instances=50, use_cache=False
+        )
+        payload = json.loads(gen.to_program().dumps())
+        payload["meta"]["options"]["backend"] = "auto"
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(payload))
+        program = CompiledProgram.load(path)
+        assert program.options["backend"] == "auto"
+        runtime = program.runtime()
+        assert runtime.backend == "c"
+        assert program.runtime() is runtime  # "auto" hits the cached runtime
+        q = [6, 6, 6, 6, 10]
+        arrays = random_instance_arrays(program.chain, q, np.random.default_rng(12))
+        expected = naive_evaluate(program.chain, arrays)
+        for generated in (program.to_generated_code(), load_program(path)):
+            np.testing.assert_allclose(generated(*arrays), expected, rtol=1e-7, atol=1e-7)
+        _, _, plan = runtime.plan_for(q)
+        assert plan.backend == ("c" if cemit_available() else "blas")
+
+    @needs_blas
+    def test_default_backend_without_toolchain_runs_on_blas(self, monkeypatch):
+        from repro.api import compile_chain
+        from repro.obs import get_registry
+        from repro.runtime.backends.toolchain import reset_toolchain_cache
+
+        fallbacks = get_registry().counter(
+            "runtime.codegen_fallbacks", reason="no-toolchain"
+        )
+        monkeypatch.setenv("REPRO_DISABLE_CC", "1")
+        reset_toolchain_cache()
+        try:
+            chain = _structured_chain()
+            generated = compile_chain(
+                chain, num_training_instances=50, use_cache=False
+            )
+            assert generated.dispatcher.backend == "c"
+            before = fallbacks.value
+            rng = np.random.default_rng(13)
+            for q in ([8, 8, 8, 8, 4], [5, 5, 5, 5, 9]):
+                arrays = random_instance_arrays(chain, q, rng)
+                np.testing.assert_allclose(
+                    generated(*arrays),
+                    naive_evaluate(chain, arrays),
+                    rtol=1e-7,
+                    atol=1e-7,
+                )
+            assert fallbacks.value == before + 2
+            stats = generated.dispatcher.memo_stats()
+            assert stats["backend"] == "c"
+            assert stats["executions"] == {"blas": 2}
+        finally:
+            monkeypatch.delenv("REPRO_DISABLE_CC")
+            reset_toolchain_cache()
 
     def test_runtime_cache_keyed_on_backend(self):
         from repro.compiler.program import CompiledProgram

@@ -59,6 +59,28 @@ class TestServeCommand:
         assert responses[2]["cache"]["misses"] == 1
         assert responses[2]["cache"]["hits"] == 1
 
+    def test_default_backend_is_c(self, monkeypatch, capsys):
+        """Without --backend, served compilations execute on ``c`` (as
+        ``blas`` where the host cannot build native code)."""
+        from repro.runtime import cemit_available
+
+        responses, _ = run_serve(
+            monkeypatch,
+            capsys,
+            [
+                {"op": "execute", "source": SOURCE,
+                 "arrays": [[[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]]],
+                 "id": 1},
+                {"op": "stats", "id": 2},
+            ],
+        )
+        assert all(r["ok"] for r in responses), responses
+        assert responses[0]["result"] == [[17.0], [39.0]]
+        execution = responses[1]["execution"]
+        assert execution["backend"] == "c"
+        ran = "c" if cemit_available() else "blas"
+        assert execution["executions"] == {ran: 1}
+
     def test_stats_flag_prints_metrics_to_stderr(self, monkeypatch, capsys):
         _, err = run_serve(
             monkeypatch,

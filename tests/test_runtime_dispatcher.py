@@ -490,7 +490,7 @@ class TestExecutionLog:
         from repro.runtime.dispatcher import EXECUTION_LOG_BATCH
 
         chain = general_chain(3)
-        dispatcher = Dispatcher(chain, all_variants(chain))
+        dispatcher = Dispatcher(chain, all_variants(chain), backend="reference")
         arrays = random_instance_arrays(
             chain, (3, 4, 5, 6), np.random.default_rng(3)
         )
@@ -511,7 +511,7 @@ class TestExecutionLog:
         import gc
 
         chain = general_chain(3)
-        dispatcher = Dispatcher(chain, all_variants(chain))
+        dispatcher = Dispatcher(chain, all_variants(chain), backend="reference")
         arrays = random_instance_arrays(
             chain, (3, 4, 5, 6), np.random.default_rng(4)
         )
@@ -634,7 +634,7 @@ class TestWhatAHitTrusts:
 
     @pytest.mark.skipif(not blas_available(), reason="scipy BLAS unavailable")
     def test_backend_swap(self):
-        dispatcher = self.warm()
+        dispatcher = self.warm(backend="reference")
         dispatcher.backend = "blas"
         warm = dispatcher.run(self.arrays)
         cold = Dispatcher(self.chain, self.variants, backend="blas")
@@ -693,8 +693,12 @@ class TestWhatAHitTrusts:
         self.assert_same_outcome(warm, cold)
 
     def test_reuse_buffers(self):
-        dispatcher = self.warm()
-        cold = Dispatcher(self.chain, self.variants).run(self.arrays)
+        # Arenas pool the intermediates of per-step replays; a native c
+        # plan keeps its own.
+        dispatcher = self.warm(backend="reference")
+        cold = Dispatcher(self.chain, self.variants, backend="reference").run(
+            self.arrays
+        )
         for _ in range(3):
             self.assert_same_outcome(
                 dispatcher.run(self.arrays, reuse_buffers=True), cold

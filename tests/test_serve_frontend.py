@@ -2,7 +2,9 @@
 
 import base64
 import io
+import itertools
 import json
+import math
 
 import pytest
 
@@ -348,13 +350,18 @@ class TestArrayCodec:
             assert back.dtype == array.dtype
 
     def test_npy_bytes_match_np_save(self):
-        """The header+join fast path emits byte-identical .npy streams."""
-        random = np.random.default_rng(2).standard_normal((7, 5))
-        empties = [np.zeros(shape) for shape in ((0, 5), (5, 0), (0,))]
-        for array in (random, *empties):
+        """The format-string header + join emits byte-identical .npy
+        streams, growth-axis spare spaces and alignment padding included."""
+        rng = np.random.default_rng(2)
+        shapes = [(), (7,), (1, 7), (3, 5), (0, 5), (5, 0), (0,), (64, 64), (10**12, 0)]
+        for dtype, order, shape in itertools.product(
+            ["<f8", ">f8", "<f4", "<i8"], "CF", shapes
+        ):
+            values = rng.standard_normal(shape) if math.prod(shape) else np.zeros(shape)
+            array = np.asarray(100 * values, dtype=dtype, order=order)
             buffer = io.BytesIO()
             np.save(buffer, array)
-            assert array_to_npy_bytes(array) == buffer.getvalue()
+            assert array_to_npy_bytes(array) == buffer.getvalue(), (dtype, order, shape)
             assert encode_array(array) == {
                 "encoding": "npy",
                 "data": base64.b64encode(buffer.getvalue()).decode("ascii"),
