@@ -5,7 +5,7 @@ sockets:
 
 - **Mixed traffic at 64 connections** — hot/cold structural keys, Zipf
   operand sizes — through the new data plane (asyncio front end, shm
-  operand transport, warm-arena replay) must beat the legacy plane
+  operand transport, memoized plan replay) must beat the legacy plane
   (thread-per-connection server, base64 ``.npy`` strings) by >= 3x
   throughput, with no client errors and a no-worse p99 latency.  The
   package ships only the asyncio server, so the legacy plane is built
@@ -17,8 +17,9 @@ sockets:
   as on a workstation.
 - **shm execute** must beat base64-npy execute by >= 5x end-to-end
   latency for an n=1024 operand on one connection.
-- **Warm replay** on a memoized handle must allocate zero array-sized
-  blocks (tracemalloc-checked, >= 16 KiB threshold).
+- **Warm replay** into a caller ``out=`` buffer on a memoized handle must
+  allocate no array-sized block: the tracemalloc *peak* over the replays
+  stays under 16 KiB.
 """
 
 import json
@@ -31,6 +32,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.runtime import cemit_available
 from repro.serve import AsyncCompileServer, CompileService, encode_array
 from repro.serve import shm as shm_mod
 from repro.serve.frontend import handle_line, handle_request
@@ -348,40 +350,42 @@ def test_shm_execute_5x_base64_npy_at_n1024(service, handles):
 
 
 def test_warm_replay_allocates_nothing(service, handles):
-    """Arena gate: warm replays allocate zero array-sized blocks.
+    """Allocation gate: warm ``out=`` replays allocate no array-sized block.
 
-    The dispatcher memo owns a per-plan buffer arena; with a caller
-    ``out=`` buffer, a warm same-size replay touches no allocator path
-    big enough to matter (>= 16 KiB — small Python-object churn is
-    unavoidable and irrelevant to the data plane).
+    On the default ``c`` backend the fused native call writes the result
+    straight into a conforming caller buffer, so the tracemalloc *peak*
+    over 10 warm same-size replays stays under 16 KiB (a 512x512 result
+    is 2 MiB; small Python-object churn is unavoidable and irrelevant to
+    the data plane).  The peak, not a closing snapshot, is what counts: a
+    result allocated and then copied into ``out`` is freed again before
+    the snapshot.  The interpreter's C workspace is malloc'ed outside
+    tracemalloc's view.
     """
+    if not cemit_available():
+        pytest.skip("C toolchain or scipy cython capsules unavailable")
     dispatcher = service.lookup(handles["hot"]).dispatcher
     rng = np.random.default_rng(5)
     arrays = [
         np.ascontiguousarray(rng.standard_normal((512, 512)))
         for _ in range(2)
     ]
-    dispatcher.run(arrays, reuse_buffers=True)  # cold: records shapes
-    warm = dispatcher.run(arrays, reuse_buffers=True)  # builds the arena
+    warm = dispatcher.run(arrays)  # cold: selects and lowers the plan
     out = np.empty(warm.result.shape)
+    dispatcher.run(arrays, out=out)
 
     tracemalloc.start()
-    for _ in range(10):
-        dispatcher.run(arrays, out=out, reuse_buffers=True)
-    snapshot = tracemalloc.take_snapshot()
-    tracemalloc.stop()
+    try:
+        for _ in range(10):
+            dispatcher.run(arrays, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
-    big = [
-        stat
-        for stat in snapshot.statistics("lineno")
-        if stat.size >= 16 * 1024
-    ]
     emit(
         "warm replay allocations (10 replays, n=512, out= buffer)",
-        f"blocks >= 16 KiB: {len(big)}\n"
-        + ("\n".join(str(stat) for stat in big) or "(none)"),
+        f"traced peak: {peak} bytes (gate: < {16 * 1024})",
     )
-    assert big == [], [str(stat) for stat in big]
+    assert peak < 16 * 1024, f"warm out= replays peaked at {peak} bytes"
     assert np.allclose(out, arrays[0] @ arrays[1])
 
 

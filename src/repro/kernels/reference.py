@@ -385,25 +385,3 @@ def specialize_kernel(call):
         return solver(coeff, rhs, side)
 
     return run
-
-
-def specialize_kernel_out(call):
-    """An out-parameter variant of :func:`specialize_kernel`, or ``None``.
-
-    Product kernels lower to ``np.matmul(..., out=out)`` — the same BLAS
-    dgemm as the allocating form, writing into a caller-owned buffer (an
-    arena slot or the final ``out=``) instead of a fresh array.  ``out``
-    must not alias either operand (numpy leaves overlapping ``matmul``
-    outputs undefined); plan arenas guarantee that by construction.
-    Solve kernels answer ``None`` — their scipy solvers allocate
-    internally, so an out buffer would only add a copy.
-    """
-    if call.family not in PRODUCT_FAMILIES:
-        return None
-    if call.left_trans and call.right_trans:
-        return lambda left, right, out: np.matmul(left.T, right.T, out=out)
-    if call.left_trans:
-        return lambda left, right, out: np.matmul(left.T, right, out=out)
-    if call.right_trans:
-        return lambda left, right, out: np.matmul(left, right.T, out=out)
-    return lambda left, right, out: np.matmul(left, right, out=out)

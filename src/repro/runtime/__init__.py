@@ -53,7 +53,7 @@ from repro.runtime.executor import (
     random_instance_arrays,
     random_matrix,
 )
-from repro.runtime.plan import ExecutionPlan, PlanArena, compile_plan
+from repro.runtime.plan import ExecutionPlan, compile_plan
 from repro.runtime.dispatcher import (
     DEFAULT_MEMO_CAPACITY,
     CostEstimator,
@@ -75,7 +75,6 @@ __all__ = [
     "DispatchOutcome",
     "Dispatcher",
     "ExecutionPlan",
-    "PlanArena",
     "FALLBACK_ROUTINE",
     "LoweredKernel",
     "REFERENCE_ROUTINE",

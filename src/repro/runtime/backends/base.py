@@ -65,29 +65,20 @@ class Backend(ABC):
         :data:`FALLBACK_ROUTINE`, keeping plan compilation total.
         """
 
-    def specialize_out(
-        self, call: "StepCall"
-    ) -> Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]:
-        """Optionally lower one kernel call to an out-parameter form.
-
-        The returned callable computes ``(left, right)`` into the
-        caller-owned ``out`` buffer (never aliasing an operand) and
-        returns it — what :class:`~repro.runtime.plan.PlanArena`-backed
-        warm replays use to run allocation-free.  ``None`` — the default
-        — means "no in-place form for this call"; the plan then
-        keeps the allocating implementation for that step.
-        """
-        return None
-
     def lower_plan(
         self, plan: "ExecutionPlan"
-    ) -> Optional[Callable[[list[np.ndarray]], np.ndarray]]:
+    ) -> Optional[
+        Callable[[list[np.ndarray], Optional[np.ndarray]], np.ndarray]
+    ]:
         """Optionally lower a *whole* plan to one fused callable.
 
         Called once at plan-compile time, after the per-step lowering.
-        Returning a callable replaces the plan's step loop on the
-        untimed :meth:`~repro.runtime.plan.ExecutionPlan.replay` path
-        (fix-ups still run in Python afterwards); returning ``None`` —
+        Returning a ``(values, out) -> result`` callable replaces the
+        plan's step loop on the untimed
+        :meth:`~repro.runtime.plan.ExecutionPlan.replay` path (fix-ups
+        still run in Python afterwards); it may write the result into
+        ``out`` (``None`` when the caller supplied none) or return a fresh
+        array, and replay copies it into ``out`` then.  Returning ``None`` —
         the default — keeps the per-step loop, and the plan reports
         :attr:`fallback_name` as its backend when set.  Implementations
         must degrade by returning ``None``, never by raising.

@@ -517,14 +517,18 @@ def _load_native_run(key: str, so_path: str) -> Callable:
 class _NativePlan:
     """The packed plan's replay callable: one native call, one output.
 
-    A fresh output array per call keeps plans stateless (concurrent
-    replays share nothing but the read-only input buffers and the
-    record).  The interpreter raises :class:`ExecutionError` itself for
-    wrong-shaped operands and failed factorizations; ``BufferError``
-    (right shape, but not C-contiguous float64) takes the retry path,
-    which re-presents inputs C-contiguously — the one copy non-contiguous
-    callers pay, exactly where the blas backend pays
-    ``np.asfortranarray``.
+    The interpreter writes the result into the caller's ``out`` when that
+    buffer conforms — float64, C-contiguous, writeable, exactly the
+    output shape, and sharing no memory with an operand (the final step
+    may write its output while still reading an input).  Any other
+    ``out``, or none, gets a fresh output array, which the caller copies
+    where it wants it.  Plans stay stateless: concurrent replays share
+    nothing but the read-only input buffers and the record.  The
+    interpreter raises :class:`ExecutionError` itself for wrong-shaped
+    operands and failed factorizations; ``BufferError`` (right shape, but
+    not C-contiguous float64) takes the retry path, which re-presents
+    inputs C-contiguously — the one copy non-contiguous callers pay,
+    exactly where the blas backend pays ``np.asfortranarray``.
     """
 
     __slots__ = ("_run", "_record", "_out_shape")
@@ -534,8 +538,17 @@ class _NativePlan:
         self._record = record
         self._out_shape = out_shape
 
-    def __call__(self, values: list[np.ndarray]) -> np.ndarray:
-        out = np.empty(self._out_shape, dtype=np.float64)
+    def __call__(
+        self, values: list[np.ndarray], out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        if out is None or not (
+            out.dtype == np.float64
+            and out.shape == self._out_shape
+            and out.flags.c_contiguous
+            and out.flags.writeable
+            and not any(np.may_share_memory(out, v) for v in values)
+        ):
+            out = np.empty(self._out_shape, dtype=np.float64)
         try:
             self._run(self._record, *values, out)
         except BufferError:

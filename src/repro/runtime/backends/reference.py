@@ -28,8 +28,3 @@ class ReferenceBackend(Backend):
 
     def specialize(self, call: "StepCall") -> LoweredKernel:
         return LoweredKernel(reference.specialize_kernel(call), REFERENCE_ROUTINE)
-
-    def specialize_out(self, call: "StepCall"):
-        # Product kernels write into the arena slot through the same BLAS
-        # matmul (np.matmul out=); solves keep their allocating solvers.
-        return reference.specialize_kernel_out(call)

@@ -92,11 +92,6 @@ DEFAULT_MEMO_CAPACITY = 512
 #: now means (``auto`` artifacts predate ``c`` becoming the default).
 _LEGACY_BACKENDS = {"auto": "c"}
 
-#: Idle :class:`~repro.runtime.plan.PlanArena` objects kept per memo
-#: entry — bounds the buffer memory pooled for concurrent
-#: ``run(reuse_buffers=True)`` replays of one (variant, sizes) decision.
-ARENA_POOL_CAP = 8
-
 #: Executions of a memo entry before its first measured-vs-predicted
 #: disagreement check (subsequent checks back off exponentially).
 DEFAULT_RESELECT_MIN_EXECUTIONS = 8
@@ -212,7 +207,6 @@ class _MemoEntry:
         "plan",
         "backend",
         "kernel_hists",
-        "arenas",
         "executions",
         "measured_ema",
         "next_check",
@@ -227,8 +221,8 @@ class _MemoEntry:
 
     def reset(self, variant: "Variant", cost: float) -> None:
         """Bind the entry to a decision and drop everything derived from
-        the previous one: the compiled plan and its measurements, pooled
-        arenas, traced-replay observers, and feedback bookkeeping."""
+        the previous one: the compiled plan and its measurements,
+        traced-replay observers, and feedback bookkeeping."""
         self.variant = variant
         self.cost = cost
         #: Compiled plan, lowered lazily on first use.
@@ -241,12 +235,6 @@ class _MemoEntry:
         self.kernel_hists: Optional[
             tuple[tuple[Callable[[float], None], Callable[[float], None], float], ...]
         ] = None
-        #: Idle intermediate-buffer arenas for the compiled plan
-        #: (:class:`~repro.runtime.plan.PlanArena`).  Checked out one per
-        #: in-flight ``run(reuse_buffers=True)`` replay under the memo
-        #: lock — an arena never backs two replays at once — and
-        #: invalidated together with the plan they were shaped for.
-        self.arenas: list = []
         #: Feedback bookkeeping (re-selection): replays of this entry,
         #: EMA of measured replay seconds, next disagreement checkpoint.
         self.executions = 0
@@ -772,31 +760,11 @@ class Dispatcher:
         self.last_execute_at = latest
         self.memo_hits += hits
 
-    def _checkout_arena(self, entry: _MemoEntry, plan: ExecutionPlan):
-        """An idle arena for this plan, or ``None`` (cold plan / no gain)."""
-        with self._memo_lock:
-            if entry.arenas:
-                return entry.arenas.pop()
-        return plan.new_arena()
-
-    def _release_arena(self, entry: _MemoEntry, plan: ExecutionPlan, arena) -> None:
-        """Return a checked-out arena to the entry's idle pool.
-
-        Dropped (garbage-collected) instead when the plan was invalidated
-        mid-replay — the arena's buffer shapes belong to the old plan —
-        or when the pool already holds enough for the realistic replay
-        concurrency.
-        """
-        with self._memo_lock:
-            if entry.plan is plan and len(entry.arenas) < ARENA_POOL_CAP:
-                entry.arenas.append(arena)
-
     def run(
         self,
         arrays: Sequence[np.ndarray],
         *,
         out: Optional[np.ndarray] = None,
-        reuse_buffers: bool = False,
     ) -> DispatchOutcome:
         """Dispatch and execute one instance; returns the full outcome.
 
@@ -810,14 +778,13 @@ class Dispatcher:
         ``runtime.run`` span; disabled, the only work besides the replay
         is one append to the execution log (:meth:`_fold_log`).
 
-        ``reuse_buffers=True`` runs warm replays on pooled intermediate
-        buffers (:class:`~repro.runtime.plan.PlanArena`, checked out per
-        replay so concurrency stays safe): the first replay of a plan
-        runs normally and records its buffer shapes, every later one
-        skips the per-step ``np.empty`` calls.  ``out`` receives the
-        result in a caller-owned buffer (shape ``plan.result_shape``,
-        must not alias an operand) — together they make a warm replay
-        allocation-free.  Both default off.
+        ``out`` receives the result in a caller-owned buffer of the
+        result's shape, which the outcome then carries.  An untraced
+        ``c`` plan without fix-ups writes straight into it when it is a
+        C-contiguous, writeable float64 array sharing no memory with an
+        operand — a warm replay then allocates no array; every other
+        replay computes a fresh result and copies it in (see
+        :meth:`~repro.runtime.plan.ExecutionPlan.replay`).
         """
         values = [np.asarray(a, dtype=_FLOAT64) for a in arrays]
         key = tuple([v.shape for v in values])
@@ -839,14 +806,9 @@ class Dispatcher:
             hit = 1
         sizes = entry.sizes
         traced = obs_trace._enabled  # module flag, read once per call
-        # Traced replays run without an arena: each timed step allocates
-        # its own result.
-        arena = None
-        if reuse_buffers and not traced:
-            arena = self._checkout_arena(entry, plan)
         if not traced:
             start = time.perf_counter()
-            result = plan.replay(values, arena, out)
+            result = plan.replay(values, out)
             end = time.perf_counter()
         else:
             # Traced path: the plan records raw per-step durations (one
@@ -858,7 +820,7 @@ class Dispatcher:
             started_at = time.time()
             start = time.perf_counter()
             try:
-                result = plan.replay(values, None, out, record=durations.append)
+                result = plan.replay(values, out, record=durations.append)
             except BaseException as exc:
                 obs_trace.leaf_span(
                     "runtime.run",
@@ -887,12 +849,6 @@ class Dispatcher:
                 elapsed=end - start,
             )
         elapsed = end - start
-        if arena is not None:
-            self._release_arena(entry, plan, arena)
-        elif reuse_buffers:
-            # Cold plan: remember the step shapes this replay produced so
-            # the next one can build an arena.
-            plan.record_buffer_shapes(values, result)
         log = self._exec_log
         log.append((plan.backend, elapsed, end, hit))
         if len(log) >= EXECUTION_LOG_BATCH:
@@ -1070,14 +1026,6 @@ class Dispatcher:
                 "reselections": self.reselections,
                 "executions": dict(self.backend_executions),
                 "last_execute_seconds": self.last_execute_seconds,
-                "idle_arenas": sum(
-                    len(entry.arenas) for entry in self._memo.values()
-                ),
-                "arena_bytes": sum(
-                    arena.nbytes
-                    for entry in self._memo.values()
-                    for arena in entry.arenas
-                ),
             }
 
     def __len__(self) -> int:

@@ -8,8 +8,8 @@ roles), the backend lowers that record to a direct callable, buffer references f
 of one flat list (inputs first, one slot per step after), the fix-up
 kernels are pre-bound, and the stored shapes the instance expects are
 recorded.  The resulting :class:`ExecutionPlan` replays through one loop,
-:meth:`ExecutionPlan.replay`, over pre-resolved ``(impl, impl_out,
-left_slot, right_slot, out_slot)`` tuples — no dict lookups, no dataclass
+:meth:`ExecutionPlan.replay`, over pre-resolved ``(impl, left_slot,
+right_slot, out_slot)`` tuples — no dict lookups, no dataclass
 construction, no re-validation.  The one-shot
 :func:`~repro.runtime.executor.execute_variant` is a plan compiled and
 replayed once.
@@ -18,23 +18,17 @@ Plans are immutable and reusable: the memoizing
 :class:`~repro.runtime.dispatcher.Dispatcher` compiles one per observed
 size vector and replays it for every later instance with the same sizes.
 
-Warm replays can additionally run **allocation-free**: a
-:class:`PlanArena` pre-allocates the plan's intermediate step buffers
-(shapes recorded on the first replay), and backends that implement
-:meth:`~repro.runtime.backends.Backend.specialize_out` write each step
-straight into its arena slot instead of ``np.empty``-ing a fresh array
-per kernel call.  The *final* result is deliberately never arena-backed —
-it escapes to the caller, and an arena-owned result would be overwritten
-by the next replay — so a caller chasing zero allocations passes its own
-``out=`` buffer.  Arenas hold mutable array state and are therefore
-*not* shareable across concurrent replays; the dispatcher pools them
-with per-replay checkout.
+A caller that wants the result in its own buffer passes ``out=``.  A
+natively-lowered fix-up-free plan (the ``c`` backend) writes straight
+into a conforming ``out`` (float64, C-contiguous, writeable, exactly the
+result shape, sharing no memory with an operand); every other replay —
+the ``reference`` and ``blas`` step loops, fix-ups, a non-conforming
+buffer — computes a fresh result and copies it in.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -51,41 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.variant import Variant
 
 #: One pre-resolved kernel call: specialized implementation (the step's
-#: :class:`StepCall` already baked in), its optional out-parameter form
-#: (``impl_out(left, right, out) -> out``, ``None`` where the backend
-#: cannot write in place for this kernel/config), operand slots, output
-#: slot.
-PlanOp = tuple[Callable, Optional[Callable], int, int, int]
-
-
-class PlanArena:
-    """Pre-allocated intermediate buffers for one plan's warm replays.
-
-    One buffer per step that (a) is not the final step — the result
-    escapes to the caller and must never be arena-owned — and (b) has an
-    out-parameter kernel implementation to write into it; every other
-    slot stays ``None`` and its step allocates normally.  An arena is
-    mutable shared state: it must back at most one replay at a time (the
-    dispatcher enforces this by pooling arenas with per-replay checkout).
-    """
-
-    __slots__ = ("buffers", "nbytes")
-
-    def __init__(self, plan: "ExecutionPlan"):
-        shapes = plan._step_shapes
-        if shapes is None:
-            raise ExecutionError(
-                "plan has no recorded buffer shapes yet; replay it once "
-                "before building an arena"
-            )
-        last = len(shapes) - 1
-        self.buffers: list[Optional[np.ndarray]] = [
-            np.empty(shape, dtype=np.float64)
-            if index != last and plan._ops[index][1] is not None
-            else None
-            for index, shape in enumerate(shapes)
-        ]
-        self.nbytes = sum(b.nbytes for b in self.buffers if b is not None)
+#: :class:`StepCall` already baked in), operand slots, output slot.
+PlanOp = tuple[Callable, int, int, int]
 
 
 def _resolve_fixups(variant: Variant) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
@@ -122,8 +83,6 @@ class ExecutionPlan:
         "_fixups",
         "_num_inputs",
         "_native",
-        "_step_shapes",
-        "_result_shape",
     )
 
     def __init__(
@@ -168,7 +127,6 @@ class ExecutionPlan:
             ops.append(
                 (
                     impl,
-                    resolved.specialize_out(call),
                     slot(step.left_ref),
                     slot(step.right_ref),
                     chain.n + step.index,
@@ -178,11 +136,6 @@ class ExecutionPlan:
         self.step_routines: tuple[str, ...] = tuple(routines)
         self._ops: tuple[PlanOp, ...] = tuple(ops)
         self._fixups = _resolve_fixups(variant)
-        # Step-output shapes, recorded from the first completed replay
-        # (record_buffer_shapes); None until then, which keeps new_arena
-        # answering None — "warm" is exactly "replayed at least once".
-        self._step_shapes: Optional[tuple[tuple[int, ...], ...]] = None
-        self._result_shape: Optional[tuple[int, ...]] = None
         # Whole-plan lowering (the ``c`` backend): one fused native call
         # replacing the step loop on the untimed replay path.  A backend
         # that declines (no toolchain, unsupported step, ...) returns
@@ -222,7 +175,6 @@ class ExecutionPlan:
     def replay(
         self,
         values: list[np.ndarray],
-        arena: Optional[PlanArena] = None,
         out: Optional[np.ndarray] = None,
         *,
         record: Optional[Callable[[float], None]] = None,
@@ -235,13 +187,10 @@ class ExecutionPlan:
         place with the intermediate buffers, so the caller must hand over
         ownership.
 
-        ``arena`` (built by :meth:`new_arena`) supplies pre-allocated
-        intermediate buffers — steps with an out-parameter implementation
-        write into their slot instead of allocating; the arena must not
-        back another replay concurrently.  ``out`` receives the final
-        result: on a fixup-free plan the last step writes straight into
-        it (``out`` must not alias any operand and must match the result
-        shape), otherwise the computed result is copied in.
+        ``out`` receives the final result, which is then returned.  A
+        natively-lowered plan without fix-ups writes straight into a
+        conforming ``out`` (see the module docstring); otherwise the
+        computed result is copied in.
 
         ``record`` receives one elapsed-seconds value per step, in step
         order — typically a plain ``list.append``, so timing adds two
@@ -252,32 +201,17 @@ class ExecutionPlan:
         carries the blas per-step lowering this loop runs instead.
         """
         if self._native is not None and record is None:
-            # The fused native call manages its own intermediates (arenas
-            # never exist for it: new_arena answers None).
-            result = self._native(values)
+            # The fused native call manages its own intermediates.  With
+            # fix-ups its output is an intermediate too, not the result
+            # ``out`` asks for.
+            result = self._native(values, None if self._fixups else out)
         else:
-            ops = self._ops
-            if arena is None and out is None:
-                targets = repeat(None)
-            else:
-                # Per-step out-parameter buffers (None: the step allocates).
-                # Arena slots exist only where the step has an impl_out.
-                targets = (
-                    list(arena.buffers) if arena is not None else [None] * len(ops)
-                )
-                if out is not None and not self._fixups and ops[-1:] and (
-                    ops[-1][1] is not None
-                ):
-                    targets[-1] = out  # the last step writes the result
-            values.extend([None] * len(ops))
+            values.extend([None] * len(self._ops))
             result = None
-            for (impl, impl_out, left, right, slot), target in zip(ops, targets):
+            for impl, left, right, slot in self._ops:
                 if record is not None:
                     start = time.perf_counter()
-                if target is None:
-                    result = impl(values[left], values[right])
-                else:
-                    result = impl_out(values[left], values[right], target)
+                result = impl(values[left], values[right])
                 if record is not None:
                     record(time.perf_counter() - start)
                 values[slot] = result
@@ -294,45 +228,6 @@ class ExecutionPlan:
             result = out
         return result
 
-    # -- warm-replay buffer reuse --------------------------------------------
-
-    @property
-    def result_shape(self) -> Optional[tuple[int, ...]]:
-        """The final result's shape (after fix-ups), known once the plan
-        has replayed at least once — what a caller pre-allocates ``out``
-        with."""
-        return self._result_shape
-
-    def record_buffer_shapes(
-        self, values: Sequence[Optional[np.ndarray]], result: np.ndarray
-    ) -> None:
-        """Record step-output shapes from a completed replay.
-
-        ``values`` is the list :meth:`replay` extended in place (inputs
-        followed by one step output per op) and ``result`` the value it
-        returned.  Idempotent, and benign under a race — concurrent
-        replays of the same plan record identical shapes.
-        """
-        if self._step_shapes is not None or self._native is not None:
-            return
-        outputs = values[self._num_inputs :]
-        if len(outputs) != len(self._ops) or any(v is None for v in outputs):
-            return
-        self._result_shape = tuple(result.shape)
-        self._step_shapes = tuple(tuple(v.shape) for v in outputs)
-
-    def new_arena(self) -> Optional[PlanArena]:
-        """A fresh intermediate-buffer arena, or ``None`` when one cannot
-        help: shapes not yet recorded (no replay yet), a natively-lowered
-        plan, or no step with both an arena slot and an out-parameter
-        kernel."""
-        if self._step_shapes is None or self._native is not None:
-            return None
-        arena = PlanArena(self)
-        if not any(b is not None for b in arena.buffers):
-            return None
-        return arena
-
     __call__ = execute
 
     def describe(self) -> str:
@@ -344,7 +239,7 @@ class ExecutionPlan:
             lines.append(
                 "  native: fused step-interpreter call (replay path)"
             )
-        for step, (_, _, left, right, out), routine in zip(
+        for step, (_, left, right, out), routine in zip(
             self.variant.steps, self._ops, self.step_routines
         ):
             lines.append(

@@ -445,9 +445,8 @@ def _handle_execute(service: CompileService, payload: dict) -> dict:
         start = time.perf_counter()
         # One live runtime per handle: the registry's dispatcher memoizes
         # the (sizes -> variant, plan) decision, so repeated same-size
-        # requests skip the cost sweep and replay a pre-compiled plan —
-        # with its intermediate buffers checked out of the plan's arena
-        # pool rather than re-allocated (see CompileService.execute).
+        # requests skip the cost sweep and replay a pre-compiled plan
+        # (see CompileService.execute).
         sizes, variant, cost, result = service.execute(handle, arrays)
         elapsed_ms = 1e3 * (time.perf_counter() - start)
     finally:

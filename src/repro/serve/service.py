@@ -430,13 +430,14 @@ class CompileService:
 
         Returns a :class:`~repro.runtime.DispatchOutcome` (sizes, variant,
         cost, result).  Sizes are inferred — and shapes thereby validated —
-        exactly once; a warm handle replays its memoized execution plan —
-        on pooled intermediate buffers (``reuse_buffers``), so steady-state
-        serving traffic skips the per-step allocations.
+        exactly once; a warm handle replays its memoized execution plan.
+        The result is a fresh array the caller owns: on the default ``c``
+        backend the fused native call allocates it once and manages its
+        own intermediates.
         Raises :class:`KeyError` for an unknown handle.
         """
         generated = self._require(handle)
-        return generated.dispatcher.run(arrays, reuse_buffers=True)
+        return generated.dispatcher.run(arrays)
 
     def _require(self, handle: str) -> "GeneratedCode":
         generated = self.lookup(handle)

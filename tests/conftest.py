@@ -24,6 +24,18 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def restore_global_codegen_cache():
+    """Undo ``configure_codegen_cache`` calls made through the CLI knobs."""
+    from repro.runtime import codegen_cache as cc_mod
+
+    with cc_mod._cache_lock:
+        saved = cc_mod._cache
+    yield
+    with cc_mod._cache_lock:
+        cc_mod._cache = saved
+
+
 def make_general(name: str = "G", invertible: bool = False) -> Matrix:
     prop = Property.NON_SINGULAR if invertible else Property.SINGULAR
     return Matrix(name, Structure.GENERAL, prop)

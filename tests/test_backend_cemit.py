@@ -634,18 +634,6 @@ def test_fresh_plan_hits_disk_cache_without_recompiling(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def restore_global_codegen_cache():
-    """Undo ``configure_codegen_cache`` calls made through the CLI knobs."""
-    from repro.runtime import codegen_cache as cc_mod
-
-    with cc_mod._cache_lock:
-        saved = cc_mod._cache
-    yield
-    with cc_mod._cache_lock:
-        cc_mod._cache = saved
-
-
 def test_artifact_roundtrip_records_c_backend(tmp_path):
     from repro.compiler.program import CompiledProgram
 

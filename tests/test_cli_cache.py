@@ -44,7 +44,9 @@ class TestCliCache:
         assert "pass timings:" in out
         assert "select" in out
 
-    def test_cache_stats_and_clear(self, tmp_path, capsys):
+    def test_cache_stats_and_clear(
+        self, tmp_path, capsys, restore_global_codegen_cache
+    ):
         cache_dir = str(tmp_path / "cache")
         main(["compile", "--source", SOURCE, "--train", "20",
               "--cache-dir", cache_dir])
@@ -54,9 +56,18 @@ class TestCliCache:
         out = capsys.readouterr().out
         assert "entries:         1" in out
 
-        assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
+        # The clear goes to a private codegen directory: without it, the
+        # user's compiled interpreter would be deleted.
+        codegen_dir = tmp_path / "codegen"
+        codegen_dir.mkdir()
+        for suffix in (".so", ".c"):
+            (codegen_dir / f"step-interp-test{suffix}").write_text("")
+        assert main(["cache", "clear", "--cache-dir", cache_dir,
+                     "--codegen-cache-dir", str(codegen_dir)]) == 0
         out = capsys.readouterr().out
-        assert "removed 1" in out
+        assert "removed 1 cache entries" in out
+        assert f"removed 1 codegen entries from {codegen_dir}" in out
+        assert list(codegen_dir.iterdir()) == []
 
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         assert "entries:         0" in capsys.readouterr().out

@@ -39,15 +39,18 @@ REPLAY_BACKENDS = [
     pytest.param("c", marks=needs_blas),
 ]
 
-REPLAY_MODES = ("plain", "arena", "out", "arena+out", "record")
+REPLAY_MODES = ("plain", "out", "record")
+
+#: ``out`` buffers that no backend can write in place: replay must compute
+#: a fresh result and copy it in.
+COPY_PATH_OUTS = ("fortran", "float32", "aliased")
 
 
 def _inv(name):
     return make_general(name, invertible=True).inv
 
 
-#: name -> (chain, parenthesization, sizes, keep fix-ups).  The step
-#: chains have a non-final product step, so reference arenas get a buffer.
+#: name -> (chain, parenthesization, sizes, keep fix-ups).
 #: The compiler gives a lone operand a COPY fix-up; "single" strips it to
 #: exercise the replay's own no-alias copy.
 REPLAY_CASES = {
@@ -69,6 +72,14 @@ REPLAY_CASES = {
         left_to_right_tree(3),
         (5, 5, 5, 5),
         True,
+    ),
+    # The final step solves in place in the output buffer, so an ``out``
+    # aliasing L would corrupt the solve if written directly.
+    "solve": (
+        Chain((make_general("G").as_operand(), make_lower("L").inv)),
+        left_to_right_tree(2),
+        (4, 5, 5),
+        False,
     ),
     "single": (Chain((make_general("A").as_operand(),)), leaf(0), (4, 6), False),
     "single+fixup": (Chain((_inv("A"),)), leaf(0), (5, 5), True),
@@ -172,6 +183,18 @@ class TestPlanValidation:
         np.testing.assert_array_equal(plan(arrays), plan.execute(arrays))
 
 
+def _replay_case(case, backend):
+    """``(plan, arrays, expected)`` for one :data:`REPLAY_CASES` entry."""
+    chain, tree, sizes, keep_fixups = REPLAY_CASES[case]
+    variant = build_variant(chain, tree)
+    if not keep_fixups:
+        variant = dataclasses.replace(variant, fixups=())
+    assert bool(variant.fixups) == keep_fixups
+    arrays = random_instance_arrays(chain, sizes, np.random.default_rng(0))
+    expected = naive_evaluate(chain, arrays)
+    return compile_plan(variant, sizes, backend=backend), arrays, expected
+
+
 class TestReplayModes:
     """The one replay loop: backend x mode x chain shape."""
 
@@ -179,29 +202,56 @@ class TestReplayModes:
     @pytest.mark.parametrize("mode", REPLAY_MODES)
     @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
     def test_replay_mode(self, backend, mode, case):
-        chain, tree, sizes, keep_fixups = REPLAY_CASES[case]
-        variant = build_variant(chain, tree)
-        if not keep_fixups:
-            variant = dataclasses.replace(variant, fixups=())
-        assert bool(variant.fixups) == keep_fixups
-        arrays = random_instance_arrays(chain, sizes, np.random.default_rng(0))
-        expected = naive_evaluate(chain, arrays)
-        plan = compile_plan(variant, sizes, backend=backend)
-        arena = out = record = None
-        if "arena" in mode:
-            values = list(arrays)
-            plan.record_buffer_shapes(values, plan.replay(values))
-            arena = plan.new_arena()
-        if "out" in mode:
+        plan, arrays, expected = _replay_case(case, backend)
+        out = record = None
+        if mode == "out":
             out = np.empty(expected.shape)
         durations = []
         if mode == "record":
             record = durations.append
-        result = plan.replay(list(arrays), arena, out, record=record)
+        result = plan.replay(list(arrays), out, record=record)
         scale = max(1.0, float(np.abs(expected).max()))
         np.testing.assert_allclose(result / scale, expected / scale, atol=1e-8)
         assert not any(np.shares_memory(result, a) for a in arrays)
         if out is not None:
             assert result is out
         if record is not None:
-            assert len(durations) == len(variant.steps)
+            assert len(durations) == len(plan.variant.steps)
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    @pytest.mark.parametrize("kind", COPY_PATH_OUTS)
+    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
+    def test_out_copy_path(self, backend, kind, case):
+        """An ``out`` the native call must not write still ends up holding
+        the right result: fresh result, then a copy."""
+        plan, arrays, expected = _replay_case(case, backend)
+        if kind == "fortran":
+            out = np.empty(expected.shape, order="F")
+        elif kind == "float32":
+            out = np.empty(expected.shape, dtype=np.float32)
+        else:
+            # The last operand (read by the final step) lives inside the
+            # output buffer's memory.
+            size, last = expected.size, arrays[-1]
+            base = np.empty(size + last.size)
+            out = base[:size].reshape(expected.shape)
+            alias = base[size // 2 : size // 2 + last.size].reshape(last.shape)
+            alias[...] = last
+            arrays = [*arrays[:-1], alias]
+            assert np.shares_memory(out, alias)
+        result = plan.replay(list(arrays), out)
+        assert result is out
+        scale = max(1.0, float(np.abs(expected).max()))
+        atol = 1e-5 if kind == "float32" else 1e-8
+        np.testing.assert_allclose(result / scale, expected / scale, atol=atol)
+
+    def test_out_buffer_receives_result(self):
+        chain = general_chain(3)
+        sizes = (32, 48, 24, 40)
+        plan = compile_plan(all_variants(chain)[0], sizes, backend="reference")
+        arrays = random_instance_arrays(chain, sizes, np.random.default_rng(3))
+        expected = plan.replay(list(arrays))
+        out = np.empty_like(expected)
+        got = plan.replay(list(arrays), out)
+        assert got is out
+        assert np.array_equal(out, expected)
