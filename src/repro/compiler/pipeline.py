@@ -209,6 +209,13 @@ class PassContext:
     #: ``training_instances`` are restored from the cache.
     cache_hit: bool = False
 
+    @property
+    def runtime_estimator(self) -> Optional[CostEstimator]:
+        """The estimator the dispatch pass asks the program's runtime for:
+        the injected one, or ``None`` for the default FLOP estimator so the
+        program resolves its own cost model (``options.cost_model``)."""
+        return None if self.cost_estimator is flop_estimator else self.cost_estimator
+
     def require(self, attribute: str) -> object:
         value = getattr(self, attribute)
         if value is None:
@@ -463,9 +470,7 @@ class DispatchPass(CompilerPass):
         # calls — amortizes dispatch state in one place.  The default
         # estimator lets the program resolve its own (options.cost_model,
         # shipped calibration); an explicitly injected estimator wins.
-        ctx.dispatcher = ctx.program.runtime(
-            None if ctx.cost_estimator is flop_estimator else ctx.cost_estimator
-        )
+        ctx.dispatcher = ctx.program.runtime(ctx.runtime_estimator)
 
 
 def _single_variant(chain: Chain) -> Variant:

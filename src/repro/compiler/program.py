@@ -35,13 +35,13 @@ import socket
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.codegen.serialize import FORMAT_VERSION, SerializationError
 from repro.ir.chain import Chain
-from repro.runtime.backends import DEFAULT_BACKEND
+from repro.runtime.backends import DEFAULT_BACKEND, Backend
 from repro.runtime.dispatcher import CostEstimator, Dispatcher, flop_estimator
 from repro.compiler.variant import Variant
 
@@ -392,6 +392,19 @@ class CompiledProgram:
             backend=self._resolve_backend(backend),
         )
 
+    def runtime_identity(
+        self,
+        cost_estimator: Optional[CostEstimator] = None,
+        backend: Optional[str] = None,
+        cost_model: Optional[str] = None,
+    ) -> tuple[Union[str, Backend], CostEstimator]:
+        """The ``(backend, cost estimator)`` a :meth:`runtime` call with
+        these arguments serves with; builds nothing."""
+        return (
+            Dispatcher.resolve_backend(self._resolve_backend(backend)),
+            self._resolve_estimator(cost_estimator, cost_model),
+        )
+
     def runtime(
         self,
         cost_estimator: Optional[CostEstimator] = None,
@@ -407,8 +420,9 @@ class CompiledProgram:
         ``cost_estimator``, ``cost_model``, or ``backend`` than the cached
         runtime's builds a fresh one.
         """
-        resolved = Dispatcher.resolve_backend(self._resolve_backend(backend))
-        estimator = self._resolve_estimator(cost_estimator, cost_model)
+        resolved, estimator = self.runtime_identity(
+            cost_estimator, backend, cost_model
+        )
         cached: Optional[Dispatcher] = getattr(self, "_runtime", None)
         if (
             cached is not None

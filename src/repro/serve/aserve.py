@@ -25,10 +25,15 @@ Cheap requests (``ping``, ``stats``, ``dispatch`` and ``execute`` by
 ``handle`` — anything that cannot compile, at most
 :data:`DEFAULT_INLINE_BYTES` on the wire, with no shared-memory operands)
 are answered *inline* on the event loop: for the serving hot path — warm
-handles, small operands — that saves two thread hops per request.
-Everything else is offloaded to the worker pool so the loop never blocks
-on it: ``compile``, ``warm``, any request carrying ``source``
-(``dispatch``/``execute`` compile-if-needed), big payloads, and shm
+handles, small operands — that saves two thread hops per request.  So is
+a hot compile: a small ``compile`` (or ``dispatch``/``execute`` by
+``source``) whose source text the front end has parsed before and whose
+compilation the service's handle registry already holds
+(:meth:`~repro.serve.service.CompileService.submit_registered`); the loop
+pays the cheap compile preparation and a registry lookup, never a parse
+of an unseen source.  Everything else is offloaded to the worker pool so
+the loop never blocks on it: ``warm``, any other ``compile`` or request
+carrying ``source``, ``artifact`` requests, big payloads, and shm
 executes.
 
 The event loop runs in a dedicated thread, so the synchronous CLI (and
@@ -227,22 +232,31 @@ class AsyncCompileServer:
             return json.dumps(_error(None, f"malformed JSON request: {exc}", exc))
         if not isinstance(payload, dict):
             return json.dumps(handle_request(self.compile_service, payload))
+        # shm executes are never inline: their wire line is tiny but the
+        # mapped operands are not, and the kernels would block the loop.
+        small = len(raw) <= DEFAULT_INLINE_BYTES and not _shm_operands(payload)
         if (
-            payload.get("op") not in ("compile", "warm")
+            small
+            and payload.get("op") not in ("compile", "warm")
             and "source" not in payload
-            and len(raw) <= DEFAULT_INLINE_BYTES
-            and not _shm_operands(payload)
         ):
             # Cheap path: answered on the loop, no thread hop.  Every
             # request that cannot compile is sub-millisecond at this
             # payload size (warm execute included — the kernels on small
             # operands cost less than the executor round-trip would).
-            # Anything carrying ``source`` may compile first
-            # (compile-if-needed), and ``warm`` re-runs cache warm-up, so
-            # both are offloaded with ``compile``.  shm executes are
-            # excluded too: their wire line is tiny but the mapped
-            # operands are not, and the kernels would block the loop.
             return json.dumps(handle_request(self.compile_service, payload))
+        if small:
+            # A ``compile`` (or a compile-if-needed ``dispatch``/``execute``
+            # by ``source``) of a source parsed before, whose compilation
+            # the handle registry holds, is answered on the loop too: the
+            # preparation and registry check cost tens of microseconds.
+            # Anything else comes back as None — nothing parsed, queued or
+            # counted — and is offloaded like ``warm``.
+            response = handle_request(
+                self.compile_service, payload, registered_only=True
+            )
+            if response is not None:
+                return json.dumps(response)
         async with self._semaphore:
             loop = asyncio.get_running_loop()
             response = await loop.run_in_executor(

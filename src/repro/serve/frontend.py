@@ -76,14 +76,20 @@ import io
 import json
 import math
 import re
+import threading
 import time
-from typing import IO, Callable, Optional, Sequence
+from collections import OrderedDict
+from concurrent.futures import Future
+from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.serve import shm as shm_transport
 from repro.serve.metrics import connection_closed, connection_opened, record_wire
 from repro.serve.service import CompileService
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ir.chain import Chain
 
 #: Protocol revision, reported by ``stats`` responses.  2 added the
 #: wire-level ``execute`` op (handle + npy/base64 arrays); 3 added the
@@ -338,8 +344,34 @@ def _error(payload_id, message: str, exc: Optional[BaseException] = None) -> dic
     return response
 
 
-def _parse_single_chain(source: str):
-    """A Fig. 2 program's single chain (the serving unit of compilation)."""
+#: Distinct source texts whose parsed chain stays memoized (LRU).
+_PARSE_MEMO_CAPACITY = 256
+_parse_memo: "OrderedDict[str, Chain]" = OrderedDict()
+_parse_memo_lock = threading.Lock()
+
+
+def parsed_chain(source: str) -> Optional["Chain"]:
+    """The memoized chain of a source parsed before, else ``None``.
+
+    Never parses: the asyncio front end calls it on its event loop, where
+    a source the server has not seen must not be parsed.
+    """
+    with _parse_memo_lock:
+        chain = _parse_memo.get(source)
+        if chain is not None:
+            _parse_memo.move_to_end(source)
+        return chain
+
+
+def _parse_single_chain(source: str) -> "Chain":
+    """A Fig. 2 program's single chain (the serving unit of compilation).
+
+    Memoized per source text in a bounded LRU: a ``Chain`` is frozen, so
+    every request for the text shares one.  Parse errors are not memoized.
+    """
+    chain = parsed_chain(source)
+    if chain is not None:
+        return chain
     from repro.errors import ParseError
     from repro.ir.parser import parse_program
 
@@ -350,21 +382,62 @@ def _parse_single_chain(source: str):
             "the serve protocol compiles one chain per request; "
             "split multi-term expressions into one request per term"
         )
-    return program.chain
+    chain = program.chain
+    with _parse_memo_lock:
+        _parse_memo[source] = chain
+        if len(_parse_memo) > _PARSE_MEMO_CAPACITY:
+            _parse_memo.popitem(last=False)
+    return chain
 
 
-def _handle_compile(service: CompileService, payload: dict) -> dict:
-    source = payload.get("source")
-    if not isinstance(source, str) or not source.strip():
-        raise ValueError("'compile' needs a non-empty string 'source'")
+def _compile_options(payload: dict) -> dict:
+    """A request's ``options`` as compile keyword overrides: a normalized
+    copy, so the caller's payload reads the same however often it is
+    answered."""
     options = payload.get("options") or {}
     if not isinstance(options, dict):
         raise ValueError("'options' must be an object")
-    if "size_range" in options and options["size_range"] is not None:
+    options = dict(options)
+    if options.get("size_range") is not None:
         options["size_range"] = tuple(options["size_range"])
-    chain = _parse_single_chain(source)
+    return options
+
+
+def _submit_source(
+    service: CompileService, source: str, registered_only: bool, **options
+) -> Optional[Future]:
+    """Submit ``source``'s chain to the service.
+
+    With ``registered_only``, only a compilation the handle registry
+    answers (:meth:`CompileService.submit_registered`) is submitted, and
+    ``None`` comes back otherwise; a source not parsed before is then
+    never parsed.
+    """
+    if not registered_only:
+        return service.submit(_parse_single_chain(source), **options)
+    chain = parsed_chain(source)
+    return None if chain is None else service.submit_registered(chain, **options)
+
+
+def _handle_compile(
+    service: CompileService, payload: dict, registered_only: bool = False
+) -> Optional[dict]:
+    source = payload.get("source")
+    if not isinstance(source, str) or not source.strip():
+        raise ValueError("'compile' needs a non-empty string 'source'")
+    options = _compile_options(payload)
     start = time.perf_counter()
-    future = service.submit(chain, **options)
+    if payload.get("artifact"):
+        if registered_only:
+            return None
+        # The artifact records this request's own compile (its options,
+        # pass timings and timestamp), so it is rebound on a worker: a
+        # batch submission never answers from the handle registry.
+        future = service.submit_many([_parse_single_chain(source)], **options)[0]
+    else:
+        future = _submit_source(service, source, registered_only, **options)
+        if future is None:
+            return None
     generated = future.result()
     elapsed_ms = 1e3 * (time.perf_counter() - start)
     response = {
@@ -383,25 +456,33 @@ def _handle_compile(service: CompileService, payload: dict) -> dict:
     return response
 
 
-def _resolve_handle(service: CompileService, payload: dict, op: str) -> str:
-    """The request's handle, compiling ``source`` first when supplied."""
+def _resolve_handle(
+    service: CompileService, payload: dict, op: str, registered_only: bool = False
+) -> Optional[str]:
+    """The request's handle, compiling ``source`` first when supplied
+    (``None`` when ``registered_only`` and the registry cannot answer)."""
     handle = payload.get("handle")
     if handle is not None:
         return handle
     source = payload.get("source")
     if not isinstance(source, str) or not source.strip():
         raise ValueError(f"{op!r} needs a 'handle' or a 'source'")
-    chain = _parse_single_chain(source)
-    future = service.submit(chain)
+    future = _submit_source(service, source, registered_only)
+    if future is None:
+        return None
     future.result()
     return getattr(future, "handle", None)
 
 
-def _handle_dispatch(service: CompileService, payload: dict) -> dict:
+def _handle_dispatch(
+    service: CompileService, payload: dict, registered_only: bool = False
+) -> Optional[dict]:
     sizes = payload.get("sizes")
     if not isinstance(sizes, (list, tuple)) or not sizes:
         raise ValueError("'dispatch' needs a non-empty 'sizes' array")
-    handle = _resolve_handle(service, payload, "dispatch")
+    handle = _resolve_handle(service, payload, "dispatch", registered_only)
+    if handle is None:
+        return None
     variant, cost = service.dispatch(handle, [int(s) for s in sizes])
     return {
         "ok": True,
@@ -425,11 +506,15 @@ def _result_encoding(payload: dict) -> str:
     return "npy"
 
 
-def _handle_execute(service: CompileService, payload: dict) -> dict:
+def _handle_execute(
+    service: CompileService, payload: dict, registered_only: bool = False
+) -> Optional[dict]:
     arrays_payload = payload.get("arrays")
     if not isinstance(arrays_payload, list) or not arrays_payload:
         raise ValueError("'execute' needs a non-empty 'arrays' list")
-    handle = _resolve_handle(service, payload, "execute")
+    handle = _resolve_handle(service, payload, "execute", registered_only)
+    if handle is None:
+        return None
     if service.lookup(handle) is None:
         # Reject unknown/evicted handles before paying the payload decode
         # (base64 .npy operands can be large).
@@ -474,19 +559,31 @@ def _handle_release(payload: dict) -> dict:
     return {"ok": True, "released": released}
 
 
-def handle_request(service: CompileService, payload: dict) -> dict:
-    """Answer one decoded request object (never raises)."""
+def handle_request(
+    service: CompileService, payload: dict, registered_only: bool = False
+) -> Optional[dict]:
+    """Answer one decoded request object (never raises).
+
+    With ``registered_only``, answer only what needs no compile and no
+    wait on a worker: a ``compile`` (or a ``dispatch``/``execute`` by
+    ``source``) whose source was parsed before and whose compilation the
+    handle registry holds, or one rejected before it would compile (a
+    malformed payload).  Anything else returns ``None`` with nothing
+    parsed, queued or counted, to be answered without the flag.
+    """
     payload_id = payload.get("id") if isinstance(payload, dict) else None
     if not isinstance(payload, dict):
         return _error(None, "request must be a JSON object")
     op = payload.get("op")
+    if registered_only and op not in ("compile", "dispatch", "execute"):
+        return None
     try:
         if op == "compile":
-            response = _handle_compile(service, payload)
+            response = _handle_compile(service, payload, registered_only)
         elif op == "dispatch":
-            response = _handle_dispatch(service, payload)
+            response = _handle_dispatch(service, payload, registered_only)
         elif op == "execute":
-            response = _handle_execute(service, payload)
+            response = _handle_execute(service, payload, registered_only)
         elif op == "release":
             response = _handle_release(payload)
         elif op == "stats":
@@ -514,6 +611,8 @@ def handle_request(service: CompileService, payload: dict) -> dict:
         return _error(payload_id, str(exc.args[0]) if exc.args else str(exc), exc)
     except Exception as exc:
         return _error(payload_id, str(exc), exc)
+    if response is None:
+        return None
     response["id"] = payload_id
     return response
 

@@ -33,7 +33,10 @@ into that service:
 
 Completed compilations are kept in a bounded handle registry so the
 JSON-lines front end (:mod:`repro.serve.frontend`) can answer ``dispatch``
-requests (size vector -> chosen variant) without recompiling.
+requests (size vector -> chosen variant) without recompiling.  The
+registry also answers repeat compiles: a request whose key is registered
+under the same chain and runtime resolves on the caller thread
+(:meth:`CompileService.submit_registered`), with no queue or worker hop.
 """
 
 from __future__ import annotations
@@ -221,6 +224,12 @@ class CompileService:
         queue is full and with the original compilation error otherwise;
         parse/validation errors surface through the future too, so callers
         handle one failure channel.
+
+        A compilation already registered under the same chain and runtime
+        resolves on the caller thread (see :meth:`submit_registered`): the
+        future holds the registered ``GeneratedCode``, with no queue slot,
+        no worker hop and no rebind.  ``use_cache=False`` and requests for
+        a key already in flight take the queue.
         """
         future: Future = Future()
         self.metrics.record_request()
@@ -238,10 +247,12 @@ class CompileService:
             self.metrics.record_error()
             self._fail(future, exc)
             return future
-        request = _Request(ctx=ctx, future=future, submitted=time.perf_counter())
         # The registry address of this compilation, for later `dispatch`
         # requests (None for private, uncached compilations).
         future.handle = key if use_cache else None  # type: ignore[attr-defined]
+        if use_cache and self._answer_registered(future, ctx, key):
+            return future
+        request = _Request(ctx=ctx, future=future, submitted=time.perf_counter())
         if not use_cache:
             # Uncacheable requests cannot be coalesced (each caller asked
             # for a private compilation); they still share the queue bound.
@@ -279,6 +290,43 @@ class CompileService:
             )
         return future
 
+    def submit_registered(
+        self,
+        chain,
+        *,
+        training_instances: Optional[np.ndarray] = None,
+        cost_estimator: Optional[CostEstimator] = None,
+        use_cache: bool = True,
+        **overrides,
+    ) -> Optional[Future]:
+        """:meth:`submit`, answered from the handle registry or not at all.
+
+        Returns the resolved future :meth:`submit` would return for a
+        registered compilation, or ``None`` — with nothing queued and
+        nothing counted — when ``submit`` would take the queue (not
+        registered, in flight, a different chain or runtime, evicted from
+        the session cache, ``use_cache=False``, a preparation error, a
+        closed service).  It never waits on a worker, so the asyncio front
+        end calls it on its event loop.
+        """
+        if self._closed or not use_cache:
+            return None
+        try:
+            ctx, key = self.session.prepare(
+                chain,
+                training_instances=training_instances,
+                cost_estimator=cost_estimator,
+                **overrides,
+            )
+        except Exception:
+            return None
+        future: Future = Future()
+        future.handle = key  # type: ignore[attr-defined]
+        if not self._answer_registered(future, ctx, key):
+            return None
+        self.metrics.record_request()
+        return future
+
     def compile(self, chain, *, timeout: Optional[float] = None, **overrides):
         """Synchronous convenience: ``submit(...).result(timeout)``."""
         return self.submit(chain, **overrides).result(timeout=timeout)
@@ -308,6 +356,9 @@ class CompileService:
         duplicates share the private compilation) and even when a leader
         finishes before the batch is fully submitted.  Futures match the
         input order; a chain that fails to parse fails only its own future.
+        A batch never answers from the handle registry: every result is
+        rebound for its own request (the ``compile`` op's ``artifact``
+        relies on this to ship the request's own provenance).
         """
         futures: list[Future] = [Future() for _ in chains]
         # Fast path, as in submit(): skip the per-chain front-half work when
@@ -697,19 +748,68 @@ class CompileService:
                 self._inflight.pop(record.key, None)
             return list(record.followers)
 
+    def _answer_registered(self, future: Future, ctx: PassContext, key: str) -> bool:
+        """Resolve ``future`` with the compilation registered under ``key``
+        when it is what the queue would answer; returns whether it did.
+
+        The entry must carry the request's chain (operand names included)
+        and the runtime the request's dispatch pass would build, and no
+        compilation for ``key`` may be in flight (followers coalesce on
+        it).  The session-cache lookup is the validity check: it leaves
+        the cache's hit count and LRU recency where a queued cache hit
+        would, and an evicted key takes the queue.
+        """
+        start = time.perf_counter()
+        with self._lock:
+            current = None if key in self._inflight else self._registry.get(key)
+        if current is None or current.program is None or current.chain != ctx.chain:
+            return False
+        backend, estimator = current.program.runtime_identity(
+            ctx.runtime_estimator,
+            backend=ctx.options.backend,
+            cost_model=ctx.options.cost_model,
+        )
+        if not self._same_runtime(current, backend, estimator):
+            return False
+        if self.session.cache.get(key) is None:
+            return False
+        with self._lock:
+            if self._registry.get(key) is current:
+                self._registry.move_to_end(key)
+        elapsed = time.perf_counter() - start
+        self.metrics.record_cache_hit()
+        self.metrics.record_latency(elapsed)
+        obs_trace.leaf_span(
+            "serve.request",
+            time.time() - elapsed,
+            elapsed,
+            key=key,
+            mode=self.workers_mode,
+            registry_hit=True,
+        )
+        future.set_result(current)
+        return True
+
+    @staticmethod
+    def _same_runtime(generated: "GeneratedCode", backend, estimator) -> bool:
+        """Whether ``generated`` dispatches on ``backend`` with ``estimator``."""
+        dispatcher = generated.dispatcher
+        return dispatcher.backend == backend and dispatcher.cost_estimator is estimator
+
     def _register(self, handle: str, generated: "GeneratedCode") -> None:
         """Register ``generated`` under ``handle``.
 
-        A compile-cache hit rebuilds a cold dispatcher; the registered
-        entry is kept when its runtime is the same (backend and cost
-        estimator), so the handle's warm memo survives repeat compiles.
+        The registered entry is kept when its runtime is the same (backend
+        and cost estimator), so the handle's warm memo survives a repeat
+        compile that reached a worker (a different operand naming, or a
+        key the session cache had evicted); a compile asking for another
+        runtime replaces it.
         """
         with self._lock:
             current = self._registry.get(handle)
-            if current is None or (
-                current.dispatcher.backend != generated.dispatcher.backend
-                or current.dispatcher.cost_estimator
-                is not generated.dispatcher.cost_estimator
+            dispatcher = generated.dispatcher
+            if current is None or not self._same_runtime(
+                current, dispatcher.backend, dispatcher.cost_estimator
             ):
                 self._registry[handle] = generated
             self._registry.move_to_end(handle)

@@ -105,3 +105,23 @@ def random_option_chain(
 def small_sizes_for(chain: Chain, rng: np.random.Generator, low=3, high=12):
     """One random small valid instance of a chain (fast numeric tests)."""
     return tuple(int(x) for x in sample_instances(chain, 1, rng, low, high)[0])
+
+
+def count_admits(service, monkeypatch) -> list:
+    """Record every record a ``CompileService`` puts on its worker queue."""
+    admitted: list = []
+    original = service._admit
+
+    def counting(record):
+        admitted.append(record)
+        return original(record)
+
+    monkeypatch.setattr(service, "_admit", counting)
+    return admitted
+
+
+def queued_path(service, monkeypatch) -> None:
+    """Send every later compile of a ``CompileService`` through its queue
+    and a worker: the path a compile took before registered compilations
+    were answered on the caller's thread."""
+    monkeypatch.setattr(service, "_answer_registered", lambda *args: False)

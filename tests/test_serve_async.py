@@ -15,6 +15,8 @@ from repro.serve import (
     encode_array,
 )
 
+from conftest import count_admits, queued_path
+
 SOURCE_AB = (
     "Matrix A <General, Singular>; Matrix B <General, Singular>; R := A * B;"
 )
@@ -186,16 +188,28 @@ class TestJsonLines:
 
 
 class TestOffload:
-    """Requests that may compile never run on the event loop."""
+    """Requests that may compile never run on the event loop.
+
+    Each source-carrying case names its operands uniquely: a source the
+    server has parsed and registered before is a hot compile, answered on
+    the loop without reaching ``submit`` (see ``TestHotCompile``).
+    """
 
     @pytest.mark.parametrize(
         "request_payload, blocked",
         [
-            ({"op": "dispatch", "source": SOURCE_AB, "sizes": [4, 5, 6]}, "submit"),
+            (
+                {
+                    "op": "dispatch",
+                    "source": SOURCE_AB.replace("A", "X").replace("B", "Y"),
+                    "sizes": [4, 5, 6],
+                },
+                "submit",
+            ),
             (
                 {
                     "op": "execute",
-                    "source": SOURCE_AB,
+                    "source": SOURCE_AB.replace("A", "U").replace("B", "V"),
                     "arrays": [[[1.0, 2.0]], [[3.0], [4.0]]],
                 },
                 "submit",
@@ -235,6 +249,237 @@ class TestOffload:
             release.set()
             thread.join(timeout=30)
         assert answers and answers[0]["ok"], answers
+
+
+def ask(server, transport: str, payload: dict) -> dict:
+    """One request over a fresh JSON-lines or HTTP connection."""
+    if transport == "jsonl":
+        with socket.create_connection(server.address, timeout=10) as conn:
+            return request_line(conn.makefile("rw"), payload)
+    import http.client
+
+    conn = http.client.HTTPConnection(*server.http_address, timeout=10)
+    try:
+        conn.request(
+            "POST", "/", json.dumps(payload), {"Content-Type": "application/json"}
+        )
+        return json.loads(conn.getresponse().read())
+    finally:
+        conn.close()
+
+
+def without_elapsed(response: dict) -> dict:
+    return {key: value for key, value in response.items() if key != "elapsed_ms"}
+
+
+@pytest.fixture
+def hot():
+    """A factory of fresh (service, server) pairs with both listeners."""
+    opened = []
+
+    def start(**service_kwargs):
+        service = CompileService(workers=1, warm=False, **service_kwargs)
+        server = AsyncCompileServer(service, http_port=0).start()
+        opened.append((service, server))
+        return service, server
+
+    yield start
+    for service, server in opened:
+        server.close()
+        service.close()
+
+
+@pytest.mark.parametrize("transport", ["jsonl", "http"])
+class TestHotCompile:
+    """A compile the registry holds is answered on the event loop, and
+    every field but ``elapsed_ms`` equals what the queued path answers."""
+
+    def test_repeat_compile(self, hot, monkeypatch, transport):
+        service, server = hot()
+        request = {"op": "compile", "source": SOURCE_ABC, "id": 1}
+        first = ask(server, transport, request)
+        assert first["ok"], first
+        admitted = count_admits(service, monkeypatch)
+        fast = ask(server, transport, request)
+        assert admitted == []
+        queued_path(service, monkeypatch)
+        queued = ask(server, transport, request)
+        assert len(admitted) == 1
+        assert without_elapsed(fast) == without_elapsed(queued)
+        assert without_elapsed(fast) == without_elapsed(first)
+
+    @pytest.mark.parametrize(
+        "request_payload",
+        [
+            {"op": "dispatch", "source": SOURCE_ABC, "sizes": [4, 5, 6, 7]},
+            {
+                "op": "execute",
+                "source": SOURCE_ABC,
+                "arrays": [[[1.0, 2.0]], [[3.0], [4.0]], [[5.0, 6.0]]],
+            },
+        ],
+        ids=["dispatch", "execute"],
+    )
+    def test_request_by_source(self, hot, monkeypatch, transport, request_payload):
+        service, server = hot()
+        assert ask(server, transport, {"op": "compile", "source": SOURCE_ABC})["ok"]
+        admitted = count_admits(service, monkeypatch)
+        fast = ask(server, transport, request_payload)
+        assert fast["ok"], fast
+        assert admitted == []
+        queued_path(service, monkeypatch)
+        queued = ask(server, transport, request_payload)
+        assert len(admitted) == 1
+        assert without_elapsed(fast) == without_elapsed(queued)
+
+    def test_renamed_operands_answer_with_the_callers_names(
+        self, hot, monkeypatch, transport
+    ):
+        service, server = hot()
+        assert ask(server, transport, {"op": "compile", "source": SOURCE_ABC})["ok"]
+        renamed = {
+            "op": "compile",
+            "source": SOURCE_ABC.replace("A", "P").replace("B", "Q"),
+        }
+        admitted = count_admits(service, monkeypatch)
+        answered = ask(server, transport, renamed)
+        assert answered["chain"] == "P Q C"
+        assert len(admitted) == 1
+        queued_path(service, monkeypatch)
+        queued = ask(server, transport, renamed)
+        assert without_elapsed(answered) == without_elapsed(queued)
+
+    def test_other_backend_replaces_the_registered_entry(
+        self, hot, monkeypatch, transport
+    ):
+        service, server = hot()
+        handle = ask(server, transport, {"op": "compile", "source": SOURCE_ABC})[
+            "handle"
+        ]
+        request = {
+            "op": "compile",
+            "source": SOURCE_ABC,
+            "options": {"backend": "blas"},
+        }
+        admitted = count_admits(service, monkeypatch)
+        replacing = ask(server, transport, request)
+        assert len(admitted) == 1
+        assert replacing["handle"] == handle
+        assert service.lookup(handle).dispatcher.backend == "blas"
+        fast = ask(server, transport, request)
+        assert len(admitted) == 1
+        queued_path(service, monkeypatch)
+        queued = ask(server, transport, request)
+        assert len(admitted) == 2
+        assert without_elapsed(fast) == without_elapsed(queued)
+        assert without_elapsed(fast) == without_elapsed(replacing)
+
+    def test_evicted_handle(self, hot, monkeypatch, transport):
+        service, server = hot(registry_capacity=1)
+        request = {"op": "compile", "source": SOURCE_ABC}
+        first = ask(server, transport, request)
+        assert ask(server, transport, {"op": "compile", "source": SOURCE_AB})["ok"]
+        assert service.lookup(first["handle"]) is None
+        admitted = count_admits(service, monkeypatch)
+        again = ask(server, transport, request)
+        assert len(admitted) == 1
+        assert without_elapsed(again) == without_elapsed(first)
+        assert service.lookup(again["handle"]) is not None
+
+    def test_reassigned_pipeline_gives_no_stale_handle(
+        self, hot, monkeypatch, transport
+    ):
+        service, server = hot()
+        request = {"op": "compile", "source": SOURCE_ABC}
+        before = ask(server, transport, request)
+        service.session.pipeline = service.session.pipeline.without("expand")
+        admitted = count_admits(service, monkeypatch)
+        after = ask(server, transport, request)
+        assert len(admitted) == 1
+        assert after["handle"] != before["handle"]
+        assert service.lookup(after["handle"]) is not None
+        queued_path(service, monkeypatch)
+        queued = ask(server, transport, request)
+        assert without_elapsed(after) == without_elapsed(queued)
+
+    def test_uncached_compile(self, hot, monkeypatch, transport):
+        service, server = hot()
+        request = {
+            "op": "compile",
+            "source": SOURCE_ABC,
+            "options": {"use_cache": False},
+        }
+        assert ask(server, transport, {"op": "compile", "source": SOURCE_ABC})["ok"]
+        admitted = count_admits(service, monkeypatch)
+        private = ask(server, transport, request)
+        assert private["handle"] is None
+        assert len(admitted) == 1
+        queued_path(service, monkeypatch)
+        queued = ask(server, transport, request)
+        assert without_elapsed(private) == without_elapsed(queued)
+
+    def test_artifact_request_takes_the_queue(self, hot, monkeypatch, transport):
+        """The artifact carries the request's own provenance (a creation
+        time and pass timings that differ on every compile), so artifact
+        requests always rebind on a worker."""
+        service, server = hot()
+        request = {"op": "compile", "source": SOURCE_ABC, "artifact": True}
+        assert ask(server, transport, {"op": "compile", "source": SOURCE_ABC})["ok"]
+        admitted = count_admits(service, monkeypatch)
+        answered = ask(server, transport, request)
+        assert len(admitted) == 1
+        queued_path(service, monkeypatch)
+        queued = ask(server, transport, request)
+        assert len(admitted) == 2
+
+        def comparable(response: dict) -> dict:
+            response = without_elapsed(response)
+            meta = response["artifact"]["meta"]
+            meta.pop("created_unix")
+            meta["timings"] = sorted(meta["timings"])
+            return response
+
+        assert comparable(answered) == comparable(queued)
+
+
+class TestParseThread:
+    def test_unseen_sources_parse_on_the_pool_never_the_loop(
+        self, hot, monkeypatch
+    ):
+        """A source the server has not seen parses on a ``repro-aserve``
+        pool thread; its later requests are answered on the loop."""
+        import uuid
+
+        from repro.serve import frontend
+
+        parsed, compiled = [], []
+        original_parse = frontend._parse_single_chain
+        original_compile = frontend._handle_compile
+
+        def recording_parse(source):
+            parsed.append((source, threading.current_thread().name))
+            return original_parse(source)
+
+        def recording_compile(*args, **kwargs):
+            compiled.append(threading.current_thread().name)
+            return original_compile(*args, **kwargs)
+
+        monkeypatch.setattr(frontend, "_parse_single_chain", recording_parse)
+        monkeypatch.setattr(frontend, "_handle_compile", recording_compile)
+        service, server = hot()
+        name = "U" + uuid.uuid4().hex[:8]
+        source = SOURCE_AB.replace("A", name)
+        for payload in (
+            {"op": "dispatch", "source": source, "sizes": [2, 3, 4]},
+            {"op": "compile", "source": source},
+            {"op": "compile", "source": source},
+        ):
+            assert ask(server, "jsonl", payload)["ok"]
+        assert parsed and parsed[0][0] == source
+        assert parsed[0][1].startswith("repro-aserve_")
+        assert all(thread != "repro-aserve-loop" for _, thread in parsed)
+        # Both compiles were hot: answered on the loop.
+        assert compiled == ["repro-aserve-loop", "repro-aserve-loop"]
 
 
 class TestHttp:
@@ -357,10 +602,13 @@ class TestLifecycle:
         server = AsyncCompileServer(service).start()
         clients = [socket.create_connection(server.address) for _ in range(3)]
         timer = threading.Timer(0.5, release.set)
+        # Operand names no other test uses: a hot compile would be
+        # answered on the loop without an offload.
+        source = SOURCE_AB.replace("A", "K").replace("B", "L")
         try:
             for conn in clients:
                 conn.sendall(
-                    json.dumps({"op": "compile", "source": SOURCE_AB}).encode()
+                    json.dumps({"op": "compile", "source": source}).encode()
                     + b"\n"
                 )
             assert entered.wait(timeout=10), "no compile reached the service"

@@ -287,6 +287,119 @@ class TestHandleRequest:
         assert handle_request(service, {"op": "dispatch", "sizes": [2, 3]})["ok"] is False
 
 
+class TestRegisteredOnly:
+    """``handle_request(..., registered_only=True)``: the event loop's
+    probe, which answers hot compiles and leaves everything else alone."""
+
+    def test_compile_leaves_the_payload_untouched(self, service):
+        payload = {
+            "op": "compile",
+            "source": SOURCE_ABC,
+            "options": {"size_range": [2, 40], "num_training_instances": 20},
+        }
+        snapshot = json.loads(json.dumps(payload))
+        first = handle_request(service, payload)
+        hot = handle_request(service, payload, registered_only=True)
+        assert payload == snapshot
+        assert first["ok"] and hot is not None
+        assert hot["handle"] == first["handle"]
+
+    def test_unseen_source_is_neither_parsed_nor_counted(self, service, monkeypatch):
+        from repro.serve import frontend
+
+        parsed = []
+        monkeypatch.setattr(
+            frontend, "_parse_single_chain", lambda source: parsed.append(source)
+        )
+        source = SOURCE_AB.replace("A", "Unseen")
+        for payload in (
+            {"op": "compile", "source": source},
+            {"op": "dispatch", "source": source, "sizes": [2, 3, 4]},
+            {"op": "execute", "source": source, "arrays": [[[1.0]], [[2.0]]]},
+            {"op": "warm"},
+        ):
+            assert handle_request(service, payload, registered_only=True) is None
+        assert parsed == []
+        assert service.metrics.requests == 0
+
+    def test_concurrent_hot_and_cold_compiles_stay_consistent(self, monkeypatch):
+        """Threads mixing queued and registry-answered compiles, with
+        handles and memo entries evicted under them: every answer carries
+        its own chain, and every request is counted exactly once."""
+        import sys
+        import threading
+
+        from repro.serve import frontend
+
+        monkeypatch.setattr(frontend, "_PARSE_MEMO_CAPACITY", 2)
+        monkeypatch.setattr(frontend, "_parse_memo", type(frontend._parse_memo)())
+        sources = [SOURCE_AB, SOURCE_ABC, SOURCE_AB.replace("A", "Z")]
+        chains = ["A B", "A B C", "Z B"]
+        options = {"num_training_instances": 20}
+        service = CompileService(workers=2, warm=False, registry_capacity=1)
+        errors: list = []
+        counted = [0]
+        lock = threading.Lock()
+
+        def client(seed: int) -> None:
+            try:
+                for step in range(30):
+                    index = (seed + step) % len(sources)
+                    payload = {
+                        "op": "compile",
+                        "source": sources[index],
+                        "options": options,
+                    }
+                    response = handle_request(
+                        service, payload, registered_only=bool(step % 2)
+                    )
+                    if response is None:
+                        continue
+                    with lock:
+                        counted[0] += 1
+                    assert response["ok"], response
+                    assert response["chain"] == chains[index]
+            except BaseException as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(seed,)) for seed in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert errors == []
+        metrics = service.metrics
+        assert metrics.requests == counted[0]
+        assert metrics.requests == (
+            metrics.compiled + metrics.cache_hits + metrics.coalesced
+        )
+        assert len(frontend._parse_memo) <= 2
+
+    def test_parse_memo_is_bounded_and_skips_errors(self, monkeypatch):
+        from repro.errors import ParseError
+        from repro.serve import frontend
+
+        monkeypatch.setattr(frontend, "_PARSE_MEMO_CAPACITY", 2)
+        monkeypatch.setattr(frontend, "_parse_memo", type(frontend._parse_memo)())
+        with pytest.raises(ParseError):
+            frontend._parse_single_chain("Matrix A <General>; R := A *;")
+        assert frontend.parsed_chain("Matrix A <General>; R := A *;") is None
+        sources = [SOURCE_AB, SOURCE_ABC, SOURCE_AB.replace("A", "Z")]
+        chains = [frontend._parse_single_chain(source) for source in sources]
+        assert frontend._parse_single_chain(sources[2]) is chains[2]
+        assert frontend.parsed_chain(sources[0]) is None  # least recent, evicted
+        assert frontend.parsed_chain(sources[1]) is chains[1]
+
+
 class TestStream:
     def test_serve_stream_end_to_end(self, service):
         requests = [

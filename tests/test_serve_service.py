@@ -17,7 +17,7 @@ from repro.errors import (
 from repro.serve import CompileService
 from repro.serve.metrics import ServiceMetrics, percentile
 
-from conftest import general_chain, make_general
+from conftest import count_admits, general_chain, make_general, queued_path
 
 
 def renamed_clone(prefix: str, n: int = 3):
@@ -404,6 +404,189 @@ class TestDispatchRegistry:
             )
             future.result(timeout=30)
             assert future.handle is None
+
+
+def count_dispatchers(monkeypatch) -> list:
+    """Record every ``Dispatcher`` built from here on."""
+    from repro.runtime.dispatcher import Dispatcher
+
+    built: list = []
+    original = Dispatcher.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dispatcher, "__init__", counting)
+    return built
+
+
+def signatures(generated) -> list:
+    return [variant.signature() for variant in generated.variants]
+
+
+class TestRegistryHit:
+    """A compile whose key is registered resolves on the caller thread."""
+
+    def test_repeat_compile_skips_queue_worker_and_rebind(self, monkeypatch):
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            first = service.submit(chain, num_training_instances=20)
+            first.result(timeout=30)
+            admitted = count_admits(service, monkeypatch)
+            built = count_dispatchers(monkeypatch)
+            hits = service.session.cache_stats().hits
+            future = service.submit(chain, num_training_instances=20)
+            # Resolved before submit returned: no worker was involved.
+            assert future.done()
+            assert future.handle == first.handle
+            generated = future.result()
+            assert generated is service.lookup(first.handle)
+            assert admitted == [] and built == []
+            assert service.metrics.cache_hits == 1
+            assert service.metrics.snapshot()["latency_samples"] == 2
+            assert service.session.cache_stats().hits == hits + 1
+            queued_path(service, monkeypatch)
+            queued = service.submit(chain, num_training_instances=20)
+            assert queued.result(timeout=30) is not generated
+            assert len(admitted) == 1
+        assert queued.handle == future.handle
+        assert queued.result().chain == generated.chain
+        assert signatures(queued.result()) == signatures(generated)
+
+    def test_renamed_operands_take_the_queue_and_keep_their_names(
+        self, monkeypatch
+    ):
+        with CompileService(workers=1, warm=False) as service:
+            original = service.compile(
+                general_chain(3), num_training_instances=20, timeout=30
+            )
+            admitted = count_admits(service, monkeypatch)
+            renamed = renamed_clone("X")
+            future = service.submit(renamed, num_training_instances=20)
+            generated = future.result(timeout=30)
+            assert len(admitted) == 1
+            assert generated.chain == renamed
+            # The registry keeps the warm entry under its own names.
+            assert service.lookup(future.handle) is original
+        assert signatures(generated) == signatures(original)
+
+    def test_other_backend_replaces_then_hits_its_own_entry(self, monkeypatch):
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            future = service.submit(chain, num_training_instances=20)
+            future.result(timeout=30)
+            admitted = count_admits(service, monkeypatch)
+            blas = service.compile(
+                chain, num_training_instances=20, backend="blas", timeout=30
+            )
+            assert len(admitted) == 1
+            assert service.lookup(future.handle) is blas
+            assert blas.dispatcher.backend == "blas"
+            again = service.compile(
+                chain, num_training_instances=20, backend="blas", timeout=30
+            )
+            assert again is blas and len(admitted) == 1
+            default = service.compile(chain, num_training_instances=20, timeout=30)
+            assert len(admitted) == 2
+            assert service.lookup(future.handle) is default
+
+    def test_evicted_handle_takes_the_queue(self, monkeypatch):
+        with CompileService(workers=1, warm=False, registry_capacity=1) as service:
+            first = service.submit(general_chain(3), num_training_instances=20)
+            first.result(timeout=30)
+            service.compile(general_chain(4), num_training_instances=20, timeout=30)
+            assert service.lookup(first.handle) is None
+            admitted = count_admits(service, monkeypatch)
+            again = service.submit(general_chain(3), num_training_instances=20)
+            generated = again.result(timeout=30)
+            assert len(admitted) == 1
+            assert again.handle == first.handle
+            assert service.lookup(again.handle) is generated
+
+    def test_session_cache_eviction_takes_the_queue(self, monkeypatch):
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            future = service.submit(chain, num_training_instances=20)
+            registered = future.result(timeout=30)
+            service.session.clear_cache()
+            admitted = count_admits(service, monkeypatch)
+            service.compile(chain, num_training_instances=20, timeout=30)
+            assert len(admitted) == 1
+            assert service.metrics.compiled == 2
+            # Same runtime: the warm registered entry is kept.
+            assert service.lookup(future.handle) is registered
+
+    def test_reassigned_pipeline_gives_a_fresh_handle(self, monkeypatch):
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            before = service.submit(chain, num_training_instances=20)
+            before.result(timeout=30)
+            service.session.pipeline = service.session.pipeline.without("expand")
+            admitted = count_admits(service, monkeypatch)
+            after = service.submit(chain, num_training_instances=20)
+            generated = after.result(timeout=30)
+            assert len(admitted) == 1
+            assert after.handle != before.handle
+            assert service.lookup(after.handle) is generated
+
+    def test_uncached_compile_takes_the_queue(self, monkeypatch):
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            service.compile(chain, num_training_instances=20, timeout=30)
+            admitted = count_admits(service, monkeypatch)
+            future = service.submit(
+                chain, num_training_instances=20, use_cache=False
+            )
+            future.result(timeout=30)
+            assert len(admitted) == 1 and future.handle is None
+
+    def test_in_flight_key_is_followed_not_answered(self):
+        """A registered key whose recompile is in flight (here: for
+        another backend) coalesces later requests onto that compile."""
+        gate = threading.Event()
+        gate.set()
+        chain = general_chain(3)
+        with CompileService(gated_session(gate), workers=1, warm=False) as service:
+            service.compile(chain, num_training_instances=20, timeout=30)
+            gate.clear()
+            blas = service.submit(chain, num_training_instances=20, backend="blas")
+            follower = service.submit(chain, num_training_instances=20)
+            assert not follower.done()
+            assert service.metrics.coalesced == 1
+            gate.set()
+            blas.result(timeout=30)
+            follower.result(timeout=30)
+
+    def test_registry_hit_emits_one_annotated_request_span(self):
+        from repro.obs import trace as obs_trace
+
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            service.compile(chain, num_training_instances=20, timeout=30)
+            obs_trace.enable()
+            try:
+                with obs_trace.capture() as spans:
+                    service.compile(chain, num_training_instances=20, timeout=30)
+            finally:
+                obs_trace.disable()
+        requests = [span for span in spans if span.name == "serve.request"]
+        assert len(requests) == 1
+        assert requests[0].attributes["registry_hit"] is True
+
+    def test_submit_registered_never_queues(self, monkeypatch):
+        chain = general_chain(3)
+        with CompileService(workers=1, warm=False) as service:
+            admitted = count_admits(service, monkeypatch)
+            assert service.submit_registered(chain, num_training_instances=20) is None
+            assert admitted == [] and service.metrics.requests == 0
+            future = service.submit(chain, num_training_instances=20)
+            future.result(timeout=30)
+            hit = service.submit_registered(chain, num_training_instances=20)
+            assert hit.done() and hit.handle == future.handle
+            assert hit.result() is service.lookup(future.handle)
+            assert service.metrics.requests == 2
+            assert len(admitted) == 1
 
 
 class TestMetrics:
