@@ -26,6 +26,7 @@ from repro.ir.chain import Chain
 from repro.compiler.dp import dp_optimal_cost, dp_optimal_plan
 from repro.compiler.variant import Variant
 from repro.runtime import compile_plan, infer_sizes
+from repro.runtime.executor import call_operands
 
 
 class OnlineSearchEvaluator:
@@ -77,8 +78,7 @@ class OnlineSearchEvaluator:
 
     def __call__(self, *arrays: np.ndarray) -> np.ndarray:
         """Evaluate: infer sizes, search for the optimal plan, execute it."""
-        if len(arrays) == 1 and isinstance(arrays[0], (list, tuple)):
-            arrays = tuple(arrays[0])
+        arrays = call_operands(self.chain, arrays)
         self.calls += 1
         values = [np.asarray(a) for a in arrays]
         sizes = infer_sizes(self.chain, values)

@@ -10,7 +10,10 @@ integer step record, and one fixed C translation unit
 calling BLAS/LAPACK through function pointers harvested from
 ``scipy.linalg.cython_blas`` / ``cython_lapack`` PyCapsules.  One Python
 call per *replay* (a METH_FASTCALL entry, GIL released for the walk),
-zero per step.
+zero per step.  The entry finds the record by the operands' shapes in a
+table of plans: a :class:`NativePlan` passes its own one-plan table, and
+a dispatcher passes its plan table, which makes a warm dispatch the same
+one call (:mod:`repro.runtime.dispatcher`).
 
 Everything dynamic is resolved into the record at plan-compile time:
 
@@ -40,7 +43,8 @@ capsules to the module's ``init``.
 
 Degradation is total and silent: no toolchain, no harvestable capsules,
 an unsupported step (configurations the routines cannot express), a
-compiler rejection, or a load failure all fall back
+chain of more than :data:`MAX_OPERANDS` operands, a compiler rejection,
+or a load failure all fall back
 to the ``blas`` lowering the plan already carries (``specialize`` here
 delegates to :class:`~repro.runtime.backends.blas.BlasBackend`), counted
 per reason in the ``runtime.codegen_fallbacks`` metric and logged at
@@ -66,6 +70,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.obs import get_registry
+from repro.obs import trace as obs_trace
 from repro.runtime.backends.base import Backend, LoweredKernel
 from repro.runtime.backends.blas import (
     SYSV_LWORK_PER_ROW,
@@ -82,7 +87,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.executor import StepCall
     from repro.runtime.plan import ExecutionPlan
 
-__all__ = ["CEmitBackend", "cemit_available", "pack_plan"]
+__all__ = [
+    "CEmitBackend",
+    "NativePlan",
+    "cemit_available",
+    "pack_plan",
+    "shape_key",
+]
 
 logger = logging.getLogger("repro.runtime.cemit")
 
@@ -182,6 +193,10 @@ def cemit_available() -> bool:
     OP_COL_DIV,
 ) = range(1, 14)
 _REF_INPUT, _REF_WS, _REF_OUT = range(3)
+
+#: Operands of the longest chain the interpreter runs (its buffer views
+#: live on the C stack); longer chains fall back to blas.
+MAX_OPERANDS = 64
 
 
 def _ref(kind: int, index: int) -> int:
@@ -422,6 +437,8 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
     if not steps:
         raise _Unsupported("no-steps")
     n_inputs = plan.chain.n
+    if n_inputs > MAX_OPERANDS:
+        raise _Unsupported("too-many-operands")
     packer = _Packer()
 
     bufs: list[_Buf] = [
@@ -471,6 +488,13 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
     return array("q", fields).tobytes(), (out_r, out_c)
 
 
+def shape_key(shapes) -> bytes:
+    """The plan-table key of a tuple of stored operand shapes: their
+    ``(rows, cols)`` pairs as native int64s, the form the interpreter reads
+    them in off the operands' buffers (and the shapes field of a record)."""
+    return array("q", [dim for shape in shapes for dim in shape]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The interpreter module and the per-plan native callable.
 # ---------------------------------------------------------------------------
@@ -508,56 +532,74 @@ def _load_native_run(key: str, so_path: str) -> Callable:
         addresses = _harvest_addresses()
         if addresses is None:  # pragma: no cover - guarded by lower_plan
             raise ExecutionError("BLAS capsule addresses unavailable")
-        module.init(tuple(addresses[name] for name in _ROUTINES), ExecutionError)
+        module.init(
+            tuple(addresses[name] for name in _ROUTINES),
+            ExecutionError,
+            np.empty,
+            np.dtype(np.float64),
+            vars(obs_trace),
+        )
         run = module.run
         _loaded[key] = run
         return run
 
 
-class _NativePlan:
+class NativePlan:
     """The packed plan's replay callable: one native call, one output.
 
     The interpreter writes the result into the caller's ``out`` when that
     buffer conforms — float64, C-contiguous, writeable, exactly the
-    output shape, and sharing no memory with an operand (the final step
-    may write its output while still reading an input).  Any other
-    ``out``, or none, gets a fresh output array, which the caller copies
-    where it wants it.  Plans stay stateless: concurrent replays share
-    nothing but the read-only input buffers and the record.  The
-    interpreter raises :class:`ExecutionError` itself for wrong-shaped
-    operands and failed factorizations; ``BufferError`` (right shape, but
-    not C-contiguous float64) takes the retry path, which re-presents
-    inputs C-contiguously — the one copy non-contiguous callers pay,
-    exactly where the blas backend pays ``np.asfortranarray``.
+    output shape, and no address range shared with an operand (the final
+    step may write its output while still reading an input); it checks
+    that itself, on the buffers' address ranges.  Any other ``out``, or
+    none, gets a fresh output array, which the caller copies where it
+    wants it.  Plans stay stateless: concurrent replays share nothing but
+    the read-only input buffers and the record.  The interpreter raises
+    :class:`ExecutionError` itself for failed factorizations, and
+    declines operands that are not C-contiguous float64 matrices of the
+    planned shapes.  A wrong shape then raises :class:`ExecutionError`;
+    any other declined operand is retried as a C-contiguous float64 copy
+    — the one copy non-contiguous callers pay, exactly where the blas
+    backend pays ``np.asfortranarray``.
+
+    ``run`` (the interpreter's entry), ``record`` and ``out_shape`` let a
+    dispatcher serve the plan from its own plan table as well.
     """
 
-    __slots__ = ("_run", "_record", "_out_shape")
+    __slots__ = ("run", "record", "out_shape", "_shapes", "_plans")
 
-    def __init__(self, run: Callable, record: bytes, out_shape: tuple[int, int]):
-        self._run = run
-        self._record = record
-        self._out_shape = out_shape
+    def __init__(
+        self,
+        run: Callable,
+        record: bytes,
+        out_shape: tuple[int, int],
+        shapes: tuple[tuple[int, int], ...],
+    ):
+        self.run = run
+        self.record = record
+        self.out_shape = out_shape
+        self._shapes = shapes
+        #: The one-plan table ``run`` looks this plan up in.
+        self._plans = {shape_key(shapes): (None, record, out_shape)}
 
     def __call__(
         self, values: list[np.ndarray], out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        if out is None or not (
-            out.dtype == np.float64
-            and out.shape == self._out_shape
-            and out.flags.c_contiguous
-            and out.flags.writeable
-            and not any(np.may_share_memory(out, v) for v in values)
-        ):
-            out = np.empty(self._out_shape, dtype=np.float64)
-        try:
-            self._run(self._record, *values, out)
-        except BufferError:
-            self._run(
-                self._record,
-                *[np.ascontiguousarray(v, dtype=np.float64) for v in values],
-                out,
-            )
-        return out
+        result = self.run(self._plans, None, None, None, values, out)
+        if result is None:
+            if len(values) != len(self._shapes):
+                raise ExecutionError(
+                    f"expected {len(self._shapes)} operands, got {len(values)}"
+                )
+            for i, (value, shape) in enumerate(zip(values, self._shapes)):
+                if np.shape(value) != shape:
+                    raise ExecutionError(
+                        f"operand {i}: expected stored shape {shape}, "
+                        f"got {np.shape(value)}"
+                    )
+            contiguous = [np.ascontiguousarray(v, dtype=np.float64) for v in values]
+            result = self.run(self._plans, None, None, None, contiguous, out)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +658,7 @@ class CEmitBackend(Backend):
         registry.histogram("runtime.codegen_seconds", stage="load").observe(
             time.perf_counter() - start
         )
-        return _NativePlan(run, record, out_shape)
+        return NativePlan(run, record, out_shape, plan.expected_shapes)
 
     @staticmethod
     def _fall_back(reason: str, plan: "ExecutionPlan") -> None:

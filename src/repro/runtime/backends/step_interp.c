@@ -2,11 +2,38 @@
  *
  * One fixed translation unit serves every plan.  The packer in
  * repro/runtime/backends/cemit.py turns each frozen execution plan into a
- * step record once, at plan-compile time; run() checks the operands against
- * the record's header, allocates one workspace, releases the GIL and walks
+ * step record once, at plan-compile time.  run() finds the record by the
+ * operands' shapes, allocates one workspace, releases the GIL and walks
  * the steps, calling BLAS/LAPACK through the function pointers init()
  * receives once per process (harvested from scipy's cython_blas /
  * cython_lapack capsules).
+ *
+ * run(plans, pool, snapshot, log, operands, out)
+ *
+ *   plans maps a shape key -- the (rows, cols) of every operand as native
+ *   int64s, in bytes -- to (memo entry, record, result shape).  run()
+ *   takes each operand's buffer, looks its shapes up and replays the
+ *   record into out when out conforms: a 2-D float64 C-contiguous
+ *   writeable array of exactly the result shape whose address range
+ *   overlaps no operand's (the final step may write while it still reads
+ *   an input; this is np.may_share_memory's bounds test).  It returns None
+ *   for operands that are not C-contiguous float64 matrices of a shape
+ *   in plans, running nothing.
+ *
+ *   With pool, snapshot and log None, this is one plan's replay
+ *   (cemit.NativePlan): a non-conforming out gets a fresh array instead,
+ *   which run() returns.
+ *
+ *   Otherwise it is a dispatcher's whole warm call, plans its plan table.
+ *   run() declines (None) unless the variant list pool still holds
+ *   exactly the snapshot tuple's variants, tracing is off (the "_enabled"
+ *   flag of repro.obs.trace) and out is None or conforms; a full log
+ *   declines with False, asking the caller to drain it.  A warm call sets
+ *   the entry's CLOCK bit ("referenced"), appends (end stamp, elapsed
+ *   seconds) to the log bytearray and returns (entry, result, elapsed).
+ *   The caller's Python path handles whatever run() declines, and so
+ *   owns every message about bad operands; its memo is the source of
+ *   truth, and it changes plans under its lock whenever the memo changes.
  *
  * Record: a bytes object of int64 fields in native byte order,
  *
@@ -43,11 +70,14 @@
  *   STORE_T     c := transpose of a (a has leading dimension lda), c is
  *               m x n
  */
+/* A release build, as CPython builds extensions: no API debug asserts. */
+#define NDEBUG
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 typedef void (*dgemm_fn)(char*, char*, int*, int*, int*, double*, double*,
                          int*, double*, int*, double*, double*, int*);
@@ -74,11 +104,15 @@ static dgetrf_fn p_dgetrf;
 static dgetrs_fn p_dgetrs;
 #define N_ROUTINES 8
 
-/* repro.errors.ExecutionError, also passed to init(). */
-static PyObject *execution_error;
+/* Also passed to init(): repro.errors.ExecutionError, numpy.empty, the
+ * float64 dtype, and the globals of repro.obs.trace (its "_enabled" flag). */
+static PyObject *execution_error, *empty_fn, *float64, *trace_state;
+static PyObject *str_enabled, *str_referenced;
 
-/* Chains up to this many operands keep their buffer views on the stack. */
-#define STACK_OPERANDS 16
+/* Operands of the longest chain run() serves (cemit.MAX_OPERANDS), and
+ * the warm calls it logs between two drains of a log. */
+#define MAX_OPERANDS 64
+#define LOG_HITS 256
 
 enum { H_NINPUTS, H_OUT_ROWS, H_OUT_COLS, H_WS, H_NSTEPS, H_LEN };
 enum { REF_INPUT, REF_WS, REF_OUT };
@@ -275,93 +309,106 @@ walk(const step_t *steps, Py_ssize_t n_steps, double *const *in, double *ws,
     return 0;
 }
 
-/* Get one operand's buffer and check it against the expected stored shape.
- * A wrong shape raises ExecutionError; a right-shaped array that is not
- * C-contiguous float64 raises BufferError, on which the caller retries
- * with contiguous float64 copies. */
-static int
-get_operand(PyObject *obj, Py_buffer *view, int writable, int64_t rows,
-            int64_t cols, const char *what, Py_ssize_t index)
+/* Monotonic seconds: the clock time.perf_counter reads on Linux. */
+static double
+now(void)
 {
-    int flags = writable ? PyBUF_RECORDS : PyBUF_RECORDS_RO;
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
-        return -1;
-    if (view->ndim != 2 || view->shape[0] != rows || view->shape[1] != cols) {
-        if (view->ndim == 2)
-            PyErr_Format(execution_error,
-                         "%s %zd: expected stored shape (%lld, %lld), "
-                         "got (%zd, %zd)", what, index, (long long)rows,
-                         (long long)cols, view->shape[0], view->shape[1]);
-        else
-            PyErr_Format(execution_error,
-                         "%s %zd: expected stored shape (%lld, %lld), "
-                         "got a %d-D array", what, index, (long long)rows,
-                         (long long)cols, view->ndim);
-        PyBuffer_Release(view);
-        return -1;
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+static int
+is_f64_matrix(const Py_buffer *view)
+{
+    return view->ndim == 2 && view->itemsize == 8 && view->format != NULL
+           && strcmp(view->format, "d") == 0
+           && PyBuffer_IsContiguous(view, 'C');
+}
+
+static void
+release(Py_buffer *views, Py_ssize_t held)
+{
+    while (held > 0)
+        PyBuffer_Release(&views[--held]);
+}
+
+/* Hold the buffers of the n operands (a list or tuple) in views, their
+ * addresses in in and their (rows, cols) in shapes: 1 if each is a
+ * C-contiguous float64 matrix, else 0 with nothing held and no error set. */
+static int
+take_operands(PyObject *operands, Py_ssize_t n, Py_buffer *views,
+              double **in, int64_t *shapes)
+{
+    Py_ssize_t held;
+    if (!(PyTuple_Check(operands) || PyList_Check(operands)))
+        return 0;
+    for (held = 0; held < n; held++) {
+        Py_buffer *view = &views[held];
+        if (PySequence_Fast_GET_SIZE(operands) != n)
+            break;
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(operands, held), view,
+                               PyBUF_RECORDS_RO) < 0) {
+            PyErr_Clear();
+            break;
+        }
+        if (!is_f64_matrix(view)) {
+            PyBuffer_Release(view);
+            break;
+        }
+        shapes[2 * held] = view->shape[0];
+        shapes[2 * held + 1] = view->shape[1];
+        in[held] = (double *)view->buf;
     }
-    if (view->itemsize != 8 || view->format == NULL
-        || strcmp(view->format, "d") != 0
-        || !PyBuffer_IsContiguous(view, 'C')) {
-        PyErr_Format(PyExc_BufferError,
-                     "%s %zd: not a C-contiguous float64 array", what, index);
-        PyBuffer_Release(view);
-        return -1;
-    }
+    if (held == n && PySequence_Fast_GET_SIZE(operands) == n)
+        return 1;
+    release(views, held);
     return 0;
 }
 
-static PyObject *
-interp_init(PyObject *self, PyObject *args)
+/* Hold out's buffer in *view if out conforms to a rows x cols result of the
+ * n operands in (see the header): 1 if it does, else 0 with nothing held
+ * and no error set. */
+static int
+conforming_out(PyObject *out, int64_t rows, int64_t cols,
+               const Py_buffer *in, Py_ssize_t n, Py_buffer *view)
 {
-    PyObject *addrs, *error;
-    void **slots[N_ROUTINES] = {
-        (void **)&p_dgemm, (void **)&p_dsymm, (void **)&p_dtrmm,
-        (void **)&p_dtrsm, (void **)&p_dposv, (void **)&p_dsysv,
-        (void **)&p_dgetrf, (void **)&p_dgetrs,
-    };
+    const char *lo, *hi;
     Py_ssize_t i;
-    if (!PyArg_ParseTuple(args, "O!O", &PyTuple_Type, &addrs, &error))
-        return NULL;
-    if (PyTuple_GET_SIZE(addrs) != N_ROUTINES) {
-        PyErr_SetString(PyExc_TypeError,
-                        "init expects a tuple of 8 routine addresses");
-        return NULL;
+    if (out == Py_None)
+        return 0;
+    if (PyObject_GetBuffer(out, view, PyBUF_RECORDS) < 0) {
+        PyErr_Clear();  /* read-only, or no buffer at all */
+        return 0;
     }
-    for (i = 0; i < N_ROUTINES; i++) {
-        void *address = PyLong_AsVoidPtr(PyTuple_GET_ITEM(addrs, i));
-        if (address == NULL && PyErr_Occurred())
-            return NULL;
-        *slots[i] = address;
+    lo = (const char *)view->buf;
+    hi = lo + view->len;
+    if (!is_f64_matrix(view) || view->shape[0] != rows
+        || view->shape[1] != cols)
+        goto reject;
+    for (i = 0; i < n; i++) {
+        const char *start = (const char *)in[i].buf;
+        if (lo < start + in[i].len && start < hi)
+            goto reject;
     }
-    Py_INCREF(error);
-    Py_XSETREF(execution_error, error);
-    Py_RETURN_NONE;
+    return 1;
+reject:
+    PyBuffer_Release(view);
+    return 0;
 }
 
-/* run(record, *operands, out): replay one plan into out. */
-static PyObject *
-interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* The int64 fields of a well-formed step record, or NULL with an error. */
+static const int64_t *
+record_fields(PyObject *record)
 {
-    const int64_t *head, *shapes;
-    const step_t *steps;
-    Py_ssize_t n_inputs, n_steps, size, held = 0, i;
-    Py_buffer stack_views[STACK_OPERANDS + 1], *views = NULL;
-    double *stack_in[STACK_OPERANDS], **in = NULL, *ws = NULL;
-    failure_t fail = {0, NULL, 0};
-    PyObject *result = NULL;
-    int status;
-
-    if (execution_error == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "init() was not called");
+    const int64_t *head;
+    Py_ssize_t size, n_inputs, n_steps;
+    if (!PyBytes_Check(record)) {
+        PyErr_SetString(PyExc_TypeError, "expected a step record");
         return NULL;
     }
-    if (nargs < 1 || !PyBytes_Check(args[0])) {
-        PyErr_SetString(PyExc_TypeError, "run expects a step record first");
-        return NULL;
-    }
-    head = (const int64_t *)PyBytes_AS_STRING(args[0]);
-    size = PyBytes_GET_SIZE(args[0]);
+    head = (const int64_t *)PyBytes_AS_STRING(record);
+    size = PyBytes_GET_SIZE(record);
     if (size < (Py_ssize_t)(H_LEN * sizeof(int64_t))) {
         PyErr_SetString(PyExc_ValueError, "truncated step record");
         return NULL;
@@ -374,70 +421,197 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "malformed step record");
         return NULL;
     }
-    if (nargs != n_inputs + 2) {
-        PyErr_Format(PyExc_TypeError,
-                     "run expects the record, %zd operands and the output",
-                     n_inputs);
-        return NULL;
-    }
-    shapes = head + H_LEN;
-    steps = (const step_t *)(shapes + 2 * n_inputs);
+    return head;
+}
 
-    if (n_inputs <= STACK_OPERANDS) {
-        views = stack_views;
-        in = stack_in;
-    }
+/* Replay a record over the n held operands into out when it conforms;
+ * else, when out is None or fresh is set, into a fresh numpy.empty(shape)
+ * (the caller copies it where it wants it).  The array written; Py_None
+ * for a non-conforming out without fresh; NULL on error. */
+static PyObject *
+execute(const int64_t *head, PyObject *shape, Py_buffer *views,
+        double *const *in, Py_ssize_t n, PyObject *out, int fresh)
+{
+    const step_t *steps = (const step_t *)(head + H_LEN + 2 * n);
+    PyObject *args[2] = {shape, float64};
+    failure_t fail = {0, NULL, 0};
+    Py_buffer view;
+    double *ws = NULL;
+    int status;
+    if (conforming_out(out, head[H_OUT_ROWS], head[H_OUT_COLS], views, n,
+                       &view))
+        Py_INCREF(out);
+    else if (out != Py_None && !fresh)
+        Py_RETURN_NONE;
     else {
-        views = PyMem_Malloc((n_inputs + 1) * sizeof(Py_buffer));
-        in = PyMem_Malloc(n_inputs * sizeof(double *));
-        if (views == NULL || in == NULL) {
-            PyErr_NoMemory();
-            goto done;
+        out = PyObject_Vectorcall(empty_fn, args, 2, NULL);
+        if (out == NULL)
+            return NULL;
+        if (PyObject_GetBuffer(out, &view, PyBUF_RECORDS) < 0) {
+            Py_DECREF(out);
+            return NULL;
         }
     }
-    for (; held < n_inputs; held++) {
-        if (get_operand(args[1 + held], &views[held], 0, shapes[2 * held],
-                        shapes[2 * held + 1], "operand", held) < 0)
-            goto done;
-        in[held] = (double *)views[held].buf;
-    }
-    if (get_operand(args[1 + n_inputs], &views[n_inputs], 1,
-                    head[H_OUT_ROWS], head[H_OUT_COLS], "output", 0) < 0)
-        goto done;
-    held++;
     if (head[H_WS] > 0) {
         ws = (double *)malloc((size_t)head[H_WS] * sizeof(double));
         if (ws == NULL) {
             PyErr_NoMemory();
+            status = -1;
             goto done;
         }
     }
     Py_BEGIN_ALLOW_THREADS
-    status = walk(steps, n_steps, in, ws, (double *)views[n_inputs].buf,
-                  &fail);
+    status = walk(steps, (Py_ssize_t)head[H_NSTEPS], in, ws,
+                  (double *)view.buf, &fail);
     Py_END_ALLOW_THREADS
+    free(ws);
     if (status < 0)
         PyErr_Format(execution_error, "plan step %zd: %s failed (info=%d)",
                      fail.step, fail.routine, fail.info);
-    else
-        result = Py_NewRef(Py_None);
-
 done:
-    free(ws);
-    for (i = 0; i < held; i++)
-        PyBuffer_Release(&views[i]);
-    if (views != stack_views) {
-        PyMem_Free(views);
-        PyMem_Free(in);
+    PyBuffer_Release(&view);
+    if (status < 0)
+        Py_CLEAR(out);
+    return out;
+}
+
+static PyObject *
+interp_init(PyObject *self, PyObject *args)
+{
+    PyObject *addrs, *error, *empty, *dtype, *trace;
+    void **slots[N_ROUTINES] = {
+        (void **)&p_dgemm, (void **)&p_dsymm, (void **)&p_dtrmm,
+        (void **)&p_dtrsm, (void **)&p_dposv, (void **)&p_dsysv,
+        (void **)&p_dgetrf, (void **)&p_dgetrs,
+    };
+    Py_ssize_t i;
+    if (!PyArg_ParseTuple(args, "O!OOOO!", &PyTuple_Type, &addrs, &error,
+                          &empty, &dtype, &PyDict_Type, &trace))
+        return NULL;
+    if (PyTuple_GET_SIZE(addrs) != N_ROUTINES) {
+        PyErr_SetString(PyExc_TypeError,
+                        "init expects a tuple of 8 routine addresses");
+        return NULL;
     }
-    return result;
+    for (i = 0; i < N_ROUTINES; i++) {
+        void *address = PyLong_AsVoidPtr(PyTuple_GET_ITEM(addrs, i));
+        if (address == NULL && PyErr_Occurred())
+            return NULL;
+        *slots[i] = address;
+    }
+    Py_XSETREF(empty_fn, Py_NewRef(empty));
+    Py_XSETREF(float64, Py_NewRef(dtype));
+    Py_XSETREF(trace_state, Py_NewRef(trace));
+    Py_XSETREF(execution_error, Py_NewRef(error));
+    Py_RETURN_NONE;
+}
+
+/* run(plans, pool, snapshot, log, operands, out): see the header. */
+static PyObject *
+interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *plans, *log, *state, *key, *plan, *result, *elapsed;
+    PyObject *hit = NULL;
+    Py_buffer views[MAX_OPERANDS];
+    double *in[MAX_OPERANDS], stamps[2], start;
+    int64_t shapes[2 * MAX_OPERANDS];
+    const int64_t *head;
+    Py_ssize_t n, i;
+
+    if (execution_error == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "init() was not called");
+        return NULL;
+    }
+    if (nargs != 6 || !PyDict_Check(args[0])
+        || !(args[3] == Py_None || (PyByteArray_Check(args[3])
+                                    && PyList_Check(args[1])
+                                    && PyTuple_Check(args[2])))) {
+        PyErr_SetString(PyExc_TypeError, "run expects plans, then None "
+                        "thrice or a variant list, its snapshot and a log, "
+                        "then operands and out");
+        return NULL;
+    }
+    plans = args[0];
+    log = args[3];
+    if (log != Py_None) {
+        /* A warm call: decline unless the pool is still the snapshot
+         * and tracing is off; a full log asks for a drain. */
+        n = PyList_GET_SIZE(args[1]);
+        if (n != PyTuple_GET_SIZE(args[2]))
+            Py_RETURN_NONE;
+        for (i = 0; i < n; i++)
+            if (PyList_GET_ITEM(args[1], i) != PyTuple_GET_ITEM(args[2], i))
+                Py_RETURN_NONE;
+        state = PyDict_GetItemWithError(trace_state, str_enabled);
+        if (state != Py_False) {
+            if (state == NULL && PyErr_Occurred())
+                return NULL;
+            Py_RETURN_NONE;
+        }
+        if (PyByteArray_GET_SIZE(log) >= LOG_HITS * (Py_ssize_t)sizeof stamps)
+            Py_RETURN_FALSE;
+    }
+    if (!(PyTuple_Check(args[4]) || PyList_Check(args[4])))
+        Py_RETURN_NONE;
+    n = PySequence_Fast_GET_SIZE(args[4]);
+    if (n < 1 || n > MAX_OPERANDS
+        || !take_operands(args[4], n, views, in, shapes))
+        Py_RETURN_NONE;
+    /* Own the plan: taking the output may run code that changes plans,
+     * and the walk runs without the GIL. */
+    key = PyBytes_FromStringAndSize((const char *)shapes,
+                                    2 * n * sizeof(int64_t));
+    plan = key ? Py_XNewRef(PyDict_GetItemWithError(plans, key)) : NULL;
+    Py_XDECREF(key);
+    if (plan == NULL) {
+        if (!PyErr_Occurred())
+            hit = Py_NewRef(Py_None);
+        release(views, n);
+        return hit;
+    }
+    if (!PyTuple_CheckExact(plan) || PyTuple_GET_SIZE(plan) != 3)
+        PyErr_SetString(PyExc_TypeError, "a plan is (entry, record, shape)");
+    else if ((head = record_fields(PyTuple_GET_ITEM(plan, 1))) == NULL)
+        ;
+    else if (head[H_NINPUTS] != n)
+        PyErr_SetString(PyExc_ValueError, "a record of another chain");
+    else if (log == Py_None)
+        hit = execute(head, PyTuple_GET_ITEM(plan, 2), views, in, n,
+                      args[5], 1);
+    else if (PyObject_SetAttr(PyTuple_GET_ITEM(plan, 0), str_referenced,
+                              Py_True) == 0) {
+        start = now();
+        result = execute(head, PyTuple_GET_ITEM(plan, 2), views, in, n,
+                         args[5], 0);
+        stamps[0] = now();
+        stamps[1] = stamps[0] - start;
+        if (result == NULL || result == Py_None)
+            hit = result;
+        else {
+            /* Log (end stamp, elapsed seconds), then answer. */
+            if (PyByteArray_Resize(log, PyByteArray_GET_SIZE(log)
+                                   + sizeof stamps) == 0) {
+                memcpy(PyByteArray_AS_STRING(log) + PyByteArray_GET_SIZE(log)
+                       - sizeof stamps, stamps, sizeof stamps);
+                if ((elapsed = PyFloat_FromDouble(stamps[1])) != NULL) {
+                    hit = PyTuple_Pack(3, PyTuple_GET_ITEM(plan, 0), result,
+                                       elapsed);
+                    Py_DECREF(elapsed);
+                }
+            }
+            Py_DECREF(result);
+        }
+    }
+    release(views, n);
+    Py_DECREF(plan);
+    return hit;
 }
 
 static PyMethodDef interp_methods[] = {
     {"init", (PyCFunction)interp_init, METH_VARARGS,
-     "init(addresses, execution_error): routine pointers, error class."},
+     "init(addresses, execution_error, empty, float64, trace_globals)."},
     {"run", (PyCFunction)(void (*)(void))interp_run, METH_FASTCALL,
-     "run(record, *operands, out): replay one packed plan into out."},
+     "run(plans, pool, snapshot, log, operands, out): replay a plan."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -448,5 +622,11 @@ static struct PyModuleDef interp_module = {
 PyMODINIT_FUNC
 PyInit__step_interp(void)
 {
+    if (str_enabled == NULL
+        && (str_enabled = PyUnicode_InternFromString("_enabled")) == NULL)
+        return NULL;
+    if (str_referenced == NULL
+        && (str_referenced = PyUnicode_InternFromString("referenced")) == NULL)
+        return NULL;
     return PyModule_Create(&interp_module);
 }

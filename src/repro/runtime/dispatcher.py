@@ -19,18 +19,30 @@ What makes this a *runtime* rather than a per-call recomputation:
   under the lock spares a referenced entry once) — a service answering
   repeated instances of the same sizes pays one cost sweep and one plan
   compilation, then amortized O(1) per call;
-* a warm :meth:`Dispatcher.run` is one dict probe on the shape tuple, one
-  replay of the compiled :class:`~repro.runtime.plan.ExecutionPlan`
-  (kernel implementations, per-step call records, and buffer slots
-  pre-resolved) and one append to an execution log.  Shapes are
-  validated by size inference on the miss that stores an entry; the
-  stored-shape map is one-to-one on valid size vectors, so a hit on the
-  same shapes needs neither inference nor any re-check.  Size-keyed
-  callers (:meth:`~Dispatcher.select`, :meth:`~Dispatcher.plan_for`)
-  derive the same key from validated sizes;
+* a warm :meth:`Dispatcher.run` on the ``c`` backend is one native call.
+  The dispatcher's *plan table* maps the operands' ``(rows, cols)``
+  pairs, as the interpreter reads them off the buffers, to the memo entry
+  and its packed plan; the interpreter's ``run`` (``step_interp.c``)
+  looks the shapes up, replays the plan, sets the entry's reference bit
+  and logs the elapsed time in C.  It declines — and the Python path
+  below runs — for anything else: another backend, a plan with fix-ups,
+  tracing on, an operand that is not a C-contiguous float64 matrix, an
+  unseen shape, a non-conforming ``out``, a pool mutated in place;
+* the Python path is one dict probe on the shape tuple, one replay of the
+  compiled :class:`~repro.runtime.plan.ExecutionPlan` (kernel
+  implementations, per-step call records, and buffer slots pre-resolved)
+  and one append to an execution log.  Shapes are validated by size
+  inference on the miss that stores an entry; the stored-shape map is
+  one-to-one on valid size vectors, so a hit on the same shapes needs
+  neither inference nor any re-check.  Size-keyed callers
+  (:meth:`~Dispatcher.select`, :meth:`~Dispatcher.plan_for`) derive the
+  same key from validated sizes.  The memo stays the source of truth:
+  every change to it (a lowered plan, an eviction, an invalidation, a
+  backend or estimator swap, a re-selection) updates the table under the
+  lock;
 * a hit's bookkeeping — hit count, per-backend executions, the latest
   replay time and the ``runtime.execute_seconds`` histogram — is folded
-  from that log under the lock in batches, and before every read
+  from both logs under the lock in batches, and before every read
   (:meth:`~Dispatcher.memo_stats`, :func:`runtime_snapshot`, the registry
   snapshot), so the counts are exact whenever they are read.
 
@@ -58,6 +70,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
+from array import array
 from collections import OrderedDict, deque
 from operator import is_not
 from typing import (
@@ -76,7 +89,8 @@ from repro.ir.chain import Chain
 from repro.obs import Histogram, get_registry
 from repro.obs import trace as obs_trace
 from repro.runtime.backends import BACKEND_NAMES, DEFAULT_BACKEND, Backend
-from repro.runtime.executor import SizeInferencer
+from repro.runtime.backends.cemit import NativePlan, shape_key
+from repro.runtime.executor import SizeInferencer, call_operands
 from repro.runtime.plan import ExecutionPlan, compile_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,6 +174,15 @@ def runtime_snapshot() -> dict[str, object]:
 get_registry().register_collector("runtime", runtime_snapshot)
 
 
+def _execute_histogram(hists: dict[str, Histogram], backend: str) -> Histogram:
+    histogram = hists.get(backend)
+    if histogram is None:
+        histogram = hists[backend] = get_registry().histogram(
+            "runtime.execute_seconds", backend=backend
+        )
+    return histogram
+
+
 def _observe_executions(log: deque, hists: dict[str, Histogram]) -> list:
     """Pop every logged execution and feed it to the per-backend
     ``runtime.execute_seconds`` histograms, one batch per backend;
@@ -173,13 +196,23 @@ def _observe_executions(log: deque, hists: dict[str, Histogram]) -> list:
     for backend, elapsed, _, _ in batch:
         seconds.setdefault(backend, []).append(elapsed)
     for backend, values in seconds.items():
-        histogram = hists.get(backend)
-        if histogram is None:
-            histogram = hists[backend] = get_registry().histogram(
-                "runtime.execute_seconds", backend=backend
-            )
-        histogram.observe_many(values)
+        _execute_histogram(hists, backend).observe_many(values)
     return batch
+
+
+def _observe_hits(log: bytearray, hists: dict[str, Histogram], backend: str):
+    """Pop every warm call the interpreter logged — ``(end stamp,
+    elapsed)`` double pairs — and feed the elapsed times to the backend's
+    ``runtime.execute_seconds`` histogram; returns the popped pairs as one
+    flat ``array("d")``.
+
+    Also the finalizer of a dispatcher's hit log.
+    """
+    stamps = array("d", log)
+    del log[: stamps.itemsize * len(stamps)]
+    if stamps:
+        _execute_histogram(hists, backend).observe_many(stamps[1::2])
+    return stamps
 
 
 class DispatchOutcome(NamedTuple):
@@ -319,6 +352,13 @@ class Dispatcher:
         #: ``(backend, elapsed, end stamp, hit)`` per run() not yet folded
         #: into the counters and histogram (see :meth:`_fold_log`).
         self._exec_log: deque = deque()
+        #: The plan table (module docstring): shape key -> ``(memo entry,
+        #: packed record, result shape)`` of every memoized native plan,
+        #: the interpreter's entry that serves it (set with its first
+        #: plan), and that entry's log of ``(end stamp, elapsed)`` pairs.
+        self._plans: dict[bytes, tuple] = {}
+        self._native_run: Optional[Callable] = None
+        self._hit_log = bytearray()
         self._pool_snapshot: Optional[tuple[Variant, ...]] = None
         self._term_stack = None
         self.variants = list(variants)  # via the setter: resets the caches
@@ -374,6 +414,7 @@ class Dispatcher:
             self._calibration = value
         with self._memo_lock:
             self._memo.clear()
+            self._plans.clear()
 
     @property
     def calibration(self) -> Optional[CostEstimator]:
@@ -412,20 +453,26 @@ class Dispatcher:
         value = self.resolve_backend(value)
         if value == self._backend:
             return
-        self._backend = value
         # Memoized *decisions* (variant + cost) are backend-independent;
         # only the compiled plans and what was measured on them are stale.
         # Keep the selections warm and recompile plans lazily under the
-        # new backend.
+        # new backend.  The plan table and its log start afresh, after the
+        # hits logged so far are folded under the backend that served them.
         with self._memo_lock:
+            self._fold_log()
+            self._backend = value
             for entry in self._memo.values():
                 entry.reset(entry.variant, entry.cost)
+            self._plans = {}
+            self._native_run = None
+            self._hit_log = bytearray()
 
     def _invalidate(self) -> None:
         with self._memo_lock:
             self._pool_snapshot = tuple(self._variants)
             self._term_stack = None
             self._memo.clear()
+            self._plans.clear()
 
     def _sync_pool(self) -> tuple["Variant", ...]:
         """The coherent pool snapshot, invalidating stale caches first.
@@ -628,6 +675,7 @@ class Dispatcher:
                     memo.move_to_end(key)
                 else:
                     memo.popitem(last=False)
+                    self._plans.pop(shape_key(key), None)
                     evicted += 1
             dropped = max(0, len(fresh) - capacity)
             memo.update(fresh[dropped:])
@@ -685,13 +733,42 @@ class Dispatcher:
 
     def _entry_plan(self, entry: _MemoEntry) -> ExecutionPlan:
         """The entry's compiled plan, lowered through the backend on
-        first use."""
+        first use; a fused native plan also enters the plan table."""
         plan = entry.plan
         if plan is None:
             plan = compile_plan(entry.variant, entry.sizes, backend=self._backend)
             entry.backend = plan.backend
             entry.plan = plan
+            if isinstance(plan.fused, NativePlan):
+                self._publish(entry, plan)
         return plan
+
+    def _publish(self, entry: _MemoEntry, plan: ExecutionPlan) -> None:
+        """Serve a memoized entry's fused native plan from the plan table."""
+        native = plan.fused
+        with self._memo_lock:
+            if (
+                self._memo.get(plan.expected_shapes) is not entry
+                or entry.plan is not plan
+            ):
+                return  # evicted, invalidated or re-selected meanwhile
+            if self._native_run is None:
+                self._native_run = native.run
+                # Hits still logged when the dispatcher dies reach the
+                # histogram too (a backend swap folds, then starts a new
+                # log).
+                weakref.finalize(
+                    self,
+                    _observe_hits,
+                    self._hit_log,
+                    self._exec_hists,
+                    self._backend_label,
+                ).atexit = False
+            self._plans[shape_key(plan.expected_shapes)] = (
+                entry,
+                native.record,
+                native.out_shape,
+            )
 
     def costs(self, sizes: Sequence[int]) -> list[tuple[str, float]]:
         """Estimated cost of every variant (for inspection/debugging)."""
@@ -744,9 +821,9 @@ class Dispatcher:
         return observers
 
     def _fold_log(self) -> None:
-        """Fold the execution log into the hit count, per-backend
-        executions, the latest replay and the execute-time histogram.
-        The caller holds the memo lock."""
+        """Fold the execution log and the plan table's log into the hit
+        count, per-backend executions, the latest replay and the
+        execute-time histogram.  The caller holds the memo lock."""
         batch = _observe_executions(self._exec_log, self._exec_hists)
         executions = self.backend_executions
         latest = self.last_execute_at
@@ -757,6 +834,17 @@ class Dispatcher:
             if latest is None or stamp > latest:
                 latest = stamp
                 self.last_execute_seconds = elapsed
+        backend = self._backend_label
+        stamps = _observe_hits(self._hit_log, self._exec_hists, backend)
+        if stamps:
+            count = len(stamps) // 2
+            hits += count
+            executions[backend] = executions.get(backend, 0) + count
+            ends = stamps[::2]
+            stamp = max(ends)
+            if latest is None or stamp > latest:
+                latest = stamp
+                self.last_execute_seconds = stamps[2 * ends.index(stamp) + 1]
         self.last_execute_at = latest
         self.memo_hits += hits
 
@@ -768,24 +856,42 @@ class Dispatcher:
     ) -> DispatchOutcome:
         """Dispatch and execute one instance; returns the full outcome.
 
-        A warm call is one memo probe on the operand shapes and one plan
-        replay: the shapes were validated by size inference on the miss
-        that memoized them, and the memoized plan replays without
-        re-checking them.  A miss only *resolves* the entry (infer,
-        select, lower, memoize); hits and misses then run the same code.
-        With tracing enabled, the replay additionally times every kernel
-        call into per-``(kernel, routine)`` histograms and emits a
-        ``runtime.run`` span; disabled, the only work besides the replay
-        is one append to the execution log (:meth:`_fold_log`).
+        A warm call on the ``c`` backend is one native call, which looks
+        the operand shapes up in the plan table (module docstring),
+        replays the packed plan and logs the hit.  Whatever it declines
+        takes the Python path: one memo probe on the operand
+        shapes and one plan replay — the shapes were validated by size
+        inference on the miss that memoized them, and the memoized plan
+        replays without re-checking them.  A miss only *resolves* the
+        entry (infer, select, lower, memoize); Python hits and misses then
+        run the same code.  With tracing enabled (never a table hit), the
+        replay additionally times every kernel call into
+        per-``(kernel, routine)`` histograms and emits a ``runtime.run``
+        span; disabled, the only work besides the replay is one append to
+        an execution log (:meth:`_fold_log`).
 
         ``out`` receives the result in a caller-owned buffer of the
         result's shape, which the outcome then carries.  An untraced
         ``c`` plan without fix-ups writes straight into it when it is a
-        C-contiguous, writeable float64 array sharing no memory with an
-        operand — a warm replay then allocates no array; every other
-        replay computes a fresh result and copies it in (see
+        C-contiguous, writeable float64 array whose address range
+        overlaps no operand's — a warm replay then allocates no array;
+        every other replay computes a fresh result and copies it in (see
         :meth:`~repro.runtime.plan.ExecutionPlan.replay`).
         """
+        plans = self._plans
+        warm = None
+        if plans:
+            warm = self._native_run(
+                plans, self._variants, self._pool_snapshot, self._hit_log,
+                arrays, out,
+            )
+            if warm:
+                entry, result, elapsed = warm
+                sizes, variant, cost = entry.sizes, entry.variant, entry.cost
+                if self._reselect_ratio is not None:
+                    self._feedback(entry, sizes, elapsed)
+                # DispatchOutcome._make without its length check.
+                return tuple.__new__(DispatchOutcome, (sizes, variant, cost, result))
         values = [np.asarray(a, dtype=_FLOAT64) for a in arrays]
         key = tuple([v.shape for v in values])
         entry = self._memo.get(key)
@@ -851,7 +957,8 @@ class Dispatcher:
         elapsed = end - start
         log = self._exec_log
         log.append((plan.backend, elapsed, end, hit))
-        if len(log) >= EXECUTION_LOG_BATCH:
+        # A full hit log declines warm calls (warm is False) until folded.
+        if len(log) >= EXECUTION_LOG_BATCH or warm is False:
             with self._memo_lock:
                 self._fold_log()
         # Snapshot the decision that actually ran before the feedback
@@ -930,11 +1037,14 @@ class Dispatcher:
                 return
             self.reselections += 1
             entry.reset(winner, best)
+            self._plans.pop(shape_key(self._infer.shapes(q)), None)
 
     def __call__(self, *arrays: np.ndarray) -> np.ndarray:
-        """Evaluate the chain: pick the best variant for the sizes, run it."""
-        if len(arrays) == 1 and isinstance(arrays[0], (list, tuple)):
-            arrays = tuple(arrays[0])
+        """Evaluate the chain: pick the best variant for the sizes, run it
+        (one list or tuple argument: see
+        :func:`~repro.runtime.executor.call_operands`)."""
+        if len(arrays) == 1:
+            arrays = call_operands(self.chain, arrays)
         return self.run(arrays).result
 
     def execute_many(

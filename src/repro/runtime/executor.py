@@ -114,6 +114,20 @@ def _stored_shapes(
     )
 
 
+def call_operands(chain: Chain, arrays: tuple) -> tuple:
+    """The operands of an evaluator's ``__call__(*arrays)``.
+
+    A single list or tuple argument is the operand list when the chain has
+    more than one operand, or when its one element is an array; otherwise
+    it is the one operand itself (say, a nested list).
+    """
+    if len(arrays) == 1 and isinstance(arrays[0], (list, tuple)):
+        (only,) = arrays
+        if chain.n > 1 or (len(only) == 1 and isinstance(only[0], np.ndarray)):
+            return tuple(only)
+    return arrays
+
+
 def infer_sizes(chain: Chain, arrays: Sequence[np.ndarray]) -> tuple[int, ...]:
     """Recover the instance vector ``q`` from stored arrays.
 

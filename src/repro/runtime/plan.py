@@ -144,6 +144,12 @@ class ExecutionPlan:
         if self._native is None and resolved.fallback_name:
             self.backend = resolved.fallback_name
 
+    @property
+    def fused(self) -> Optional[Callable]:
+        """The fused native call when it alone produces the result (a
+        natively lowered plan without fix-ups), else ``None``."""
+        return None if self._fixups else self._native
+
     def validate(self, arrays: Sequence[np.ndarray]) -> None:
         """Assert the stored arrays match this plan's instance shapes."""
         if len(arrays) != self._num_inputs:

@@ -250,6 +250,27 @@ def test_native_result_is_fresh_per_call():
 
 
 @needs_cemit
+@pytest.mark.parametrize("extra", [0, 1])
+def test_chains_past_the_operand_limit_fall_back_to_blas(extra):
+    """The interpreter keeps operand buffer views on its stack: a chain of
+    up to MAX_OPERANDS operands runs natively, a longer one falls back."""
+    from repro.compiler.dp import dp_optimal_plan
+
+    from conftest import general_chain
+
+    chain = general_chain(cemit.MAX_OPERANDS + extra)
+    q = (2,) * (chain.n + 1)
+    before = _fallback_count("too-many-operands")
+    plan = compile_plan(dp_optimal_plan(chain, q), q, backend="c")
+    assert plan.backend == ("c" if extra == 0 else "blas")
+    assert _fallback_count("too-many-operands") == before + extra
+    arrays = random_instance_arrays(chain, q, np.random.default_rng(9))
+    np.testing.assert_allclose(
+        plan.execute(arrays), naive_evaluate(chain, arrays), rtol=1e-8, atol=1e-8
+    )
+
+
+@needs_cemit
 def test_describe_reports_native_path():
     _, _, plan = _plan_for(PARITY_CHAINS[0][1], "c")
     assert "native: fused step-interpreter call" in plan.describe()

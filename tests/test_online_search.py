@@ -92,6 +92,16 @@ class TestOnlineSearchEvaluator:
         assert online.calls == 5
         assert online.searches == 1
 
+    def test_one_operand_chain_takes_a_nested_list(self):
+        from repro.ir.parser import parse_chain
+
+        chain = parse_chain("Matrix L <LowerTri, NonSingular>; X := L^-1;")
+        online = OnlineSearchEvaluator(chain)
+        lower = [[2.0, 0.0], [1.0, 2.0]]
+        expected = np.linalg.inv(np.asarray(lower))
+        np.testing.assert_allclose(online(lower), expected)
+        np.testing.assert_allclose(online([np.asarray(lower)]), expected)
+
     def test_cache_disabled(self):
         rng = np.random.default_rng(2)
         chain = general_chain(3)

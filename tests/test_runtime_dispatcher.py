@@ -475,8 +475,15 @@ class TestServeWarmMemo:
                 service.execute("no-such-handle", arrays)
 
 
+def ran_on(backend):
+    """The backend a plan of ``backend`` reports: without a toolchain the
+    ``c`` backend falls back to ``blas``."""
+    return "blas" if backend == "c" and not cemit_available() else backend
+
+
 class TestExecutionLog:
-    """Warm-call bookkeeping is batched, yet exact whenever it is read."""
+    """Warm-call bookkeeping is batched, yet exact whenever it is read —
+    for hits on the Python path and in the native plan table alike."""
 
     @staticmethod
     def executed(backend="reference"):
@@ -486,42 +493,76 @@ class TestExecutionLog:
         histogram = get_registry().snapshot()["histograms"].get(key)
         return histogram["count"] if histogram else 0
 
-    def test_reads_see_every_call(self):
+    @pytest.mark.parametrize("backend", ["reference", "c"])
+    def test_reads_see_every_call(self, backend):
         from repro.obs import get_registry
         from repro.runtime.dispatcher import EXECUTION_LOG_BATCH
 
         chain = general_chain(3)
-        dispatcher = Dispatcher(chain, all_variants(chain), backend="reference")
+        dispatcher = Dispatcher(chain, all_variants(chain), backend=backend)
         arrays = random_instance_arrays(
             chain, (3, 4, 5, 6), np.random.default_rng(3)
         )
-        before = self.executed()
+        label = ran_on(backend)
+        before = self.executed(label)
         calls = EXECUTION_LOG_BATCH + 3  # one batch fold, then a tail
         for _ in range(calls):
             dispatcher.run(arrays)
         # The registry snapshot folds the tail before reading histograms.
-        assert self.executed() == before + calls
+        assert self.executed(label) == before + calls
         stats = dispatcher.memo_stats()
         assert stats["hits"] == calls - 1 and stats["misses"] == 1
-        assert stats["executions"] == {"reference": calls}
+        assert stats["executions"] == {label: calls}
         assert stats["last_execute_seconds"] > 0
         runtime = get_registry().snapshot()["scopes"]["runtime"]
         assert runtime["memo_hits"] >= calls - 1
 
-    def test_a_dropped_dispatcher_still_reports_its_calls(self):
+    @pytest.mark.parametrize("backend", ["reference", "c"])
+    def test_a_dropped_dispatcher_still_reports_its_calls(self, backend):
         import gc
 
         chain = general_chain(3)
-        dispatcher = Dispatcher(chain, all_variants(chain), backend="reference")
+        dispatcher = Dispatcher(chain, all_variants(chain), backend=backend)
         arrays = random_instance_arrays(
             chain, (3, 4, 5, 6), np.random.default_rng(4)
         )
-        before = self.executed()
+        label = ran_on(backend)
+        before = self.executed(label)
         for _ in range(3):
             dispatcher.run(arrays)
         del dispatcher
         gc.collect()
-        assert self.executed() == before + 3
+        assert self.executed(label) == before + 3
+
+    def test_a_full_native_log_costs_one_python_call(self, monkeypatch):
+        """The interpreter declines warm calls once its log is full; the
+        one Python-path call that follows folds it, and hits go native
+        again."""
+        from repro.runtime.dispatcher import EXECUTION_LOG_BATCH
+        from repro.runtime.plan import ExecutionPlan
+
+        if not cemit_available():
+            pytest.skip("C toolchain or scipy cython capsules unavailable")
+        chain = general_chain(3)
+        dispatcher = Dispatcher(chain, all_variants(chain), backend="c")
+        arrays = random_instance_arrays(
+            chain, (3, 4, 5, 6), np.random.default_rng(5)
+        )
+        expected = dispatcher.run(arrays).result  # the miss lowers the plan
+        replays = []
+        replay = ExecutionPlan.replay
+
+        def counting(plan, *args, **kwargs):
+            replays.append(1)
+            return replay(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, "replay", counting)
+        calls = 4 * EXECUTION_LOG_BATCH
+        for _ in range(calls):
+            np.testing.assert_array_equal(dispatcher.run(arrays).result, expected)
+        assert len(replays) <= calls // EXECUTION_LOG_BATCH
+        stats = dispatcher.memo_stats()
+        assert stats["hits"] == calls and stats["executions"] == {"c": calls + 1}
 
 
 class TestConcurrency:
@@ -792,6 +833,155 @@ class TestWhatAHitTrusts:
             warm.run(broken)
         assert str(warm_error.value) == str(cold_error.value)
 
+    def test_every_warm_shape_sees_a_pool_or_estimator_change(self):
+        """Reassigning the pool or swapping the estimator drops the plans of
+        every warm shape, not only of the next one called."""
+        v0, v1 = self.variants
+        other = random_instance_arrays(
+            self.chain, (5, 3, 6, 4), np.random.default_rng(43)
+        )
+        dispatcher = Dispatcher(self.chain, [v0], backend="c")
+        for arrays in (self.arrays, other, self.arrays, other):
+            dispatcher.run(arrays)
+        dispatcher.variants = [v1]
+        dispatcher.run(self.arrays)
+        assert dispatcher.run(other).variant is v1
+
+        def worst(variant, sizes):
+            return -flop_estimator(variant, sizes)
+
+        dispatcher = Dispatcher(self.chain, self.variants, backend="c")
+        for arrays in (self.arrays, other, self.arrays, other):
+            dispatcher.run(arrays)
+        dispatcher.cost_estimator = worst
+        dispatcher.run(self.arrays)
+        cold = Dispatcher(self.chain, self.variants, cost_estimator=worst)
+        self.assert_same_outcome(dispatcher.run(other), cold.run(other))
+
+    def test_backend_swap_off_c(self, monkeypatch):
+        """After a swap off ``c``, no call is served by a native plan."""
+        from repro.runtime.plan import ExecutionPlan
+
+        dispatcher = self.warm(backend="c")
+        dispatcher.backend = "reference"
+        replays = []
+        replay = ExecutionPlan.replay
+
+        def counting(plan, *args, **kwargs):
+            replays.append(plan.backend)
+            return replay(plan, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, "replay", counting)
+        warm = [dispatcher.run(self.arrays) for _ in range(3)]
+        assert replays == ["reference"] * 3
+        cold = Dispatcher(self.chain, self.variants, backend="reference")
+        self.assert_same_outcome(warm[-1], cold.run(self.arrays))
+        assert dispatcher.memo_stats()["executions"] == {
+            ran_on("c"): 2,
+            "reference": 3,
+        }
+
+    def test_eviction_at_capacity_one(self):
+        """Two shapes alternating through a one-entry memo: every switch
+        evicts, and the plan table never serves the evicted shape."""
+        rng = np.random.default_rng(41)
+        a = random_instance_arrays(self.chain, self.SIZES, rng)
+        b = random_instance_arrays(self.chain, (5, 3, 6, 4), rng)
+        dispatcher = Dispatcher(
+            self.chain, self.variants, memo_capacity=1, backend="c"
+        )
+        cold = Dispatcher(self.chain, self.variants, backend="c")
+        order = [a, a, b, b, a, b, a, a]
+        for arrays in order:
+            self.assert_same_outcome(dispatcher.run(arrays), cold.run(arrays))
+        stats = dispatcher.memo_stats()
+        assert stats["entries"] == 1
+        assert stats["misses"] == 5 and stats["hits"] == 3
+        assert stats["evictions"] == 4
+        assert sum(stats["executions"].values()) == len(order)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "int64"])
+    def test_operands_the_table_declines_at_a_warm_shape(self, layout):
+        """An operand the native table does not take — F-ordered, strided,
+        not float64 — gets the right answer from the Python path, counted
+        as the one hit it is."""
+        dispatcher = self.warm(backend="c")
+        rng = np.random.default_rng(7)
+        ints = [
+            rng.integers(-5, 5, size=a.shape, dtype=np.int64) for a in self.arrays
+        ]
+        floats = [a.astype(np.float64) for a in ints]
+        expected = dispatcher.run(floats).result
+        operands = {
+            "fortran": [np.asfortranarray(a) for a in floats],
+            "strided": [np.repeat(a, 2, axis=1)[:, ::2] for a in floats],
+            "int64": ints,
+        }[layout]
+        assert not all(a.flags.c_contiguous for a in operands) or layout == "int64"
+        before = dispatcher.memo_stats()
+        got = dispatcher.run(operands)
+        after = dispatcher.memo_stats()
+        assert got.result.dtype == np.float64
+        np.testing.assert_allclose(got.result, expected, rtol=1e-12, atol=1e-12)
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert sum(after["executions"].values()) == (
+            sum(before["executions"].values()) + 1
+        )
+
+    def test_a_reselected_entry_serves_the_new_variant(self, monkeypatch):
+        """Re-selection drops the entry's plan from the table; the next
+        call lowers the new variant, and warm calls serve it from then on."""
+        from repro.runtime import dispatcher as dispatcher_module
+
+        lowered = []
+        compile_plan = dispatcher_module.compile_plan
+
+        def counting(variant, *args, **kwargs):
+            lowered.append(variant)
+            return compile_plan(variant, *args, **kwargs)
+
+        monkeypatch.setattr(dispatcher_module, "compile_plan", counting)
+        first = Dispatcher(self.chain, self.variants).select(self.SIZES)[0]
+        other = next(v for v in self.variants if v is not first)
+
+        def calibration(variant, sizes):
+            return 1e6 if variant is first else 1e-9
+
+        dispatcher = Dispatcher(
+            self.chain,
+            self.variants,
+            backend="c",
+            calibration=calibration,
+            reselect_ratio=2.0,
+            reselect_min_executions=2,
+        )
+        outcomes = [dispatcher.run(self.arrays) for _ in range(8)]
+        assert [o.variant for o in outcomes] == [first] * 2 + [other] * 6
+        assert dispatcher.reselections == 1
+        assert lowered == [first, other]
+        expected = execute_variant(other, list(self.arrays))
+        for outcome in outcomes[2:]:
+            np.testing.assert_allclose(
+                outcome.result, expected, rtol=1e-12, atol=1e-12
+            )
+        stats = dispatcher.memo_stats()
+        assert stats["hits"] == 7 and stats["misses"] == 1
+        assert sum(stats["executions"].values()) == 8
+
+    def test_a_dropped_dispatcher_is_collected(self):
+        """A populated plan table holds no reference cycle through C: the
+        dispatcher dies with its last reference."""
+        import gc
+        import weakref
+
+        dispatcher = self.warm(backend="c")
+        dispatcher.run(self.arrays, out=np.empty((self.SIZES[0], self.SIZES[-1])))
+        ref = weakref.ref(dispatcher)
+        del dispatcher
+        gc.collect()
+        assert ref() is None
+
     def test_int64_operands_at_a_warm_shape(self):
         rng = np.random.default_rng(6)
         ints = [
@@ -804,3 +994,32 @@ class TestWhatAHitTrusts:
         assert got.result.dtype == np.float64
         np.testing.assert_array_equal(got.result, expected)
         assert dispatcher.memo_stats()["hits"] == 1
+
+
+class TestCallArguments:
+    """``Dispatcher.__call__`` (and so ``GeneratedCode.__call__``) reads one
+    list or tuple argument as the operand list only when it is one."""
+
+    def test_one_operand_chain_takes_a_nested_list(self):
+        from repro.api import compile_chain
+
+        generated = compile_chain(
+            "Matrix L <LowerTri, NonSingular>; X := L^-1;"
+        )
+        lower = [[2.0, 0.0], [1.0, 2.0]]
+        expected = np.linalg.inv(np.asarray(lower))
+        np.testing.assert_allclose(generated(lower), expected)
+        np.testing.assert_allclose(generated([np.asarray(lower)]), expected)
+
+    def test_many_operand_chain_unwraps_the_operand_list(self):
+        from repro.api import compile_chain
+
+        generated = compile_chain(
+            "Matrix A <General, Singular>; Matrix B <General, Singular>; "
+            "X := A * B;"
+        )
+        a, b = [[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]
+        expected = np.asarray(a) @ np.asarray(b)
+        np.testing.assert_allclose(generated(a, b), expected)
+        np.testing.assert_allclose(generated([a, b]), expected)
+        np.testing.assert_allclose(generated((np.asarray(a), np.asarray(b))), expected)
