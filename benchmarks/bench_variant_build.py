@@ -7,7 +7,10 @@ all C_{n-1} variants, and emitting the C++ translation unit.
 ``test_shared_steps_speedup`` is a plain acceptance test (run without
 ``--benchmark-only``): ``all_variants`` on a 10-matrix GEMM chain must
 build its 4,862 variants >= 3x faster than resolving every tree from
-scratch, with equal output.
+scratch, with equal output.  ``test_cost_sweep_speedup`` is another:
+``flop_cost_matrix`` must price the seeded n=7 pool on 1000 instances and
+the GEMM10 pool on 20 instances bit for bit like a per-term ``np.add.at``
+sweep, and >= 2x faster.
 """
 
 import time
@@ -17,7 +20,7 @@ import pytest
 
 from repro.codegen.cpp_emitter import emit_cpp
 from repro.compiler.parenthesization import enumerate_trees, left_to_right_tree
-from repro.compiler.selection import all_variants, essential_set
+from repro.compiler.selection import all_variants, essential_set, flop_cost_matrix
 from repro.compiler.states import associate, initial_states
 from repro.compiler.variant import (
     Step,
@@ -34,6 +37,11 @@ from conftest import emit
 
 #: Required speedup of the shared-step pool builder over the per-tree one.
 SPEEDUP_FLOOR = 3.0
+#: Required speedup of the unique-term cost sweep over the per-term one on
+#: each pool: half the smaller measured ratio (2-core Xeon: about 35x on
+#: the n=7 pool, 4x on GEMM10, whose time is mostly the Python walk over
+#: 4,862 variants).
+SWEEP_SPEEDUP_FLOOR = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +166,58 @@ def test_shared_steps_speedup():
         f"speedup  {speedup:8.2f}x (floor {SPEEDUP_FLOOR}x)",
     )
     assert speedup >= SPEEDUP_FLOOR
+
+
+def per_term_cost_matrix(variants, instances):
+    """Reference sweep: every stacked term priced on its own (the
+    coefficient, then the powers in symbol order), then scattered into the
+    matrix in term order with ``np.add.at``."""
+    coeffs, exponents, owner = [], [], []
+    for v, variant in enumerate(variants):
+        for coeff, powers in variant._flat_terms:
+            row = [0] * instances.shape[1]
+            for sym, exp in powers:
+                row[sym] = exp
+            coeffs.append(coeff)
+            exponents.append(row)
+            owner.append(v)
+    exponents = np.array(exponents, dtype=np.int64)
+    values = np.repeat(np.array(coeffs)[:, None], len(instances), axis=1)
+    for sym in range(instances.shape[1]):
+        values *= instances[:, sym] ** exponents[:, sym, None]
+    costs = np.zeros((len(variants), len(instances)))
+    np.add.at(costs, owner, values)
+    return costs
+
+
+def test_cost_sweep_speedup(chain7):
+    """The unique-term sweep equals the per-term one bit for bit, >= 2x faster."""
+    rng = np.random.default_rng(3)
+    gemm10 = Chain(tuple(Matrix(f"G{i + 1}").as_operand() for i in range(10)))
+    rows = []
+    for label, chain, count in (("n=7", chain7, 1000), ("GEMM10", gemm10, 20)):
+        variants = all_variants(chain)
+        instances = sample_instances(chain, count, rng).astype(np.float64)
+        best = {"per-term": float("inf"), "unique": float("inf")}
+        for _ in range(5):
+            for name, sweep in (
+                ("per-term", per_term_cost_matrix),
+                ("unique", flop_cost_matrix),
+            ):
+                start = time.perf_counter()
+                costs = sweep(variants, instances)
+                best[name] = min(best[name], time.perf_counter() - start)
+                if name == "per-term":
+                    expected = costs
+                else:
+                    assert np.array_equal(costs, expected)
+        speedup = best["per-term"] / best["unique"]
+        rows.append(
+            f"{label:6s} ({len(variants)} variants x {count} instances): "
+            f"per-term {best['per-term'] * 1e3:6.1f} ms, "
+            f"unique {best['unique'] * 1e3:6.1f} ms, {speedup:5.2f}x"
+        )
+        assert speedup >= SWEEP_SPEEDUP_FLOOR, rows[-1]
+    emit(
+        f"FLOP cost sweep (floor {SWEEP_SPEEDUP_FLOOR}x per pool)", "\n".join(rows)
+    )

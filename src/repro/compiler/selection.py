@@ -103,121 +103,110 @@ def penalty(
     return best_selected / optimal_cost(chain, sizes) - 1.0
 
 
-#: Largest ``terms x instances`` working set the evaluation sweep handles
-#: with direct element-wise powers; beyond it, the unique-exponent masked
-#: block sweep wins (np.unique overhead amortizes, powers collapse into
-#: repeated multiplies).
-DIRECT_EVAL_LIMIT = 65536
+#: Cells (floats) of one instance block's working set in
+#: :func:`evaluate_cost_terms`.
+SWEEP_CELLS = 1 << 20
 
-#: Flattened cost terms of a variant pool: ``(coefficients (T,),
-#: exponents (T, n+1), owner variant index (T,))``.  Built once per pool
-#: by :func:`flatten_cost_terms`; evaluated on any instance batch by
+#: A variant pool's cost terms, de-duplicated: ``(coefficients (U,),
+#: factors (U, F, 2), index (variants, most terms per variant))``.  Unique
+#: term ``u`` is ``coefficients[u] * prod_f q[s_f] ** e_f`` over its
+#: ``(s_f, e_f) = factors[u, f]``, in symbol order and padded with
+#: ``(0, 0)`` (``q_0 ** 0`` is 1.0, and multiplying by 1.0 is exact).  Row
+#: ``index[v, j]`` of the table is the ``j``-th term of variant ``v``;
+#: shorter variants are padded with the last row, which has coefficient 0
+#: and so prices to 0.  The index is Fortran-ordered, so each of its
+#: columns is contiguous.  Built once per pool by
+#: :func:`flatten_cost_terms`; evaluated on any instance batch by
 #: :func:`evaluate_cost_terms`.  The dispatcher caches one per selected
 #: set, so per-call dispatch pays only the evaluation sweep.
 TermStack = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def flatten_cost_terms(
-    variants: Sequence[Variant], num_symbols: int
-) -> TermStack:
-    """Stack every variant's monomial cost terms into one exponent matrix.
+def flatten_cost_terms(variants: Sequence[Variant]) -> TermStack:
+    """Index every variant's monomial cost terms into one table of unique terms.
 
     Every variant's cost is a sum of monomial terms
-    ``coeff * prod_s q_s^e_s``; stacking the terms of *all* variants into
-    one ``(terms, n+1)`` exponent matrix lets whole cost matrices be
-    evaluated with a handful of numpy broadcasts (one per distinct
-    ``(symbol, exponent)`` pair — kernel costs are cubic, so at most
-    ``3 (n+1)``) instead of a Python loop per variant.
+    ``coeff * prod_s q_s^e_s``.  A pool repeats few distinct terms many
+    times (an n=7 pool stacks about a thousand terms, of which a few dozen
+    are distinct), so each distinct ``(coefficient, powers)`` term is one
+    row of the table and is priced once per instance.
 
     Variants of one pool share their :class:`~repro.compiler.variant.Step`
-    objects, so each step's (or fix-up's) cached terms enter a table of
-    unique rows once, filled by one fancy-index assignment; the stack
-    gathers every variant's rows from it.
+    objects, so each step's (or fix-up's) cached terms are looked up in
+    the table once; the index matrix then gathers every variant's rows.
     """
-    coeffs: list[float] = []
-    cells: list[int] = []  # flat (table row, symbol, exponent) triples
-    part_rows: dict[int, range] = {}  # id(step or fix-up) -> its table rows
-    picks: list[int] = []  # table row of every stacked term
-    counts: list[int] = []  # stacked terms per variant
+    rows: dict = {}  # (coeff, powers) -> unique table row
+    part_rows: dict[int, list[int]] = {}  # id(step or fix-up) -> its rows
+    picks: list[int] = []  # table row of every term, variant by variant
+    counts: list[int] = []  # terms per variant
     for variant in variants:
         before = len(picks)
         for part in variant.steps + variant.fixups:
-            rows = part_rows.get(id(part))
-            if rows is None:
-                start = len(coeffs)
-                for coeff, powers in part._flat_terms:
-                    for sym, exp in powers:
-                        cells += (len(coeffs), sym, exp)
-                    coeffs.append(coeff)
-                rows = part_rows[id(part)] = range(start, len(coeffs))
-            picks += rows
+            found = part_rows.get(id(part))
+            if found is None:
+                found = part_rows[id(part)] = [
+                    rows.setdefault(term, len(rows)) for term in part._flat_terms
+                ]
+            picks += found
         counts.append(len(picks) - before)
-    rows, syms, exps = np.array(cells, dtype=np.intp).reshape(-1, 3).T
-    table = np.zeros((len(coeffs), num_symbols), dtype=np.int64)
-    table[rows, syms] = exps
-    picks = np.array(picks, dtype=np.intp)
-    owner = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-    return np.array(coeffs, dtype=np.float64)[picks], table[picks], owner
+    pad = len(rows)  # the zero row
+    coeffs = np.zeros(pad + 1, dtype=np.float64)
+    coeffs[:pad] = [coeff for coeff, _ in rows]
+    factors = np.zeros(
+        (pad + 1, max([1] + [len(powers) for _, powers in rows]), 2), dtype=np.intp
+    )
+    for (_, powers), row in rows.items():
+        for position, pair in enumerate(powers):
+            factors[row, position] = pair
+    # Each term's position in its variant: its stack offset minus the
+    # offset of its variant's first term.
+    counts = np.array(counts, dtype=np.intp)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    position = np.arange(len(picks)) - (np.cumsum(counts) - counts)[owner]
+    index = np.full((len(counts), counts.max(initial=0)), pad, np.intp, order="F")
+    index[owner, position] = picks
+    return coeffs, factors, index
 
 
-def evaluate_cost_terms(
-    stack: TermStack,
-    num_variants: int,
-    instances: np.ndarray,
-    term_block: int = 4096,
-) -> np.ndarray:
-    """Evaluate a term stack on instances: ``(num_variants, count)`` costs.
+def evaluate_cost_terms(stack: TermStack, instances: np.ndarray) -> np.ndarray:
+    """Evaluate a term stack on instances: ``(variants, count)`` costs.
 
-    ``term_block`` bounds the ``(terms, instances)`` working set for long
-    chains, whose Catalan-many variants contribute tens of thousands of
-    terms.
+    Each unique term is priced once per instance: the coefficient, then
+    times each ``q_s ** e_s`` in symbol order, as
+    :meth:`Variant.flop_cost <repro.compiler.variant.Variant.flop_cost>`
+    does (each distinct power ``q_s ** e`` is computed once).  Each
+    variant's terms are then summed left to right, one index column at a
+    time, so every cost is the same float as that sequential sum.  (A
+    pairwise, matmul or ``reduceat`` sum changes the last bits, which can
+    flip exact ties in selection.)  Instances are swept in blocks of at
+    most :data:`SWEEP_CELLS` working-set cells.
     """
-    coeff_arr, exp_arr, owner_arr = stack
+    coeffs, factors, index = stack
     instances = np.asarray(instances, dtype=np.float64)
     num_instances = instances.shape[0]
-    num_symbols = instances.shape[1] if instances.ndim == 2 else 0
-    costs = np.zeros((num_variants, num_instances))
-    if num_instances == 0 or coeff_arr.size == 0:
-        # Degenerate inputs short-circuit to a well-shaped empty/zero
-        # matrix: the sweep below assumes at least one column to broadcast
-        # against and at least one owner row.
+    costs = np.zeros((index.shape[0], num_instances))
+    if num_instances == 0 or index.size == 0:
         return costs
-
-    if coeff_arr.shape[0] * num_instances <= DIRECT_EVAL_LIMIT:
-        # Small working sets (per-call dispatch over a selected set, small
-        # batches): direct element-wise powers beat the unique-exponent
-        # masking below, whose np.unique calls dominate at this scale.
-        block = np.broadcast_to(
-            coeff_arr[:, None], (coeff_arr.shape[0], num_instances)
-        ).copy()
-        for sym in range(num_symbols):
-            exps = exp_arr[:, sym]
-            if not exps.any():
-                continue
-            block *= instances[:, sym][None, :] ** exps[:, None]
-        np.add.at(costs, owner_arr, block)
-        return costs
-
-    for start in range(0, coeff_arr.shape[0], term_block):
-        stop = min(start + term_block, coeff_arr.shape[0])
-        block = np.broadcast_to(
-            coeff_arr[start:stop, None], (stop - start, num_instances)
-        ).copy()
-        for sym in range(num_symbols):
-            column = instances[:, sym]
-            for exp in np.unique(exp_arr[start:stop, sym]):
-                if exp == 0:
-                    continue
-                mask = exp_arr[start:stop, sym] == exp
-                block[mask] *= column[None, :] ** int(exp)
-        np.add.at(costs, owner_arr[start:stop], block)
+    symbols, exponents = factors.T  # (factor, term) each
+    degrees = np.arange(exponents.max() + 1)[:, None]
+    # Per instance: the distinct powers, the term values, one gathered
+    # factor and one gathered term column.
+    cells = instances.shape[1] * len(degrees) + 2 * len(coeffs) + len(index)
+    block = max(1, SWEEP_CELLS // cells)
+    for start in range(0, num_instances, block):
+        q = instances[start:start + block]
+        powers = q.T[:, None, :] ** degrees  # (symbol, exponent, instance)
+        values = coeffs[:, None] * powers[symbols[0], exponents[0]]
+        for sym, exp in zip(symbols[1:], exponents[1:]):
+            values *= powers[sym, exp]
+        total = costs[:, start:start + block]
+        for column in index.T:
+            total += values[column]
     return costs
 
 
 def flop_cost_matrix(
-    variants: Sequence[Variant],
-    instances: np.ndarray,
-    term_block: int = 4096,
+    variants: Sequence[Variant], instances: np.ndarray
 ) -> np.ndarray:
     """Batched FLOP costs: ``(num_variants, num_instances)`` in one sweep.
 
@@ -233,8 +222,8 @@ def flop_cost_matrix(
         )
     if instances.shape[0] == 0 or not len(variants):
         return np.zeros((len(variants), instances.shape[0]))
-    stack = flatten_cost_terms(variants, instances.shape[1])
-    return evaluate_cost_terms(stack, len(variants), instances, term_block)
+    stack = flatten_cost_terms(variants)
+    return evaluate_cost_terms(stack, instances)
 
 
 def cost_matrix(

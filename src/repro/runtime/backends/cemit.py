@@ -305,9 +305,14 @@ class _Packer:
         er = call.right_trans != r.t
         m, k = (l.pc, l.pr) if el else (l.pr, l.pc)
         _, n = (r.pc, r.pr) if er else (r.pr, r.pc)
-        if last:
+        if last and el != er:
             # Pack the transposed product so the final dgemm writes the
             # caller's C-ordered output buffer directly: C^T = op(B)^T op(A)^T.
+            # Only mixed flags: swapping the operands keeps the (T, N) /
+            # (N, T) pair, so the call is the blas backend's, bit for bit.
+            # Equal flags would turn NN into TT (or back), a different
+            # BLAS path whose rounding differs; those products keep the
+            # blas lowering's flags and take the transposed store pass.
             step = _Step(
                 OP_GEMM, f0=_tn(not er), f1=_tn(not el), m=n, n=m, k=k,
                 a=r.ref, lda=r.pr, b=l.ref, ldb=l.pr, ldc=n,

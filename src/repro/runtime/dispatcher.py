@@ -510,11 +510,12 @@ class Dispatcher:
         already validated their instances — size inference, the serve
         layer — pass ``validate=False`` to skip it (a cheap width check
         still applies).  Under the
-        default FLOP estimator the whole matrix is computed with the
-        :func:`~repro.compiler.selection.flatten_cost_terms` broadcast
-        sweep (one numpy pass over all variants and instances, no
-        per-variant Python loop); any other estimator is priced by
-        :func:`~repro.compiler.selection.cost_matrix`.
+        default FLOP estimator the whole matrix is one
+        :func:`~repro.compiler.selection.evaluate_cost_terms` sweep over
+        the cached term stack: each distinct cost term of the variants is
+        priced once per instance and each variant's terms are summed in
+        order, with no per-variant Python loop; any other estimator is
+        priced by :func:`~repro.compiler.selection.cost_matrix`.
         """
         validated = self._as_instance_matrix(instances, validate)
         snapshot = self._sync_pool()
@@ -589,11 +590,11 @@ class Dispatcher:
             if cached is not None and cached[0] is snapshot:
                 stack = cached[1]
             else:
-                stack = flatten_cost_terms(snapshot, self.chain.n + 1)
+                stack = flatten_cost_terms(snapshot)
                 with self._memo_lock:
                     if self._pool_snapshot is snapshot:
                         self._term_stack = (snapshot, stack)
-            return evaluate_cost_terms(stack, len(snapshot), validated)
+            return evaluate_cost_terms(stack, validated)
         from repro.compiler.selection import cost_matrix
 
         return cost_matrix(snapshot, validated, estimator)

@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import compile_chain
 from repro.codegen.python_emitter import emit_python
@@ -395,8 +395,21 @@ def _layouts(arrays):
         yield name, [converted.setdefault(id(a), convert(a)) for a in arrays]
 
 
+#: ``M0^-1 M1^-1 M2^-1 M3^-1``, all general non-singular, every size 20:
+#: ``P2 = (M0 M1)(M2 M3)`` ends in a product of two intermediates, the
+#: one final GEMM whose transposed packing would flip both BLAS flags.
+_FOUR_INVERSES = (
+    Chain(tuple(
+        option_to_operand(1, f"M{i}", EXTENDED_MATRIX_OPTIONS) for i in range(4)
+    )),
+    (20,) * 5,
+    None,
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_chain_and_sizes(), seed=st.integers(0, 2**16))
+@example(case=_FOUR_INVERSES, seed=4)
 def _check_every_consumer_against_oracle(case, seed):
     """Every consumer of the per-step call record — reference, blas and c
     plans (plain and ``out=`` replay) and the emitted Python module's

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.compiler.selection import CostMatrix, all_variants, flop_cost_matrix
-from repro.experiments.sampling import sample_instances, sample_shapes
+from repro.experiments.sampling import (
+    EXTENDED_MATRIX_OPTIONS,
+    option_to_operand,
+    sample_instances,
+    sample_shapes,
+)
+from repro.ir.chain import Chain
 
 from conftest import general_chain, make_general, make_lower, random_option_chain
 
@@ -34,13 +40,18 @@ class TestBatchedCostMatrix:
                 reference_costs(variants, np.asarray(instances, float)),
             )
 
-    def test_small_term_blocks_chunk_correctly(self, rng):
+    def test_instance_blocks_are_exact(self, rng, monkeypatch):
+        from repro.compiler import selection
+
         chain = make_general("A") * make_lower("L").inv * make_general("B")
         variants = all_variants(chain)
         instances = sample_instances(chain, 16, rng)
         full = flop_cost_matrix(variants, instances)
-        chunked = flop_cost_matrix(variants, instances, term_block=2)
-        np.testing.assert_allclose(full, chunked)
+        # A budget below one instance's working set sweeps one at a time.
+        monkeypatch.setattr(selection, "SWEEP_CELLS", 1)
+        np.testing.assert_array_equal(flop_cost_matrix(variants, instances), full)
+        monkeypatch.setattr(selection, "SWEEP_CELLS", 200)
+        np.testing.assert_array_equal(flop_cost_matrix(variants, instances), full)
 
     def test_cost_matrix_default_uses_batched_path(self, rng):
         chain = general_chain(4)
@@ -80,6 +91,55 @@ class TestBatchedCostMatrix:
     def test_empty_variants(self):
         costs = flop_cost_matrix([], np.ones((5, 3)))
         assert costs.shape == (0, 5)
+
+
+def scalar_costs(variants, instances):
+    """``Variant.flop_cost`` on int size tuples: the exact scalar oracle."""
+    sizes = [tuple(int(x) for x in row) for row in instances]
+    return np.array(
+        [[v.flop_cost(q) for q in sizes] for v in variants], dtype=np.float64
+    ).reshape(len(variants), len(sizes))
+
+
+def extended_chain(n):
+    """``n`` operands cycling through every extended feature option."""
+    options = EXTENDED_MATRIX_OPTIONS
+    return Chain(
+        tuple(option_to_operand(i % len(options), f"M{i}", options) for i in range(n))
+    )
+
+
+class TestExactSweep:
+    """The sweep is the scalar cost bit for bit: the coefficient, then the
+    powers in symbol order, then each variant's terms summed in order.
+    Selection compares these floats, so near-equal is not enough."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_exhaustive_extended_pools(self, n, rng):
+        chain = extended_chain(n)
+        variants = all_variants(chain)
+        instances = sample_instances(chain, 40, rng)
+        np.testing.assert_array_equal(
+            flop_cost_matrix(variants, instances), scalar_costs(variants, instances)
+        )
+
+    def test_gemm10_pool(self, rng):
+        chain = general_chain(10)
+        variants = all_variants(chain)
+        instances = sample_instances(chain, 8, rng)
+        np.testing.assert_array_equal(
+            flop_cost_matrix(variants, instances), scalar_costs(variants, instances)
+        )
+
+    def test_zero_instances(self):
+        variants = all_variants(extended_chain(5))
+        costs = flop_cost_matrix(variants, np.empty((0, 6)))
+        np.testing.assert_array_equal(costs, scalar_costs(variants, []))
+
+    def test_empty_pool(self, rng):
+        instances = sample_instances(extended_chain(5), 6, rng)
+        costs = flop_cost_matrix([], instances)
+        np.testing.assert_array_equal(costs, scalar_costs([], instances))
 
 
 class TestDegenerateInputs:
@@ -123,8 +183,9 @@ class TestDegenerateInputs:
 class TestTermStack:
     """The flatten-once/evaluate-many split behind the dispatcher hot path."""
 
-    def test_small_and_blocked_paths_agree(self, rng, monkeypatch):
-        from repro.compiler import selection
+    def test_each_instance_alone_matches_the_batch(self, rng):
+        # The dispatcher sweeps one size vector per memo miss and whole
+        # batches in select_many: both must give the same floats.
         from repro.compiler.selection import (
             evaluate_cost_terms,
             flatten_cost_terms,
@@ -132,19 +193,12 @@ class TestTermStack:
 
         chain = random_option_chain(6, rng)
         variants = all_variants(chain)
-        instances = sample_instances(chain, 30, rng)
-        stack = flatten_cost_terms(variants, chain.n + 1)
-        small = evaluate_cost_terms(stack, len(variants), instances)
-        # Force the masked block sweep onto the same data (threshold 0
-        # disables the direct-pow path; a tiny term_block chunks it).
-        monkeypatch.setattr(selection, "DIRECT_EVAL_LIMIT", 0)
-        blocked = evaluate_cost_terms(
-            stack, len(variants), instances, term_block=3
-        )
-        np.testing.assert_allclose(small, blocked)
-        for i, variant in enumerate(variants):
-            np.testing.assert_allclose(
-                small[i], variant.flop_cost_many(instances)
+        instances = np.asarray(sample_instances(chain, 30, rng), float)
+        stack = flatten_cost_terms(variants)
+        batch = evaluate_cost_terms(stack, instances)
+        for i in range(len(instances)):
+            np.testing.assert_array_equal(
+                evaluate_cost_terms(stack, instances[i:i + 1])[:, 0], batch[:, i]
             )
 
     def test_empty_stack_evaluates_to_zeros(self):
@@ -153,8 +207,8 @@ class TestTermStack:
             flatten_cost_terms,
         )
 
-        stack = flatten_cost_terms([], 4)
-        costs = evaluate_cost_terms(stack, 0, np.zeros((5, 4)))
+        stack = flatten_cost_terms([])
+        costs = evaluate_cost_terms(stack, np.zeros((5, 4)))
         assert costs.shape == (0, 5)
 
     def test_dispatcher_caches_the_stack(self, rng):

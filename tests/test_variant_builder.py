@@ -351,6 +351,19 @@ def per_row_term_stack(variants, num_symbols):
     )
 
 
+def expand_term_stack(stack, num_symbols):
+    """A unique-term stack back to one ``(coeff, exponents, owner)`` row per
+    term, variant by variant in term order (the index's padding dropped)."""
+    coeffs, factors, index = stack
+    exponents = np.zeros((len(coeffs), num_symbols), dtype=np.int64)
+    for row, pairs in enumerate(factors):
+        for sym, exp in pairs:
+            exponents[row, sym] += exp  # (0, 0) padding adds nothing
+    owner, position = np.nonzero(index != len(coeffs) - 1)
+    rows = index[owner, position]
+    return coeffs[rows], exponents[rows], owner
+
+
 class TestFlattenCostTerms:
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
     def test_matches_per_row_oracle(self, n):
@@ -362,16 +375,36 @@ class TestFlattenCostTerms:
             )
         )
         pool = all_variants(chain)
-        got = flatten_cost_terms(pool, n + 1)
+        stack = flatten_cost_terms(pool)
+        coeffs, factors, index = stack
+        # The last table row is the zero padding row; the others are
+        # distinct terms, each with its factors in symbol order; padding
+        # only ever trails a variant's terms (and a term's factors).
+        assert coeffs[-1] == 0 and not factors[-1].any()
+        terms = len(coeffs) - 1
+        table = np.column_stack(
+            [coeffs[:-1].view(np.int64), factors[:-1].reshape(terms, factors[0].size)]
+        )
+        assert len(np.unique(table, axis=0)) == len(table)
+        for pairs in factors.tolist():
+            syms = [sym for sym, exp in pairs if exp]
+            assert syms == sorted(set(syms))
+            assert not any(map(any, pairs[len(syms):]))
+        padded = index == len(coeffs) - 1
+        assert (padded[:, :-1] <= padded[:, 1:]).all()
+        got = expand_term_stack(stack, n + 1)
         for got_array, expected_array in zip(got, per_row_term_stack(pool, n + 1)):
             assert got_array.dtype == expected_array.dtype
             np.testing.assert_array_equal(got_array, expected_array)
 
     def test_empty_pool(self):
-        coeffs, exponents, owner = flatten_cost_terms([], 4)
-        assert coeffs.shape == (0,) and coeffs.dtype == np.float64
-        assert exponents.shape == (0, 4) and exponents.dtype == np.int64
-        assert owner.shape == (0,) and owner.dtype == np.intp
+        coeffs, factors, index = flatten_cost_terms([])
+        np.testing.assert_array_equal(coeffs, [0.0])  # the padding row
+        assert coeffs.dtype == np.float64
+        assert factors.shape == (1, 1, 2) and not factors.any()
+        assert index.shape == (0, 0) and index.dtype == np.intp
+        for array in expand_term_stack((coeffs, factors, index), 4):
+            assert array.shape[0] == 0
 
     def test_variant_terms_concatenate_step_terms(self):
         chain = Chain((make_general("A", invertible=True).inv,
