@@ -1,16 +1,15 @@
 """C-emitter backend: native step interpreter vs per-step BLAS dispatch.
 
 The ``c`` execution backend (``repro.runtime.backends.cemit``) packs each
-frozen execution plan into an integer step record — every
-transpose/side/triangularity flag, dimension and leading dimension
-resolved at plan-compile time — and replays it with one call into a
-prebuilt native interpreter that walks the record through
-cython_blas/lapack function pointers.  The win is zero Python
+variant's execution plan into an integer step record — every
+transpose/side/triangularity flag resolved at plan-compile time, every
+dimension a reference into the sizes bound per call — and replays it
+with one call into a prebuilt native interpreter that walks the record
+through cython_blas/lapack function pointers.  The win is zero Python
 interpretation per step — exactly where long chains of *small* operands
 spend their time.  The interpreter is compiled once per codegen cache
 directory and kept in that bounded on-disk cache, so a warm deployment
-never re-invokes the compiler, and a new size vector costs microseconds
-of packing.
+never re-invokes the compiler, and a new size vector costs no packing.
 
 CI gates (skipped when no C toolchain or capsules are available):
 
@@ -20,7 +19,7 @@ CI gates (skipped when no C toolchain or capsules are available):
   dominates and the native loop can only win on call overhead;
 * a second invocation in a fresh process hits the codegen disk cache:
   zero compiler invocations, also for size vectors the first process
-  never lowered, asserted via the obs counters.
+  never saw, asserted via the obs counters.
 """
 
 import functools
@@ -151,9 +150,10 @@ def test_c_backend_large_operand_no_regression(benchmark):
     )
 
 
-#: Run in a fresh interpreter: build native plans for a fixed chain at the
-#: size vectors given as JSON in argv[1] and report the process's codegen
-#: counters as JSON.
+#: Run in a fresh interpreter: dispatch a fixed chain at the size vectors
+#: given as JSON in argv[1] and report the backends, the number of plans
+#: lowered (one per variant won: plans are per variant, not per size
+#: vector) and the process's codegen counters as JSON.
 _CHILD = r"""
 import json, sys
 from repro.api import compile_chain
@@ -170,10 +170,11 @@ source = (
 )
 gen = compile_chain(source, num_training_instances=10, use_cache=False)
 runtime = gen.program.runtime(backend="c")
-backends = [runtime.plan_for(sizes)[2].backend for sizes in json.loads(sys.argv[1])]
+plans = [runtime.plan_for(sizes)[2] for sizes in json.loads(sys.argv[1])]
 stats = get_codegen_cache().stats()
 print(json.dumps({
-    "backends": backends,
+    "backends": [plan.backend for plan in plans],
+    "plans": len({id(plan) for plan in plans}),
     "compiles_counter": get_registry().counter(
         "runtime.codegen_compiles").value,
     "cache_compiles": stats["compiles"],
@@ -220,12 +221,13 @@ def test_fresh_process_hits_codegen_disk_cache(tmp_path, benchmark):
     # never lowered.
     assert second["compiles_counter"] == 0, second
     assert second["cache_compiles"] == 0, second
-    assert second["cache_hits"] == len(_SECOND_SIZES), second
+    # Each lowered plan finds the interpreter in the disk tier once.
+    assert second["cache_hits"] == second["plans"] >= 1, second
     emit(
         "C backend: codegen disk cache across processes",
         f"first process compiles={first['compiles_counter']}, "
-        f"second process ({len(_SECOND_SIZES)} plans, "
-        f"{len(_SECOND_SIZES) - 1} new size vectors) "
+        f"second process ({len(_SECOND_SIZES)} size vectors, "
+        f"{len(_SECOND_SIZES) - 1} new, {second['plans']} plans) "
         f"compiles={second['compiles_counter']} hits={second['cache_hits']}",
     )
     benchmark.extra_info["second_process_compiles"] = second["compiles_counter"]

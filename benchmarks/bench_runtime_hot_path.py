@@ -2,15 +2,14 @@
 
 The runtime (`repro.runtime`) answers a repeated instance from a
 dispatch memo keyed on the operand shapes: one memo probe and a replay
-of the `ExecutionPlan` compiled for those sizes (sizes are inferred only
-on the miss that memoized them).
+of the winning variant's `ExecutionPlan` (sizes are inferred only on the
+miss that memoized them).
 
 The **memo-less baseline** pays per call what the memo amortizes away:
 a full cost-matrix sweep with per-row instance validation (a dispatcher
-with ``memo_capacity=0``), a second ``infer_sizes`` inside
-``execute_variant(check_shapes=True)``, and a plan compiled for the
-sizes before its single replay (kernel lowering, ``StepCall``
-construction, slot resolution).
+with ``memo_capacity=0``), a second size inference inside
+``execute_variant``, and a plan compiled before its single replay
+(kernel lowering, ``StepCall`` construction, slot resolution).
 
 The acceptance test asserts the memoized runtime answers repeated
 same-size dispatch+execute requests >= 5x faster (bit-identical results);
@@ -62,13 +61,12 @@ def _memo_less_call(chain, dispatcher, arrays):
     """One request without the memo's amortization.
 
     ``dispatcher`` must have ``memo_capacity=0`` so ``select`` performs a
-    full sweep (with per-row validation); ``execute_variant`` with
-    ``check_shapes=True`` then re-infers the sizes and compiles a plan
-    for its single replay.
+    full sweep (with per-row validation); ``execute_variant`` then
+    compiles a plan and re-infers the sizes for its single replay.
     """
     sizes = infer_sizes(chain, [np.asarray(a) for a in arrays])
     variant, _ = dispatcher.select(sizes)
-    return execute_variant(variant, list(arrays), check_shapes=True)
+    return execute_variant(variant, list(arrays))
 
 
 def _measure(fn, reps: int) -> float:

@@ -45,9 +45,9 @@ class GeneratedCode:
     variant, execute it through the kernel substrate.
 
     The dispatcher is a *live runtime* (:mod:`repro.runtime`): it memoizes
-    dispatch decisions and compiled execution plans per observed size
-    vector, so repeated calls with same-size instances skip the cost sweep
-    and re-validation entirely.  Hold one ``GeneratedCode`` per chain shape
+    dispatch decisions per observed size vector and one compiled execution
+    plan per variant, so repeated calls with same-size instances skip the
+    cost sweep and re-validation entirely.  Hold one ``GeneratedCode`` per chain shape
     and call it many times — that is the serving hot path.
     """
 

@@ -8,8 +8,9 @@ The emitted translation unit contains, for a chain of ``n`` matrices and
 * one ``variant_<i>`` function per variant, issuing the kernel call
   sequence (through the ``gmc::kernels`` API also emitted here) and
   managing intermediate buffers;
-* a dispatch function that infers the sizes from the input matrices,
-  evaluates every cost function, and forwards to the cheapest variant.
+* a dispatch function that infers and checks the sizes of the input
+  matrices, evaluates every cost function, and forwards to the cheapest
+  variant.
 
 The C++ is self-contained modulo the kernel library header
 (:func:`emit_kernels_header`), whose implementations would be bound to
@@ -104,6 +105,7 @@ def emit_cpp(
     out(f"// Variants: {len(variants)}")
     out("#include <cstddef>")
     out("#include <limits>")
+    out("#include <stdexcept>")
     out("#include <utility>")
     out('#include "gmc_kernels.hpp"')
     out("")
@@ -141,8 +143,15 @@ def emit_cpp(
     out(f"    double q[{n + 1}];")
     for i, operand in enumerate(chain):
         rows, cols = ("cols", "rows") if operand.transposed else ("rows", "cols")
-        out(f"    q[{i}] = static_cast<double>(A[{i}].{rows}());")
+        if i == 0:
+            out(f"    q[0] = static_cast<double>(A[0].{rows}());")
+        else:  # one comparison per shared size
+            out(f"    if (static_cast<double>(A[{i}].{rows}()) != q[{i}])")
+            out(f'        throw std::invalid_argument("inconsistent sizes at q{i}");')
         out(f"    q[{i + 1}] = static_cast<double>(A[{i}].{cols}());")
+    for i in (i for i, operand in enumerate(chain) if operand.is_square):
+        out(f"    if (q[{i}] != q[{i + 1}])")
+        out(f'        throw std::invalid_argument("operand {i} must be square");')
     out("    double best_cost = std::numeric_limits<double>::infinity();")
     out("    int best = -1;")
     for i in range(len(variants)):

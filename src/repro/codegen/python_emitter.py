@@ -12,7 +12,7 @@ The emitted module exposes:
 
 * ``cost_variant_<i>(q)`` — FLOP cost from a size tuple;
 * ``variant_<i>(A)`` — evaluate via the i-th kernel sequence;
-* ``infer_sizes(A)`` — recover ``q`` from the stored operand arrays;
+* ``infer_sizes(A)`` — recover and check ``q`` from the stored operands;
 * ``evaluate(*A)`` — dispatch: infer sizes, pick argmin cost, run it.
 """
 
@@ -213,10 +213,17 @@ def emit_python(
     out('    """Recover the instance vector q from the stored operands."""')
     out(f"    q = [0] * {chain.n + 1}")
     for i, operand in enumerate(chain):
-        if operand.transposed:
-            out(f"    q[{i}], q[{i + 1}] = A[{i}].shape[1], A[{i}].shape[0]")
-        else:
-            out(f"    q[{i}], q[{i + 1}] = A[{i}].shape[0], A[{i}].shape[1]")
+        rows, cols = (1, 0) if operand.transposed else (0, 1)
+        if i == 0:
+            out(f"    q[0] = A[0].shape[{rows}]")
+        else:  # one comparison per shared size
+            dim = f"A[{i}].shape[{rows}]"
+            out(f"    if {dim} != q[{i}]:")
+            out(f'        raise ValueError(f"inconsistent sizes at q{i}: {{q[{i}]}} vs {{{dim}}}")')
+        out(f"    q[{i + 1}] = A[{i}].shape[{cols}]")
+    for i in (i for i, operand in enumerate(chain) if operand.is_square):
+        out(f"    if q[{i}] != q[{i + 1}]:")
+        out(f'        raise ValueError(f"operand {i} must be square, got {{q[{i}]}}x{{q[{i + 1}]}}")')
     out("    return tuple(q)")
     out("")
     out("")

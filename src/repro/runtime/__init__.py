@@ -8,15 +8,17 @@ that second half, structured for the per-request hot path:
 * :mod:`repro.runtime.executor` — the per-step call record
   (:class:`StepCall`), size inference, the fix-up table, the one-shot
   :func:`execute_variant`, and the concrete-operand helpers;
-* :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, one ``(variant,
-  sizes)`` pair compiled into a replayable loop of pre-resolved kernel
-  calls over flat buffer slots (no dict lookups, no re-validation); its
-  :meth:`~ExecutionPlan.replay` is the one loop every execution runs;
+* :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, one variant
+  compiled for symbolic sizes (bound at call time) into a replayable loop
+  of pre-resolved kernel calls over flat buffer slots (no dict lookups,
+  no re-validation); its :meth:`~ExecutionPlan.replay` is the one loop
+  every execution runs;
 * :mod:`repro.runtime.dispatcher` — :class:`Dispatcher`, the generated
   dispatch function with a bounded memo keyed on the operand shapes:
   repeated instances skip size inference and the cost sweep and replay
-  their compiled plan, making the steady-state per-call path one dict
-  probe plus the kernel work itself;
+  the winning variant's plan (at most one per variant and backend),
+  making the steady-state per-call path one dict probe plus the kernel
+  work itself;
 * :mod:`repro.runtime.backends` — pluggable execution backends
   (``reference``, ``blas``, and the native-interpreter ``c`` backend) that
   lower each step's :class:`StepCall` to a direct callable at

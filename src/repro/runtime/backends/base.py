@@ -73,13 +73,16 @@ class Backend(ABC):
         """Optionally lower a *whole* plan to one fused callable.
 
         Called once at plan-compile time, after the per-step lowering.
+        Plans are per variant: the callable binds the sizes per call.
         Returning a ``(values, out) -> result`` callable replaces the
         plan's step loop on the untimed
         :meth:`~repro.runtime.plan.ExecutionPlan.replay` path (fix-ups
         still run in Python afterwards); it may write the result into
         ``out`` (``None`` when the caller supplied none) or return a fresh
-        array, and replay copies it into ``out`` then.  Returning ``None`` —
-        the default — keeps the per-step loop, and the plan reports
+        array, and replay copies it into ``out`` then; a call that
+        returns ``None`` is retried once on C-ordered operand copies.
+        Returning ``None`` here — the default — keeps the per-step loop,
+        and the plan reports
         :attr:`fallback_name` as its backend when set.  Implementations
         must degrade by returning ``None``, never by raising.
         """

@@ -10,12 +10,13 @@ integer step record, and one fixed C translation unit
 calling BLAS/LAPACK through function pointers harvested from
 ``scipy.linalg.cython_blas`` / ``cython_lapack`` PyCapsules.  One Python
 call per *replay* (a METH_FASTCALL entry, GIL released for the walk),
-zero per step.  The entry finds the record by the operands' shapes in a
-table of plans: a :class:`NativePlan` passes its own one-plan table, and
-a dispatcher passes its plan table, which makes a warm dispatch the same
-one call (:mod:`repro.runtime.dispatcher`).
+zero per step.  A :class:`NativePlan` passes its record; a dispatcher
+passes its plan table, in which the entry finds the record by the
+operands' shapes, making a warm dispatch the same one call
+(:mod:`repro.runtime.dispatcher`).
 
-Everything dynamic is resolved into the record at plan-compile time:
+Like the paper's generated code, a record is packed once per variant, for
+*symbolic* sizes.  Packing resolves:
 
 * the operand roles of each step's
   :class:`~repro.runtime.executor.StepCall` (the record every backend
@@ -24,16 +25,17 @@ Everything dynamic is resolved into the record at plan-compile time:
   flags by this packer's own layout algebra — a C-contiguous stored
   array is re-presented as its Fortran-contiguous transpose with the
   flags flipped, fixed at pack time (no copies);
-* all dimensions and leading dimensions (the plan is already specialized
-  to one size vector);
+* every dimension and leading dimension, as a reference into the size
+  vector ``q`` that the interpreter binds from the operands' shapes on
+  every call (checking what size inference checks);
 * buffer addressing: inputs map to the call's operand arguments,
-  intermediates to offsets in one per-call ``malloc``'d workspace (so
-  plans stay stateless and replay concurrently), the final step writes
-  straight into the caller's output array whenever its natural layout
-  allows.
+  intermediates to one per-call ``malloc``'d workspace laid out from the
+  bound sizes (so plans stay stateless and replay concurrently), the
+  final step writes straight into the caller's output array whenever its
+  natural layout allows.
 
-Packing costs microseconds, so a new size vector never waits for a
-compiler.  The interpreter itself is compiled once with the discovered
+Packing costs microseconds, once per variant; a new size vector costs
+no packing.  The interpreter itself is compiled once with the discovered
 toolchain (:mod:`~repro.runtime.backends.toolchain`) and cached
 content-addressed by its source and the interpreter ABI tag in the
 bounded on-disk codegen cache (:mod:`repro.runtime.codegen_cache`) — a
@@ -82,6 +84,7 @@ from repro.runtime.backends.toolchain import (
     discover_toolchain,
 )
 from repro.runtime.codegen_cache import get_codegen_cache
+from repro.runtime.executor import SizeInferencer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.executor import StepCall
@@ -203,7 +206,8 @@ def _ref(kind: int, index: int) -> int:
     return index << 2 | kind
 
 
-#: The reference to the caller's output array.
+#: The reference to the caller's output array (step ``i``'s own output
+#: is ``_ref(_REF_WS, i)``, placed in the workspace by the interpreter).
 _OUT = _ref(_REF_OUT, 0)
 
 
@@ -216,7 +220,8 @@ class _Unsupported(Exception):
 
 
 class _Step(NamedTuple):
-    """One packed step: the C ``step_t`` record, field for field."""
+    """One packed step: the C ``step_t`` record, field for field; its
+    dimensions are size refs, its workspace offsets the interpreter's."""
 
     op: int
     f0: int = 0
@@ -240,9 +245,9 @@ class _Buf(NamedTuple):
     """One buffer slot's pack-time layout.
 
     The physical buffer is read Fortran-contiguously with dimensions
-    ``(pr, pc)`` and leading dimension ``pr``; the *logical* stored value
-    is its transpose iff ``t`` (a C-contiguous stored array is exactly
-    its F-contiguous transpose, so inputs start with ``t=True``).
+    ``(pr, pc)`` and leading dimension ``pr`` (size refs); the *logical*
+    stored value is its transpose iff ``t`` (a C-contiguous stored array
+    is exactly its F-contiguous transpose, so inputs start with ``t=True``).
     """
 
     pr: int
@@ -283,156 +288,144 @@ def _side(left: bool) -> int:
 _UPPER = ord("U")
 
 
-class _Packer:
-    """Walks a plan's steps, laying out the workspace."""
+# Per-family packing.  Every dimension a step names is a *size ref* into
+# the instance vector ``q``: ``i << 1`` stands for ``q[i]`` and
+# ``i << 1 | 1`` for ``q[i] + 1`` (a diagonal's stride), so a buffer's
+# dimensions are even refs and ``d.pr + 1`` is its diagonal stride.  The
+# interpreter binds the refs from the operands' shapes on every call, and
+# places the workspace from the bound sizes.
 
-    def __init__(self):
-        self.ws_doubles = 0
 
-    def alloc(self, doubles: int) -> int:
-        """Reserve ``doubles`` workspace doubles; returns the offset."""
-        offset = self.ws_doubles
-        self.ws_doubles += doubles
-        return offset
-
-    def alloc_ints(self, count: int) -> int:
-        return self.alloc((count + 1) // 2)
-
-    # -- per-family packing --------------------------------------------------
-
-    def _gemm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
-        el = call.left_trans != l.t
-        er = call.right_trans != r.t
-        m, k = (l.pc, l.pr) if el else (l.pr, l.pc)
-        _, n = (r.pc, r.pr) if er else (r.pr, r.pc)
-        if last and el != er:
-            # Pack the transposed product so the final dgemm writes the
-            # caller's C-ordered output buffer directly: C^T = op(B)^T op(A)^T.
-            # Only mixed flags: swapping the operands keeps the (T, N) /
-            # (N, T) pair, so the call is the blas backend's, bit for bit.
-            # Equal flags would turn NN into TT (or back), a different
-            # BLAS path whose rounding differs; those products keep the
-            # blas lowering's flags and take the transposed store pass.
-            step = _Step(
-                OP_GEMM, f0=_tn(not er), f1=_tn(not el), m=n, n=m, k=k,
-                a=r.ref, lda=r.pr, b=l.ref, ldb=l.pr, ldc=n,
-            )
-            return _StepSpec(n, m, True, False, step)
+def _gemm(call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
+    el = call.left_trans != l.t
+    er = call.right_trans != r.t
+    m, k = (l.pc, l.pr) if el else (l.pr, l.pc)
+    _, n = (r.pc, r.pr) if er else (r.pr, r.pc)
+    if last and el != er:
+        # Pack the transposed product so the final dgemm writes the
+        # caller's C-ordered output buffer directly: C^T = op(B)^T op(A)^T.
+        # Only mixed flags: swapping the operands keeps the (T, N) /
+        # (N, T) pair, so the call is the blas backend's, bit for bit.
+        # Equal flags would turn NN into TT (or back), a different
+        # BLAS path whose rounding differs; those products keep the
+        # blas lowering's flags and take the transposed store pass.
         step = _Step(
-            OP_GEMM, f0=_tn(el), f1=_tn(er), m=m, n=n, k=k,
-            a=l.ref, lda=l.pr, b=r.ref, ldb=r.pr, ldc=m,
+            OP_GEMM, f0=_tn(not er), f1=_tn(not el), m=n, n=m, k=k,
+            a=r.ref, lda=r.pr, b=l.ref, ldb=l.pr, ldc=n,
         )
-        return _StepSpec(m, n, False, False, step)
-
-    def _symm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
-        side_left = call.s_left
-        s, g = (l, r) if side_left else (r, l)
-        eg = call.o_trans != g.t
-        # The symmetric operand equals its transpose: its layout flag is
-        # immaterial and 'U' always names a valid stored triangle.  A
-        # transposed general operand computes the transposed product with
-        # the side flipped (t_out records it) — dsymm has no transb.
-        m, n = g.pr, g.pc
-        step = _Step(
-            OP_SYMM, f0=_side(side_left != eg), f1=_UPPER, m=m, n=n,
-            a=s.ref, lda=s.pr, b=g.ref, ldb=g.pr, ldc=m,
-        )
-        return _StepSpec(m, n, eg, False, step)
-
-    def _triangular(
-        self, call: "StepCall", l: _Buf, r: _Buf, last: bool, op: int
-    ) -> _StepSpec:
-        """dtrmm / dtrsm: the same flag algebra for product and solve."""
-        if call.s_lower is None:
-            raise _Unsupported("unsupported-step")
-        t_left = call.s_left
-        tb, g = (l, r) if t_left else (r, l)
-        et = call.s_trans != tb.t
-        lower = call.s_lower != tb.t  # transposed view flips the triangle
-        eg = call.o_trans != g.t
-        m, n = g.pr, g.pc
-        # dtrmm/dtrsm work in place: the interpreter copies B into the
-        # output slot first, so the operand buffers survive the call.
-        step = _Step(
-            op, f0=_side(t_left != eg), f1=_ul(lower), f2=_tn(et != eg),
-            m=m, n=n, a=tb.ref, lda=tb.pr, b=g.ref, ldc=m,
-        )
-        return _StepSpec(m, n, eg, False, step)
-
-    def _diagonal(
-        self, call: "StepCall", l: _Buf, r: _Buf, last: bool, ops: tuple[int, int]
-    ) -> _StepSpec:
-        """Diagonal product (dimm) or solve (disv): scale or divide the
-        other operand's rows or columns by the diagonal's entries."""
-        diag_left = call.s_left
-        d, g = (l, r) if diag_left else (r, l)
-        eg = call.o_trans != g.t
-        # Work in the other operand's own layout (t_out = eg): the scale
-        # then runs down physical rows or columns with unit stride.
-        op = ops[0] if diag_left != eg else ops[1]
-        step = _Step(op, m=g.pr, n=g.pc, a=d.ref, lda=d.pr + 1, b=g.ref)
-        return _StepSpec(g.pr, g.pc, eg, False, step)
-
-    def _didimm(self, call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
-        n = l.pr
-        step = _Step(
-            OP_DIAG_DIAG, m=n, a=l.ref, lda=l.pr + 1, b=r.ref, ldb=r.pr + 1
-        )
-        return _StepSpec(n, n, False, True, step)
-
-    def _factor_solve(
-        self, call: "StepCall", l: _Buf, r: _Buf, last: bool, op: int
-    ) -> _StepSpec:
-        """dposv / dsysv / dgetrf+dgetrs: copy-factor the coefficient,
-        materialize the right-hand side in the layout the solve needs."""
-        side_left = call.s_left
-        c, rhs = (l, r) if side_left else (r, l)
-        ec = call.s_trans != c.t
-        er = call.o_trans != rhs.t
-        na = c.pr
-        # side=left solves op(A) X = R and needs R physical in B;
-        # side=right solves op(A)^T X^T = R^T and needs R^T physical —
-        # either way the buffer already holds the right presentation
-        # exactly when er == (not side_left), else one transposed copy
-        # (the scipy path pays the same copy inside the wrapper).
-        direct = er == (not side_left)
-        brow, bcol = (rhs.pr, rhs.pc) if direct else (rhs.pc, rhs.pr)
-        # The factorization overwrites its matrix: factor a workspace
-        # copy, never an operand buffer.
-        acopy = self.alloc(na * na)
-        ipiv = work = lwork = 0
-        if op != OP_POSV:
-            ipiv = self.alloc_ints(na)
-        if op == OP_SYSV:
-            lwork = SYSV_LWORK_PER_ROW * na
-            work = self.alloc(lwork)
-        trans = ec if side_left else not ec  # getrs only
-        step = _Step(
-            op, f0=_tn(trans), f1=_UPPER, f2=_tn(not direct), m=na, n=bcol,
-            k=lwork, a=c.ref, b=rhs.ref, ldb=rhs.pr, ldc=brow,
-            w0=acopy, w1=ipiv, w2=work,
-        )
-        return _StepSpec(brow, bcol, not side_left, False, step)
+        return _StepSpec(n, m, True, False, step)
+    step = _Step(
+        OP_GEMM, f0=_tn(el), f1=_tn(er), m=m, n=n, k=k,
+        a=l.ref, lda=l.pr, b=r.ref, ldb=r.pr, ldc=m,
+    )
+    return _StepSpec(m, n, False, False, step)
 
 
-#: family -> packer, each called as ``pack(packer, call, l, r, last)``.
+def _symm(call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
+    side_left = call.s_left
+    s, g = (l, r) if side_left else (r, l)
+    eg = call.o_trans != g.t
+    # The symmetric operand equals its transpose: its layout flag is
+    # immaterial and 'U' always names a valid stored triangle.  A
+    # transposed general operand computes the transposed product with
+    # the side flipped (t_out records it) — dsymm has no transb.
+    m, n = g.pr, g.pc
+    step = _Step(
+        OP_SYMM, f0=_side(side_left != eg), f1=_UPPER, m=m, n=n,
+        a=s.ref, lda=s.pr, b=g.ref, ldb=g.pr, ldc=m,
+    )
+    return _StepSpec(m, n, eg, False, step)
+
+
+def _triangular(
+    call: "StepCall", l: _Buf, r: _Buf, last: bool, op: int
+) -> _StepSpec:
+    """dtrmm / dtrsm: the same flag algebra for product and solve."""
+    if call.s_lower is None:
+        raise _Unsupported("unsupported-step")
+    t_left = call.s_left
+    tb, g = (l, r) if t_left else (r, l)
+    et = call.s_trans != tb.t
+    lower = call.s_lower != tb.t  # transposed view flips the triangle
+    eg = call.o_trans != g.t
+    m, n = g.pr, g.pc
+    # dtrmm/dtrsm work in place: the interpreter copies B into the
+    # output slot first, so the operand buffers survive the call.
+    step = _Step(
+        op, f0=_side(t_left != eg), f1=_ul(lower), f2=_tn(et != eg),
+        m=m, n=n, a=tb.ref, lda=tb.pr, b=g.ref, ldc=m,
+    )
+    return _StepSpec(m, n, eg, False, step)
+
+
+def _diagonal(
+    call: "StepCall", l: _Buf, r: _Buf, last: bool, ops: tuple[int, int]
+) -> _StepSpec:
+    """Diagonal product (dimm) or solve (disv): scale or divide the
+    other operand's rows or columns by the diagonal's entries."""
+    diag_left = call.s_left
+    d, g = (l, r) if diag_left else (r, l)
+    eg = call.o_trans != g.t
+    # Work in the other operand's own layout (t_out = eg): the scale
+    # then runs down physical rows or columns with unit stride.
+    op = ops[0] if diag_left != eg else ops[1]
+    step = _Step(op, m=g.pr, n=g.pc, a=d.ref, lda=d.pr + 1, b=g.ref)
+    return _StepSpec(g.pr, g.pc, eg, False, step)
+
+
+def _didimm(call: "StepCall", l: _Buf, r: _Buf, last: bool) -> _StepSpec:
+    n = l.pr
+    step = _Step(
+        OP_DIAG_DIAG, m=n, a=l.ref, lda=l.pr + 1, b=r.ref, ldb=r.pr + 1
+    )
+    return _StepSpec(n, n, False, True, step)
+
+
+def _factor_solve(
+    call: "StepCall", l: _Buf, r: _Buf, last: bool, op: int
+) -> _StepSpec:
+    """dposv / dsysv / dgetrf+dgetrs: copy-factor the coefficient,
+    materialize the right-hand side in the layout the solve needs."""
+    side_left = call.s_left
+    c, rhs = (l, r) if side_left else (r, l)
+    ec = call.s_trans != c.t
+    er = call.o_trans != rhs.t
+    # side=left solves op(A) X = R and needs R physical in B;
+    # side=right solves op(A)^T X^T = R^T and needs R^T physical —
+    # either way the buffer already holds the right presentation
+    # exactly when er == (not side_left), else one transposed copy
+    # (the scipy path pays the same copy inside the wrapper).
+    direct = er == (not side_left)
+    brow, bcol = (rhs.pr, rhs.pc) if direct else (rhs.pc, rhs.pr)
+    trans = ec if side_left else not ec  # getrs only
+    # The interpreter factors a workspace copy of the coefficient,
+    # never an operand buffer; dsysv's k is its workspace per row.
+    step = _Step(
+        op, f0=_tn(trans), f1=_UPPER, f2=_tn(not direct), m=c.pr, n=bcol,
+        k=SYSV_LWORK_PER_ROW if op == OP_SYSV else 0,
+        a=c.ref, b=rhs.ref, ldb=rhs.pr, ldc=brow,
+    )
+    return _StepSpec(brow, bcol, not side_left, False, step)
+
+
+#: family -> packer, each called as ``pack(call, l, r, last)``.
 #: A family absent here falls the plan back.
 _PACKERS = {
-    "gemm": _Packer._gemm,
-    "symm": _Packer._symm,
-    "trmm": functools.partial(_Packer._triangular, op=OP_TRMM),
-    "dimm": functools.partial(_Packer._diagonal, ops=(OP_ROW_SCALE, OP_COL_SCALE)),
-    "disv": functools.partial(_Packer._diagonal, ops=(OP_ROW_DIV, OP_COL_DIV)),
-    "didimm": _Packer._didimm,
-    "trsm": functools.partial(_Packer._triangular, op=OP_TRSM),
-    "posv": functools.partial(_Packer._factor_solve, op=OP_POSV),
-    "sysv": functools.partial(_Packer._factor_solve, op=OP_SYSV),
-    "gesv": functools.partial(_Packer._factor_solve, op=OP_GESV),
+    "gemm": _gemm,
+    "symm": _symm,
+    "trmm": functools.partial(_triangular, op=OP_TRMM),
+    "dimm": functools.partial(_diagonal, ops=(OP_ROW_SCALE, OP_COL_SCALE)),
+    "disv": functools.partial(_diagonal, ops=(OP_ROW_DIV, OP_COL_DIV)),
+    "didimm": _didimm,
+    "trsm": functools.partial(_triangular, op=OP_TRSM),
+    "posv": functools.partial(_factor_solve, op=OP_POSV),
+    "sysv": functools.partial(_factor_solve, op=OP_SYSV),
+    "gesv": functools.partial(_factor_solve, op=OP_GESV),
 }
 
 
-def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
-    """Pack one plan as an interpreter step record: ``(record, out_shape)``.
+def pack_plan(plan: "ExecutionPlan") -> bytes:
+    """Pack one plan as an interpreter step record, for any sizes.
 
     Raises :class:`_Unsupported` for steps outside the packer's family
     table or calls without the triangularity the routines need — callers
@@ -441,16 +434,22 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
     steps = plan.variant.steps
     if not steps:
         raise _Unsupported("no-steps")
-    n_inputs = plan.chain.n
+    chain = plan.chain
+    n_inputs = chain.n
     if n_inputs > MAX_OPERANDS:
         raise _Unsupported("too-many-operands")
-    packer = _Packer()
 
+    # at[i]: the q entry that stands for q_i; a square operand ties q_{i+1}
+    # to q_i's, so the interpreter's one-size-per-entry check covers it.
+    at = [0]
+    for operand in chain:
+        at.append(at[-1] if operand.is_square else len(at))
+    shapes = SizeInferencer(chain).shapes(at)
     bufs: list[_Buf] = [
         # A C-contiguous stored (r, c) array is the F-contiguous (c, r)
         # transpose of the logical value: t=True, ld = c.
-        _Buf(c, r, True, _ref(_REF_INPUT, i))
-        for i, (r, c) in enumerate(plan.expected_shapes)
+        _Buf(c << 1, r << 1, True, _ref(_REF_INPUT, i))
+        for i, (r, c) in enumerate(shapes)
     ]
 
     def slot(ref) -> int:
@@ -464,14 +463,11 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
         pack = _PACKERS.get(call.family)
         if pack is None:
             raise _Unsupported("unsupported-step")
-        spec = pack(packer, call, l, r, i == last)
-        if i == last and (spec.t_out or spec.sym_out):
-            # The caller's output array is C-ordered (r, c): as an F
-            # buffer it wants the transposed (or symmetric) result — the
-            # final step can produce it in place, no store pass.
-            dst = _OUT
-        else:
-            dst = _ref(_REF_WS, packer.alloc(spec.pr * spec.pc))
+        spec = pack(call, l, r, i == last)
+        # The caller's output array is C-ordered (r, c): as an F buffer it
+        # wants the transposed (or symmetric) result — the final step can
+        # produce it in place, no store pass.
+        dst = _OUT if i == last and (spec.t_out or spec.sym_out) else _ref(_REF_WS, i)
         packed.append(spec.step._replace(c=dst))
         bufs.append(_Buf(spec.pr, spec.pc, spec.t_out, dst))
 
@@ -485,12 +481,12 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[int, int]]:
             _Step(OP_STORE_T, m=out_c, n=out_r, a=final.ref, lda=final.pr, c=_OUT)
         )
 
-    fields = [n_inputs, out_r, out_c, packer.ws_doubles, len(packed)]
-    for shape in plan.expected_shapes:
+    fields = [n_inputs, len(packed), out_r >> 1, out_c >> 1]
+    for shape in shapes:
         fields.extend(shape)
     for step in packed:
         fields.extend(step)
-    return array("q", fields).tobytes(), (out_r, out_c)
+    return array("q", fields).tobytes()
 
 
 def shape_key(shapes) -> bytes:
@@ -549,62 +545,28 @@ def _load_native_run(key: str, so_path: str) -> Callable:
         return run
 
 
-class NativePlan:
+class NativePlan(NamedTuple):
     """The packed plan's replay callable: one native call, one output.
 
-    The interpreter writes the result into the caller's ``out`` when that
-    buffer conforms — float64, C-contiguous, writeable, exactly the
-    output shape, and no address range shared with an operand (the final
-    step may write its output while still reading an input); it checks
-    that itself, on the buffers' address ranges.  Any other ``out``, or
-    none, gets a fresh output array, which the caller copies where it
+    The interpreter binds the record's sizes from the operands' shapes
+    and writes the result into the caller's ``out`` when that buffer
+    conforms — float64, C-contiguous, writeable, exactly the output
+    shape, and no address range shared with an operand (the final step
+    may write its output while still reading an input); any other ``out``,
+    or none, gets a fresh output array, which the caller copies where it
     wants it.  Plans stay stateless: concurrent replays share nothing but
     the read-only input buffers and the record.  The interpreter raises
-    :class:`ExecutionError` itself for failed factorizations, and
-    declines operands that are not C-contiguous float64 matrices of the
-    planned shapes.  A wrong shape then raises :class:`ExecutionError`;
-    any other declined operand is retried as a C-contiguous float64 copy
-    — the one copy non-contiguous callers pay, exactly where the blas
-    backend pays ``np.asfortranarray``.
-
-    ``run`` (the interpreter's entry), ``record`` and ``out_shape`` let a
-    dispatcher serve the plan from its own plan table as well.
+    :class:`ExecutionError` itself for failed factorizations, and returns
+    ``None`` for operands that are not C-contiguous float64 matrices of
+    consistent shapes.  ``run`` (the interpreter's entry) and ``record``
+    let a dispatcher serve the plan from its own plan table as well.
     """
 
-    __slots__ = ("run", "record", "out_shape", "_shapes", "_plans")
+    run: Callable
+    record: bytes
 
-    def __init__(
-        self,
-        run: Callable,
-        record: bytes,
-        out_shape: tuple[int, int],
-        shapes: tuple[tuple[int, int], ...],
-    ):
-        self.run = run
-        self.record = record
-        self.out_shape = out_shape
-        self._shapes = shapes
-        #: The one-plan table ``run`` looks this plan up in.
-        self._plans = {shape_key(shapes): (None, record, out_shape)}
-
-    def __call__(
-        self, values: list[np.ndarray], out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        result = self.run(self._plans, None, None, None, values, out)
-        if result is None:
-            if len(values) != len(self._shapes):
-                raise ExecutionError(
-                    f"expected {len(self._shapes)} operands, got {len(values)}"
-                )
-            for i, (value, shape) in enumerate(zip(values, self._shapes)):
-                if np.shape(value) != shape:
-                    raise ExecutionError(
-                        f"operand {i}: expected stored shape {shape}, "
-                        f"got {np.shape(value)}"
-                    )
-            contiguous = [np.ascontiguousarray(v, dtype=np.float64) for v in values]
-            result = self.run(self._plans, None, None, None, contiguous, out)
-        return result
+    def __call__(self, values: list, out: Optional[np.ndarray] = None):
+        return self.run(self.record, None, None, None, values, out)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +603,7 @@ class CEmitBackend(Backend):
         registry = get_registry()
         start = time.perf_counter()
         try:
-            record, out_shape = pack_plan(plan)
+            record = pack_plan(plan)
         except _Unsupported as exc:
             return self._fall_back(exc.reason, plan)
         # The "emit" stage times packing: no C is written per plan.
@@ -663,7 +625,7 @@ class CEmitBackend(Backend):
         registry.histogram("runtime.codegen_seconds", stage="load").observe(
             time.perf_counter() - start
         )
-        return NativePlan(run, record, out_shape, plan.expected_shapes)
+        return NativePlan(run, record)
 
     @staticmethod
     def _fall_back(reason: str, plan: "ExecutionPlan") -> None:
@@ -671,9 +633,8 @@ class CEmitBackend(Backend):
             "runtime.codegen_fallbacks", reason=reason
         ).inc()
         logger.info(
-            "c backend fell back to blas for %s at q=%s (%s)",
+            "c backend fell back to blas for %s (%s)",
             plan.variant.name or "<anonymous>",
-            list(plan.sizes),
             reason,
         )
         return None

@@ -2,53 +2,61 @@
  *
  * One fixed translation unit serves every plan.  The packer in
  * repro/runtime/backends/cemit.py turns each frozen execution plan into a
- * step record once, at plan-compile time.  run() finds the record by the
- * operands' shapes, allocates one workspace, releases the GIL and walks
- * the steps, calling BLAS/LAPACK through the function pointers init()
- * receives once per process (harvested from scipy's cython_blas /
- * cython_lapack capsules).
+ * step record once per variant, at plan-compile time.  run() binds the
+ * record's sizes from the operands' shapes, allocates one workspace,
+ * releases the GIL and walks the steps, calling BLAS/LAPACK through the
+ * function pointers init() receives once per process (harvested from
+ * scipy's cython_blas / cython_lapack capsules).
  *
  * run(plans, pool, snapshot, log, operands, out)
  *
- *   plans maps a shape key -- the (rows, cols) of every operand as native
- *   int64s, in bytes -- to (memo entry, record, result shape).  run()
- *   takes each operand's buffer, looks its shapes up and replays the
- *   record into out when out conforms: a 2-D float64 C-contiguous
- *   writeable array of exactly the result shape whose address range
- *   overlaps no operand's (the final step may write while it still reads
- *   an input; this is np.may_share_memory's bounds test).  It returns None
- *   for operands that are not C-contiguous float64 matrices of a shape
- *   in plans, running nothing.
+ *   plans is one record, or a plan table that maps a shape key -- the
+ *   (rows, cols) of every operand as native int64s, in bytes -- to (memo
+ *   entry, record).  run() takes each operand's buffer, binds the record's
+ *   sizes from their shapes and replays it into out when out conforms: a
+ *   2-D float64 C-contiguous writeable array of exactly the result shape
+ *   whose address range overlaps no operand's (the final step may write
+ *   while it still reads an input; this is np.may_share_memory's bounds
+ *   test).  It returns None, running nothing, for operands that are not
+ *   C-contiguous float64 matrices, whose shapes do not bind, or whose
+ *   shape key is not in the table.
  *
- *   With pool, snapshot and log None, this is one plan's replay
+ *   With a record (pool, snapshot and log None), this is one plan's replay
  *   (cemit.NativePlan): a non-conforming out gets a fresh array instead,
  *   which run() returns.
  *
- *   Otherwise it is a dispatcher's whole warm call, plans its plan table.
- *   run() declines (None) unless the variant list pool still holds
- *   exactly the snapshot tuple's variants, tracing is off (the "_enabled"
- *   flag of repro.obs.trace) and out is None or conforms; a full log
- *   declines with False, asking the caller to drain it.  A warm call sets
- *   the entry's CLOCK bit ("referenced"), appends (end stamp, elapsed
+ *   With a plan table, it is a dispatcher's whole warm call.  run()
+ *   declines (None) unless the variant list pool still holds exactly the
+ *   snapshot tuple's variants, tracing is off (the "_enabled" flag of
+ *   repro.obs.trace) and out is None or conforms; a full log declines
+ *   with False, asking the caller to drain it.  A warm call sets the
+ *   entry's CLOCK bit ("referenced"), appends (end stamp, elapsed
  *   seconds) to the log bytearray and returns (entry, result, elapsed).
- *   The caller's Python path handles whatever run() declines, and so
- *   owns every message about bad operands; its memo is the source of
- *   truth, and it changes plans under its lock whenever the memo changes.
+ *   The caller's Python path handles whatever run() declines, and so owns
+ *   every message about bad operands; its memo is the source of truth,
+ *   and it changes plans under its lock whenever the memo changes.
  *
- * Record: a bytes object of int64 fields in native byte order,
+ * Record: a bytes object of int64 fields in native byte order, packed once
+ * per variant (no field depends on the sizes):
  *
- *   header   n_inputs, out_rows, out_cols, ws_doubles, n_steps
+ *   header   n_inputs, n_steps, out_rows, out_cols
  *   shapes   rows, cols of every operand's stored (C-ordered) array
  *   steps    n_steps step_t records
+ *
+ * The shapes and out_rows, out_cols index the size vector q; a square
+ * operand names one entry twice, so bind() checks what size inference
+ * does by declining unless each entry binds to one size.  A step's m, n,
+ * k, lda, ldb, ldc are size refs: i << 1 is q[i], i << 1 | 1 is q[i] + 1.
  *
  * Every buffer is read Fortran-contiguously: a C-ordered (r, c) array is
  * the F-ordered (c, r) buffer of its transpose, and the packer has already
  * folded that into each step's flags and leading dimensions.  A buffer
  * reference is (index << 2) | kind, where kind names an operand (index =
- * operand position), the workspace (index = offset in doubles) or the
- * output array.
+ * operand position), an intermediate (index = the step that writes it;
+ * bind() lays them out in one workspace and rewrites the index to the
+ * offset in doubles) or the output array.
  *
- * Step fields per opcode (unlisted fields are zero):
+ * Step fields per opcode, as bound (unlisted fields are unused):
  *
  *   GEMM        c := op_f0(a) op_f1(b), c is m x n, inner dimension k
  *   SYMM        c := a b (f0 = 'L') or b a (f0 = 'R'), a symmetric,
@@ -64,9 +72,9 @@
  *   POSV/SYSV/  w0 := a (the m x m coefficient, so operands are never
  *   GESV        factored), c := b (f2 = 'N') or b^T (f2 = 'T', b has
  *               leading dimension ldb), then solve in place: c is ldc x n.
- *               SYSV pivots in w1, works in w2 (lwork k); GESV pivots in
- *               w1 and solves with trans f0.  w0..w2 are workspace
- *               offsets in doubles, not buffer references.
+ *               SYSV pivots in w1, works in w2 (lwork k, packed as
+ *               lwork per row); GESV pivots in w1 and solves with trans
+ *               f0.  bind() sets the workspace offsets w0..w2.
  *   STORE_T     c := transpose of a (a has leading dimension lda), c is
  *               m x n
  */
@@ -109,12 +117,13 @@ static dgetrs_fn p_dgetrs;
 static PyObject *execution_error, *empty_fn, *float64, *trace_state;
 static PyObject *str_enabled, *str_referenced;
 
-/* Operands of the longest chain run() serves (cemit.MAX_OPERANDS), and
+/* Operands of the longest chain run() serves (cemit.MAX_OPERANDS), which
+ * also bounds a record's steps (one per product, plus a store pass), and
  * the warm calls it logs between two drains of a log. */
 #define MAX_OPERANDS 64
 #define LOG_HITS 256
 
-enum { H_NINPUTS, H_OUT_ROWS, H_OUT_COLS, H_WS, H_NSTEPS, H_LEN };
+enum { H_NINPUTS, H_NSTEPS, H_OUT_ROWS, H_OUT_COLS, H_LEN };
 enum { REF_INPUT, REF_WS, REF_OUT };
 enum {
     OP_GEMM = 1, OP_SYMM, OP_TRMM, OP_TRSM, OP_ROW_SCALE, OP_COL_SCALE,
@@ -415,7 +424,7 @@ record_fields(PyObject *record)
     }
     n_inputs = (Py_ssize_t)head[H_NINPUTS];
     n_steps = (Py_ssize_t)head[H_NSTEPS];
-    if (n_inputs < 1 || n_steps < 1
+    if (n_inputs < 1 || n_steps < 1 || n_steps > MAX_OPERANDS
         || size != (Py_ssize_t)((H_LEN + 2 * n_inputs) * sizeof(int64_t)
                                 + n_steps * sizeof(step_t))) {
         PyErr_SetString(PyExc_ValueError, "malformed step record");
@@ -424,27 +433,94 @@ record_fields(PyObject *record)
     return head;
 }
 
-/* Replay a record over the n held operands into out when it conforms;
- * else, when out is None or fresh is set, into a fresh numpy.empty(shape)
- * (the caller copies it where it wants it).  The array written; Py_None
- * for a non-conforming out without fresh; NULL on error. */
+/* The value of a size ref (see the header) under the sizes q. */
+static int64_t
+size_of(int64_t ref, const int64_t *q)
+{
+    return q[ref >> 1] + (ref & 1);
+}
+
+/* Bind a record to the stored shapes of its operands (see the header):
+ * derive q, then copy the steps to bound with their sizes and workspace
+ * offsets resolved.  The workspace doubles, with the result shape in
+ * *rows, *cols; -1 when the shapes do not bind. */
+static int64_t
+bind(const int64_t *head, const int64_t *shapes, step_t *bound,
+     int64_t *rows, int64_t *cols)
+{
+    Py_ssize_t n = (Py_ssize_t)head[H_NINPUTS], i;
+    const int64_t *at = head + H_LEN;
+    const step_t *steps = (const step_t *)(at + 2 * n);
+    int64_t q[MAX_OPERANDS + 1] = {0}, offset[MAX_OPERANDS], ws = 0;
+    int solve;
+    for (i = 0; i < 2 * n; i++) {
+        if (shapes[i] < 1 || (q[at[i]] && q[at[i]] != shapes[i]))
+            return -1;
+        q[at[i]] = shapes[i];
+    }
+    *rows = q[head[H_OUT_ROWS]];
+    *cols = q[head[H_OUT_COLS]];
+    for (i = 0; i < head[H_NSTEPS]; i++) {
+        step_t *s = &bound[i];
+        *s = steps[i];
+        s->m = size_of(s->m, q);
+        s->n = size_of(s->n, q);
+        s->k = s->op == OP_SYSV ? s->k * s->m : size_of(s->k, q);
+        s->lda = size_of(s->lda, q);
+        s->ldb = size_of(s->ldb, q);
+        s->ldc = size_of(s->ldc, q);
+        if ((s->a & 3) == REF_WS)
+            s->a = offset[s->a >> 2] << 2 | REF_WS;
+        if ((s->b & 3) == REF_WS)
+            s->b = offset[s->b >> 2] << 2 | REF_WS;
+        solve = s->op == OP_POSV || s->op == OP_SYSV || s->op == OP_GESV;
+        if (solve) {
+            /* The factor copy, the pivots (two ints per double) and
+             * dsysv's workspace, ahead of the solution. */
+            s->w0 = ws;
+            s->w1 = ws += s->m * s->m;
+            s->w2 = ws += s->op == OP_POSV ? 0 : (s->m + 1) / 2;
+            ws += s->op == OP_SYSV ? s->k : 0;
+        }
+        if ((s->c & 3) == REF_WS) {
+            offset[i] = ws;
+            s->c = ws << 2 | REF_WS;
+            ws += solve ? s->ldc * s->n
+                  : s->op == OP_DIAG_DIAG ? s->m * s->m : s->m * s->n;
+        }
+    }
+    return ws;
+}
+
+/* Replay a record over the n held operands, their stored shapes in shapes,
+ * into out when it conforms; else, when out is None or fresh is set, into
+ * a fresh numpy.empty(shape) (the caller copies it where it wants it).
+ * The array written; Py_None for shapes that do not bind, or a
+ * non-conforming out without fresh; NULL on error. */
 static PyObject *
-execute(const int64_t *head, PyObject *shape, Py_buffer *views,
+execute(const int64_t *head, const int64_t *shapes, Py_buffer *views,
         double *const *in, Py_ssize_t n, PyObject *out, int fresh)
 {
-    const step_t *steps = (const step_t *)(head + H_LEN + 2 * n);
-    PyObject *args[2] = {shape, float64};
+    step_t bound[MAX_OPERANDS];
     failure_t fail = {0, NULL, 0};
     Py_buffer view;
     double *ws = NULL;
+    int64_t rows, cols, doubles;
     int status;
-    if (conforming_out(out, head[H_OUT_ROWS], head[H_OUT_COLS], views, n,
-                       &view))
+    doubles = bind(head, shapes, bound, &rows, &cols);
+    if (doubles < 0)
+        Py_RETURN_NONE;
+    if (conforming_out(out, rows, cols, views, n, &view))
         Py_INCREF(out);
     else if (out != Py_None && !fresh)
         Py_RETURN_NONE;
     else {
-        out = PyObject_Vectorcall(empty_fn, args, 2, NULL);
+        PyObject *r = PyLong_FromLongLong(rows), *c = PyLong_FromLongLong(cols);
+        PyObject *args[2] = {r && c ? PyTuple_Pack(2, r, c) : NULL, float64};
+        Py_XDECREF(r);
+        Py_XDECREF(c);
+        out = args[0] ? PyObject_Vectorcall(empty_fn, args, 2, NULL) : NULL;
+        Py_XDECREF(args[0]);
         if (out == NULL)
             return NULL;
         if (PyObject_GetBuffer(out, &view, PyBUF_RECORDS) < 0) {
@@ -452,8 +528,8 @@ execute(const int64_t *head, PyObject *shape, Py_buffer *views,
             return NULL;
         }
     }
-    if (head[H_WS] > 0) {
-        ws = (double *)malloc((size_t)head[H_WS] * sizeof(double));
+    if (doubles > 0) {
+        ws = (double *)malloc((size_t)doubles * sizeof(double));
         if (ws == NULL) {
             PyErr_NoMemory();
             status = -1;
@@ -461,7 +537,7 @@ execute(const int64_t *head, PyObject *shape, Py_buffer *views,
         }
     }
     Py_BEGIN_ALLOW_THREADS
-    status = walk(steps, (Py_ssize_t)head[H_NSTEPS], in, ws,
+    status = walk(bound, (Py_ssize_t)head[H_NSTEPS], in, ws,
                   (double *)view.buf, &fail);
     Py_END_ALLOW_THREADS
     free(ws);
@@ -522,12 +598,13 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_RuntimeError, "init() was not called");
         return NULL;
     }
-    if (nargs != 6 || !PyDict_Check(args[0])
-        || !(args[3] == Py_None || (PyByteArray_Check(args[3])
-                                    && PyList_Check(args[1])
-                                    && PyTuple_Check(args[2])))) {
-        PyErr_SetString(PyExc_TypeError, "run expects plans, then None "
-                        "thrice or a variant list, its snapshot and a log, "
+    if (nargs != 6
+        || !(args[3] == Py_None
+                 ? PyBytes_Check(args[0])
+                 : PyDict_Check(args[0]) && PyByteArray_Check(args[3])
+                       && PyList_Check(args[1]) && PyTuple_Check(args[2]))) {
+        PyErr_SetString(PyExc_TypeError, "run expects a record, or a plan "
+                        "table, a variant list, its snapshot and a log; "
                         "then operands and out");
         return NULL;
     }
@@ -559,30 +636,35 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_RETURN_NONE;
     /* Own the plan: taking the output may run code that changes plans,
      * and the walk runs without the GIL. */
-    key = PyBytes_FromStringAndSize((const char *)shapes,
-                                    2 * n * sizeof(int64_t));
-    plan = key ? Py_XNewRef(PyDict_GetItemWithError(plans, key)) : NULL;
-    Py_XDECREF(key);
-    if (plan == NULL) {
-        if (!PyErr_Occurred())
-            hit = Py_NewRef(Py_None);
-        release(views, n);
-        return hit;
+    if (log == Py_None)
+        plan = Py_NewRef(plans);
+    else {
+        key = PyBytes_FromStringAndSize((const char *)shapes,
+                                        2 * n * sizeof(int64_t));
+        plan = key ? Py_XNewRef(PyDict_GetItemWithError(plans, key)) : NULL;
+        Py_XDECREF(key);
+        if (plan == NULL) {
+            if (!PyErr_Occurred())
+                hit = Py_NewRef(Py_None);
+            release(views, n);
+            return hit;
+        }
     }
-    if (!PyTuple_CheckExact(plan) || PyTuple_GET_SIZE(plan) != 3)
-        PyErr_SetString(PyExc_TypeError, "a plan is (entry, record, shape)");
-    else if ((head = record_fields(PyTuple_GET_ITEM(plan, 1))) == NULL)
+    if (log != Py_None
+        && (!PyTuple_CheckExact(plan) || PyTuple_GET_SIZE(plan) != 2))
+        PyErr_SetString(PyExc_TypeError, "a plan is (entry, record)");
+    else if ((head = record_fields(log == Py_None
+                                       ? plan
+                                       : PyTuple_GET_ITEM(plan, 1))) == NULL)
         ;
     else if (head[H_NINPUTS] != n)
         PyErr_SetString(PyExc_ValueError, "a record of another chain");
     else if (log == Py_None)
-        hit = execute(head, PyTuple_GET_ITEM(plan, 2), views, in, n,
-                      args[5], 1);
+        hit = execute(head, shapes, views, in, n, args[5], 1);
     else if (PyObject_SetAttr(PyTuple_GET_ITEM(plan, 0), str_referenced,
                               Py_True) == 0) {
         start = now();
-        result = execute(head, PyTuple_GET_ITEM(plan, 2), views, in, n,
-                         args[5], 0);
+        result = execute(head, shapes, views, in, n, args[5], 0);
         stamps[0] = now();
         stamps[1] = stamps[0] - start;
         if (result == NULL || result == Py_None)

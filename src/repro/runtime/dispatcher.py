@@ -14,22 +14,26 @@ What makes this a *runtime* rather than a per-call recomputation:
   keyed on the **identity** of the pool (so in-place replacement of the
   list, even at the same length, rebuilds it);
 * every dispatch decision is memoized in a bounded map from the operand
-  **shapes** to ``(variant, cost, sizes, ExecutionPlan)``, evicted by
-  CLOCK (second chance: a hit sets the entry's reference bit, eviction
-  under the lock spares a referenced entry once) — a service answering
-  repeated instances of the same sizes pays one cost sweep and one plan
-  compilation, then amortized O(1) per call;
+  **shapes** to ``(sizes, variant, cost)``, evicted by CLOCK (second
+  chance: a hit sets the entry's reference bit, eviction under the lock
+  spares a referenced entry once) — a service answering repeated
+  instances of the same sizes pays one cost sweep, then amortized O(1)
+  per call.  Plans are per variant, as in the paper's generated code:
+  each variant is lowered once per backend, on its first win, to an
+  :class:`~repro.runtime.plan.ExecutionPlan` that binds the sizes at call
+  time, so plan memory is bounded by the pool, not by the sizes seen;
 * a warm :meth:`Dispatcher.run` on the ``c`` backend is one native call.
   The dispatcher's *plan table* maps the operands' ``(rows, cols)``
   pairs, as the interpreter reads them off the buffers, to the memo entry
-  and its packed plan; the interpreter's ``run`` (``step_interp.c``)
-  looks the shapes up, replays the plan, sets the entry's reference bit
-  and logs the elapsed time in C.  It declines — and the Python path
-  below runs — for anything else: another backend, a plan with fix-ups,
-  tracing on, an operand that is not a C-contiguous float64 matrix, an
-  unseen shape, a non-conforming ``out``, a pool mutated in place;
+  and its variant's packed record; the interpreter's ``run``
+  (``step_interp.c``) looks the shapes up, binds the record's sizes from
+  them, replays it, sets the entry's reference bit and logs the elapsed
+  time in C.  It declines — and the Python path below runs — for
+  anything else: another backend, a plan with fix-ups, tracing on, an
+  operand that is not a C-contiguous float64 matrix, an unseen shape, a
+  non-conforming ``out``, a pool mutated in place;
 * the Python path is one dict probe on the shape tuple, one replay of the
-  compiled :class:`~repro.runtime.plan.ExecutionPlan` (kernel
+  variant's compiled :class:`~repro.runtime.plan.ExecutionPlan` (kernel
   implementations, per-step call records, and buffer slots pre-resolved)
   and one append to an execution log.  Shapes are validated by size
   inference on the miss that stores an entry; the stored-shape map is
@@ -37,9 +41,8 @@ What makes this a *runtime* rather than a per-call recomputation:
   neither inference nor any re-check.  Size-keyed callers
   (:meth:`~Dispatcher.select`, :meth:`~Dispatcher.plan_for`) derive the
   same key from validated sizes.  The memo stays the source of truth:
-  every change to it (a lowered plan, an eviction, an invalidation, a
-  backend or estimator swap, a re-selection) updates the table under the
-  lock;
+  every change to it (an eviction, an invalidation, a backend or
+  estimator swap, a re-selection) updates the table under the lock;
 * a hit's bookkeeping — hit count, per-backend executions, the latest
   replay time and the ``runtime.execute_seconds`` histogram — is folded
   from both logs under the lock in batches, and before every read
@@ -56,7 +59,7 @@ Dispatch can additionally be *feedback-directed*: with ``reselect_ratio``
 set, every memoized decision tracks its measured replay time (an EMA),
 and at exponentially-backed-off checkpoints the dispatcher refreshes the
 calibrated model (:class:`~repro.perfmodel.feedback.CalibratedEstimator`)
-and re-sweeps the pool under it.  The entry's plan is swapped in place
+and re-sweeps the pool under it.  The entry's variant is swapped in place
 when the calibrated winner differs and the measurement disagrees with
 the prediction — or the calibrated winner undercuts the current variant
 — by at least the ratio.  A selection the analytic FLOP model got wrong
@@ -225,11 +228,12 @@ class DispatchOutcome(NamedTuple):
 
 
 class _MemoEntry:
-    """One memoized dispatch decision; the plan is compiled on first use.
+    """One memoized dispatch decision.
 
     Holds the winning variant *object* (not an index into the mutable
     pool), so a stale entry can never index out of a reassigned list,
-    and the validated size vector its shape key was derived from.
+    and the validated size vector its shape key was derived from.  The
+    variant's plan lives in the dispatcher, shared by every entry it wins.
     """
 
     __slots__ = (
@@ -237,8 +241,6 @@ class _MemoEntry:
         "referenced",
         "variant",
         "cost",
-        "plan",
-        "backend",
         "kernel_hists",
         "executions",
         "measured_ema",
@@ -254,17 +256,13 @@ class _MemoEntry:
 
     def reset(self, variant: "Variant", cost: float) -> None:
         """Bind the entry to a decision and drop everything derived from
-        the previous one: the compiled plan and its measurements,
-        traced-replay observers, and feedback bookkeeping."""
+        the previous one or measured on its plan: traced-replay observers
+        and feedback bookkeeping."""
         self.variant = variant
         self.cost = cost
-        #: Compiled plan, lowered lazily on first use.
-        self.plan: Optional[ExecutionPlan] = None
-        #: Concrete backend the compiled plan runs on (set with the plan).
-        self.backend: Optional[str] = None
         #: Traced-replay observers, built lazily on the first traced
-        #: execution of the plan: one ``(observe_seconds, observe_rate,
-        #: step_flops)`` triple per plan step.
+        #: execution: one ``(observe_seconds, observe_rate, step_flops)``
+        #: triple per plan step.
         self.kernel_hists: Optional[
             tuple[tuple[Callable[[float], None], Callable[[float], None], float], ...]
         ] = None
@@ -352,9 +350,11 @@ class Dispatcher:
         #: ``(backend, elapsed, end stamp, hit)`` per run() not yet folded
         #: into the counters and histogram (see :meth:`_fold_log`).
         self._exec_log: deque = deque()
+        #: ``id(variant)`` -> its plan on the current backend (module doc).
+        self._lowered: dict[int, ExecutionPlan] = {}
         #: The plan table (module docstring): shape key -> ``(memo entry,
-        #: packed record, result shape)`` of every memoized native plan,
-        #: the interpreter's entry that serves it (set with its first
+        #: packed record)`` of every memoized entry with a fused native
+        #: plan, the interpreter's entry that serves it (set with its first
         #: plan), and that entry's log of ``(end stamp, elapsed)`` pairs.
         self._plans: dict[bytes, tuple] = {}
         self._native_run: Optional[Callable] = None
@@ -461,6 +461,7 @@ class Dispatcher:
         with self._memo_lock:
             self._fold_log()
             self._backend = value
+            self._lowered = {}
             for entry in self._memo.values():
                 entry.reset(entry.variant, entry.cost)
             self._plans = {}
@@ -471,6 +472,7 @@ class Dispatcher:
         with self._memo_lock:
             self._pool_snapshot = tuple(self._variants)
             self._term_stack = None
+            self._lowered = {}
             self._memo.clear()
             self._plans.clear()
 
@@ -720,56 +722,58 @@ class Dispatcher:
     ) -> tuple[Variant, float, ExecutionPlan]:
         """The memoized ``(variant, cost, plan)`` for an instance.
 
-        The plan is compiled on the first request for a size vector and
-        replayed from the memo afterwards.  ``validate=False`` trusts the
-        caller's sizes (e.g. just inferred from arrays).
+        The plan is the winning variant's, compiled on its first use and
+        shared by every size vector it wins.  ``validate=False`` trusts
+        the caller's sizes (e.g. just inferred from arrays).
         """
         q = (
             self.chain.validate_sizes(sizes)
             if validate
             else tuple(int(s) for s in sizes)
         )
-        entry = self._select_entry(self._infer.shapes(q), q)
-        return entry.variant, entry.cost, self._entry_plan(entry)
+        key = self._infer.shapes(q)
+        entry = self._select_entry(key, q)
+        return entry.variant, entry.cost, self._entry_plan(entry, key)
 
-    def _entry_plan(self, entry: _MemoEntry) -> ExecutionPlan:
-        """The entry's compiled plan, lowered through the backend on
-        first use; a fused native plan also enters the plan table."""
-        plan = entry.plan
+    def _entry_plan(self, entry: _MemoEntry, key: tuple) -> ExecutionPlan:
+        """The plan of the entry's variant, lowered through the backend on
+        its first use; a fused native plan also serves the entry's shape
+        key from the plan table."""
+        variant = entry.variant
+        plan = self._lowered.get(id(variant))
         if plan is None:
-            plan = compile_plan(entry.variant, entry.sizes, backend=self._backend)
-            entry.backend = plan.backend
-            entry.plan = plan
-            if isinstance(plan.fused, NativePlan):
-                self._publish(entry, plan)
-        return plan
-
-    def _publish(self, entry: _MemoEntry, plan: ExecutionPlan) -> None:
-        """Serve a memoized entry's fused native plan from the plan table."""
+            backend = self._backend
+            plan = compile_plan(variant, entry.sizes, backend=backend)
+            with self._memo_lock:
+                # Unless a concurrent backend or pool swap made it stale.
+                if self._backend == backend and any(
+                    v is variant for v in self._pool_snapshot
+                ):
+                    plan = self._lowered.setdefault(id(variant), plan)
         native = plan.fused
-        with self._memo_lock:
-            if (
-                self._memo.get(plan.expected_shapes) is not entry
-                or entry.plan is not plan
-            ):
-                return  # evicted, invalidated or re-selected meanwhile
-            if self._native_run is None:
-                self._native_run = native.run
-                # Hits still logged when the dispatcher dies reach the
-                # histogram too (a backend swap folds, then starts a new
-                # log).
-                weakref.finalize(
-                    self,
-                    _observe_hits,
-                    self._hit_log,
-                    self._exec_hists,
-                    self._backend_label,
-                ).atexit = False
-            self._plans[shape_key(plan.expected_shapes)] = (
-                entry,
-                native.record,
-                native.out_shape,
-            )
+        table_key = shape_key(key) if isinstance(native, NativePlan) else None
+        if table_key is not None and table_key not in self._plans:
+            with self._memo_lock:
+                # Only while the memo holds the entry and the plan is still
+                # its variant's: both change only under this lock.
+                if (
+                    self._memo.get(key) is entry
+                    and self._lowered.get(id(entry.variant)) is plan
+                ):
+                    if self._native_run is None:
+                        self._native_run = native.run
+                        # Hits still logged when the dispatcher dies reach
+                        # the histogram too (a backend swap folds, then
+                        # starts a new log).
+                        weakref.finalize(
+                            self,
+                            _observe_hits,
+                            self._hit_log,
+                            self._exec_hists,
+                            self._backend_label,
+                        ).atexit = False
+                    self._plans[table_key] = (entry, native.record)
+        return plan
 
     def costs(self, sizes: Sequence[int]) -> list[tuple[str, float]]:
         """Estimated cost of every variant (for inspection/debugging)."""
@@ -799,7 +803,7 @@ class Dispatcher:
             from repro.perfmodel.machine import step_call
 
             registry = get_registry()
-            sizes = np.asarray([plan.sizes], dtype=np.float64)
+            sizes = np.asarray([entry.sizes], dtype=np.float64)
             observers = tuple(
                 (
                     registry.histogram(
@@ -859,13 +863,12 @@ class Dispatcher:
 
         A warm call on the ``c`` backend is one native call, which looks
         the operand shapes up in the plan table (module docstring),
-        replays the packed plan and logs the hit.  Whatever it declines
-        takes the Python path: one memo probe on the operand
-        shapes and one plan replay — the shapes were validated by size
-        inference on the miss that memoized them, and the memoized plan
-        replays without re-checking them.  A miss only *resolves* the
-        entry (infer, select, lower, memoize); Python hits and misses then
-        run the same code.  With tracing enabled (never a table hit), the
+        replays the packed record and logs the hit.  Whatever it declines
+        takes the Python path: one memo probe on the operand shapes and
+        one replay of the variant's plan — the shapes were validated by
+        size inference on the miss that memoized them.  A miss only
+        *resolves* the entry (infer, select, memoize); Python hits and
+        misses then run the same code (which lowers a variant once).  With tracing enabled (never a table hit), the
         replay additionally times every kernel call into
         per-``(kernel, routine)`` histograms and emits a ``runtime.run``
         span; disabled, the only work besides the replay is one append to
@@ -896,21 +899,20 @@ class Dispatcher:
         values = [np.asarray(a, dtype=_FLOAT64) for a in arrays]
         key = tuple([v.shape for v in values])
         entry = self._memo.get(key)
-        plan = None if entry is None else entry.plan
         pool, snapshot = self._variants, self._pool_snapshot
         if (
-            plan is None
+            entry is None
             or len(pool) != len(snapshot)
             or any(map(is_not, pool, snapshot))
         ):
-            # Miss (or a plan-less entry, or a pool mutated in place):
-            # _select_entry counts the hit or miss itself.
+            # Miss (or a pool mutated in place): _select_entry counts the
+            # hit or miss itself.
             entry = self._select_entry(key, self._infer.infer(values))
-            plan = self._entry_plan(entry)
             hit = 0
         else:
             entry.referenced = True
             hit = 1
+        plan = self._entry_plan(entry, key)
         sizes = entry.sizes
         traced = obs_trace._enabled  # module flag, read once per call
         if not traced:
@@ -965,7 +967,7 @@ class Dispatcher:
         # Snapshot the decision that actually ran before the feedback
         # checkpoint — a re-selection there swaps the entry in place, and
         # the outcome must describe this call, not the next one.
-        variant, cost = entry.variant, entry.cost
+        variant, cost = plan.variant, entry.cost
         if self._reselect_ratio is not None:
             self._feedback(entry, sizes, elapsed)
         return DispatchOutcome._make((sizes, variant, cost, result))
@@ -980,8 +982,8 @@ class Dispatcher:
         ``reselect_min_executions`` replays, then doubling — so the total
         number of checks over an entry's lifetime is logarithmic in its
         executions), the calibration refreshes and the full pool is
-        re-swept under it.  The entry's decision is swapped (the plan
-        recompiles lazily on the next call) when the calibrated winner
+        re-swept under it.  The entry's decision is swapped (the next
+        call runs the new variant's plan) when the calibrated winner
         differs and either trigger fires by ``reselect_ratio``:
 
         * *disagreement* — the measured EMA and the calibrated prediction
@@ -1033,7 +1035,7 @@ class Dispatcher:
             if winner is entry.variant:
                 # The calibrated model disagrees with the measurement but
                 # still picks the same variant: refresh the entry's cost
-                # (now in calibrated seconds) and keep the plan warm.
+                # (now in calibrated seconds) and keep its variant.
                 entry.cost = best
                 return
             self.reselections += 1
@@ -1053,9 +1055,9 @@ class Dispatcher:
     ) -> list[np.ndarray]:
         """Dispatch and execute a batch of instances.
 
-        All uncached size vectors share **one** broadcast cost sweep (and
-        one plan compilation per distinct size); execution then replays
-        the per-size plans in input order.
+        All uncached size vectors share **one** broadcast cost sweep;
+        execution then replays each winning variant's plan (compiled on
+        its first use) in input order.
         """
         prepared = [
             [np.asarray(a, dtype=_FLOAT64) for a in arrays]
@@ -1097,7 +1099,7 @@ class Dispatcher:
                 entry.referenced = True
             else:
                 entry = local.get(key) or self._select_entry(key, q)
-            plan = self._entry_plan(entry)
+            plan = self._entry_plan(entry, key)
             results.append(plan.replay(arrays))
             executed[plan.backend] = executed.get(plan.backend, 0) + 1
         if sized:

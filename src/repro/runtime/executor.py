@@ -5,7 +5,7 @@ sequence, feeding stored arrays through the kernel implementations,
 resolving pending inversions/transpositions at the end, and managing
 intermediate buffers.  That walk lives in one place, the compiled
 :class:`~repro.runtime.plan.ExecutionPlan`; :func:`execute_variant` is the
-one-shot form (infer the sizes, compile a reference plan, replay it once).
+one-shot form (compile a reference plan, infer the sizes, replay it once).
 This module holds what plans and the dispatcher share: call
 records (:class:`StepCall`), size inference, the fix-up table, and the
 concrete-operand helpers.
@@ -100,18 +100,7 @@ def _stored_lower(state: "OperandState") -> Optional[bool]:
 
 def expected_stored_shapes(chain: Chain, sizes: Sequence[int]) -> list[tuple[int, int]]:
     """Stored array shape expected for each chain matrix on an instance."""
-    q = chain.validate_sizes(sizes)
-    return list(_stored_shapes(tuple(op.transposed for op in chain), q))
-
-
-def _stored_shapes(
-    transposed: Sequence[bool], q: Sequence[int]
-) -> tuple[tuple[int, int], ...]:
-    """Stored shapes of a size vector (trusted): the inverse of inference."""
-    return tuple(
-        (q[i + 1], q[i]) if t else (q[i], q[i + 1])
-        for i, t in enumerate(transposed)
-    )
+    return list(SizeInferencer(chain).shapes(chain.validate_sizes(sizes)))
 
 
 def call_operands(chain: Chain, arrays: tuple) -> tuple:
@@ -129,52 +118,21 @@ def call_operands(chain: Chain, arrays: tuple) -> tuple:
 
 
 def infer_sizes(chain: Chain, arrays: Sequence[np.ndarray]) -> tuple[int, ...]:
-    """Recover the instance vector ``q`` from stored arrays.
-
-    Raises :class:`ExecutionError` when shapes are inconsistent with the
-    chain (mismatching inner dimensions or non-square square matrices).
-    """
-    if len(arrays) != chain.n:
-        raise ExecutionError(
-            f"expected {chain.n} arrays for chain {chain}, got {len(arrays)}"
-        )
-    sizes: list[Optional[int]] = [None] * (chain.n + 1)
-    for i, (operand, array) in enumerate(zip(chain, arrays)):
-        if array.ndim != 2:
-            raise ExecutionError(f"operand {i} must be a 2-D array")
-        rows, cols = array.shape
-        if operand.transposed:
-            rows, cols = cols, rows
-        for idx, dim in ((i, rows), (i + 1, cols)):
-            if sizes[idx] is None:
-                sizes[idx] = dim
-            elif sizes[idx] != dim:
-                raise ExecutionError(
-                    f"inconsistent sizes at q{idx}: {sizes[idx]} vs {dim} "
-                    f"(operand {i}, shape {array.shape})"
-                )
-    assert all(s is not None for s in sizes)
-    result = tuple(int(s) for s in sizes)  # type: ignore[arg-type]
-    chain.validate_sizes(result)
-    return result
+    """Recover ``q`` from stored arrays (a one-shot :class:`SizeInferencer`)."""
+    return SizeInferencer(chain).infer(arrays)
 
 
 class SizeInferencer:
-    """Per-chain compiled size inference for the dispatcher's memo misses.
+    """Per-chain compiled size inference: the one check that stored
+    arrays form an instance of the chain.
 
-    :func:`infer_sizes` re-reads each operand's transpose flag and the
-    chain's square constraints on every call and cross-checks every shared
-    dimension through a generic slot table.  One chain shape serves
-    millions of instances, so this class hoists the per-chain facts —
-    transpose flags, square slots — into tuples at construction and infers
-    with a single linked pass over the array shapes (each inner dimension
-    is checked where consecutive operands meet, which covers exactly the
-    constraints of the generic path).
-
-    Returns the same validated size tuple as
-    ``infer_sizes(chain, arrays)``; inconsistent or malformed arrays raise
-    :class:`ExecutionError`, square-constraint violations the chain's
-    canonical :class:`~repro.errors.ShapeError`.
+    One chain shape serves millions of instances, so this class hoists
+    the per-chain facts — transpose flags, square slots — into tuples at
+    construction and infers with a single linked pass over the array
+    shapes (each inner dimension is checked where consecutive operands
+    meet).  Returns the validated size tuple; inconsistent or malformed
+    arrays raise :class:`ExecutionError`, square-constraint violations the
+    chain's canonical :class:`~repro.errors.ShapeError`.
     """
 
     __slots__ = ("chain", "_transposed", "_square_slots")
@@ -222,7 +180,10 @@ class SizeInferencer:
     def shapes(self, sizes: Sequence[int]) -> tuple[tuple[int, int], ...]:
         """The stored operand shapes of a validated size vector — the
         inverse of :meth:`infer`, and one-to-one on valid vectors."""
-        return _stored_shapes(self._transposed, sizes)
+        return tuple(
+            (sizes[i + 1], sizes[i]) if t else (sizes[i], sizes[i + 1])
+            for i, t in enumerate(self._transposed)
+        )
 
     __call__ = infer
 
@@ -250,22 +211,18 @@ def resolve_fixup(kernel_name: str, state: "OperandState"):
     raise ExecutionError(f"unknown fix-up kernel {kernel_name}")
 
 
-def execute_variant(
-    variant: Variant, arrays: Sequence[np.ndarray], check_shapes: bool = True
-) -> np.ndarray:
+def execute_variant(variant: Variant, arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate the chain on concrete matrices through this variant's kernels.
 
     A one-shot reference :class:`~repro.runtime.plan.ExecutionPlan`: the
-    sizes are inferred from the arrays (which validates them against the
-    chain), and the plan compiled for them replays once.  Callers running
-    one variant repeatedly should compile the plan once themselves.
+    plan infers the sizes from the arrays (which validates them against
+    the chain) and replays once.  Callers running one variant repeatedly
+    should compile the plan once themselves.
     """
     # Deferred: the plan module imports this one.
-    from repro.runtime.plan import compile_plan
+    from repro.runtime.plan import ExecutionPlan
 
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    plan = compile_plan(variant, infer_sizes(variant.chain, arrays), "reference")
-    return plan.execute(arrays, check_shapes=check_shapes)
+    return ExecutionPlan(variant).execute(arrays)
 
 
 # ---------------------------------------------------------------------------

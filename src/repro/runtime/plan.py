@@ -1,22 +1,25 @@
 """Compiled execution plans: the run-time half's only kernel-call path.
 
-Everything about running a variant that depends only on ``(variant,
-sizes)`` — not on the arrays — is resolved **once** by
+Everything about running a variant that depends only on the variant —
+not on the sizes, not on the arrays — is resolved **once** by
 :func:`compile_plan`: every step's call is resolved once into a
 :class:`~repro.runtime.executor.StepCall` (kernel family and operand
-roles), the backend lowers that record to a direct callable, buffer references flatten into integer slots
-of one flat list (inputs first, one slot per step after), the fix-up
-kernels are pre-bound, and the stored shapes the instance expects are
-recorded.  The resulting :class:`ExecutionPlan` replays through one loop,
+roles), the backend lowers that record to a direct callable, buffer
+references flatten into integer slots of one flat list (inputs first, one
+slot per step after), and the fix-up kernels are pre-bound.  Like the
+paper's generated code (Fig. 1), a plan is compiled for *symbolic* sizes:
+the step callables read their dimensions off the arrays, and a native
+plan binds them from the operands' shapes on every call.  The resulting
+:class:`ExecutionPlan` replays through one loop,
 :meth:`ExecutionPlan.replay`, over pre-resolved ``(impl, left_slot,
 right_slot, out_slot)`` tuples — no dict lookups, no dataclass
 construction, no re-validation.  The one-shot
 :func:`~repro.runtime.executor.execute_variant` is a plan compiled and
-replayed once.
+executed once.
 
 Plans are immutable and reusable: the memoizing
-:class:`~repro.runtime.dispatcher.Dispatcher` compiles one per observed
-size vector and replays it for every later instance with the same sizes.
+:class:`~repro.runtime.dispatcher.Dispatcher` compiles at most one per
+variant and backend and replays it for every instance that variant wins.
 
 A caller that wants the result in its own buffer passes ``out=``.  A
 natively-lowered fix-up-free plan (the ``c`` backend) writes straight
@@ -35,11 +38,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.runtime.backends import Backend, get_backend
-from repro.runtime.executor import (
-    StepCall,
-    expected_stored_shapes,
-    resolve_fixup,
-)
+from repro.runtime.executor import SizeInferencer, StepCall, resolve_fixup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.variant import Variant
@@ -58,14 +57,11 @@ def _resolve_fixups(variant: Variant) -> tuple[Callable[[np.ndarray], np.ndarray
 
 
 class ExecutionPlan:
-    """One variant, one instance size, compiled down to a replayable loop.
+    """One variant compiled down to a replayable loop, for any sizes.
 
-    Construction (via :func:`compile_plan`) validates the size vector and
-    resolves every step; :meth:`execute` then trusts its inputs by default
-    — the caller (the dispatcher) found the plan under the arrays' shapes,
-    which guarantees the stored shapes match :attr:`expected_shapes`.
-    Pass ``check_shapes=True`` to re-assert that explicitly (the first-run
-    or untrusted-caller path).
+    Construction (via :func:`compile_plan`) resolves every step;
+    :meth:`execute` infers and checks the sizes before every replay, and
+    :meth:`replay` trusts them (the dispatcher validated them on a miss).
 
     Plans hold no array state, so one plan may be replayed concurrently
     from many threads.
@@ -74,32 +70,24 @@ class ExecutionPlan:
     __slots__ = (
         "variant",
         "chain",
-        "sizes",
-        "expected_shapes",
         "calls",
         "backend",
         "step_routines",
         "_ops",
         "_fixups",
-        "_num_inputs",
+        "_infer",
         "_native",
     )
 
     def __init__(
         self,
         variant: Variant,
-        sizes: Sequence[int],
         backend: Union[str, Backend] = "reference",
     ):
         chain = variant.chain
-        q = chain.validate_sizes(sizes)
         self.variant = variant
         self.chain = chain
-        self.sizes: tuple[int, ...] = q
-        self.expected_shapes: tuple[tuple[int, int], ...] = tuple(
-            expected_stored_shapes(chain, q)
-        )
-        self._num_inputs = chain.n
+        self._infer = SizeInferencer(chain)
 
         # Buffer slots: inputs occupy 0..n-1, step i's result lands in
         # slot n + i.  A ("matrix", j) ref resolves to j, ("step", j) to
@@ -150,32 +138,11 @@ class ExecutionPlan:
         natively lowered plan without fix-ups), else ``None``."""
         return None if self._fixups else self._native
 
-    def validate(self, arrays: Sequence[np.ndarray]) -> None:
-        """Assert the stored arrays match this plan's instance shapes."""
-        if len(arrays) != self._num_inputs:
-            raise ExecutionError(
-                f"expected {self._num_inputs} arrays for chain {self.chain}, "
-                f"got {len(arrays)}"
-            )
-        for i, (array, shape) in enumerate(zip(arrays, self.expected_shapes)):
-            if array.shape != shape:
-                raise ExecutionError(
-                    f"operand {i}: expected stored shape {shape}, "
-                    f"got {array.shape}"
-                )
-
-    def execute(
-        self, arrays: Sequence[np.ndarray], check_shapes: bool = False
-    ) -> np.ndarray:
-        """Replay the compiled kernel sequence on concrete matrices."""
+    def execute(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Infer and check the instance sizes (raising as
+        :class:`SizeInferencer` does), then replay on the matrices."""
         values = [np.asarray(a, dtype=np.float64) for a in arrays]
-        if check_shapes:
-            self.validate(values)
-        elif len(values) != self._num_inputs:
-            raise ExecutionError(
-                f"expected {self._num_inputs} arrays for chain {self.chain}, "
-                f"got {len(values)}"
-            )
+        self._infer.infer(values)
         return self.replay(values)
 
     def replay(
@@ -187,11 +154,10 @@ class ExecutionPlan:
     ) -> np.ndarray:
         """The trusted inner loop: run the pre-resolved kernel sequence.
 
-        ``values`` must be a fresh list of float64 arrays matching
-        :attr:`expected_shapes` in stored order (the dispatcher guarantees
-        this: its memo is keyed on those shapes); the list is extended in
-        place with the intermediate buffers, so the caller must hand over
-        ownership.
+        ``values`` must be a fresh list of float64 arrays whose stored
+        shapes form a valid instance of the chain (the dispatcher's memo
+        is keyed on validated shapes); the list is extended in place with
+        the intermediate buffers, so the caller must hand over ownership.
 
         ``out`` receives the final result, which is then returned.  A
         natively-lowered plan without fix-ups writes straight into a
@@ -206,14 +172,22 @@ class ExecutionPlan:
         ``None``: per-step timing needs steps, and every native plan also
         carries the blas per-step lowering this loop runs instead.
         """
+        result = None
         if self._native is not None and record is None:
             # The fused native call manages its own intermediates.  With
             # fix-ups its output is an intermediate too, not the result
             # ``out`` asks for.
-            result = self._native(values, None if self._fixups else out)
-        else:
+            native_out = None if self._fixups else out
+            result = self._native(values, native_out)
+            if result is None:
+                # Declined: an operand is not a C-contiguous float64
+                # matrix.  Its C-ordered copy is the one copy such callers
+                # pay, where the blas lowering pays np.asfortranarray.
+                result = self._native(
+                    [np.ascontiguousarray(v) for v in values], native_out
+                )
+        if result is None:
             values.extend([None] * len(self._ops))
-            result = None
             for impl, left, right, slot in self._ops:
                 if record is not None:
                     start = time.perf_counter()
@@ -239,7 +213,7 @@ class ExecutionPlan:
     def describe(self) -> str:
         lines = [
             f"execution plan for {self.variant.name or '<anonymous>'} "
-            f"at q={list(self.sizes)} [backend={self.backend}]"
+            f"[backend={self.backend}]"
         ]
         if self._native is not None:
             lines.append(
@@ -263,5 +237,6 @@ def compile_plan(
     sizes: Sequence[int],
     backend: Union[str, Backend] = "reference",
 ) -> ExecutionPlan:
-    """Compile ``(variant, sizes)`` into a replayable :class:`ExecutionPlan`."""
-    return ExecutionPlan(variant, sizes, backend=backend)
+    """Validate ``sizes`` and compile the variant's :class:`ExecutionPlan`."""
+    variant.chain.validate_sizes(sizes)
+    return ExecutionPlan(variant, backend=backend)

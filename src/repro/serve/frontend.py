@@ -529,8 +529,8 @@ def _handle_execute(
                 closers.append(closer)
         start = time.perf_counter()
         # One live runtime per handle: the registry's dispatcher memoizes
-        # the (sizes -> variant, plan) decision, so repeated same-size
-        # requests skip the cost sweep and replay a pre-compiled plan
+        # the sizes -> variant decision, so repeated same-size requests
+        # skip the cost sweep and replay the variant's compiled plan
         # (see CompileService.execute).
         sizes, variant, cost, result = service.execute(handle, arrays)
         elapsed_ms = 1e3 * (time.perf_counter() - start)

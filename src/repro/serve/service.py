@@ -481,7 +481,7 @@ class CompileService:
 
         Returns a :class:`~repro.runtime.DispatchOutcome` (sizes, variant,
         cost, result).  Sizes are inferred — and shapes thereby validated —
-        exactly once; a warm handle replays its memoized execution plan.
+        exactly once; a warm handle replays its memoized variant's plan.
         The result is a fresh array the caller owns: on the default ``c``
         backend the fused native call allocates it once and manages its
         own intermediates.

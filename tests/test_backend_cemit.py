@@ -362,18 +362,25 @@ def _chain_and_sizes(draw):
         operands[dst] = Operand(matrix, UnaryOp.from_flags(inverted, op.transposed))
         repeat = (src, dst)
     chain = Chain(tuple(operands))
+    values = [draw(_SIZES) for _ in chain.equivalence_classes()]
+    return chain, _sizes_for(chain, values, repeat), repeat
+
+
+def _sizes_for(chain, values, repeat):
+    """The size vector that gives each size-symbol class of ``chain`` the
+    value at its position in ``values`` (extra values unused)."""
     classes = chain.equivalence_classes()
-    values = [draw(_SIZES) for _ in classes]
+    values = list(values[: len(classes)])
     if repeat is not None:
         # A repeated square matrix ties its two size classes together.
         tied = {chain.class_of(i) for i in repeat}
         shared = values[classes.index(next(iter(tied)))]
         values = [shared if cls in tied else v for cls, v in zip(classes, values)]
-    sizes = [0] * (n + 1)
+    sizes = [0] * (chain.n + 1)
     for cls, value in zip(classes, values):
         for index in cls:
             sizes[index] = value
-    return chain, tuple(sizes), repeat
+    return tuple(sizes)
 
 
 def _layouts(arrays):
@@ -408,48 +415,60 @@ _FOUR_INVERSES = (
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=_chain_and_sizes(), seed=st.integers(0, 2**16))
-@example(case=_FOUR_INVERSES, seed=4)
-def _check_every_consumer_against_oracle(case, seed):
+@given(
+    case=_chain_and_sizes(),
+    seed=st.integers(0, 2**16),
+    resize=st.lists(_SIZES, min_size=5, max_size=5),
+)
+@example(case=_FOUR_INVERSES, seed=4, resize=[7, 7, 7, 7, 7])
+def _check_every_consumer_against_oracle(case, seed, resize):
     """Every consumer of the per-step call record — reference, blas and c
     plans (plain and ``out=`` replay) and the emitted Python module's
     ``variant_<i>`` — agrees with ``naive_evaluate`` on every variant, in
-    every operand layout, without mutating an operand."""
+    every operand layout, without mutating an operand.  Plans are
+    compiled once, at the first size vector, and the same plan objects
+    then serve a second one: sizes bind at call time."""
     chain, q, repeat = case
-    arrays = random_instance_arrays(chain, q, np.random.default_rng(seed))
-    if repeat is not None:
-        arrays[repeat[1]] = arrays[repeat[0]]
-    pristine = [a.copy() for a in arrays]
-    expected = naive_evaluate(chain, pristine)
-    scale = max(1.0, float(np.abs(expected).max()))
     variants = all_variants(chain)
     module: dict = {}
     exec(emit_python(chain, variants), module)
-    for i, variant in enumerate(variants):
-        plans = {
+    plans = [
+        {
             backend: compile_plan(variant, q, backend=backend)
             for backend in ("reference", "blas", "c")
         }
-        for layout, operands in _layouts(arrays):
-            results = {"python": module[f"variant_{i}"](operands)}
-            for backend, plan in plans.items():
-                results[backend] = plan.execute(operands)
-                out = np.empty(expected.shape)
-                got = plan.replay(list(operands), out=out)
-                assert got is out
-                results[f"{backend} out="] = got
-            if layout == "C":
-                # Same routines, same flags, same arithmetic: near-bitwise.
-                np.testing.assert_allclose(
-                    results["c"], results["blas"], rtol=1e-12, atol=1e-12 * scale
-                )
-            for path, got in results.items():
-                np.testing.assert_allclose(
-                    got / scale, expected / scale, atol=1e-6,
-                    err_msg=f"{variant.name} via {path}, {layout} operands",
-                )
-            for orig, after in zip(pristine, operands):
-                np.testing.assert_array_equal(orig, after)
+        for variant in variants
+    ]
+    for sizes in (q, _sizes_for(chain, resize, repeat)):
+        arrays = random_instance_arrays(chain, sizes, np.random.default_rng(seed))
+        if repeat is not None:
+            arrays[repeat[1]] = arrays[repeat[0]]
+        pristine = [a.copy() for a in arrays]
+        expected = naive_evaluate(chain, pristine)
+        scale = max(1.0, float(np.abs(expected).max()))
+        for i, variant in enumerate(variants):
+            for layout, operands in _layouts(arrays):
+                results = {"python": module[f"variant_{i}"](operands)}
+                for backend, plan in plans[i].items():
+                    results[backend] = plan.execute(operands)
+                    out = np.empty(expected.shape)
+                    got = plan.replay(list(operands), out=out)
+                    assert got is out
+                    results[f"{backend} out="] = got
+                if layout == "C":
+                    # Same routines, same flags, same arithmetic: near-bitwise.
+                    np.testing.assert_allclose(
+                        results["c"], results["blas"],
+                        rtol=1e-12, atol=1e-12 * scale,
+                    )
+                for path, got in results.items():
+                    np.testing.assert_allclose(
+                        got / scale, expected / scale, atol=1e-6,
+                        err_msg=f"{variant.name} via {path} at q={sizes}, "
+                        f"{layout} operands",
+                    )
+                for orig, after in zip(pristine, operands):
+                    np.testing.assert_array_equal(orig, after)
 
 
 @needs_blas
@@ -459,7 +478,7 @@ def test_interpreter_differential_compiles_at_most_once(tmp_path, monkeypatch):
     compiles = get_registry().counter("runtime.codegen_compiles")
     before = compiles.value
     _check_every_consumer_against_oracle()
-    # Every (variant, sizes) pair above shares one interpreter build.
+    # Every plan above shares one interpreter build.
     assert compiles.value - before <= 1
 
 
@@ -554,12 +573,12 @@ def test_failed_interpreter_build_is_not_retried(tmp_path, monkeypatch):
     monkeypatch.setattr(cemit, "get_codegen_cache", lambda: cache)
     gen = compile_chain(PARITY_CHAINS[0][1], num_training_instances=10, use_cache=False)
     chain = gen.program.chain
-    runtime = gen.program.runtime(backend="c")
     before = _fallback_count("compile-error")
     rng = np.random.default_rng(8)
     for n in range(5):
         q = [5 + n, 6, 7 + n, 8]
-        _, _, plan = runtime.plan_for(q)
+        # A fresh dispatcher per call: each lowers its own plan.
+        _, _, plan = gen.program.to_dispatcher(backend="c").plan_for(q)
         assert plan.backend == "blas"
         arrays = random_instance_arrays(chain, q, rng)
         np.testing.assert_allclose(

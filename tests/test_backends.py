@@ -387,11 +387,12 @@ class TestDispatcherBackend:
         q = [8, 8, 8, 8, 4]
         arrays = random_instance_arrays(chain, q, np.random.default_rng(4))
         first = dispatcher.run(arrays)
-        assert dispatcher._memo[dispatcher._infer.shapes(q)].plan.backend == "reference"
+        assert [p.backend for p in dispatcher._lowered.values()] == ["reference"]
         dispatcher.backend = "blas"
-        assert dispatcher._memo[dispatcher._infer.shapes(q)].plan is None  # decision kept
+        assert not dispatcher._lowered  # plans dropped, decision kept
+        assert dispatcher._infer.shapes(q) in dispatcher._memo
         second = dispatcher.run(arrays)
-        assert dispatcher._memo[dispatcher._infer.shapes(q)].plan.backend == "blas"
+        assert [p.backend for p in dispatcher._lowered.values()] == ["blas"]
         assert second.variant is first.variant
         np.testing.assert_allclose(
             second.result, first.result, rtol=1e-9, atol=1e-9

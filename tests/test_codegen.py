@@ -45,6 +45,22 @@ class TestEmitCpp:
         assert "A[0].rows()" in self.source
         assert "A[2].cols()" in self.source
 
+    def test_dispatch_checks_sizes(self):
+        """One comparison per shared size and per square operand."""
+        assert "#include <stdexcept>" in self.source
+        for i in (1, 2):
+            assert f"if (static_cast<double>(A[{i}].rows()) != q[{i}])" in self.source
+            assert (
+                f'throw std::invalid_argument("inconsistent sizes at q{i}");'
+                in self.source
+            )
+        for i in (0, 1):  # L and G^-1; H is free
+            assert (
+                f'throw std::invalid_argument("operand {i} must be square");'
+                in self.source
+            )
+        assert "operand 2 must be square" not in self.source
+
     def test_transposed_operand_swaps_dims(self):
         chain = Chain((make_general("A").T, make_general("B").as_operand()))
         source = emit_cpp(chain, all_variants(chain))

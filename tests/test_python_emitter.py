@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import compile_chain
 from repro.codegen.python_emitter import emit_python
+from repro.errors import ExecutionError
 from repro.runtime.executor import naive_evaluate, random_instance_arrays
 from repro.compiler.selection import all_variants
 from repro.experiments.sampling import sample_instances
@@ -88,6 +89,24 @@ class TestEmittedSource:
         a = np.zeros((4, 3))  # stored transposed: logical 3 x 4
         b = np.zeros((4, 5))
         assert module["infer_sizes"]((a, b)) == (3, 4, 5)
+
+    def test_emitted_infer_sizes_checks_shapes(self):
+        """The emitted evaluator rejects what the library rejects: a
+        diagonal that does not fit, or a square operand that is not."""
+        generated = compile_chain(
+            "Matrix D <Diagonal, NonSingular>; Matrix B <General, Singular>; "
+            "X := D^-1 * B;",
+            num_training_instances=10,
+        )
+        module = _load_module(generated.python_source())
+        d, b = np.ones((1, 1)), np.ones((5, 3))
+        with pytest.raises(ValueError, match="inconsistent sizes at q1: 1 vs 5"):
+            module["evaluate"](d, b)
+        with pytest.raises(ExecutionError, match="inconsistent sizes at q1: 1 vs 5"):
+            generated(d, b)
+        with pytest.raises(ValueError, match="operand 0 must be square, got 2x3"):
+            module["infer_sizes"]((np.ones((2, 3)), np.ones((3, 3))))
+        assert module["infer_sizes"]((np.ones((5, 5)), b)) == (5, 5, 3)
 
     def test_all_variants_emittable_and_correct(self):
         """Emit EVERY parenthesization of a structured chain and run all."""

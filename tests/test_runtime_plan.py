@@ -7,10 +7,13 @@ import pytest
 
 from repro.errors import ExecutionError, ShapeError
 from repro.ir.chain import Chain
+from repro.ir.features import Property, Structure
+from repro.ir.matrix import Matrix
 from repro.compiler.parenthesization import leaf, left_to_right_tree
 from repro.compiler.selection import all_variants
 from repro.compiler.variant import build_variant
 from repro.runtime import (
+    Dispatcher,
     blas_available,
     compile_plan,
     execute_variant,
@@ -144,14 +147,24 @@ class TestPlanExecution:
         result[0, 0] = -1e9
         np.testing.assert_array_equal(a, original)
 
-    def test_plan_records_instance_metadata(self):
+    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
+    def test_one_plan_serves_every_size_vector(self, backend):
+        """A plan is compiled for symbolic sizes: it keeps no size vector
+        and replays instances of any sizes."""
         chain = general_chain(3)
         variant = all_variants(chain)[0]
-        plan = compile_plan(variant, (3, 4, 5, 6))
-        assert plan.sizes == (3, 4, 5, 6)
-        assert plan.expected_shapes == ((3, 4), (4, 5), (5, 6))
+        plan = compile_plan(variant, (3, 4, 5, 6), backend=backend)
         assert plan.variant is variant
         assert "execution plan" in plan.describe()
+        for attribute in ("sizes", "expected_shapes", "validate"):
+            assert not hasattr(plan, attribute)
+        rng = np.random.default_rng(2)
+        for sizes in ((3, 4, 5, 6), (7, 1, 2, 9), (1, 1, 1, 1)):
+            arrays = random_instance_arrays(chain, sizes, rng)
+            np.testing.assert_allclose(
+                plan.execute(arrays), naive_evaluate(chain, arrays),
+                rtol=1e-10, atol=1e-10,
+            )
 
 
 class TestPlanValidation:
@@ -166,13 +179,22 @@ class TestPlanValidation:
         with pytest.raises(ExecutionError, match="expected 3 arrays"):
             plan.execute([np.zeros((3, 4))])
 
-    def test_check_shapes_catches_mismatch(self):
+    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
+    def test_execute_checks_sizes(self, backend):
+        """execute infers the sizes from the operands every call, so a
+        shared size that disagrees raises on every backend."""
         chain = general_chain(2)
-        plan = compile_plan(all_variants(chain)[0], (3, 4, 5))
+        plan = compile_plan(all_variants(chain)[0], (3, 4, 5), backend=backend)
         bad = [np.zeros((3, 4)), np.zeros((9, 5))]
-        with pytest.raises(ExecutionError, match="stored shape"):
-            plan.execute(bad, check_shapes=True)
-        plan.validate([np.zeros((3, 4)), np.zeros((4, 5))])  # passes
+        with pytest.raises(ExecutionError, match="inconsistent sizes at q1: 4 vs 9"):
+            plan.execute(bad)
+        # A 1x1 diagonal against a 5x3 operand: no backend may broadcast
+        # D's one entry over B.
+        diagonal = Matrix("D", Structure.DIAGONAL, Property.NON_SINGULAR)
+        chain = Chain((diagonal.as_operand(), make_general("B").as_operand()))
+        plan = compile_plan(all_variants(chain)[0], (5, 5, 3), backend=backend)
+        with pytest.raises(ExecutionError, match="inconsistent sizes at q1: 1 vs 5"):
+            plan.execute([np.ones((1, 1)), np.ones((5, 3))])
 
     def test_callable_alias(self):
         rng = np.random.default_rng(1)
@@ -255,3 +277,49 @@ class TestReplayModes:
         got = plan.replay(list(arrays), out)
         assert got is out
         assert np.array_equal(out, expected)
+
+
+class TestPlanMemory:
+    """Plans are per variant: a dispatcher lowers each variant at most once
+    per backend, however many size vectors it meets."""
+
+    FRESH = 300
+
+    @pytest.mark.parametrize(
+        "backend",
+        [pytest.param("blas", marks=needs_blas), pytest.param("c", marks=needs_blas)],
+    )
+    def test_lowering_is_bounded_by_variants(self, backend, monkeypatch):
+        from repro.runtime import dispatcher as dispatcher_module
+
+        lowered = []
+        real = dispatcher_module.compile_plan
+
+        def counting(variant, *args, **kwargs):
+            lowered.append(variant)
+            return real(variant, *args, **kwargs)
+
+        monkeypatch.setattr(dispatcher_module, "compile_plan", counting)
+        chain = general_chain(4)
+        variants = all_variants(chain)
+        dispatcher = Dispatcher(chain, variants, backend=backend)
+        rng = np.random.default_rng(28)
+        fresh: dict[tuple, None] = {}
+        while len(fresh) < self.FRESH:
+            fresh[tuple(int(s) for s in rng.integers(1, 33, chain.n + 1))] = None
+        instances = [random_instance_arrays(chain, q, rng) for q in fresh]
+        for arrays in instances:
+            np.testing.assert_allclose(
+                dispatcher.run(arrays).result, naive_evaluate(chain, arrays),
+                rtol=1e-9, atol=1e-9,
+            )
+        assert dispatcher.memo_stats()["misses"] == self.FRESH
+        assert 1 <= len(lowered) <= len(variants)
+        # A backend swap keeps the decisions and lowers each variant again
+        # at most once.
+        lowered.clear()
+        dispatcher.backend = "reference"
+        for arrays in instances:
+            dispatcher.run(arrays)
+        assert 1 <= len(lowered) <= len(variants)
+        assert dispatcher.memo_stats()["misses"] == self.FRESH
