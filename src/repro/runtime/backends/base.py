@@ -5,9 +5,10 @@ step's :class:`~repro.runtime.executor.StepCall` — the one record of its
 kernel family and operand roles, resolved once at plan-compile time — it
 returns a :class:`LoweredKernel`: a direct ``(left, right) -> result``
 callable plus the name of the routine the call lowered to.
-:class:`~repro.runtime.plan.ExecutionPlan` asks its backend once per step
-and replays the returned callables; the backend never sees per-call
-state, so one lowered kernel may serve concurrent replays.
+:class:`~repro.runtime.plan.ExecutionPlan` first offers its backend the
+whole plan (:meth:`Backend.lower_plan`); only when that declines does it
+ask once per step and replay the returned callables.  The backend never
+sees per-call state, so one lowered kernel may serve concurrent replays.
 
 Three backends ship: ``reference`` (the numpy/scipy reference
 implementations, structured operands executed densely), ``blas``
@@ -67,22 +68,21 @@ class Backend(ABC):
 
     def lower_plan(
         self, plan: "ExecutionPlan"
-    ) -> Optional[
-        Callable[[list[np.ndarray], Optional[np.ndarray]], np.ndarray]
-    ]:
+    ) -> Optional[Callable[..., np.ndarray]]:
         """Optionally lower a *whole* plan to one fused callable.
 
-        Called once at plan-compile time, after the per-step lowering.
-        Plans are per variant: the callable binds the sizes per call.
-        Returning a ``(values, out) -> result`` callable replaces the
-        plan's step loop on the untimed
+        Called once at plan-compile time, before any per-step lowering:
+        :meth:`specialize` runs only when this declines.  Plans are per
+        variant: the callable binds the sizes per call.  A returned
+        ``(values, out, record) -> result`` callable, with a ``routines``
+        tuple naming each step's routine, is the plan's only
         :meth:`~repro.runtime.plan.ExecutionPlan.replay` path (fix-ups
-        still run in Python afterwards); it may write the result into
+        still run in Python afterwards).  It may write the result into
         ``out`` (``None`` when the caller supplied none) or return a fresh
-        array, and replay copies it into ``out`` then; a call that
-        returns ``None`` is retried once on C-ordered operand copies.
-        Returning ``None`` here — the default — keeps the per-step loop,
-        and the plan reports
+        array, which replay copies into ``out``; ``record`` (or ``None``)
+        receives one duration per step.  A call that returns ``None`` is
+        retried once on C-ordered operand copies.  Returning ``None`` here
+        — the default — lowers the plan step by step, and the plan reports
         :attr:`fallback_name` as its backend when set.  Implementations
         must degrade by returning ``None``, never by raising.
         """

@@ -46,17 +46,15 @@ capsules to the module's ``init``.
 Degradation is total and silent: no toolchain, no harvestable capsules,
 an unsupported step (configurations the routines cannot express), a
 chain of more than :data:`MAX_OPERANDS` operands, a compiler rejection,
-or a load failure all fall back
-to the ``blas`` lowering the plan already carries (``specialize`` here
-delegates to :class:`~repro.runtime.backends.blas.BlasBackend`), counted
-per reason in the ``runtime.codegen_fallbacks`` metric and logged at
-info level.  A fallen-back plan reports ``backend == "blas"``.
+or a load failure all fall the plan back to a per-step ``blas`` lowering
+(built only then), counted per reason in the ``runtime.codegen_fallbacks``
+metric and logged at info level.  A fallen-back plan reports
+``backend == "blas"``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -65,6 +63,7 @@ import sys
 import threading
 import time
 from array import array
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -73,7 +72,6 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.obs import get_registry
 from repro.obs import trace as obs_trace
-from repro.runtime.backends.base import Backend, LoweredKernel
 from repro.runtime.backends.blas import (
     SYSV_LWORK_PER_ROW,
     BlasBackend,
@@ -408,24 +406,27 @@ def _factor_solve(
     return _StepSpec(brow, bcol, not side_left, False, step)
 
 
-#: family -> packer, each called as ``pack(call, l, r, last)``.
-#: A family absent here falls the plan back.
+#: family -> (routine label, packer), each packer called as
+#: ``pack(call, l, r, last)``.  The labels are the blas backend's where
+#: the interpreter runs the same routine.  A family absent here falls the
+#: plan back.
 _PACKERS = {
-    "gemm": _gemm,
-    "symm": _symm,
-    "trmm": functools.partial(_triangular, op=OP_TRMM),
-    "dimm": functools.partial(_diagonal, ops=(OP_ROW_SCALE, OP_COL_SCALE)),
-    "disv": functools.partial(_diagonal, ops=(OP_ROW_DIV, OP_COL_DIV)),
-    "didimm": _didimm,
-    "trsm": functools.partial(_triangular, op=OP_TRSM),
-    "posv": functools.partial(_factor_solve, op=OP_POSV),
-    "sysv": functools.partial(_factor_solve, op=OP_SYSV),
-    "gesv": functools.partial(_factor_solve, op=OP_GESV),
+    "gemm": ("dgemm", _gemm),
+    "symm": ("dsymm", _symm),
+    "trmm": ("dtrmm", partial(_triangular, op=OP_TRMM)),
+    "dimm": ("diag-scale", partial(_diagonal, ops=(OP_ROW_SCALE, OP_COL_SCALE))),
+    "disv": ("diag-solve", partial(_diagonal, ops=(OP_ROW_DIV, OP_COL_DIV))),
+    "didimm": ("diag-scale", _didimm),
+    "trsm": ("dtrsm", partial(_triangular, op=OP_TRSM)),
+    "posv": ("dposv", partial(_factor_solve, op=OP_POSV)),
+    "sysv": ("dsysv", partial(_factor_solve, op=OP_SYSV)),
+    "gesv": ("dgetrf+dgetrs", partial(_factor_solve, op=OP_GESV)),
 }
 
 
-def pack_plan(plan: "ExecutionPlan") -> bytes:
-    """Pack one plan as an interpreter step record, for any sizes.
+def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[str, ...]]:
+    """Pack one plan as an interpreter step record, for any sizes; returns
+    the record and the routine each variant step runs.
 
     Raises :class:`_Unsupported` for steps outside the packer's family
     table or calls without the triangularity the routines need — callers
@@ -458,11 +459,13 @@ def pack_plan(plan: "ExecutionPlan") -> bytes:
 
     last = len(steps) - 1
     packed: list[_Step] = []
+    routines: list[str] = []
     for i, (step, call) in enumerate(zip(steps, plan.calls)):
         l, r = bufs[slot(step.left_ref)], bufs[slot(step.right_ref)]
-        pack = _PACKERS.get(call.family)
-        if pack is None:
+        if call.family not in _PACKERS:
             raise _Unsupported("unsupported-step")
+        routine, pack = _PACKERS[call.family]
+        routines.append(routine)
         spec = pack(call, l, r, i == last)
         # The caller's output array is C-ordered (r, c): as an F buffer it
         # wants the transposed (or symmetric) result — the final step can
@@ -486,7 +489,7 @@ def pack_plan(plan: "ExecutionPlan") -> bytes:
         fields.extend(shape)
     for step in packed:
         fields.extend(step)
-    return array("q", fields).tobytes()
+    return array("q", fields).tobytes(), tuple(routines)
 
 
 def shape_key(shapes) -> bytes:
@@ -501,7 +504,7 @@ def shape_key(shapes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def _interpreter_source() -> tuple[str, str]:
     """``(cache key, source)`` of the interpreter: the key digests the
     source and the ABI tag, so a changed source or interpreter never
@@ -560,13 +563,22 @@ class NativePlan(NamedTuple):
     ``None`` for operands that are not C-contiguous float64 matrices of
     consistent shapes.  ``run`` (the interpreter's entry) and ``record``
     let a dispatcher serve the plan from its own plan table as well.
+
+    ``timed`` receives the interpreter's duration of each variant step
+    after the walk; ``routines`` names the routine each step runs.
     """
 
     run: Callable
     record: bytes
+    routines: tuple[str, ...]
 
-    def __call__(self, values: list, out: Optional[np.ndarray] = None):
-        return self.run(self.record, None, None, None, values, out)
+    def __call__(self, values: list, out=None, timed=None):
+        seconds = None if timed is None else bytearray()
+        result = self.run(self.record, None, None, seconds, values, out)
+        if seconds:  # a timed walk ran
+            for step_seconds in memoryview(seconds).cast("d"):
+                timed(step_seconds)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -574,23 +586,16 @@ class NativePlan(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-class CEmitBackend(Backend):
-    """Pack whole plans for the native step interpreter; lower steps via blas.
+class CEmitBackend(BlasBackend):
+    """Pack whole plans for the native step interpreter.
 
-    ``specialize`` delegates to :class:`BlasBackend`, so every plan this
-    backend compiles also carries the per-step blas lowering — that is
-    the per-step loop a timed replay (``replay(..., record=...)``) runs
-    and the ready-made fallback when native lowering declines.
+    A packed plan runs only in the interpreter, traced or not.  A plan
+    lowers step by step through the inherited blas ``specialize`` only
+    when :meth:`lower_plan` declines: that is the blas fallback.
     """
 
     name = "c"
     fallback_name = "blas"
-
-    def __init__(self):
-        self._blas = BlasBackend()
-
-    def specialize(self, call: "StepCall") -> LoweredKernel:
-        return self._blas.specialize(call)
 
     def lower_plan(self, plan: "ExecutionPlan") -> Optional[Callable]:
         if not blas_available():
@@ -603,7 +608,7 @@ class CEmitBackend(Backend):
         registry = get_registry()
         start = time.perf_counter()
         try:
-            record = pack_plan(plan)
+            record, routines = pack_plan(plan)
         except _Unsupported as exc:
             return self._fall_back(exc.reason, plan)
         # The "emit" stage times packing: no C is written per plan.
@@ -625,7 +630,7 @@ class CEmitBackend(Backend):
         registry.histogram("runtime.codegen_seconds", stage="load").observe(
             time.perf_counter() - start
         )
-        return NativePlan(run, record)
+        return NativePlan(run, record, routines)
 
     @staticmethod
     def _fall_back(reason: str, plan: "ExecutionPlan") -> None:

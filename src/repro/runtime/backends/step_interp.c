@@ -21,9 +21,11 @@
  *   C-contiguous float64 matrices, whose shapes do not bind, or whose
  *   shape key is not in the table.
  *
- *   With a record (pool, snapshot and log None), this is one plan's replay
- *   (cemit.NativePlan): a non-conforming out gets a fresh array instead,
- *   which run() returns.
+ *   With a record (pool and snapshot None), this is one plan's replay
+ *   (cemit.NativePlan), traced or not: a non-conforming out gets a fresh
+ *   array instead, which run() returns.  A log bytearray, else None, is
+ *   set to one float64 per variant step: the seconds its routine took in
+ *   the walk, a trailing STORE_T pass counted into the last step.
  *
  *   With a plan table, it is a dispatcher's whole warm call.  run()
  *   declines (None) unless the variant list pool still holds exactly the
@@ -242,12 +244,23 @@ divide(const step_t *s, const double *a, const double *b, double *c,
     return 0;
 }
 
-/* Walk the steps; runs without the GIL.  0, or -1 with *fail filled in. */
+/* Monotonic seconds: the clock time.perf_counter reads on Linux. */
+static double
+now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* Walk the steps; runs without the GIL.  0, or -1 with *fail filled in.
+ * With times, times[i] receives step i's seconds, a trailing STORE_T pass
+ * counted into the step before it. */
 static int
 walk(const step_t *steps, Py_ssize_t n_steps, double *const *in, double *ws,
-     double *out, failure_t *fail)
+     double *out, double *times, failure_t *fail)
 {
-    double one = 1.0, zero = 0.0;
+    double one = 1.0, zero = 0.0, last = times ? now() : 0.0, t;
     Py_ssize_t i;
     for (i = 0; i < n_steps; i++) {
         const step_t *s = &steps[i];
@@ -314,17 +327,15 @@ walk(const step_t *steps, Py_ssize_t n_steps, double *const *in, double *ws,
             fail->info = (int)s->op;
             return -1;
         }
+        if (times != NULL) {
+            t = now();
+            times[i] = t - last;
+            if (s->op == OP_STORE_T && i > 0)
+                times[i - 1] += times[i];
+            last = t;
+        }
     }
     return 0;
-}
-
-/* Monotonic seconds: the clock time.perf_counter reads on Linux. */
-static double
-now(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
 static int
@@ -495,13 +506,17 @@ bind(const int64_t *head, const int64_t *shapes, step_t *bound,
 /* Replay a record over the n held operands, their stored shapes in shapes,
  * into out when it conforms; else, when out is None or fresh is set, into
  * a fresh numpy.empty(shape) (the caller copies it where it wants it).
+ * A times bytearray (else None) receives the walk's per-step seconds.
  * The array written; Py_None for shapes that do not bind, or a
  * non-conforming out without fresh; NULL on error. */
 static PyObject *
 execute(const int64_t *head, const int64_t *shapes, Py_buffer *views,
-        double *const *in, Py_ssize_t n, PyObject *out, int fresh)
+        double *const *in, Py_ssize_t n, PyObject *out, int fresh,
+        PyObject *times)
 {
     step_t bound[MAX_OPERANDS];
+    double seconds[MAX_OPERANDS];
+    Py_ssize_t n_steps = (Py_ssize_t)head[H_NSTEPS];
     failure_t fail = {0, NULL, 0};
     Py_buffer view;
     double *ws = NULL;
@@ -537,13 +552,20 @@ execute(const int64_t *head, const int64_t *shapes, Py_buffer *views,
         }
     }
     Py_BEGIN_ALLOW_THREADS
-    status = walk(bound, (Py_ssize_t)head[H_NSTEPS], in, ws,
-                  (double *)view.buf, &fail);
+    status = walk(bound, n_steps, in, ws, (double *)view.buf,
+                  times == Py_None ? NULL : seconds, &fail);
     Py_END_ALLOW_THREADS
     free(ws);
     if (status < 0)
         PyErr_Format(execution_error, "plan step %zd: %s failed (info=%d)",
                      fail.step, fail.routine, fail.info);
+    else if (times != Py_None) {
+        n_steps -= n_steps > 1 && bound[n_steps - 1].op == OP_STORE_T;
+        status = PyByteArray_Resize(times, n_steps * sizeof(double));
+        if (status == 0)
+            memcpy(PyByteArray_AS_STRING(times), seconds,
+                   n_steps * sizeof(double));
+    }
 done:
     PyBuffer_Release(&view);
     if (status < 0)
@@ -593,24 +615,26 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     int64_t shapes[2 * MAX_OPERANDS];
     const int64_t *head;
     Py_ssize_t n, i;
+    int table;
 
     if (execution_error == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "init() was not called");
         return NULL;
     }
     if (nargs != 6
-        || !(args[3] == Py_None
-                 ? PyBytes_Check(args[0])
-                 : PyDict_Check(args[0]) && PyByteArray_Check(args[3])
-                       && PyList_Check(args[1]) && PyTuple_Check(args[2]))) {
-        PyErr_SetString(PyExc_TypeError, "run expects a record, or a plan "
-                        "table, a variant list, its snapshot and a log; "
-                        "then operands and out");
+        || !((table = PyDict_Check(args[0]))
+                 ? PyByteArray_Check(args[3]) && PyList_Check(args[1])
+                       && PyTuple_Check(args[2])
+                 : PyBytes_Check(args[0])
+                       && (args[3] == Py_None || PyByteArray_Check(args[3])))) {
+        PyErr_SetString(PyExc_TypeError, "run expects a record and a timing "
+                        "log or None, or a plan table, a variant list, its "
+                        "snapshot and a log; then operands and out");
         return NULL;
     }
     plans = args[0];
     log = args[3];
-    if (log != Py_None) {
+    if (table) {
         /* A warm call: decline unless the pool is still the snapshot
          * and tracing is off; a full log asks for a drain. */
         n = PyList_GET_SIZE(args[1]);
@@ -636,7 +660,7 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         Py_RETURN_NONE;
     /* Own the plan: taking the output may run code that changes plans,
      * and the walk runs without the GIL. */
-    if (log == Py_None)
+    if (!table)
         plan = Py_NewRef(plans);
     else {
         key = PyBytes_FromStringAndSize((const char *)shapes,
@@ -650,21 +674,19 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             return hit;
         }
     }
-    if (log != Py_None
-        && (!PyTuple_CheckExact(plan) || PyTuple_GET_SIZE(plan) != 2))
+    if (table && (!PyTuple_CheckExact(plan) || PyTuple_GET_SIZE(plan) != 2))
         PyErr_SetString(PyExc_TypeError, "a plan is (entry, record)");
-    else if ((head = record_fields(log == Py_None
-                                       ? plan
-                                       : PyTuple_GET_ITEM(plan, 1))) == NULL)
+    else if ((head = record_fields(table ? PyTuple_GET_ITEM(plan, 1)
+                                         : plan)) == NULL)
         ;
     else if (head[H_NINPUTS] != n)
         PyErr_SetString(PyExc_ValueError, "a record of another chain");
-    else if (log == Py_None)
-        hit = execute(head, shapes, views, in, n, args[5], 1);
+    else if (!table)
+        hit = execute(head, shapes, views, in, n, args[5], 1, log);
     else if (PyObject_SetAttr(PyTuple_GET_ITEM(plan, 0), str_referenced,
                               Py_True) == 0) {
         start = now();
-        result = execute(head, shapes, views, in, n, args[5], 0);
+        result = execute(head, shapes, views, in, n, args[5], 0, Py_None);
         stamps[0] = now();
         stamps[1] = stamps[0] - start;
         if (result == NULL || result == Py_None)

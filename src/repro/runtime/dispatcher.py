@@ -868,15 +868,16 @@ class Dispatcher:
         one replay of the variant's plan — the shapes were validated by
         size inference on the miss that memoized them.  A miss only
         *resolves* the entry (infer, select, memoize); Python hits and
-        misses then run the same code (which lowers a variant once).  With tracing enabled (never a table hit), the
-        replay additionally times every kernel call into
-        per-``(kernel, routine)`` histograms and emits a ``runtime.run``
-        span; disabled, the only work besides the replay is one append to
-        an execution log (:meth:`_fold_log`).
+        misses then run the same code (which lowers a variant once).
+        With tracing enabled (never a table hit), the replay additionally
+        times every kernel call into per-``(kernel, routine)`` histograms
+        — on ``c``, the interpreter's own timing of the routines that run —
+        and emits a ``runtime.run`` span; disabled, the only work besides
+        the replay is one append to an execution log (:meth:`_fold_log`).
 
         ``out`` receives the result in a caller-owned buffer of the
-        result's shape, which the outcome then carries.  An untraced
-        ``c`` plan without fix-ups writes straight into it when it is a
+        result's shape, which the outcome then carries.  A ``c`` plan
+        without fix-ups writes straight into it when it is a
         C-contiguous, writeable float64 array whose address range
         overlaps no operand's — a warm replay then allocates no array;
         every other replay computes a fresh result and copies it in (see

@@ -4,16 +4,17 @@ Everything about running a variant that depends only on the variant —
 not on the sizes, not on the arrays — is resolved **once** by
 :func:`compile_plan`: every step's call is resolved once into a
 :class:`~repro.runtime.executor.StepCall` (kernel family and operand
-roles), the backend lowers that record to a direct callable, buffer
-references flatten into integer slots of one flat list (inputs first, one
-slot per step after), and the fix-up kernels are pre-bound.  Like the
-paper's generated code (Fig. 1), a plan is compiled for *symbolic* sizes:
-the step callables read their dimensions off the arrays, and a native
-plan binds them from the operands' shapes on every call.  The resulting
-:class:`ExecutionPlan` replays through one loop,
-:meth:`ExecutionPlan.replay`, over pre-resolved ``(impl, left_slot,
-right_slot, out_slot)`` tuples — no dict lookups, no dataclass
-construction, no re-validation.  The one-shot
+roles), and the fix-up kernels are pre-bound.  The backend then lowers
+the whole plan to one native call (``c``) or, when it declines, each
+record to a direct callable, with buffer references flattened into
+integer slots of one flat list (inputs first, one slot per step after).
+Like the paper's generated code (Fig. 1), a plan is compiled for
+*symbolic* sizes: the step callables read their dimensions off the
+arrays, and a native plan binds them from the operands' shapes on every
+call.  The resulting :class:`ExecutionPlan` replays through
+:meth:`ExecutionPlan.replay`: the native call, traced or not, or one loop
+over pre-resolved ``(impl, left_slot, right_slot, out_slot)`` tuples — no
+dict lookups, no dataclass construction, no re-validation.  The one-shot
 :func:`~repro.runtime.executor.execute_variant` is a plan compiled and
 executed once.
 
@@ -56,6 +57,17 @@ def _resolve_fixups(variant: Variant) -> tuple[Callable[[np.ndarray], np.ndarray
     )
 
 
+def _slot(n: int, ref) -> int:
+    """Buffer slot of a step operand: inputs occupy 0..n-1, step i's result
+    lands in slot n + i, so ("matrix", j) is j and ("step", j) is n + j."""
+    kind, index = ref
+    if kind == "matrix":
+        return index
+    if kind == "step":
+        return n + index
+    raise ExecutionError(f"unknown buffer reference {ref!r}")
+
+
 class ExecutionPlan:
     """One variant compiled down to a replayable loop, for any sizes.
 
@@ -88,49 +100,32 @@ class ExecutionPlan:
         self.variant = variant
         self.chain = chain
         self._infer = SizeInferencer(chain)
-
-        # Buffer slots: inputs occupy 0..n-1, step i's result lands in
-        # slot n + i.  A ("matrix", j) ref resolves to j, ("step", j) to
-        # n + j.
-        def slot(ref) -> int:
-            kind, index = ref
-            if kind == "matrix":
-                return index
-            if kind == "step":
-                return chain.n + index
-            raise ExecutionError(f"unknown buffer reference {ref!r}")
-
+        # Roles, transposes and triangularity resolve here, once.
+        self.calls: tuple[StepCall, ...] = tuple(
+            StepCall.of(step) for step in variant.steps
+        )
+        self._fixups = _resolve_fixups(variant)
         resolved = get_backend(backend)
         self.backend: str = resolved.name
-        ops: list[PlanOp] = []
-        calls: list[StepCall] = []
-        routines: list[str] = []
-        for step in variant.steps:
-            # Roles, transposes and triangularity resolve here, once; the
-            # backend bakes the record into the callable.
-            call = StepCall.of(step)
-            calls.append(call)
-            impl, routine = resolved.specialize(call)
-            routines.append(routine)
-            ops.append(
-                (
-                    impl,
-                    slot(step.left_ref),
-                    slot(step.right_ref),
-                    chain.n + step.index,
-                )
-            )
-        self.calls: tuple[StepCall, ...] = tuple(calls)
-        self.step_routines: tuple[str, ...] = tuple(routines)
-        self._ops: tuple[PlanOp, ...] = tuple(ops)
-        self._fixups = _resolve_fixups(variant)
-        # Whole-plan lowering (the ``c`` backend): one fused native call
-        # replacing the step loop on the untimed replay path.  A backend
-        # that declines (no toolchain, unsupported step, ...) returns
-        # None, and the plan reports the backend it actually runs on.
+        # Whole-plan lowering first (the ``c`` backend): one fused native
+        # call, the plan's only replay path, which names each step's
+        # routine.  A backend that declines (no toolchain, unsupported
+        # step, ...) returns None; the plan then lowers step by step and
+        # reports the backend it actually runs on.
         self._native = resolved.lower_plan(self)
-        if self._native is None and resolved.fallback_name:
+        self._ops: tuple[PlanOp, ...] = ()
+        if self._native is not None:
+            self.step_routines: tuple[str, ...] = self._native.routines
+            return
+        if resolved.fallback_name:
             self.backend = resolved.fallback_name
+        n = chain.n
+        lowered = [resolved.specialize(call) for call in self.calls]
+        self.step_routines = tuple(routine for _, routine in lowered)
+        self._ops = tuple(
+            (impl, _slot(n, s.left_ref), _slot(n, s.right_ref), n + s.index)
+            for s, (impl, _) in zip(variant.steps, lowered)
+        )
 
     @property
     def fused(self) -> Optional[Callable]:
@@ -164,29 +159,28 @@ class ExecutionPlan:
         conforming ``out`` (see the module docstring); otherwise the
         computed result is copied in.
 
-        ``record`` receives one elapsed-seconds value per step, in step
-        order — typically a plain ``list.append``, so timing adds two
-        clock reads and one C-level append per kernel call; the caller
+        ``record`` receives one elapsed-seconds value per variant step,
+        in step order — typically a plain ``list.append``; the caller
         feeds its histograms *after* the replay.  A natively-lowered plan
-        (the ``c`` backend) runs its fused call only when ``record`` is
-        ``None``: per-step timing needs steps, and every native plan also
-        carries the blas per-step lowering this loop runs instead.
+        (the ``c`` backend) always runs its fused call, and the
+        interpreter times each routine itself; the step loop pays two
+        clock reads and one C-level append per kernel call.
         """
-        result = None
-        if self._native is not None and record is None:
+        if self._native is not None:
             # The fused native call manages its own intermediates.  With
             # fix-ups its output is an intermediate too, not the result
             # ``out`` asks for.
             native_out = None if self._fixups else out
-            result = self._native(values, native_out)
+            result = self._native(values, native_out, record)
             if result is None:
                 # Declined: an operand is not a C-contiguous float64
                 # matrix.  Its C-ordered copy is the one copy such callers
                 # pay, where the blas lowering pays np.asfortranarray.
                 result = self._native(
-                    [np.ascontiguousarray(v) for v in values], native_out
+                    [np.ascontiguousarray(v) for v in values], native_out, record
                 )
-        if result is None:
+        else:
+            result = None
             values.extend([None] * len(self._ops))
             for impl, left, right, slot in self._ops:
                 if record is not None:
@@ -216,15 +210,13 @@ class ExecutionPlan:
             f"[backend={self.backend}]"
         ]
         if self._native is not None:
+            lines.append("  native: fused step-interpreter call")
+        n = self.chain.n
+        for step, routine in zip(self.variant.steps, self.step_routines):
             lines.append(
-                "  native: fused step-interpreter call (replay path)"
-            )
-        for step, (_, left, right, out), routine in zip(
-            self.variant.steps, self._ops, self.step_routines
-        ):
-            lines.append(
-                f"  slot[{out}] := {step.kernel.name}"
-                f"(slot[{left}], slot[{right}], side={step.side})"
+                f"  slot[{n + step.index}] := {step.kernel.name}"
+                f"(slot[{_slot(n, step.left_ref)}], "
+                f"slot[{_slot(n, step.right_ref)}], side={step.side})"
                 f" -> {routine}"
             )
         for fixup in self._fixups:

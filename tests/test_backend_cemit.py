@@ -277,6 +277,28 @@ def test_describe_reports_native_path():
 
 
 @needs_cemit
+def test_native_plan_names_the_routines_that_run(monkeypatch):
+    """A native plan reports the packer's labels and builds no per-step
+    blas lowering: the interpreter divides by the diagonal itself."""
+    from repro.runtime.backends import BlasBackend
+
+    def refuse(self, call):
+        raise AssertionError("a native plan lowered a step through blas")
+
+    monkeypatch.setattr(BlasBackend, "specialize", refuse)
+    source = (
+        "Matrix D <Diagonal, NonSingular>; Matrix B <General, Singular>; "
+        "X := D^-1 * B;"
+    )
+    _, _, plan = _plan_for(source, "c")
+    assert plan.backend == "c"
+    assert plan.step_routines == ("diag-solve",)
+    described = plan.describe()
+    assert "-> diag-solve" in described
+    assert "reference fallback" not in described
+
+
+@needs_cemit
 @pytest.mark.parametrize(
     "kind, routine", [("gen_solve", "dgetrf"), ("spd_solve", "dposv")]
 )
@@ -455,6 +477,16 @@ def _check_every_consumer_against_oracle(case, seed, resize):
                     got = plan.replay(list(operands), out=out)
                     assert got is out
                     results[f"{backend} out="] = got
+                for path, out in (("c", None), ("c out=", np.empty(expected.shape))):
+                    # A timed c replay runs the same program as the untimed
+                    # one: the same bits, one duration per variant step.
+                    durations: list[float] = []
+                    got = plans[i]["c"].replay(
+                        list(operands), out, record=durations.append
+                    )
+                    assert np.array_equal(got, results[path]), path
+                    assert len(durations) == len(variant.steps)
+                    results[f"{path} timed"] = got
                 if layout == "C":
                     # Same routines, same flags, same arithmetic: near-bitwise.
                     np.testing.assert_allclose(

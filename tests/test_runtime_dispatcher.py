@@ -631,6 +631,77 @@ class TestConcurrency:
         assert stats["evictions"] > 0
 
 
+class TestTracedDispatch:
+    """A traced call on ``c`` runs the program an untraced call runs, and
+    its kernel histograms describe the routines that ran."""
+
+    CALLS = 40
+
+    def test_traced_c_times_the_routines_that_run(self, monkeypatch):
+        from repro.ir.parser import parse_chain
+        from repro.obs import get_registry
+        from repro.obs import trace as obs_trace
+        from repro.perfmodel.feedback import KERNEL_RATE_METRIC, CalibratedEstimator
+        from repro.runtime.backends import FALLBACK_ROUTINE, BlasBackend
+
+        native = cemit_available()
+        if native:
+
+            def refuse(self, call):
+                raise AssertionError("a native plan lowered a step through blas")
+
+            monkeypatch.setattr(BlasBackend, "specialize", refuse)
+        elif not blas_available():
+            pytest.skip("scipy BLAS/LAPACK routines unavailable")
+        chain = parse_chain(
+            "Matrix D <Diagonal, NonSingular>; Matrix A <General, Singular>; "
+            "Matrix B <General, Singular>; X := D^-1 * A * B;"
+        )
+        dispatcher = Dispatcher(chain, all_variants(chain), backend="c")
+        arrays = random_instance_arrays(
+            chain, (9, 9, 12, 7), np.random.default_rng(11)
+        )
+        expected = dispatcher.run(arrays).result  # untraced; lowers the plan
+        _, _, plan = dispatcher.plan_for((9, 9, 12, 7))
+        labels = {
+            "DIGESV": "diag-solve" if native else FALLBACK_ROUTINE,
+            "GEMM": "dgemm",
+        }
+        steps = plan.variant.steps
+        assert plan.step_routines == tuple(labels[s.kernel.name] for s in steps)
+        registry = get_registry()
+        hists = [
+            (
+                registry.histogram(
+                    "runtime.kernel_seconds", kernel=s.kernel.name, routine=r
+                ),
+                registry.histogram(KERNEL_RATE_METRIC, kernel=s.kernel.name, routine=r),
+            )
+            for s, r in zip(steps, plan.step_routines)
+        ]
+        before = [(h.count, rate.count) for h, rate in hists]
+        obs_trace.enable()
+        try:
+            for _ in range(self.CALLS):
+                np.testing.assert_array_equal(dispatcher.run(arrays).result, expected)
+        finally:
+            obs_trace.disable()
+            obs_trace.drain()
+        stats = dispatcher.memo_stats()
+        assert stats["executions"] == {"c" if native else "blas": self.CALLS + 1}
+        # Each step's labels are distinct here: one sample of each per call.
+        pairs = {(s.kernel.name, r) for s, r in zip(steps, plan.step_routines)}
+        assert len(pairs) == len(steps)
+        for (seconds, rate), (n_seconds, n_rate) in zip(hists, before):
+            assert seconds.count - n_seconds == self.CALLS
+            assert rate.count - n_rate == self.CALLS
+        estimator = CalibratedEstimator()
+        estimator.refresh()
+        table = estimator.snapshot()["table"]
+        for step, routine in zip(steps, plan.step_routines):
+            assert f"{step.kernel.name}|{routine}" in table
+
+
 class TestOutBuffer:
     """``run(arrays, out=...)``: the caller's buffer receives the result."""
 
