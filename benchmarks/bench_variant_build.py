@@ -10,7 +10,10 @@ build its 4,862 variants >= 3x faster than resolving every tree from
 scratch, with equal output.  ``test_cost_sweep_speedup`` is another:
 ``flop_cost_matrix`` must price the seeded n=7 pool on 1000 instances and
 the GEMM10 pool on 20 instances bit for bit like a per-term ``np.add.at``
-sweep, and >= 2x faster.
+sweep, and >= 2x faster.  ``test_flatten_speedup`` is the third:
+``flatten_cost_terms`` on the GEMM10 pool, which resolves each distinct
+kernel call once, must build the same term stack bit for bit as
+resolving every step object on its own, >= 3x faster.
 """
 
 import time
@@ -20,7 +23,12 @@ import pytest
 
 from repro.codegen.cpp_emitter import emit_cpp
 from repro.compiler.parenthesization import enumerate_trees, left_to_right_tree
-from repro.compiler.selection import all_variants, essential_set, flop_cost_matrix
+from repro.compiler.selection import (
+    all_variants,
+    essential_set,
+    flatten_cost_terms,
+    flop_cost_matrix,
+)
 from repro.compiler.states import associate, initial_states
 from repro.compiler.variant import (
     Step,
@@ -42,6 +50,9 @@ SPEEDUP_FLOOR = 3.0
 #: the n=7 pool, 4x on GEMM10, whose time is mostly the Python walk over
 #: 4,862 variants).
 SWEEP_SPEEDUP_FLOOR = 2.0
+#: Required speedup of the per-call flatten over the per-step one on the
+#: GEMM10 pool (2-core Xeon: about 4-6x, each on a freshly built pool).
+FLATTEN_SPEEDUP_FLOOR = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +232,68 @@ def test_cost_sweep_speedup(chain7):
     emit(
         f"FLOP cost sweep (floor {SWEEP_SPEEDUP_FLOOR}x per pool)", "\n".join(rows)
     )
+
+
+def per_step_term_stack(variants):
+    """Reference flatten: every step and fix-up object resolves its own
+    cached terms, looked up in the table once per object."""
+    rows: dict = {}
+    part_rows: dict[int, list[int]] = {}
+    picks, counts = [], []
+    for variant in variants:
+        before = len(picks)
+        for part in variant.steps + variant.fixups:
+            found = part_rows.get(id(part))
+            if found is None:
+                found = part_rows[id(part)] = [
+                    rows.setdefault(term, len(rows)) for term in part._flat_terms
+                ]
+            picks += found
+        counts.append(len(picks) - before)
+    pad = len(rows)
+    coeffs = np.zeros(pad + 1, dtype=np.float64)
+    coeffs[:pad] = [coeff for coeff, _ in rows]
+    factors = np.zeros(
+        (pad + 1, max([1] + [len(powers) for _, powers in rows]), 2), dtype=np.intp
+    )
+    for (_, powers), row in rows.items():
+        for position, pair in enumerate(powers):
+            factors[row, position] = pair
+    counts = np.array(counts, dtype=np.intp)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    position = np.arange(len(picks)) - (np.cumsum(counts) - counts)[owner]
+    index = np.full((len(counts), counts.max(initial=0)), pad, np.intp, order="F")
+    index[owner, position] = picks
+    return coeffs, factors, index
+
+
+def test_flatten_speedup():
+    """GEMM10: one term resolution per distinct call beats one per step
+    object >= 3x, with the same stack (each timed on a fresh pool, whose
+    steps hold no resolved terms yet)."""
+    chain = Chain(tuple(Matrix(f"G{i + 1}").as_operand() for i in range(10)))
+    best = {"per-step": float("inf"), "per-call": float("inf")}
+    for _ in range(5):
+        for label, flatten in (
+            ("per-step", per_step_term_stack),
+            ("per-call", flatten_cost_terms),
+        ):
+            pool = all_variants(chain)
+            start = time.perf_counter()
+            stack = flatten(pool)
+            best[label] = min(best[label], time.perf_counter() - start)
+            if label == "per-step":
+                expected = stack
+            else:
+                for got, want in zip(stack, expected):
+                    assert got.dtype == want.dtype
+                    assert got.flags.f_contiguous == want.flags.f_contiguous
+                    assert np.array_equal(got, want)
+    speedup = best["per-step"] / best["per-call"]
+    emit(
+        "Cost-term flatten, GEMM10 (4862 variants, 11,253 steps, 165 calls)",
+        f"per-step {best['per-step'] * 1e3:8.1f} ms\n"
+        f"per-call {best['per-call'] * 1e3:8.1f} ms\n"
+        f"speedup  {speedup:8.2f}x (floor {FLATTEN_SPEEDUP_FLOOR}x)",
+    )
+    assert speedup >= FLATTEN_SPEEDUP_FLOOR

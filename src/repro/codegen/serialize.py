@@ -165,27 +165,20 @@ def variant_from_dict(payload: dict[str, Any], chain: Chain) -> Variant:
 
 # -- top level ----------------------------------------------------------------
 
-def dumps(chain: Chain, variants: list[Variant], indent: int | None = None) -> str:
-    """Serialize a compiled chain (shape + variants) to a JSON string."""
-    return json.dumps(
-        {
-            "format_version": FORMAT_VERSION,
-            "chain": chain_to_dict(chain),
-            "variants": [variant_to_dict(v) for v in variants],
-        },
-        indent=indent,
-    )
+def compilation_to_dict(chain: Chain, variants: list[Variant]) -> dict[str, Any]:
+    """A compiled chain (shape + variants) as a JSON-ready dict."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "chain": chain_to_dict(chain),
+        "variants": [variant_to_dict(v) for v in variants],
+    }
 
 
-def loads(payload: str) -> tuple[Chain, list[Variant]]:
-    """Load a compiled chain; returns (chain, variants).
+def compilation_from_dict(data: Any) -> tuple[Chain, list[Variant]]:
+    """Load a :func:`compilation_to_dict` payload; returns (chain, variants).
 
     Raises :class:`SerializationError` on malformed or incompatible input.
     """
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SerializationError("top-level payload must be an object")
     version = data.get("format_version")
@@ -196,3 +189,20 @@ def loads(payload: str) -> tuple[Chain, list[Variant]]:
     chain = chain_from_dict(data["chain"])
     variants = [variant_from_dict(entry, chain) for entry in data["variants"]]
     return chain, variants
+
+
+def dumps(chain: Chain, variants: list[Variant], indent: int | None = None) -> str:
+    """Serialize a compiled chain (shape + variants) to a JSON string."""
+    return json.dumps(compilation_to_dict(chain, variants), indent=indent)
+
+
+def loads(payload: str) -> tuple[Chain, list[Variant]]:
+    """Load a compiled chain from :func:`dumps` text; returns (chain, variants).
+
+    Raises :class:`SerializationError` on malformed or incompatible input.
+    """
+    try:
+        data = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"invalid JSON: {exc}") from exc
+    return compilation_from_dict(data)

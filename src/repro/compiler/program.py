@@ -202,8 +202,8 @@ class CompiledProgram:
 
         payload = {
             "artifact_version": ARTIFACT_VERSION,
-            "program": json.loads(
-                serialize.dumps(self.chain, list(self.variants))
+            "program": serialize.compilation_to_dict(
+                self.chain, list(self.variants)
             ),
             "training_instances": np.asarray(self.training_instances).tolist(),
             "meta": {
@@ -246,7 +246,7 @@ class CompiledProgram:
         if not isinstance(program, dict):
             raise ArtifactError("artifact is missing the 'program' object")
         try:
-            chain, variants = serialize.loads(json.dumps(program))
+            chain, variants = serialize.compilation_from_dict(program)
         except SerializationError as exc:
             raise ArtifactError(f"malformed program payload: {exc}") from exc
         try:

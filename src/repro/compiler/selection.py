@@ -25,7 +25,12 @@ from repro.compiler.parenthesization import (
     fanning_out_tree,
     left_to_right_tree,
 )
-from repro.compiler.variant import Variant, build_variant, build_variants
+from repro.compiler.variant import (
+    Variant,
+    build_variant,
+    build_variants,
+    call_terms,
+)
 
 #: Worst-case bound on the constant of Lemma 2 (``alpha-hat <= 8``), hence
 #: ``T(E_m, q) < 16 T_opt`` and the total penalty of E is at most 15.
@@ -131,23 +136,34 @@ def flatten_cost_terms(variants: Sequence[Variant]) -> TermStack:
     are distinct), so each distinct ``(coefficient, powers)`` term is one
     row of the table and is priced once per instance.
 
-    Variants of one pool share their :class:`~repro.compiler.variant.Step`
-    objects, so each step's (or fix-up's) cached terms are looked up in
-    the table once; the index matrix then gathers every variant's rows.
+    A pool also repeats few distinct kernel calls (the 11,253 steps of
+    the GEMM10 pool make 165 distinct calls), so each distinct step
+    ``(kernel, side, cost case, call dims)`` and fix-up ``(kernel, dim)``
+    is resolved to table rows once (:func:`~repro.compiler.variant.call_terms`);
+    the index matrix then gathers every variant's rows.
     """
     rows: dict = {}  # (coeff, powers) -> unique table row
-    part_rows: dict[int, list[int]] = {}  # id(step or fix-up) -> its rows
+    call_rows: dict[tuple, list[int]] = {}  # distinct call -> its rows
     picks: list[int] = []  # table row of every term, variant by variant
     counts: list[int] = []  # terms per variant
+
+    def rows_of(key: tuple, part) -> list[int]:
+        found = call_rows.get(key)
+        if found is None:
+            found = call_rows[key] = [
+                rows.setdefault(term, len(rows))
+                for term in call_terms(part.cost, part.call_dims)
+            ]
+        return found
+
     for variant in variants:
         before = len(picks)
-        for part in variant.steps + variant.fixups:
-            found = part_rows.get(id(part))
-            if found is None:
-                found = part_rows[id(part)] = [
-                    rows.setdefault(term, len(rows)) for term in part._flat_terms
-                ]
-            picks += found
+        for step in variant.steps:
+            picks += rows_of(
+                (step.kernel.name, step.side, step.cheap, step.call_dims), step
+            )
+        for fix in variant.fixups:
+            picks += rows_of((fix.kernel.name, fix.dim), fix)
         counts.append(len(picks) - before)
     pad = len(rows)  # the zero row
     coeffs = np.zeros(pad + 1, dtype=np.float64)

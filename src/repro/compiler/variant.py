@@ -32,6 +32,24 @@ from repro.compiler.states import (
 )
 
 
+#: A cost as monomial terms ``(coefficient, ((symbol index, exponent), ...))``,
+#: the factors of each term in symbol order.
+FlatTerms = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
+
+
+def call_terms(cost: CostFunction, call_dims: Sequence[int]) -> FlatTerms:
+    """The terms of one call of ``cost`` on the size symbols ``call_dims``
+    (its ``(m, k, n)``; a fix-up charges one symbol for all three)."""
+    flat = []
+    for term in cost.terms:
+        powers: dict[int, int] = {}
+        for sym, exp in zip(call_dims, (term.em, term.ek, term.en)):
+            if exp:
+                powers[sym] = powers.get(sym, 0) + exp
+        flat.append((float(term.coeff), tuple(sorted(powers.items()))))
+    return tuple(flat)
+
+
 @dataclass(frozen=True)
 class Step:
     """One resolved kernel call inside a variant."""
@@ -74,17 +92,9 @@ class Step:
         )
 
     @cached_property
-    def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """This call's cost as (coefficient, ((symbol index, exponent), ...))."""
-        m, k, n = self.call_dims
-        flat = []
-        for term in self.cost.terms:
-            powers: dict[int, int] = {}
-            for sym, exp in ((m, term.em), (k, term.ek), (n, term.en)):
-                if exp:
-                    powers[sym] = powers.get(sym, 0) + exp
-            flat.append((float(term.coeff), tuple(sorted(powers.items()))))
-        return tuple(flat)
+    def _flat_terms(self) -> FlatTerms:
+        """This call's cost terms, shared by every variant holding the step."""
+        return call_terms(self.cost, self.call_dims)
 
     def describe(self) -> str:
         a, b, c = self.triplet
@@ -104,14 +114,15 @@ class FixupStep:
     dim: int
     cost: CostFunction
 
+    @property
+    def call_dims(self) -> tuple[int, int, int]:
+        """The size symbols its cost is charged on, as ``(m, k, n)``."""
+        return (self.dim, self.dim, self.dim)
+
     @cached_property
-    def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """This fix-up's cost, flattened like :attr:`Step._flat_terms`."""
-        return tuple(
-            (float(term.coeff), ((self.dim, degree),))
-            for term in self.cost.terms
-            if (degree := term.em + term.ek + term.en)
-        )
+    def _flat_terms(self) -> FlatTerms:
+        """This fix-up's cost terms (see :attr:`Step._flat_terms`)."""
+        return call_terms(self.cost, self.call_dims)
 
 
 @dataclass(frozen=True)
@@ -128,9 +139,9 @@ class Variant:
     # -- cost evaluation ------------------------------------------------------
 
     @cached_property
-    def _flat_terms(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """Cost flattened to (coefficient, ((symbol index, exponent), ...)):
-        the cached terms of every step, then of every fix-up."""
+    def _flat_terms(self) -> FlatTerms:
+        """Cost flattened to the cached terms of every step, then of every
+        fix-up (see :func:`call_terms`)."""
         parts = self.steps + self.fixups
         return tuple(itertools.chain.from_iterable(p._flat_terms for p in parts))
 
@@ -145,13 +156,24 @@ class Variant:
         return total
 
     def flop_cost_many(self, instances: np.ndarray) -> np.ndarray:
-        """Vectorized cost over an ``(num_instances, n+1)`` size array."""
+        """Vectorized cost over an ``(num_instances, n+1)`` size array.
+
+        Each distinct power ``q_s ** e`` is computed once per call; the
+        products and the sum keep :meth:`flop_cost`'s order, so the costs
+        equal :func:`~repro.compiler.selection.flop_cost_matrix`'s bit for
+        bit.
+        """
         instances = np.asarray(instances, dtype=np.float64)
         total = np.zeros(instances.shape[0])
-        for coeff, powers in self._flat_terms:
-            value = np.full(instances.shape[0], coeff)
-            for sym, exp in powers:
-                value *= instances[:, sym] ** exp
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        for coeff, factors in self._flat_terms:
+            value = coeff
+            for factor in factors:
+                power = powers.get(factor)
+                if power is None:
+                    sym, exp = factor
+                    power = powers[factor] = instances[:, sym] ** exp
+                value = value * power
             total += value
         return total
 
@@ -163,12 +185,8 @@ class Variant:
             [f"q{i}" for i in range(self.chain.n + 1)], positive=True
         )
         total = sympy.Integer(0)
-        for step in self.steps:
-            m, k, n = (symbols[d] for d in step.call_dims)
-            total += step.cost.to_sympy(m, k, n)
-        for fix in self.fixups:
-            d = symbols[fix.dim]
-            total += fix.cost.to_sympy(d, d, d)
+        for part in self.steps + self.fixups:
+            total += part.cost.to_sympy(*(symbols[d] for d in part.call_dims))
         return sympy.expand(total)
 
     # -- presentation ----------------------------------------------------------

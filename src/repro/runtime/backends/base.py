@@ -88,5 +88,10 @@ class Backend(ABC):
         """
         return None
 
+    def prepare(self) -> None:
+        """Start, in the background, any one-time work the first lowered
+        plan will need; called when a dispatcher binds this backend.
+        Must return at once and never raise.  The default does nothing."""
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

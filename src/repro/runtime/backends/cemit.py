@@ -38,8 +38,10 @@ Packing costs microseconds, once per variant; a new size vector costs
 no packing.  The interpreter itself is compiled once with the discovered
 toolchain (:mod:`~repro.runtime.backends.toolchain`) and cached
 content-addressed by its source and the interpreter ABI tag in the
-bounded on-disk codegen cache (:mod:`repro.runtime.codegen_cache`) — a
-warm deployment never invokes the compiler.  Function-pointer addresses
+on-disk codegen cache (:mod:`repro.runtime.codegen_cache`) — a warm
+deployment never invokes the compiler.  A dispatcher binding the backend
+starts that build in the background (:meth:`CEmitBackend.prepare`), and
+the first plan joins it.  Function-pointer addresses
 are per-process, so the first load in a process passes the harvested
 capsules to the module's ``init``.
 
@@ -59,6 +61,7 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import logging
+import os
 import sys
 import threading
 import time
@@ -596,6 +599,17 @@ class CEmitBackend(BlasBackend):
 
     name = "c"
     fallback_name = "blas"
+
+    def prepare(self) -> None:
+        """Start building the interpreter on a background thread unless the
+        codegen directory already holds it (one ``isfile``) or no build is
+        possible; :meth:`lower_plan` then joins the build in flight.  So
+        the compiler runs while the rest of the program compiles, not at
+        its first call."""
+        key, source = _interpreter_source()
+        cache = get_codegen_cache()
+        if not os.path.isfile(cache.path_for(key)) and cemit_available():
+            cache.start_build(key, source, discover_toolchain())
 
     def lower_plan(self, plan: "ExecutionPlan") -> Optional[Callable]:
         if not blas_available():

@@ -1,10 +1,11 @@
 """C toolchain discovery for the native ``c`` execution backend.
 
 The ``c`` backend (:mod:`repro.runtime.backends.cemit`) compiles its
-native step interpreter lazily, once per codegen cache directory, with
-whatever C compiler the host provides.  This
-module owns the discovery seam so it can be patched in tests and masked
-in CI:
+native step interpreter once per codegen cache directory, with whatever
+C compiler the host provides, on a background thread that starts when
+the first ``c`` dispatcher binds (a masked or missing toolchain starts
+none).  This module owns the discovery seam so it can be patched in
+tests and masked in CI:
 
 * ``$REPRO_CC`` names the compiler explicitly (absolute path or a name
   resolved on ``$PATH``);

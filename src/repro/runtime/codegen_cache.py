@@ -2,9 +2,14 @@
 
 The ``c`` execution backend replays every plan through one native step
 interpreter, a CPython extension compiled from a fixed C source.
-Compilation is the only expensive part (a few hundred milliseconds, once,
-vs microseconds to load), so the shared object is content-addressed on
-disk — keyed by a digest of the source plus the interpreter ABI tag.
+Compilation is the only expensive part (a few hundred milliseconds, once
+per directory, vs microseconds to load), so the shared object is
+content-addressed on disk — keyed by a digest of the source plus the
+interpreter ABI tag.  The build starts when the first ``c`` dispatcher
+binds (:meth:`CodegenCache.start_build`, on a thread, only if the
+directory lacks the object), so it overlaps the rest of the program's
+compilation; the first plan's :meth:`CodegenCache.shared_object` call
+joins it.
 Plans never reach the key: packing a plan for new sizes needs no
 compiler.  A warm deployment therefore never re-invokes the compiler: the
 second process finds ``<key>.so`` and loads it directly (asserted by the
@@ -66,7 +71,41 @@ class CodegenCache:
         #: key -> why its build failed; a failed key is not rebuilt for
         #: the life of this object (a new cache object retries).
         self._failed: dict[str, str] = {}
+        #: key -> the background build started for it (at most one each);
+        #: its own lock, since a build holds ``_lock`` while it compiles.
+        self._builds: dict[str, threading.Thread] = {}
+        self._builds_lock = threading.Lock()
         self._lock = threading.Lock()
+
+    def path_for(self, key: str) -> str:
+        return os.path.join(self.directory, f"{key}.so")
+
+    def start_build(self, key: str, source: str, toolchain: "Toolchain") -> None:
+        """Build ``key`` on a background thread through :meth:`shared_object`,
+        unless this object already started or failed a build of ``key``.
+
+        A later :meth:`shared_object` call for the key waits for the
+        build and then counts a hit; a failed build is remembered as
+        always.  The thread is not a daemon, so the process exits only
+        once the compiler is done and the object published.
+        """
+        with self._builds_lock:
+            if key in self._builds or key in self._failed:
+                return
+            thread = self._builds[key] = threading.Thread(
+                target=self._build_quietly,
+                args=(key, source, toolchain),
+                name=f"codegen-build-{key}",
+            )
+        thread.start()
+
+    def _build_quietly(self, key: str, source: str, toolchain: "Toolchain") -> None:
+        from repro.runtime.backends.toolchain import ToolchainError
+
+        try:
+            self.shared_object(key, source, toolchain)
+        except (OSError, ToolchainError):
+            pass  # remembered in _failed; the first plan falls back, counted
 
     # -- the one entry point the backend uses --------------------------------
 
@@ -86,7 +125,7 @@ class CodegenCache:
         from repro.runtime.backends.toolchain import ToolchainError
 
         registry = get_registry()
-        so_path = os.path.join(self.directory, f"{key}.so")
+        so_path = self.path_for(key)
         with self._lock:
             if os.path.isfile(so_path):
                 self.hits += 1

@@ -91,7 +91,12 @@ from repro.errors import DispatchError
 from repro.ir.chain import Chain
 from repro.obs import Histogram, get_registry
 from repro.obs import trace as obs_trace
-from repro.runtime.backends import BACKEND_NAMES, DEFAULT_BACKEND, Backend
+from repro.runtime.backends import (
+    BACKEND_NAMES,
+    DEFAULT_BACKEND,
+    Backend,
+    get_backend,
+)
 from repro.runtime.backends.cemit import NativePlan, shape_key
 from repro.runtime.executor import SizeInferencer, call_operands
 from repro.runtime.plan import ExecutionPlan, compile_plan
@@ -290,7 +295,11 @@ class Dispatcher:
     cannot build native code) or a concrete
     :class:`~repro.runtime.backends.Backend` instance (synthetic machines
     in benchmarks, custom lowerings).  The retired strategy name ``auto``
-    is read as ``c``.
+    is read as ``c``.  Binding a backend, here or through the
+    :attr:`backend` setter, calls its
+    :meth:`~repro.runtime.backends.Backend.prepare`: for ``c``, the
+    interpreter starts building in the background if the codegen
+    directory lacks it, and the first plan joins that build.
 
     ``reselect_ratio`` enables feedback-directed re-selection (module
     docstring): a memo entry whose measured replay time disagrees with
@@ -364,6 +373,7 @@ class Dispatcher:
         self.variants = list(variants)  # via the setter: resets the caches
         self._cost_estimator = cost_estimator
         self._backend = self.resolve_backend(backend)
+        get_backend(self._backend).prepare()
         self.reselect_checks = 0  #: disagreement checkpoints evaluated
         self.reselections = 0  #: memo entries swapped by feedback
         self._reselect_ratio = (
@@ -467,6 +477,7 @@ class Dispatcher:
             self._plans = {}
             self._native_run = None
             self._hit_log = bytearray()
+        get_backend(value).prepare()
 
     def _invalidate(self) -> None:
         with self._memo_lock:

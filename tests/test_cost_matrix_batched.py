@@ -123,6 +123,16 @@ class TestExactSweep:
             flop_cost_matrix(variants, instances), scalar_costs(variants, instances)
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_flop_cost_many_is_the_sweep_bit_for_bit(self, n, rng):
+        for chain in [extended_chain(n)] + sample_shapes(n, 2, rng):
+            variants = all_variants(chain)
+            instances = sample_instances(chain, 200, rng, 1, 1000)
+            np.testing.assert_array_equal(
+                reference_costs(variants, instances),
+                flop_cost_matrix(variants, instances),
+            )
+
     def test_gemm10_pool(self, rng):
         chain = general_chain(10)
         variants = all_variants(chain)

@@ -142,6 +142,74 @@ class TestWireFormat:
         assert CacheEntry is CompiledProgram
 
 
+def _pinned_program() -> CompiledProgram:
+    """A small artifact with every field fixed (one variant, one fix-up)."""
+    from repro.compiler.selection import all_variants
+    from repro.ir.parser import parse_chain
+
+    chain = parse_chain(
+        "Matrix L <LowerTri, NonSingular>; Matrix B <General, Singular>; "
+        "R := L^-1 * B^T;"
+    )
+    return CompiledProgram(
+        chain=chain,
+        variants=tuple(all_variants(chain)),
+        training_instances=np.array([[2.0, 3.0, 4.0]]),
+        key="k",
+        created_unix=1.5,
+        producer={"pid": 1, "host": "h", "python": "3"},
+        timings={"parse": 0.25},
+        options={"backend": "c"},
+        diagnostics={"variant_pool": 1},
+    )
+
+
+#: ``dumps()`` of :func:`_pinned_program`, byte for byte.
+PINNED_ARTIFACT = (
+    '{"artifact_version": 2, "program": {"format_version": 1, "chain": '
+    '{"operands": [{"name": "L", "structure": "LOWER_TRIANGULAR", '
+    '"property": "NON_SINGULAR", "op": "INVERSE"}, {"name": "B", '
+    '"structure": "GENERAL", "property": "SINGULAR", "op": '
+    '"TRANSPOSE"}]}, "variants": [{"name": "P0", "steps": [{"index": 0, '
+    '"kernel": "TRSM", "side": "right", "cheap": true, "left_ref": '
+    '["matrix", 1], "right_ref": ["matrix", 0], "left_state": '
+    '{"structure": "GENERAL", "property": "SINGULAR", "inverted": false, '
+    '"transposed": false, "rows": 2, "cols": 1, "square": false, '
+    '"source": ["matrix", 1]}, "right_state": {"structure": '
+    '"UPPER_TRIANGULAR", "property": "NON_SINGULAR", "inverted": true, '
+    '"transposed": true, "rows": 1, "cols": 0, "square": true, "source": '
+    '["matrix", 0]}, "triplet": [0, 1, 2], "call_dims": [2, 1, 0], '
+    '"result_state": {"structure": "GENERAL", "property": "SINGULAR", '
+    '"inverted": false, "transposed": true, "rows": 0, "cols": 2, '
+    '"square": false, "source": ["step", 0]}}], "fixups": [{"kernel": '
+    '"TRANSPOSE", "dim": 0}], "final_state": {"structure": "GENERAL", '
+    '"property": "SINGULAR", "inverted": false, "transposed": true, '
+    '"rows": 0, "cols": 2, "square": false, "source": ["step", 0]}}]}, '
+    '"training_instances": [[2.0, 3.0, 4.0]], "meta": {"key": "k", '
+    '"created_unix": 1.5, "producer": {"pid": 1, "host": "h", "python": '
+    '"3"}, "timings": {"parse": 0.25}, "options": {"backend": "c"}, '
+    '"diagnostics": {"variant_pool": 1}}}'
+)
+
+
+class TestArtifactBytes:
+    """The program section is built and read as a dict, never as JSON
+    text in between; the artifact's bytes are those of the format."""
+
+    def test_pinned_program_bytes(self):
+        assert _pinned_program().dumps() == PINNED_ARTIFACT
+
+    def test_round_trip_is_byte_identical(self):
+        text = _pinned_program().dumps()
+        assert CompiledProgram.loads(text).dumps() == text
+        chain = random_option_chain(4, np.random.default_rng(3))
+        program = compile_chain(
+            chain, num_training_instances=12, use_cache=False
+        ).to_program()
+        text = program.dumps()
+        assert CompiledProgram.loads(text).dumps() == text
+
+
 class TestVersioning:
     def test_rejects_wrong_artifact_version(self):
         chain = general_chain(2)

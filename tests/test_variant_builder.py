@@ -1,5 +1,7 @@
 """Tests for variant construction (Section IV), including paper examples."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.compiler.parenthesization import (
     linearize,
     right_to_left_tree,
 )
+from repro.api import compile_chain
+from repro.compiler import selection
 from repro.compiler.selection import all_variants, flatten_cost_terms
 from repro.compiler.states import associate, initial_states
 from repro.compiler.variant import (
@@ -28,7 +32,12 @@ from repro.compiler.variant import (
     build_variant,
     build_variants,
 )
-from repro.experiments.sampling import EXTENDED_MATRIX_OPTIONS, option_to_operand
+from repro.experiments.sampling import (
+    EXTENDED_MATRIX_OPTIONS,
+    option_to_operand,
+    sample_shapes,
+)
+from repro.ir.parser import parse_chain
 
 from conftest import (
     general_chain,
@@ -414,3 +423,170 @@ class TestFlattenCostTerms:
         assert variant._flat_terms == (
             variant.steps[0]._flat_terms + variant.fixups[0]._flat_terms
         )
+
+
+def per_variant_term_stack(variants):
+    """Reference for ``flatten_cost_terms``: the same table, with each
+    variant's cached terms looked up term by term (no call is shared)."""
+    rows: dict = {}
+    picks = [[rows.setdefault(t, len(rows)) for t in v._flat_terms] for v in variants]
+    pad = len(rows)
+    coeffs = np.zeros(pad + 1, dtype=np.float64)
+    coeffs[:pad] = [coeff for coeff, _ in rows]
+    factors = np.zeros(
+        (pad + 1, max([1] + [len(powers) for _, powers in rows]), 2), dtype=np.intp
+    )
+    for (_, powers), row in rows.items():
+        for position, pair in enumerate(powers):
+            factors[row, position] = pair
+    width = max([0] + [len(p) for p in picks])
+    index = np.full((len(picks), width), pad, np.intp, order="F")
+    for v, variant_rows in enumerate(picks):
+        index[v, : len(variant_rows)] = variant_rows
+    return coeffs, factors, index
+
+
+def assert_stacks_identical(got, expected):
+    for got_array, expected_array in zip(got, expected):
+        assert got_array.dtype == expected_array.dtype
+        assert got_array.flags.f_contiguous == expected_array.flags.f_contiguous
+        np.testing.assert_array_equal(got_array, expected_array)
+
+
+#: Program text of GEMM10, the exhaustive 10-matrix GEMM chain.
+GEMM10 = (
+    "; ".join(f"Matrix A{i} <General, Singular>" for i in range(10))
+    + "; R := " + " * ".join(f"A{i}" for i in range(10)) + ";"
+)
+
+#: The repository benchmark's programs: its library-user chains (the
+#: ``examples/`` programs), GEMM10 and two seeded n=7 shapes, with their
+#: compile options; then the 16 seeded shapes of its Fig. 6 workload.
+BENCHMARK_PROGRAMS = [
+    (parse_chain(source), {"size_range": (4, 64)})
+    for source in (
+        "Matrix P <Symmetric, SPD>; Matrix A <General, Singular>; "
+        "Matrix B <General, Singular>; X := P^-1 * A^T * B;",
+        "Matrix B <General, Singular>; Matrix D <Symmetric, SPD>; "
+        "Matrix C <General, Singular>; S := B * D^-1 * C;",
+        "Matrix D <Diagonal, NonSingular>; Matrix A <Symmetric, SPD>; "
+        "Matrix B <General, Singular>; R := D^-1 * A * D^-1 * B;",
+        "Matrix G1 <General, Singular>; Matrix L <LowerTri, NonSingular>; "
+        "Matrix G2 <General, Singular>; R := G1 * L^-1 * G2;",
+        "Matrix X <General, Singular>; Matrix HX <General, Singular>; "
+        "Matrix HXc <General, Singular>; Matrix M <Symmetric, SPD>; "
+        "R := X * HX * HXc^T * M^-1;",
+        "Matrix G1 <General, Singular>; Matrix L1 <LowerTri, NonSingular>; "
+        "Matrix G2 <General, Singular>; Matrix L2 <LowerTri, NonSingular>; "
+        "R := G1 * L1^-1 * G2 * L2^-1;",
+    )
+] + [(parse_chain(GEMM10), {"size_range": (4, 64), "num_training_instances": 20})] + [
+    (chain, {"size_range": (4, 64)})
+    for chain in sample_shapes(7, 2, np.random.default_rng([2026, 8]))
+] + [
+    (chain, {"size_range": (50, 500)})
+    for chain in sample_shapes(7, 16, np.random.default_rng([2026, 6]))
+]
+
+
+class TestPricingEachDistinctCall:
+    """``flatten_cost_terms`` resolves each distinct kernel call once."""
+
+    def test_gemm10_resolves_at_most_165_calls(self, monkeypatch):
+        pool = all_variants(parse_chain(GEMM10))
+        calls = []
+
+        def counting(cost, call_dims):
+            calls.append((cost, call_dims))
+            return variant_module.call_terms(cost, call_dims)
+
+        monkeypatch.setattr(selection, "call_terms", counting)
+        stack = flatten_cost_terms(pool)
+        steps = {id(step): step for v in pool for step in v.steps}
+        assert len(steps) == 11253
+        assert len(calls) <= 165
+        assert_stacks_identical(stack, per_variant_term_stack(pool))
+
+    @pytest.mark.parametrize(
+        "operands",
+        [
+            # every variant ends in a GEINV fix-up on q0
+            tuple(make_general(k, invertible=True).inv for k in "ABC"),
+            # GEINV then TRANSPOSE, both on q0
+            (make_general("A", invertible=True).invT,),
+        ],
+        ids=["geinv", "geinv-transpose"],
+    )
+    def test_fixup_calls_resolve_once(self, monkeypatch, operands):
+        pool = all_variants(Chain(operands))
+        assert all(v.fixups for v in pool)
+        calls = []
+
+        def counting(cost, call_dims):
+            calls.append((cost, call_dims))
+            return variant_module.call_terms(cost, call_dims)
+
+        monkeypatch.setattr(selection, "call_terms", counting)
+        stack = flatten_cost_terms(pool)
+        assert len(calls) == len(set(calls))
+        assert_stacks_identical(stack, per_variant_term_stack(pool))
+
+    @pytest.mark.parametrize(
+        "second",
+        [make_general("G").as_operand(), make_lower("L2").as_operand()],
+        ids=["trmm", "trtrmm"],
+    )
+    def test_side_and_cost_case_are_part_of_the_call(self, second):
+        """The same kernel on the same dims prices differently per side
+        (TRMM: left ``m^2 n``, right ``m n^2``) and per cost case (TRTRMM:
+        ``m^3 / 3`` cheap, ``2 m^3 / 3`` not)."""
+        chain = Chain((make_lower("L").as_operand(), second))
+        [variant] = all_variants(chain)
+        [step] = variant.steps
+        pool = [
+            replace(
+                variant,
+                steps=(replace(step, side=side, cheap=cheap,
+                               cost=step.kernel.cost(side=side, cheap=cheap)),),
+            )
+            for side in ("left", "right")
+            for cheap in (True, False)
+        ]
+        stack = flatten_cost_terms(pool)
+        assert_stacks_identical(stack, per_variant_term_stack(pool))
+        assert len({tuple(row) for row in stack[2].tolist()}) > 1
+
+    @pytest.mark.parametrize(
+        "chain, options",
+        BENCHMARK_PROGRAMS,
+        ids=[f"{c.n}-{i}" for i, (c, _) in enumerate(BENCHMARK_PROGRAMS)],
+    )
+    def test_selection_and_cost_matrices_unchanged(self, monkeypatch, chain, options):
+        """The compiled variants and every cost matrix of the compile are
+        the ones the per-variant reference stack gives."""
+        pool = all_variants(chain)
+        assert_stacks_identical(flatten_cost_terms(pool), per_variant_term_stack(pool))
+
+        def compile_recording(flatten):
+            matrices = []
+
+            def recording(stack, instances):
+                costs = evaluate(stack, instances)
+                matrices.append(costs)
+                return costs
+
+            with monkeypatch.context() as patch:
+                patch.setattr(selection, "flatten_cost_terms", flatten)
+                patch.setattr(selection, "evaluate_cost_terms", recording)
+                generated = compile_chain(
+                    chain, backend="blas", use_cache=False, seed=0, **options
+                )
+            return [v.name for v in generated.variants], matrices
+
+        evaluate = selection.evaluate_cost_terms
+        names, matrices = compile_recording(flatten_cost_terms)
+        expected_names, expected = compile_recording(per_variant_term_stack)
+        assert names == expected_names
+        assert matrices and len(matrices) == len(expected)
+        for got, want in zip(matrices, expected):
+            np.testing.assert_array_equal(got, want)
