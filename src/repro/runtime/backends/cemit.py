@@ -11,9 +11,9 @@ calling BLAS/LAPACK through function pointers harvested from
 ``scipy.linalg.cython_blas`` / ``cython_lapack`` PyCapsules.  One Python
 call per *replay* (a METH_FASTCALL entry, GIL released for the walk),
 zero per step.  A :class:`NativePlan` passes its record; a dispatcher
-passes its plan table, in which the entry finds the record by the
-operands' shapes, making a warm dispatch the same one call
-(:mod:`repro.runtime.dispatcher`).
+passes its memo, in which the interpreter finds the entry by the
+operands' shapes and replays the record the entry carries, making a warm
+dispatch the same one call (:mod:`repro.runtime.dispatcher`).
 
 Like the paper's generated code, a record is packed once per variant, for
 *symbolic* sizes.  Packing resolves:
@@ -96,7 +96,6 @@ __all__ = [
     "NativePlan",
     "cemit_available",
     "pack_plan",
-    "shape_key",
 ]
 
 logger = logging.getLogger("repro.runtime.cemit")
@@ -495,13 +494,6 @@ def pack_plan(plan: "ExecutionPlan") -> tuple[bytes, tuple[str, ...]]:
     return array("q", fields).tobytes(), tuple(routines)
 
 
-def shape_key(shapes) -> bytes:
-    """The plan-table key of a tuple of stored operand shapes: their
-    ``(rows, cols)`` pairs as native int64s, the form the interpreter reads
-    them in off the operands' buffers (and the shapes field of a record)."""
-    return array("q", [dim for shape in shapes for dim in shape]).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # The interpreter module and the per-plan native callable.
 # ---------------------------------------------------------------------------
@@ -565,7 +557,7 @@ class NativePlan(NamedTuple):
     :class:`ExecutionError` itself for failed factorizations, and returns
     ``None`` for operands that are not C-contiguous float64 matrices of
     consistent shapes.  ``run`` (the interpreter's entry) and ``record``
-    let a dispatcher serve the plan from its own plan table as well.
+    let a dispatcher serve the plan from its memo as well.
 
     ``timed`` receives the interpreter's duration of each variant step
     after the walk; ``routines`` names the routine each step runs.

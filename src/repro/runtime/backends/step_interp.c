@@ -10,16 +10,16 @@
  *
  * run(plans, pool, snapshot, log, operands, out)
  *
- *   plans is one record, or a plan table that maps a shape key -- the
- *   (rows, cols) of every operand as native int64s, in bytes -- to (memo
- *   entry, record).  run() takes each operand's buffer, binds the record's
- *   sizes from their shapes and replays it into out when out conforms: a
- *   2-D float64 C-contiguous writeable array of exactly the result shape
- *   whose address range overlaps no operand's (the final step may write
- *   while it still reads an input; this is np.may_share_memory's bounds
- *   test).  It returns None, running nothing, for operands that are not
- *   C-contiguous float64 matrices, whose shapes do not bind, or whose
- *   shape key is not in the table.
+ *   plans is one record, or a dispatcher's memo: a dict from the tuple of
+ *   every operand's (rows, cols) tuple to an entry whose "record" is a
+ *   record or None.  run() takes each operand's buffer, binds the
+ *   record's sizes from their shapes and replays it into out when out
+ *   conforms: a 2-D float64 C-contiguous writeable array of exactly the
+ *   result shape whose address range overlaps no operand's (the final
+ *   step may write while it still reads an input; this is
+ *   np.may_share_memory's bounds test).  It returns None, running
+ *   nothing, for operands that are not C-contiguous float64 matrices,
+ *   whose shapes do not bind, or that the memo holds no record for.
  *
  *   With a record (pool and snapshot None), this is one plan's replay
  *   (cemit.NativePlan), traced or not: a non-conforming out gets a fresh
@@ -27,16 +27,16 @@
  *   set to one float64 per variant step: the seconds its routine took in
  *   the walk, a trailing STORE_T pass counted into the last step.
  *
- *   With a plan table, it is a dispatcher's whole warm call.  run()
- *   declines (None) unless the variant list pool still holds exactly the
- *   snapshot tuple's variants, tracing is off (the "_enabled" flag of
- *   repro.obs.trace) and out is None or conforms; a full log declines
- *   with False, asking the caller to drain it.  A warm call sets the
- *   entry's CLOCK bit ("referenced"), appends (end stamp, elapsed
- *   seconds) to the log bytearray and returns (entry, result, elapsed).
- *   The caller's Python path handles whatever run() declines, and so owns
- *   every message about bad operands; its memo is the source of truth,
- *   and it changes plans under its lock whenever the memo changes.
+ *   With a memo, it is a dispatcher's whole warm call.  run() declines
+ *   (None) unless the variant list pool still holds exactly the snapshot
+ *   tuple's variants, tracing is off (the "_enabled" flag of
+ *   repro.obs.trace), the log holds fewer than LOG_RECORDS calls and out
+ *   is None or conforms.  A warm call sets the entry's CLOCK bit
+ *   ("referenced"), appends (end stamp, elapsed seconds, tag 1.0: a hit)
+ *   as float64s to the log bytearray, as the Python path logs its calls,
+ *   and returns (entry, result, elapsed).  The caller's Python path
+ *   handles whatever run() declines, and so owns every message about bad
+ *   operands and the draining of the log; it sets entry records.
  *
  * Record: a bytes object of int64 fields in native byte order, packed once
  * per variant (no field depends on the sizes):
@@ -117,13 +117,13 @@ static dgetrs_fn p_dgetrs;
 /* Also passed to init(): repro.errors.ExecutionError, numpy.empty, the
  * float64 dtype, and the globals of repro.obs.trace (its "_enabled" flag). */
 static PyObject *execution_error, *empty_fn, *float64, *trace_state;
-static PyObject *str_enabled, *str_referenced;
+static PyObject *str_enabled, *str_referenced, *str_record;
 
 /* Operands of the longest chain run() serves (cemit.MAX_OPERANDS), which
  * also bounds a record's steps (one per product, plus a store pass), and
- * the warm calls it logs between two drains of a log. */
+ * the calls a log holds between two drains (EXECUTION_LOG_BATCH). */
 #define MAX_OPERANDS 64
-#define LOG_HITS 256
+#define LOG_RECORDS 256
 
 enum { H_NINPUTS, H_NSTEPS, H_OUT_ROWS, H_OUT_COLS, H_LEN };
 enum { REF_INPUT, REF_WS, REF_OUT };
@@ -604,14 +604,34 @@ interp_init(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* The memo key of the n operands' stored shapes, the tuple of their
+ * (rows, cols) tuples that the Python path builds; NULL on error. */
+static PyObject *
+memo_key(const int64_t *shapes, Py_ssize_t n)
+{
+    PyObject *key = PyTuple_New(n), *pair;
+    Py_ssize_t i;
+    for (i = 0; key != NULL && i < n; i++) {
+        if ((pair = PyTuple_New(2)) != NULL) {
+            PyTuple_SET_ITEM(key, i, pair);
+            PyTuple_SET_ITEM(pair, 0, PyLong_FromLongLong(shapes[2 * i]));
+            PyTuple_SET_ITEM(pair, 1, PyLong_FromLongLong(shapes[2 * i + 1]));
+        }
+        if (pair == NULL || !PyTuple_GET_ITEM(pair, 0)
+            || !PyTuple_GET_ITEM(pair, 1))
+            Py_CLEAR(key);
+    }
+    return key;
+}
+
 /* run(plans, pool, snapshot, log, operands, out): see the header. */
 static PyObject *
 interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *plans, *log, *state, *key, *plan, *result, *elapsed;
-    PyObject *hit = NULL;
+    PyObject *plans, *log, *state, *key, *entry = NULL, *record, *result;
+    PyObject *elapsed, *hit = NULL;
     Py_buffer views[MAX_OPERANDS];
-    double *in[MAX_OPERANDS], stamps[2], start;
+    double *in[MAX_OPERANDS], stamps[3], start;
     int64_t shapes[2 * MAX_OPERANDS];
     const int64_t *head;
     Py_ssize_t n, i;
@@ -628,15 +648,15 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                  : PyBytes_Check(args[0])
                        && (args[3] == Py_None || PyByteArray_Check(args[3])))) {
         PyErr_SetString(PyExc_TypeError, "run expects a record and a timing "
-                        "log or None, or a plan table, a variant list, its "
+                        "log or None, or a memo, a variant list, its "
                         "snapshot and a log; then operands and out");
         return NULL;
     }
     plans = args[0];
     log = args[3];
     if (table) {
-        /* A warm call: decline unless the pool is still the snapshot
-         * and tracing is off; a full log asks for a drain. */
+        /* A warm call: decline unless the pool is still the snapshot,
+         * tracing is off and the log has room. */
         n = PyList_GET_SIZE(args[1]);
         if (n != PyTuple_GET_SIZE(args[2]))
             Py_RETURN_NONE;
@@ -649,8 +669,8 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 return NULL;
             Py_RETURN_NONE;
         }
-        if (PyByteArray_GET_SIZE(log) >= LOG_HITS * (Py_ssize_t)sizeof stamps)
-            Py_RETURN_FALSE;
+        if (PyByteArray_GET_SIZE(log) >= LOG_RECORDS * (Py_ssize_t)sizeof stamps)
+            Py_RETURN_NONE;
     }
     if (!(PyTuple_Check(args[4]) || PyList_Check(args[4])))
         Py_RETURN_NONE;
@@ -658,48 +678,46 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (n < 1 || n > MAX_OPERANDS
         || !take_operands(args[4], n, views, in, shapes))
         Py_RETURN_NONE;
-    /* Own the plan: taking the output may run code that changes plans,
-     * and the walk runs without the GIL. */
+    /* Own the entry and its record: taking the output may run code that
+     * changes the memo, and the walk runs without the GIL. */
     if (!table)
-        plan = Py_NewRef(plans);
+        record = Py_NewRef(plans);
     else {
-        key = PyBytes_FromStringAndSize((const char *)shapes,
-                                        2 * n * sizeof(int64_t));
-        plan = key ? Py_XNewRef(PyDict_GetItemWithError(plans, key)) : NULL;
+        key = memo_key(shapes, n);
+        entry = key ? Py_XNewRef(PyDict_GetItemWithError(plans, key)) : NULL;
         Py_XDECREF(key);
-        if (plan == NULL) {
-            if (!PyErr_Occurred())
-                hit = Py_NewRef(Py_None);
+        record = entry ? PyObject_GetAttr(entry, str_record) : NULL;
+        if (record == NULL || record == Py_None) {
+            /* An unseen shape, or an entry whose plan is not native. */
+            hit = PyErr_Occurred() ? NULL : Py_NewRef(Py_None);
+            Py_XDECREF(record);
+            Py_XDECREF(entry);
             release(views, n);
             return hit;
         }
     }
-    if (table && (!PyTuple_CheckExact(plan) || PyTuple_GET_SIZE(plan) != 2))
-        PyErr_SetString(PyExc_TypeError, "a plan is (entry, record)");
-    else if ((head = record_fields(table ? PyTuple_GET_ITEM(plan, 1)
-                                         : plan)) == NULL)
+    if ((head = record_fields(record)) == NULL)
         ;
     else if (head[H_NINPUTS] != n)
         PyErr_SetString(PyExc_ValueError, "a record of another chain");
     else if (!table)
         hit = execute(head, shapes, views, in, n, args[5], 1, log);
-    else if (PyObject_SetAttr(PyTuple_GET_ITEM(plan, 0), str_referenced,
-                              Py_True) == 0) {
+    else if (PyObject_SetAttr(entry, str_referenced, Py_True) == 0) {
         start = now();
         result = execute(head, shapes, views, in, n, args[5], 0, Py_None);
         stamps[0] = now();
         stamps[1] = stamps[0] - start;
+        stamps[2] = 1.0;  /* the tag of a hit on the dispatcher's backend */
         if (result == NULL || result == Py_None)
             hit = result;
         else {
-            /* Log (end stamp, elapsed seconds), then answer. */
+            /* Log (end stamp, elapsed seconds, tag), then answer. */
             if (PyByteArray_Resize(log, PyByteArray_GET_SIZE(log)
                                    + sizeof stamps) == 0) {
                 memcpy(PyByteArray_AS_STRING(log) + PyByteArray_GET_SIZE(log)
                        - sizeof stamps, stamps, sizeof stamps);
                 if ((elapsed = PyFloat_FromDouble(stamps[1])) != NULL) {
-                    hit = PyTuple_Pack(3, PyTuple_GET_ITEM(plan, 0), result,
-                                       elapsed);
+                    hit = PyTuple_Pack(3, entry, result, elapsed);
                     Py_DECREF(elapsed);
                 }
             }
@@ -707,7 +725,8 @@ interp_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     release(views, n);
-    Py_DECREF(plan);
+    Py_XDECREF(entry);
+    Py_DECREF(record);
     return hit;
 }
 
@@ -731,6 +750,9 @@ PyInit__step_interp(void)
         return NULL;
     if (str_referenced == NULL
         && (str_referenced = PyUnicode_InternFromString("referenced")) == NULL)
+        return NULL;
+    if (str_record == NULL
+        && (str_record = PyUnicode_InternFromString("record")) == NULL)
         return NULL;
     return PyModule_Create(&interp_module);
 }

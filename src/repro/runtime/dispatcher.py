@@ -23,29 +23,34 @@ What makes this a *runtime* rather than a per-call recomputation:
   :class:`~repro.runtime.plan.ExecutionPlan` that binds the sizes at call
   time, so plan memory is bounded by the pool, not by the sizes seen;
 * a warm :meth:`Dispatcher.run` on the ``c`` backend is one native call.
-  The dispatcher's *plan table* maps the operands' ``(rows, cols)``
-  pairs, as the interpreter reads them off the buffers, to the memo entry
-  and its variant's packed record; the interpreter's ``run``
-  (``step_interp.c``) looks the shapes up, binds the record's sizes from
-  them, replays it, sets the entry's reference bit and logs the elapsed
-  time in C.  It declines — and the Python path below runs — for
-  anything else: another backend, a plan with fix-ups, tracing on, an
-  operand that is not a C-contiguous float64 matrix, an unseen shape, a
-  non-conforming ``out``, a pool mutated in place;
+  The memo is the interpreter's table: an entry whose variant's plan is
+  one fused native call carries its packed ``record``.  The interpreter's
+  ``run`` (``step_interp.c``) receives the memo itself, builds the shape
+  key from the operands' buffers, binds the entry's record's sizes from
+  them, replays it, sets the entry's reference bit and logs the call in
+  C.  It declines — and the Python path below runs — for anything else:
+  another backend, an entry without a record (fix-ups, a blas fallback,
+  a decision not replayed since it changed), tracing on, an operand that
+  is not a C-contiguous float64 matrix, an unseen shape, a
+  non-conforming ``out``, a pool mutated in place, a full log;
 * the Python path is one dict probe on the shape tuple, one replay of the
   variant's compiled :class:`~repro.runtime.plan.ExecutionPlan` (kernel
   implementations, per-step call records, and buffer slots pre-resolved)
-  and one append to an execution log.  Shapes are validated by size
+  and one append to the execution log.  Shapes are validated by size
   inference on the miss that stores an entry; the stored-shape map is
   one-to-one on valid size vectors, so a hit on the same shapes needs
   neither inference nor any re-check.  Size-keyed callers
   (:meth:`~Dispatcher.select`, :meth:`~Dispatcher.plan_for`) derive the
-  same key from validated sizes.  The memo stays the source of truth:
-  every change to it (an eviction, an invalidation, a backend or
-  estimator swap, a re-selection) updates the table under the lock;
-* a hit's bookkeeping — hit count, per-backend executions, the latest
-  replay time and the ``runtime.execute_seconds`` histogram — is folded
-  from both logs under the lock in batches, and before every read
+  same key from validated sizes.  A record is set under the lock, only
+  while its entry still names the plan's variant, and a re-selection or
+  backend swap clears it: what the memo no longer holds, or holds
+  changed, is never served natively;
+* both paths log one ``(end stamp, elapsed, tag)`` float64 record per
+  execution, the tag saying whether the call was a memo hit and whether
+  its plan ran on the backend or on its fallback.  Hit count,
+  per-backend executions, the latest replay time and the
+  ``runtime.execute_seconds`` histogram are folded from it under the
+  lock in batches, and before every read
   (:meth:`~Dispatcher.memo_stats`, :func:`runtime_snapshot`, the registry
   snapshot), so the counts are exact whenever they are read.
 
@@ -70,11 +75,12 @@ checkpoints; sweeps are logarithmic in an entry's executions).
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 import weakref
 from array import array
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from operator import is_not
 from typing import (
     TYPE_CHECKING,
@@ -97,7 +103,7 @@ from repro.runtime.backends import (
     Backend,
     get_backend,
 )
-from repro.runtime.backends.cemit import NativePlan, shape_key
+from repro.runtime.backends.cemit import NativePlan
 from repro.runtime.executor import SizeInferencer, call_operands
 from repro.runtime.plan import ExecutionPlan, compile_plan
 
@@ -127,7 +133,15 @@ _FLOAT64 = np.dtype(np.float64)
 
 #: Logged executions that trigger a fold into the counters and histogram
 #: (reads fold whatever is pending first, so this only bounds the log).
+#: The interpreter declines warm calls at the same bound.
 EXECUTION_LOG_BATCH = 256
+
+#: One execution-log record, ``(end stamp, elapsed seconds, tag)``: the
+#: tag is :data:`_HIT` for a memo hit, plus :data:`_FALLBACK` when the
+#: plan ran on the backend's ``fallback_name``.
+_RECORD = struct.Struct("3d")
+_HIT, _FALLBACK = 1, 2
+_LOG_BYTES = EXECUTION_LOG_BATCH * _RECORD.size
 
 
 def flop_estimator(variant: Variant, sizes: Sequence[int]) -> float:
@@ -191,36 +205,30 @@ def _execute_histogram(hists: dict[str, Histogram], backend: str) -> Histogram:
     return histogram
 
 
-def _observe_executions(log: deque, hists: dict[str, Histogram]) -> list:
-    """Pop every logged execution and feed it to the per-backend
-    ``runtime.execute_seconds`` histograms, one batch per backend;
-    returns the popped ``(backend, elapsed, end stamp, hit)`` records.
+def _drain_log(log: bytearray, hists: dict[str, Histogram], labels: list[str]):
+    """Pop every logged execution (:data:`_RECORD`) and feed its elapsed
+    time to the ``runtime.execute_seconds`` histogram of the backend it
+    ran on — ``labels`` names the dispatcher's backend, then its
+    fallback — one batch per backend.  Returns the hits among them, the
+    executions per label, and the latest ``(end stamp, elapsed)`` or None.
 
     Also the finalizer of a dispatcher's log, so executions it had not
-    folded yet still reach the histogram.
+    folded yet still reach the histograms.
     """
-    batch = [log.popleft() for _ in range(len(log))]
-    seconds: dict[str, list[float]] = {}
-    for backend, elapsed, _, _ in batch:
-        seconds.setdefault(backend, []).append(elapsed)
-    for backend, values in seconds.items():
-        _execute_histogram(hists, backend).observe_many(values)
-    return batch
-
-
-def _observe_hits(log: bytearray, hists: dict[str, Histogram], backend: str):
-    """Pop every warm call the interpreter logged — ``(end stamp,
-    elapsed)`` double pairs — and feed the elapsed times to the backend's
-    ``runtime.execute_seconds`` histogram; returns the popped pairs as one
-    flat ``array("d")``.
-
-    Also the finalizer of a dispatcher's hit log.
-    """
-    stamps = array("d", log)
-    del log[: stamps.itemsize * len(stamps)]
-    if stamps:
-        _execute_histogram(hists, backend).observe_many(stamps[1::2])
-    return stamps
+    records = array("d", log)
+    del log[: records.itemsize * len(records)]
+    if not records:
+        return 0, (0, 0), None
+    table = np.frombuffer(records).reshape(-1, 3)
+    tags = table[:, 2].astype(np.intp)
+    fallback = tags >= _FALLBACK
+    counts = []
+    for label, elapsed in zip(labels, (table[~fallback, 1], table[fallback, 1])):
+        if elapsed.size:
+            _execute_histogram(hists, label).observe_many(elapsed.tolist())
+        counts.append(elapsed.size)
+    end, elapsed = table[table[:, 0].argmax()].tolist()[:2]
+    return int((tags & _HIT).sum()), counts, (end, elapsed)
 
 
 class DispatchOutcome(NamedTuple):
@@ -238,7 +246,9 @@ class _MemoEntry:
     Holds the winning variant *object* (not an index into the mutable
     pool), so a stale entry can never index out of a reassigned list,
     and the validated size vector its shape key was derived from.  The
-    variant's plan lives in the dispatcher, shared by every entry it wins.
+    variant's plan lives in the dispatcher, shared by every entry it wins;
+    ``record`` is that plan's packed native record when the interpreter
+    may serve the entry (see the module docstring), else None.
     """
 
     __slots__ = (
@@ -246,6 +256,7 @@ class _MemoEntry:
         "referenced",
         "variant",
         "cost",
+        "record",
         "kernel_hists",
         "executions",
         "measured_ema",
@@ -261,10 +272,11 @@ class _MemoEntry:
 
     def reset(self, variant: "Variant", cost: float) -> None:
         """Bind the entry to a decision and drop everything derived from
-        the previous one or measured on its plan: traced-replay observers
-        and feedback bookkeeping."""
+        the previous one or measured on its plan: the native record,
+        traced-replay observers and feedback bookkeeping."""
         self.variant = variant
         self.cost = cost
+        self.record: Optional[bytes] = None
         #: Traced-replay observers, built lazily on the first traced
         #: execution: one ``(observe_seconds, observe_rate, step_flops)``
         #: triple per plan step.
@@ -356,24 +368,25 @@ class Dispatcher:
         #: operand-shape tuple -> decision (see the module docstring)
         self._memo: OrderedDict[tuple[tuple[int, int], ...], _MemoEntry] = OrderedDict()
         self._memo_lock = threading.Lock()
-        #: ``(backend, elapsed, end stamp, hit)`` per run() not yet folded
-        #: into the counters and histogram (see :meth:`_fold_log`).
-        self._exec_log: deque = deque()
         #: ``id(variant)`` -> its plan on the current backend (module doc).
         self._lowered: dict[int, ExecutionPlan] = {}
-        #: The plan table (module docstring): shape key -> ``(memo entry,
-        #: packed record)`` of every memoized entry with a fused native
-        #: plan, the interpreter's entry that serves it (set with its first
-        #: plan), and that entry's log of ``(end stamp, elapsed)`` pairs.
-        self._plans: dict[bytes, tuple] = {}
+        #: The interpreter's entry that serves the memo's native records,
+        #: set with the first of them on the current backend.
         self._native_run: Optional[Callable] = None
-        self._hit_log = bytearray()
+        #: Executions not yet folded (:data:`_RECORD` each; see
+        #: :meth:`_fold_log`).
+        self._log = bytearray()
         self._pool_snapshot: Optional[tuple[Variant, ...]] = None
         self._term_stack = None
         self.variants = list(variants)  # via the setter: resets the caches
         self._cost_estimator = cost_estimator
         self._backend = self.resolve_backend(backend)
-        get_backend(self._backend).prepare()
+        resolved = get_backend(self._backend)
+        #: The backend labels a log record's tag selects: the backend's,
+        #: then its fallback's (its own when it has none).  Updated in
+        #: place on a swap: the log's finalizer holds this list.
+        self._labels = [resolved.name, resolved.fallback_name or resolved.name]
+        resolved.prepare()
         self.reselect_checks = 0  #: disagreement checkpoints evaluated
         self.reselections = 0  #: memo entries swapped by feedback
         self._reselect_ratio = (
@@ -391,9 +404,9 @@ class Dispatcher:
         #: formats a key and takes the registry lock).
         self._exec_hists: dict[str, Histogram] = {}
         # Executions still logged when the dispatcher dies reach the
-        # process-wide histogram anyway.
+        # process-wide histograms anyway.
         weakref.finalize(
-            self, _observe_executions, self._exec_log, self._exec_hists
+            self, _drain_log, self._log, self._exec_hists, self._labels
         ).atexit = False
         with _DISPATCHERS_LOCK:
             _DISPATCHERS.add(self)
@@ -424,7 +437,6 @@ class Dispatcher:
             self._calibration = value
         with self._memo_lock:
             self._memo.clear()
-            self._plans.clear()
 
     @property
     def calibration(self) -> Optional[CostEstimator]:
@@ -451,33 +463,27 @@ class Dispatcher:
         """The execution-backend strategy (name or Backend instance)."""
         return self._backend
 
-    @property
-    def _backend_label(self) -> str:
-        """The backend's display/metric-label name (Backend instances
-        label by their ``name`` attribute)."""
-        backend = self._backend
-        return backend if isinstance(backend, str) else backend.name
-
     @backend.setter
     def backend(self, value: Union[str, Backend]) -> None:
         value = self.resolve_backend(value)
         if value == self._backend:
             return
+        resolved = get_backend(value)
         # Memoized *decisions* (variant + cost) are backend-independent;
         # only the compiled plans and what was measured on them are stale.
         # Keep the selections warm and recompile plans lazily under the
-        # new backend.  The plan table and its log start afresh, after the
-        # hits logged so far are folded under the backend that served them.
+        # new backend (which drops the entries' native records), after the
+        # executions logged so far are folded under the backend that ran
+        # them.
         with self._memo_lock:
             self._fold_log()
             self._backend = value
+            self._labels[:] = [resolved.name, resolved.fallback_name or resolved.name]
             self._lowered = {}
             for entry in self._memo.values():
                 entry.reset(entry.variant, entry.cost)
-            self._plans = {}
             self._native_run = None
-            self._hit_log = bytearray()
-        get_backend(value).prepare()
+        resolved.prepare()
 
     def _invalidate(self) -> None:
         with self._memo_lock:
@@ -485,7 +491,6 @@ class Dispatcher:
             self._term_stack = None
             self._lowered = {}
             self._memo.clear()
-            self._plans.clear()
 
     def _sync_pool(self) -> tuple["Variant", ...]:
         """The coherent pool snapshot, invalidating stale caches first.
@@ -689,7 +694,6 @@ class Dispatcher:
                     memo.move_to_end(key)
                 else:
                     memo.popitem(last=False)
-                    self._plans.pop(shape_key(key), None)
                     evicted += 1
             dropped = max(0, len(fresh) - capacity)
             memo.update(fresh[dropped:])
@@ -742,14 +746,13 @@ class Dispatcher:
             if validate
             else tuple(int(s) for s in sizes)
         )
-        key = self._infer.shapes(q)
-        entry = self._select_entry(key, q)
-        return entry.variant, entry.cost, self._entry_plan(entry, key)
+        entry = self._select_entry(self._infer.shapes(q), q)
+        return entry.variant, entry.cost, self._entry_plan(entry)
 
-    def _entry_plan(self, entry: _MemoEntry, key: tuple) -> ExecutionPlan:
+    def _entry_plan(self, entry: _MemoEntry) -> ExecutionPlan:
         """The plan of the entry's variant, lowered through the backend on
-        its first use; a fused native plan also serves the entry's shape
-        key from the plan table."""
+        its first use; a fused native plan's record is published on the
+        entry, for the interpreter to serve it from the memo."""
         variant = entry.variant
         plan = self._lowered.get(id(variant))
         if plan is None:
@@ -761,29 +764,19 @@ class Dispatcher:
                     v is variant for v in self._pool_snapshot
                 ):
                     plan = self._lowered.setdefault(id(variant), plan)
-        native = plan.fused
-        table_key = shape_key(key) if isinstance(native, NativePlan) else None
-        if table_key is not None and table_key not in self._plans:
-            with self._memo_lock:
-                # Only while the memo holds the entry and the plan is still
-                # its variant's: both change only under this lock.
-                if (
-                    self._memo.get(key) is entry
-                    and self._lowered.get(id(entry.variant)) is plan
-                ):
-                    if self._native_run is None:
+        if entry.record is None:
+            native = plan.fused
+            if isinstance(native, NativePlan):
+                with self._memo_lock:
+                    # Only while the entry still names the plan's variant
+                    # and the plan is still that variant's on the current
+                    # backend: both change only under this lock.
+                    if (
+                        entry.variant is plan.variant
+                        and self._lowered.get(id(plan.variant)) is plan
+                    ):
+                        entry.record = native.record
                         self._native_run = native.run
-                        # Hits still logged when the dispatcher dies reach
-                        # the histogram too (a backend swap folds, then
-                        # starts a new log).
-                        weakref.finalize(
-                            self,
-                            _observe_hits,
-                            self._hit_log,
-                            self._exec_hists,
-                            self._backend_label,
-                        ).atexit = False
-                    self._plans[table_key] = (entry, native.record)
         return plan
 
     def costs(self, sizes: Sequence[int]) -> list[tuple[str, float]]:
@@ -837,31 +830,18 @@ class Dispatcher:
         return observers
 
     def _fold_log(self) -> None:
-        """Fold the execution log and the plan table's log into the hit
-        count, per-backend executions, the latest replay and the
-        execute-time histogram.  The caller holds the memo lock."""
-        batch = _observe_executions(self._exec_log, self._exec_hists)
+        """Fold the execution log into the hit count, per-backend
+        executions, the latest replay and the execute-time histograms.
+        The caller holds the memo lock."""
+        hits, counts, latest = _drain_log(self._log, self._exec_hists, self._labels)
         executions = self.backend_executions
-        latest = self.last_execute_at
-        hits = 0
-        for backend, elapsed, stamp, hit in batch:
-            hits += hit
-            executions[backend] = executions.get(backend, 0) + 1
-            if latest is None or stamp > latest:
-                latest = stamp
-                self.last_execute_seconds = elapsed
-        backend = self._backend_label
-        stamps = _observe_hits(self._hit_log, self._exec_hists, backend)
-        if stamps:
-            count = len(stamps) // 2
-            hits += count
-            executions[backend] = executions.get(backend, 0) + count
-            ends = stamps[::2]
-            stamp = max(ends)
-            if latest is None or stamp > latest:
-                latest = stamp
-                self.last_execute_seconds = stamps[2 * ends.index(stamp) + 1]
-        self.last_execute_at = latest
+        for label, count in zip(self._labels, counts):
+            if count:
+                executions[label] = executions.get(label, 0) + count
+        if latest is not None and (
+            self.last_execute_at is None or latest[0] > self.last_execute_at
+        ):
+            self.last_execute_at, self.last_execute_seconds = latest
         self.memo_hits += hits
 
     def run(
@@ -873,18 +853,20 @@ class Dispatcher:
         """Dispatch and execute one instance; returns the full outcome.
 
         A warm call on the ``c`` backend is one native call, which looks
-        the operand shapes up in the plan table (module docstring),
-        replays the packed record and logs the hit.  Whatever it declines
+        the operand shapes up in the memo, replays the entry's packed
+        record and logs the hit (module docstring).  Whatever it declines
         takes the Python path: one memo probe on the operand shapes and
         one replay of the variant's plan — the shapes were validated by
         size inference on the miss that memoized them.  A miss only
         *resolves* the entry (infer, select, memoize); Python hits and
         misses then run the same code (which lowers a variant once).
-        With tracing enabled (never a table hit), the replay additionally
-        times every kernel call into per-``(kernel, routine)`` histograms
-        — on ``c``, the interpreter's own timing of the routines that run —
-        and emits a ``runtime.run`` span; disabled, the only work besides
-        the replay is one append to an execution log (:meth:`_fold_log`).
+        With tracing enabled (never served natively from the memo), the
+        replay additionally times every kernel call into
+        per-``(kernel, routine)`` histograms — on ``c``, the interpreter's
+        own timing of the routines that run — and emits a ``runtime.run``
+        span; disabled, the only work besides the replay is one record
+        appended to the execution log (:meth:`_fold_log`), as the
+        interpreter appends it for a native hit.
 
         ``out`` receives the result in a caller-owned buffer of the
         result's shape, which the outcome then carries.  A ``c`` plan
@@ -894,14 +876,13 @@ class Dispatcher:
         every other replay computes a fresh result and copies it in (see
         :meth:`~repro.runtime.plan.ExecutionPlan.replay`).
         """
-        plans = self._plans
-        warm = None
-        if plans:
-            warm = self._native_run(
-                plans, self._variants, self._pool_snapshot, self._hit_log,
+        native = self._native_run
+        if native is not None:
+            warm = native(
+                self._memo, self._variants, self._pool_snapshot, self._log,
                 arrays, out,
             )
-            if warm:
+            if warm is not None:
                 entry, result, elapsed = warm
                 sizes, variant, cost = entry.sizes, entry.variant, entry.cost
                 if self._reselect_ratio is not None:
@@ -920,11 +901,11 @@ class Dispatcher:
             # Miss (or a pool mutated in place): _select_entry counts the
             # hit or miss itself.
             entry = self._select_entry(key, self._infer.infer(values))
-            hit = 0
+            tag = 0
         else:
             entry.referenced = True
-            hit = 1
-        plan = self._entry_plan(entry, key)
+            tag = _HIT
+        plan = self._entry_plan(entry)
         sizes = entry.sizes
         traced = obs_trace._enabled  # module flag, read once per call
         if not traced:
@@ -970,10 +951,11 @@ class Dispatcher:
                 elapsed=end - start,
             )
         elapsed = end - start
-        log = self._exec_log
-        log.append((plan.backend, elapsed, end, hit))
-        # A full hit log declines warm calls (warm is False) until folded.
-        if len(log) >= EXECUTION_LOG_BATCH or warm is False:
+        if plan.backend != self._labels[0]:
+            tag += _FALLBACK
+        log = self._log
+        log += _RECORD.pack(end, elapsed, tag)
+        if len(log) >= _LOG_BYTES:  # the interpreter declines a full log
             with self._memo_lock:
                 self._fold_log()
         # Snapshot the decision that actually ran before the feedback
@@ -1052,7 +1034,6 @@ class Dispatcher:
                 return
             self.reselections += 1
             entry.reset(winner, best)
-            self._plans.pop(shape_key(self._infer.shapes(q)), None)
 
     def __call__(self, *arrays: np.ndarray) -> np.ndarray:
         """Evaluate the chain: pick the best variant for the sizes, run it
@@ -1111,7 +1092,7 @@ class Dispatcher:
                 entry.referenced = True
             else:
                 entry = local.get(key) or self._select_entry(key, q)
-            plan = self._entry_plan(entry, key)
+            plan = self._entry_plan(entry)
             results.append(plan.replay(arrays))
             executed[plan.backend] = executed.get(plan.backend, 0) + 1
         if sized:
@@ -1124,7 +1105,7 @@ class Dispatcher:
                 self.last_execute_seconds = end - start
                 self.last_execute_at = end
             get_registry().histogram(
-                "runtime.batch_seconds", backend=self._backend_label
+                "runtime.batch_seconds", backend=self._labels[0]
             ).observe(end - start)
         return results
 
@@ -1146,7 +1127,7 @@ class Dispatcher:
                 "hits": self.memo_hits,
                 "misses": self.memo_misses,
                 "evictions": self.memo_evictions,
-                "backend": self._backend_label,
+                "backend": self._labels[0],
                 "reselect_checks": self.reselect_checks,
                 "reselections": self.reselections,
                 "executions": dict(self.backend_executions),

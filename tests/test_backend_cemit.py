@@ -10,7 +10,9 @@ LAPACK function pointers.  Three properties matter and are tested here:
   over random chains (the hypothesis differential test, which also runs
   the reference plans and the emitted Python module against the oracle
   in C, F and strided operand layouts, plain and ``out=``), and rejects
-  wrong-shaped operands like the other backends.
+  wrong-shaped operands like the other backends.  A second differential
+  test drives ``Dispatcher.run`` itself (miss, hit, hit into ``out=``) on
+  every backend and layout.
 * **Graceful degradation** — no compiler, no capsules, or an unsupported
   step must silently fall back to ``blas`` (the plan reports the backend
   it actually runs on) while counting the reason in
@@ -37,6 +39,7 @@ from repro.ir.chain import Chain
 from repro.ir.operand import Operand, UnaryOp
 from repro.obs import get_registry
 from repro.runtime import (
+    Dispatcher,
     blas_available,
     cemit_available,
     compile_plan,
@@ -501,6 +504,49 @@ def _check_every_consumer_against_oracle(case, seed, resize):
                     )
                 for orig, after in zip(pristine, operands):
                     np.testing.assert_array_equal(orig, after)
+
+
+@needs_blas
+@settings(max_examples=60, deadline=None)
+@given(case=_chain_and_sizes(), seed=st.integers(0, 2**16))
+@example(case=_FOUR_INVERSES, seed=4)
+def test_dispatcher_run_differential(case, seed):
+    """``Dispatcher.run`` itself — memo, native table on ``c``, execution
+    log — agrees with ``naive_evaluate`` on every backend and operand
+    layout: a miss, a warm hit and a warm hit into ``out=``, the hits
+    bit-identical to the miss, counted as one miss and two hits.  On
+    ``c`` the interpreter serves the C-ordered hits and declines the
+    F-ordered and strided ones, which take the Python path."""
+    chain, q, repeat = case
+    variants = all_variants(chain)
+    arrays = random_instance_arrays(chain, q, np.random.default_rng(seed))
+    if repeat is not None:
+        arrays[repeat[1]] = arrays[repeat[0]]
+    pristine = [a.copy() for a in arrays]
+    expected = naive_evaluate(chain, pristine)
+    scale = max(1.0, float(np.abs(expected).max()))
+    for backend in ("reference", "blas", "c"):
+        for layout, operands in _layouts(arrays):
+            dispatcher = Dispatcher(chain, variants, backend=backend)
+            miss = dispatcher.run(operands)
+            hit = dispatcher.run(operands)
+            out = np.empty(expected.shape)
+            into = dispatcher.run(operands, out=out)
+            assert into.result is out
+            where = f"{backend}, {layout} operands, q={q}"
+            for outcome in (miss, hit, into):
+                assert outcome.sizes == q and outcome.variant is miss.variant
+                np.testing.assert_allclose(
+                    outcome.result / scale, expected / scale, atol=1e-6,
+                    err_msg=where,
+                )
+            assert np.array_equal(hit.result, miss.result), where
+            assert np.array_equal(into.result, miss.result), where
+            stats = dispatcher.memo_stats()
+            assert (stats["misses"], stats["hits"]) == (1, 2), where
+            assert sum(stats["executions"].values()) == 3, where
+            for orig, after in zip(pristine, operands):
+                np.testing.assert_array_equal(orig, after)
 
 
 @needs_blas

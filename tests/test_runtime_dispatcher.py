@@ -483,7 +483,7 @@ def ran_on(backend):
 
 class TestExecutionLog:
     """Warm-call bookkeeping is batched, yet exact whenever it is read —
-    for hits on the Python path and in the native plan table alike."""
+    for hits on the Python path and served natively from the memo alike."""
 
     @staticmethod
     def executed(backend="reference"):
@@ -564,9 +564,91 @@ class TestExecutionLog:
         stats = dispatcher.memo_stats()
         assert stats["hits"] == calls and stats["executions"] == {"c": calls + 1}
 
+    def test_native_and_fallback_entries_share_one_log(self, monkeypatch):
+        """One ``c`` dispatcher whose variants lower natively and to the
+        blas fallback: each logged execution is counted under the backend
+        that ran it, through batch folds, full-log declines, a swap to
+        ``blas`` and back, and the finalizer of a dropped dispatcher."""
+        import gc
+
+        from repro.obs import get_registry
+        from repro.runtime.backends import CEmitBackend
+        from repro.runtime.dispatcher import EXECUTION_LOG_BATCH
+        from repro.runtime.plan import compile_plan
+
+        if not cemit_available():
+            pytest.skip("C toolchain or scipy cython capsules unavailable")
+        chain = general_chain(3)
+        variants = all_variants(chain)
+        rng = np.random.default_rng(8)
+        # (G1 G2) G3 wins the first size vector, G1 (G2 G3) the second.
+        native_q, fallen_q = (2, 10, 10, 10), (10, 10, 10, 2)
+        native = random_instance_arrays(chain, native_q, rng)
+        fallen = random_instance_arrays(chain, fallen_q, rng)
+        probe = Dispatcher(chain, variants, backend="reference")
+        native_variant = probe.select(native_q)[0]
+        blas_variant = probe.select(fallen_q)[0]
+        assert native_variant is not blas_variant
+        lower_plan = CEmitBackend.lower_plan
+
+        def decline_one(self, plan):
+            if plan.variant is blas_variant:
+                return None
+            return lower_plan(self, plan)
+
+        monkeypatch.setattr(CEmitBackend, "lower_plan", decline_one)
+        assert compile_plan(native_variant, native_q, backend="c").backend == "c"
+        assert compile_plan(blas_variant, fallen_q, backend="c").backend == "blas"
+        registry = get_registry()
+        hists = {
+            label: registry.histogram("runtime.execute_seconds", backend=label)
+            for label in ("c", "blas")
+        }
+        gc.collect()
+        registry.snapshot()  # fold every other live dispatcher first
+        before = {label: h.count for label, h in hists.items()}
+        dispatcher = Dispatcher(chain, variants, backend="c")
+        ran = {"c": 0, "blas": 0}
+
+        def drive(calls, arrays, label):
+            for _ in range(calls):
+                dispatcher.run(arrays)
+            ran[label] += calls
+
+        def check():
+            stats = dispatcher.memo_stats()
+            assert stats["executions"] == ran
+            assert stats["misses"] == 2
+            assert stats["hits"] == sum(ran.values()) - 2
+            for label, h in hists.items():
+                assert h.count - before[label] == ran[label], label
+
+        for _ in range(EXECUTION_LOG_BATCH // 2 + 1):  # a batch fold + 3
+            drive(1, native, "c")
+            drive(1, fallen, "blas")
+        drive(1, native, "c")
+        check()
+        drive(2 * EXECUTION_LOG_BATCH, native, "c")  # full-log declines
+        drive(3, fallen, "blas")
+        check()
+        dispatcher.backend = "blas"
+        drive(5, native, "blas")
+        drive(2, fallen, "blas")
+        dispatcher.backend = "c"
+        drive(EXECUTION_LOG_BATCH + 1, native, "c")
+        drive(4, fallen, "blas")
+        check()
+        drive(7, native, "c")
+        drive(2, fallen, "blas")
+        del dispatcher
+        gc.collect()
+        for label, h in hists.items():
+            assert h.count - before[label] == ran[label], label
+
 
 class TestConcurrency:
-    """One dispatcher driven from many threads, with evictions."""
+    """One dispatcher driven from many threads, with evictions; on ``c``,
+    one more thread swaps the backend and the cost estimator meanwhile."""
 
     THREADS = 8
     CALLS = 500
@@ -577,18 +659,32 @@ class TestConcurrency:
         if backend == "c" and not cemit_available():
             pytest.skip("C toolchain or scipy cython capsules unavailable")
         rng = np.random.default_rng(21)
-        chain = general_chain(3)
+        chain = general_chain(4)  # 5 variants: a sweep picks one of them
         dispatcher = Dispatcher(
             chain,
             all_variants(chain),
             memo_capacity=self.CAPACITY,
             backend=backend,
         )
-        sizes = [(m, 9 - m, 7, 2 + m) for m in range(1, 7)]  # 6 shapes
+        sizes = [(m, 9 - m, 7, 2 + m, 3 + m) for m in range(1, 7)]  # 6 shapes
         instances = [random_instance_arrays(chain, q, rng) for q in sizes]
         expected = [naive_evaluate(chain, arrays) for arrays in instances]
+
+        def worst(variant, q):
+            return -flop_estimator(variant, q)
+
+        # The variants a cost sweep picks for each shape, under either
+        # estimator the swapper below installs.
+        picks = [
+            {
+                Dispatcher(chain, dispatcher.variants, cost_estimator=e).select(q)[0]
+                for e in (flop_estimator, worst)
+            }
+            for q in sizes
+        ]
         barrier = threading.Barrier(self.THREADS)
         errors = []
+        done = threading.Event()
 
         def worker(seed):
             order = np.random.default_rng(seed).integers(len(sizes), size=self.CALLS)
@@ -602,26 +698,43 @@ class TestConcurrency:
                     if out is not None:
                         assert outcome.result is out
                     assert outcome.sizes == sizes[i]
+                    assert outcome.variant in picks[i]
                     np.testing.assert_allclose(
                         outcome.result, expected[i], rtol=1e-10, atol=1e-10
                     )
             except BaseException as exc:  # reported from the main thread
                 errors.append(exc)
 
+        def swapper():
+            try:
+                while not done.is_set():
+                    dispatcher.backend = "blas"
+                    dispatcher.cost_estimator = worst
+                    dispatcher.backend = "c"
+                    dispatcher.cost_estimator = flop_estimator
+            except BaseException as exc:
+                errors.append(exc)
+
         threads = [
             threading.Thread(target=worker, args=(seed,), daemon=True)
             for seed in range(self.THREADS)
         ]
+        swappers = (
+            [threading.Thread(target=swapper, daemon=True)] if backend == "c" else []
+        )
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
         try:
-            for thread in threads:
+            for thread in threads + swappers:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
         finally:
+            done.set()
+            for thread in swappers:
+                thread.join(timeout=120)
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(thread.is_alive() for thread in threads + swappers)
         assert not errors, errors[0]
         calls = self.THREADS * self.CALLS
         stats = dispatcher.memo_stats()
@@ -954,7 +1067,7 @@ class TestWhatAHitTrusts:
 
     def test_eviction_at_capacity_one(self):
         """Two shapes alternating through a one-entry memo: every switch
-        evicts, and the plan table never serves the evicted shape."""
+        evicts, and the interpreter never serves the evicted shape."""
         rng = np.random.default_rng(41)
         a = random_instance_arrays(self.chain, self.SIZES, rng)
         b = random_instance_arrays(self.chain, (5, 3, 6, 4), rng)
@@ -1001,7 +1114,7 @@ class TestWhatAHitTrusts:
         )
 
     def test_a_reselected_entry_serves_the_new_variant(self, monkeypatch):
-        """Re-selection drops the entry's plan from the table; the next
+        """Re-selection drops the entry's native record; the next
         call lowers the new variant, and warm calls serve it from then on."""
         from repro.runtime import dispatcher as dispatcher_module
 
@@ -1040,8 +1153,44 @@ class TestWhatAHitTrusts:
         assert stats["hits"] == 7 and stats["misses"] == 1
         assert sum(stats["executions"].values()) == 8
 
+    def test_a_decision_changed_while_lowering_gets_no_stale_record(
+        self, monkeypatch
+    ):
+        """A re-selection that lands while the old variant's plan lowers
+        leaves the entry without a native record: the next call lowers and
+        serves the new variant, never the old variant's record."""
+        from repro.runtime import dispatcher as dispatcher_module
+
+        if not cemit_available():
+            pytest.skip("C toolchain or scipy cython capsules unavailable")
+        dispatcher = Dispatcher(self.chain, self.variants, backend="c")
+        first = dispatcher.select(self.SIZES)[0]
+        other = next(v for v in self.variants if v is not first)
+        lowered = []
+        compile_plan = dispatcher_module.compile_plan
+
+        def reselected_meanwhile(variant, *args, **kwargs):
+            lowered.append(variant)
+            plan = compile_plan(variant, *args, **kwargs)
+            if variant is first:
+                with dispatcher._memo_lock:
+                    (entry,) = dispatcher._memo.values()
+                    entry.reset(other, entry.cost)
+            return plan
+
+        monkeypatch.setattr(dispatcher_module, "compile_plan", reselected_meanwhile)
+        assert dispatcher.run(self.arrays).variant is first
+        outcomes = [dispatcher.run(self.arrays) for _ in range(3)]
+        assert [o.variant for o in outcomes] == [other] * 3
+        assert lowered == [first, other]
+        expected = execute_variant(other, list(self.arrays))
+        for outcome in outcomes:
+            np.testing.assert_allclose(
+                outcome.result, expected, rtol=1e-12, atol=1e-12
+            )
+
     def test_a_dropped_dispatcher_is_collected(self):
-        """A populated plan table holds no reference cycle through C: the
+        """A memo of native records holds no reference cycle through C: the
         dispatcher dies with its last reference."""
         import gc
         import weakref
